@@ -3,9 +3,12 @@
 Every identity the inversion rests on is checked here by computing both
 sides independently: restriction coefficients by sphere quadrature, the
 representation integrals by dense Gauss-Legendre rules, derivatives by
-central differences.  Nothing in this module shares code with the
-reconstructor beyond the coefficient tables itself, which is the point: a
-transcription error in the recurrences cannot cancel out of these checks.
+central differences.  The checks share the field and sphere layer with the
+reconstructor (the phantoms' moment data comes from `ScalarField3D.moments`
+and `ScalarField3D.laplacians`), but never its filter arithmetic: the filter
+polynomials and radial integrals are assembled here from the coefficient
+tables on their own, so a transcription error in the recurrences or in the
+reconstructor's series cannot cancel out of these checks.
 
 Identity registry (the names appear verbatim in reports and CSV rows):
 
@@ -26,12 +29,11 @@ ever failed, the numbers would say which reading is wrong.
 
 from __future__ import annotations
 
-import os
-import tempfile
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._io import atomic_write, fmt
 from .coeffs import CoefficientTable, build_tables
 from .fields import ScalarField3D, make_phantom
 from .forward import (
@@ -39,7 +41,6 @@ from .forward import (
     first_cosine_coefficient,
     harmonic_coefficient,
     off_plane_mean,
-    spherical_mean,
 )
 from .quadrature import SphereRule, build_rule
 
@@ -118,23 +119,6 @@ def _report(identity, point, n, left, right, tolerance, **extras) -> ResidualRep
 # ----- representation checks -----
 
 
-def _moments_of(f: ScalarField3D, p: float, q: float, u: float, rule: SphereRule | None):
-    if f.analytic_moments is not None:
-        return f.analytic_moments(p, q, u)
-    c = SphereCenter(p, q, u)
-    return spherical_mean(f, c, rule), first_cosine_coefficient(f, c, rule)
-
-
-def _laplacians_of(f: ScalarField3D, p: float, q: float, u: float, i: int, rule):
-    if i == 0:
-        return _moments_of(f, p, q, u, rule)
-    if f.analytic_laplacians is None:
-        raise ValueError(
-            f"phantom {f.descriptor!r} has no Laplacian capability (power {i} requested)"
-        )
-    return f.analytic_laplacians(p, q, u, i)
-
-
 def _gl_nodes(t: float, n: int):
     x, w = np.polynomial.legendre.leggauss(n)
     return 0.5 * t * (x + 1.0), 0.5 * t * w
@@ -157,13 +141,13 @@ def check_representation_even(
         raise ValueError(f"need 0 <= k <= {table.order_n}, got k={k}")
     left = harmonic_coefficient(f, SphereCenter(p, q, t), 2 * k, rule=rule)
     us, ws = _gl_nodes(t, n_radial)
-    right = (4 * k + 1) * _moments_of(f, p, q, t, rule)[0]
+    right = (4 * k + 1) * f.moments(p, q, t, rule)[0]
     for i in range(k + 1):
         cs = [(m, float(table.c_even_at(k, i, m))) for m in range(1, k + i + 1)]
         cs = [(m, c) for m, c in cs if c]
         if not cs:
             continue
-        lap = np.array([_laplacians_of(f, p, q, float(u), i, rule)[0] for u in us])
+        lap = np.array([f.laplacians(p, q, float(u), i, rule)[0] for u in us])
         filt = np.zeros_like(us)
         for m, c in cs:
             filt += c * (us / t) ** (2 * m)
@@ -190,13 +174,13 @@ def check_representation_odd(
         raise ValueError(f"need k - 1 <= {table.order_n}, got k={k}")
     left = harmonic_coefficient(f, SphereCenter(p, q, t), 2 * k - 1, rule=rule)
     us, ws = _gl_nodes(t, n_radial)
-    right = (4 * k - 1) / 3.0 * _moments_of(f, p, q, t, rule)[1]
+    right = (4 * k - 1) / 3.0 * f.moments(p, q, t, rule)[1]
     for i in range(k):
         cs = [(m, float(table.c_odd_at(k - 1, i, m))) for m in range(1, k + i)]
         cs = [(m, c) for m, c in cs if c]
         if not cs:
             continue
-        lap = np.array([_laplacians_of(f, p, q, float(u), i, rule)[1] for u in us])
+        lap = np.array([f.laplacians(p, q, float(u), i, rule)[1] for u in us])
         filt = np.zeros_like(us)
         for m, c in cs:
             filt += c * (us / t) ** (2 * m + 1)
@@ -416,28 +400,14 @@ def run_all_checks(
 # ----- CSV -----
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
 def write_residual_csv(reports, path: str) -> None:
     lines = ["identity,p,q,t,n,left,right,abs_residual,rel_residual,pass"]
     for r in reports:
         p, q, t = r.point
         ncol = "" if r.n is None else str(r.n)
         lines.append(
-            f"{r.identity},{_fmt(p)},{_fmt(q)},{_fmt(t)},{ncol},"
-            f"{_fmt(r.left)},{_fmt(r.right)},{_fmt(r.abs_residual)},"
-            f"{_fmt(r.rel_residual)},{'true' if r.passed else 'false'}"
+            f"{r.identity},{fmt(p)},{fmt(q)},{fmt(t)},{ncol},"
+            f"{fmt(r.left)},{fmt(r.right)},{fmt(r.abs_residual)},"
+            f"{fmt(r.rel_residual)},{'true' if r.passed else 'false'}"
         )
-    payload = "\n".join(lines) + "\n"
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(path, ("\n".join(lines) + "\n").encode())

@@ -29,12 +29,11 @@ import io
 import os
 import re
 import sys
-import tempfile
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import fields
+from ._io import atomic_write
 from .checks import run_all_checks, write_residual_csv
 from .coeffs import (
     build_tables,
@@ -51,40 +50,10 @@ from .reconstruct import (
     write_slice_pgm,
 )
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
 _TABLE_ORDER = 8
 _ALIASES = {"paper8": "rsqz3"}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated per-subcommand configuration; unused fields stay None."""
-
-    subcommand: str
-    phantom: str | None = None
-    grid_path: str | None = None
-    origin: tuple | None = None
-    h: float | None = None
-    n_p: int | None = None
-    n_q: int | None = None
-    umax: float | None = None
-    n_u: int | None = None
-    analytic: bool = False
-    order_n: int | None = None
-    mode: str | None = None
-    slice_axis: str | None = None
-    slice_value: float | None = None
-    xrange: tuple | None = None
-    zrange: tuple | None = None
-    step: float | None = None
-    min_abs_z: float | None = None
-    max_n: int | None = None
-    fd_step: float | None = None
-    seed: int | None = None
-    perturb: str | None = None
-    out: str | None = None
-    pgm: str | None = None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -135,105 +104,97 @@ def _parse_phantom(spec: str) -> ScalarField3D:
     return make_phantom(name, **kwargs)
 
 
-def _atomic_text(path: str, text: str) -> None:
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 # ----- subcommands -----
 
 
-def _cmd_coeffs(cfg: RunConfig) -> int:
-    if cfg.max_n < 0:
+def _cmd_coeffs(args: argparse.Namespace) -> int:
+    if args.max_n < 0:
         raise ValueError("--max-n must be >= 0")
-    table = build_tables(cfg.max_n)
+    table = build_tables(args.max_n)
     buf = io.StringIO()
     write_coefficient_csv(table, buf)
-    _atomic_text(cfg.out, buf.getvalue())
-    root, ext = os.path.splitext(cfg.out)
+    atomic_write(args.out, buf.getvalue().encode())
+    root, ext = os.path.splitext(args.out)
     poly_path = f"{root}.polynomials{ext or '.csv'}"
     buf = io.StringIO()
-    write_polynomial_csv(table, cfg.max_n, buf)
-    _atomic_text(poly_path, buf.getvalue())
-    print(f"wrote {cfg.out} and {poly_path}")
+    write_polynomial_csv(table, args.max_n, buf)
+    atomic_write(poly_path, buf.getvalue().encode())
+    print(f"wrote {args.out} and {poly_path}")
     return 0
 
 
-def _cmd_forward(cfg: RunConfig) -> int:
-    if cfg.h <= 0 or cfg.umax <= 0:
+def _cmd_forward(args: argparse.Namespace) -> int:
+    if args.h <= 0 or args.umax <= 0:
         raise ValueError("--h and --umax must be positive")
-    if cfg.n_p < 1 or cfg.n_q < 1 or cfg.n_u < 1:
+    if args.n_p < 1 or args.n_q < 1 or args.n_u < 1:
         raise ValueError("--np, --nq, --nu must be >= 1")
-    field = _parse_phantom(cfg.phantom)
-    du = cfg.umax / cfg.n_u
-    nodes = du * np.arange(1, cfg.n_u + 1)
+    field = _parse_phantom(args.phantom)
+    du = args.umax / args.n_u
+    nodes = du * np.arange(1, args.n_u + 1)
     grid = sample_moments(
-        field, cfg.origin, cfg.h, cfg.n_p, cfg.n_q, nodes, analytic=cfg.analytic
+        field, args.origin, args.h, args.n_p, args.n_q, nodes, analytic=args.analytic
     )
-    write_moment_csv(grid, cfg.out)
-    print(f"wrote {cfg.out}: {cfg.n_p}x{cfg.n_q} centers, {cfg.n_u} radii")
+    write_moment_csv(grid, args.out)
+    print(f"wrote {args.out}: {args.n_p}x{args.n_q} centers, {args.n_u} radii")
     return 0
 
 
-def _cmd_reconstruct(cfg: RunConfig) -> int:
-    if cfg.step <= 0:
+def _cmd_reconstruct(args: argparse.Namespace) -> int:
+    m = re.fullmatch(r"([yz])=(.+)", args.slice_)
+    if not m:
+        raise ValueError(f"--slice must look like y=V or z=V, got {args.slice_!r}")
+    axis, value = m.group(1), float(m.group(2))
+    mode = args.mode.replace("-", "_")
+    if args.step <= 0:
         raise ValueError("--step must be positive")
-    if cfg.min_abs_z <= 0:
+    if args.min_abs_z <= 0:
         raise ValueError("--min-abs-z must be positive")
-    if cfg.order_n < 0 or cfg.order_n > _TABLE_ORDER:
+    if args.order_n < 0 or args.order_n > _TABLE_ORDER:
         raise ValueError(f"--order must be in 0..{_TABLE_ORDER}")
-    if cfg.phantom is not None:
-        source = _parse_phantom(cfg.phantom)
+    if args.phantom is not None:
+        source = _parse_phantom(args.phantom)
     else:
-        source = read_moment_csv(cfg.grid_path)
+        source = read_moment_csv(args.grid_path)
     spec = SliceSpec(
-        axis=cfg.slice_axis,
-        value=cfg.slice_value,
-        xrange=cfg.xrange,
-        other_range=cfg.zrange,
-        step=cfg.step,
+        axis=axis,
+        value=value,
+        xrange=args.xrange,
+        other_range=args.zrange,
+        step=args.step,
     )
     table = build_tables(_TABLE_ORDER)
     result = reconstruct_slice(
-        spec, cfg.order_n, cfg.mode, source, table, min_abs_z=cfg.min_abs_z
+        spec, args.order_n, mode, source, table, min_abs_z=args.min_abs_z
     )
-    write_slice_csv(result, cfg.out)
-    msg = f"wrote {cfg.out}: {result.values.shape[0]}x{result.values.shape[1]} points"
-    if cfg.pgm:
-        write_slice_pgm(result, cfg.pgm)
-        msg += f" (+ {cfg.pgm})"
+    write_slice_csv(result, args.out)
+    msg = f"wrote {args.out}: {result.values.shape[0]}x{result.values.shape[1]} points"
+    if args.pgm:
+        write_slice_pgm(result, args.pgm)
+        msg += f" (+ {args.pgm})"
     print(msg)
     return 0
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    if cfg.fd_step <= 0:
+def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.fd_step <= 0:
         raise ValueError("--fd-step must be positive")
     table = build_tables(_TABLE_ORDER)
-    if cfg.perturb:
+    if args.perturb:
         try:
-            family, key_text, factor_text = cfg.perturb.split(":")
+            family, key_text, factor_text = args.perturb.split(":")
             key = tuple(int(v) for v in key_text.split(","))
             if len(key) != 3:
                 raise ValueError
             factor = float(factor_text)
         except ValueError:
             raise ValueError(
-                f"malformed perturbation {cfg.perturb!r}; expected FAMILY:K,I,M:FACTOR"
+                f"malformed perturbation {args.perturb!r}; expected FAMILY:K,I,M:FACTOR"
             ) from None
         table = perturb_entry(table, family, key, factor)
-    reports = run_all_checks(table=table, fd_step=cfg.fd_step, seed=cfg.seed)
-    write_residual_csv(reports, cfg.out)
+    reports = run_all_checks(table=table, fd_step=args.fd_step, seed=args.seed)
+    write_residual_csv(reports, args.out)
     failures = [r for r in reports if not r.passed]
-    print(f"{len(reports)} checks, {len(failures)} failures -> {cfg.out}")
+    print(f"{len(reports)} checks, {len(failures)} failures -> {args.out}")
     for r in failures:
         phantom = r.extras.get("phantom", "?")
         print(
@@ -299,51 +260,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    if args.subcommand == "reconstruct":
-        m = re.fullmatch(r"([yz])=(.+)", args.slice_)
-        if not m:
-            raise ValueError(f"--slice must look like y=V or z=V, got {args.slice_!r}")
-        axis, value = m.group(1), float(m.group(2))
-        return RunConfig(
-            subcommand="reconstruct",
-            phantom=args.phantom,
-            grid_path=args.grid_path,
-            order_n=args.order_n,
-            mode=args.mode.replace("-", "_"),
-            slice_axis=axis,
-            slice_value=value,
-            xrange=args.xrange,
-            zrange=args.zrange,
-            step=args.step,
-            min_abs_z=args.min_abs_z,
-            out=args.out,
-            pgm=args.pgm,
-        )
-    if args.subcommand == "coeffs":
-        return RunConfig(subcommand="coeffs", max_n=args.max_n, out=args.out)
-    if args.subcommand == "forward":
-        return RunConfig(
-            subcommand="forward",
-            phantom=args.phantom,
-            origin=args.origin,
-            h=args.h,
-            n_p=args.n_p,
-            n_q=args.n_q,
-            umax=args.umax,
-            n_u=args.n_u,
-            analytic=args.analytic,
-            out=args.out,
-        )
-    return RunConfig(
-        subcommand="verify",
-        fd_step=args.fd_step,
-        seed=args.seed,
-        perturb=args.perturb,
-        out=args.out,
-    )
-
-
 _HANDLERS = {
     "coeffs": _cmd_coeffs,
     "forward": _cmd_forward,
@@ -359,8 +275,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = _config_from(args)
-        return _HANDLERS[cfg.subcommand](cfg)
+        return _HANDLERS[args.subcommand](args)
     except (ValueError, KeyError) as exc:
         print(f"sphradon: error: {exc}", file=sys.stderr)
         return 1

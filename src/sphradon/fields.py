@@ -5,8 +5,15 @@ callbacks.  "Analytic" here means: no finite differencing anywhere - the
 two-dimensional Laplacians are applied in closed form to the field itself
 (they commute with the spherical mean), and any remaining integral over the
 sphere is done by a dedicated high-order quadrature whose error is far below
-every test tolerance.  For polynomial phantoms the moments are exact
+every test tolerance.  That quadrature is forward's one sphere pass under the
+phantom's own rule, so the callbacks equal `spherical_mean` and
+`first_cosine_coefficient` under that rule bit for bit (bar gauss's literal
+first-cosine zeros, below).  For polynomial phantoms the moments are exact
 rationals evaluated in floating point.
+
+`ScalarField3D.moments` and `ScalarField3D.laplacians` are the one place that
+picks between the callbacks and sphere quadrature; the reconstructor and the
+residual checks both ask the field through them.
 
 Catalog (built by `make_phantom`):
 
@@ -33,6 +40,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import polynomials
+from .forward import SphereCenter, _sphere_moments
 from .quadrature import SphereRule, build_rule
 
 __all__ = [
@@ -91,16 +99,23 @@ class ScalarField3D:
     analytic_moments: Callable | None = None
     analytic_laplacians: Callable | None = None
 
+    def moments(self, x: float, y: float, u: float, rule: SphereRule | None = None):
+        """(Mf, a01) at center (x, y), radius u: the analytic callback if
+        there is one, else one sphere pass under `rule` (None: the default)."""
+        if self.analytic_moments is not None:
+            return self.analytic_moments(x, y, u)
+        return _sphere_moments(self, SphereCenter(x, y, u), rule)
 
-def _quad_moments(evaluate: Callable, x: float, y: float, u: float, rule: SphereRule):
-    X = x + u * rule.sin_t * rule.cos_p
-    Y = y + u * rule.sin_t * rule.sin_p
-    Z = u * rule.cos_t
-    vals = np.asarray(evaluate(X, Y, Z), dtype=float)
-    quarter = 0.25 / np.pi
-    mf = float(np.dot(vals, rule.w)) * quarter
-    a01 = 3.0 * float(np.dot(vals * rule.cos_t, rule.w)) * quarter
-    return mf, a01
+    def laplacians(self, x: float, y: float, u: float, i: int, rule: SphereRule | None = None):
+        """(Lap^i Mf, Lap^i a01); power 0 is `moments`, higher powers need
+        the analytic callback."""
+        if i == 0:
+            return self.moments(x, y, u, rule)
+        if self.analytic_laplacians is None:
+            raise ValueError(
+                f"phantom {self.descriptor!r} has no Laplacian capability (power {i} requested)"
+            )
+        return self.analytic_laplacians(x, y, u, i)
 
 
 # ----- polynomial phantoms -----
@@ -128,7 +143,7 @@ def polynomial_field(poly: Mapping[tuple[int, int, int], Fraction], name: str = 
         return polynomials.eval_pqt(m0, x, y, u), polynomials.eval_pqt(m1, x, y, u)
 
     return ScalarField3D(
-        evaluate=lambda x, y, z: polynomials.evaluate(poly, x, y, z),
+        evaluate=lambda x, y, z: polynomials.eval_pqt(poly, x, y, z),
         descriptor=name,
         analytic_moments=moments,
         analytic_laplacians=laplacians,
@@ -231,13 +246,13 @@ def gauss_field(
         return ev
 
     def moments(x, y, u):
-        mf, _ = _quad_moments(evaluate, x, y, u, _moment_rule())
+        mf, _ = _sphere_moments(evaluate, SphereCenter(x, y, u), _moment_rule())
         return mf, 0.0
 
     def laplacians(x, y, u, i):
         if i == 0:
             return moments(x, y, u)
-        mf, _ = _quad_moments(lap_evaluate(i), x, y, u, _moment_rule())
+        mf, _ = _sphere_moments(lap_evaluate(i), SphereCenter(x, y, u), _moment_rule())
         return mf, 0.0
 
     return ScalarField3D(
@@ -313,12 +328,12 @@ def bump_field(
         return ev
 
     def moments(x, y, u):
-        return _quad_moments(evaluate, x, y, u, _shell_rule())
+        return _sphere_moments(evaluate, SphereCenter(x, y, u), _shell_rule())
 
     def laplacians(x, y, u, i):
         if i == 0:
             return moments(x, y, u)
-        return _quad_moments(lap_evaluate(i), x, y, u, _shell_rule())
+        return _sphere_moments(lap_evaluate(i), SphereCenter(x, y, u), _shell_rule())
 
     return ScalarField3D(
         evaluate=evaluate,

@@ -94,16 +94,24 @@ def first_cosine_coefficient(f, c: SphereCenter, rule: SphereRule | None = None)
     return _zonal_coefficient(_evaluate_on_sphere(f, c, rule), rule, 1, rule.cos_t)
 
 
+def _sphere_moments(f, c: SphereCenter, rule: SphereRule | None = None) -> tuple[float, float]:
+    """(Mf, a01) from one sphere pass.
+
+    Equal bit for bit to `spherical_mean(f, c, rule)` and
+    `first_cosine_coefficient(f, c, rule)`, which evaluate f once each.
+    """
+    rule = rule or default_rule()
+    vals = _evaluate_on_sphere(f, c, rule)
+    return _zonal_coefficient(vals, rule), _zonal_coefficient(vals, rule, 1, rule.cos_t)
+
+
 def two_data_transform(f, c: SphereCenter, rule: SphereRule | None = None) -> complex:
     """The complex two-data value Mf + i a01/3 in one sphere pass.
 
     The real part equals `spherical_mean(f, c, rule)` and the imaginary part
     `first_cosine_coefficient(f, c, rule) / 3.0`, bit for bit.
     """
-    rule = rule or default_rule()
-    vals = _evaluate_on_sphere(f, c, rule)
-    mf = _zonal_coefficient(vals, rule)
-    a01 = _zonal_coefficient(vals, rule, 1, rule.cos_t)
+    mf, a01 = _sphere_moments(f, c, rule)
     return complex(mf, a01 / 3.0)
 
 

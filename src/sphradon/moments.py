@@ -13,14 +13,13 @@ digits.
 
 from __future__ import annotations
 
-import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._io import atomic_write, fmt
 from .fields import ScalarField3D
-from .forward import SphereCenter, first_cosine_coefficient, spherical_mean
+from .forward import SphereCenter, _sphere_moments
 from .quadrature import SphereRule
 
 __all__ = [
@@ -93,23 +92,20 @@ def sample_moments(
 
     With analytic=True (and the field providing moment callbacks) samples are
     exact up to the callbacks' own accuracy; otherwise both moments come from
-    sphere quadrature at every node.
+    one sphere pass at every node.
     """
     nodes = np.asarray(radial_nodes, dtype=float)
     mf = np.empty((n_p, n_q, nodes.size))
     a01 = np.empty_like(mf)
-    use_analytic = analytic and field.analytic_moments is not None
     for ip in range(n_p):
         p = origin[0] + ip * h
         for iq in range(n_q):
             q = origin[1] + iq * h
             for iu, u in enumerate(nodes):
-                if use_analytic:
-                    m, a = field.analytic_moments(p, q, float(u))
+                if analytic:
+                    m, a = field.moments(p, q, float(u), rule)
                 else:
-                    c = SphereCenter(p, q, float(u))
-                    m = spherical_mean(field, c, rule)
-                    a = first_cosine_coefficient(field, c, rule)
+                    m, a = _sphere_moments(field, SphereCenter(p, q, float(u)), rule)
                 mf[ip, iq, iu] = m
                 a01[ip, iq, iu] = a
     return MomentGrid(tuple(origin), h, n_p, n_q, nodes, mf, a01)
@@ -167,24 +163,8 @@ def radial_integral(values, weights) -> float:
 #
 # The sidecar pins the uniform radial ladder; only uniform ladders are
 # representable in a file.  Node coordinates ride along in every row, so the
-# origin needs no extra field.
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
-def _atomic_write(path: str, text: str) -> None:
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+# origin needs no extra field, and the reader takes the radial nodes from the
+# u column (exact at 17 digits) rather than rebuilding them from u0 and du.
 
 
 def write_moment_csv(grid: MomentGrid, path: str) -> None:
@@ -196,8 +176,8 @@ def write_moment_csv(grid: MomentGrid, path: str) -> None:
     else:
         du = nodes[0]
     lines = [
-        f"# h={_fmt(grid.h)} Np={grid.n_p} Nq={grid.n_q} "
-        f"u0={_fmt(nodes[0])} du={_fmt(du)} Nu={nodes.size}",
+        f"# h={fmt(grid.h)} Np={grid.n_p} Nq={grid.n_q} "
+        f"u0={fmt(nodes[0])} du={fmt(du)} Nu={nodes.size}",
         "p,q,u,Mf,a01",
     ]
     for ip in range(grid.n_p):
@@ -206,10 +186,10 @@ def write_moment_csv(grid: MomentGrid, path: str) -> None:
             q = grid.q_node(iq)
             for iu, u in enumerate(nodes):
                 lines.append(
-                    f"{_fmt(p)},{_fmt(q)},{_fmt(u)},"
-                    f"{_fmt(grid.mf_values[ip, iq, iu])},{_fmt(grid.a01_values[ip, iq, iu])}"
+                    f"{fmt(p)},{fmt(q)},{fmt(u)},"
+                    f"{fmt(grid.mf_values[ip, iq, iu])},{fmt(grid.a01_values[ip, iq, iu])}"
                 )
-    _atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
 def read_moment_csv(path: str) -> MomentGrid:
@@ -241,10 +221,11 @@ def read_moment_csv(path: str) -> MomentGrid:
         )
     data = np.asarray(rows)
     origin = (data[0, 0], data[0, 1])
-    nodes = u0 + du * np.arange(n_u)
+    nodes = data[:n_u, 2]
     mf = data[:, 3].reshape(n_p, n_q, n_u)
     a01 = data[:, 4].reshape(n_p, n_q, n_u)
     # the stored u column must agree with the sidecar ladder
-    if not np.allclose(data[:n_u, 2], nodes, rtol=0, atol=1e-12 * max(1.0, abs(nodes[-1]))):
+    ladder = u0 + du * np.arange(n_u)
+    if not np.allclose(nodes, ladder, rtol=0, atol=1e-12 * max(1.0, abs(ladder[-1]))):
         raise ValueError("radial column disagrees with the sidecar ladder")
     return MomentGrid(origin, h, n_p, n_q, nodes, mf, a01)

@@ -22,7 +22,6 @@ import numpy as np
 
 __all__ = [
     "lap_xy",
-    "evaluate",
     "total_degree",
     "a0n_poly",
     "eval_pqt",
@@ -50,17 +49,6 @@ def lap_xy(poly: FieldPoly) -> dict[tuple[int, int, int], Fraction]:
 
 def total_degree(poly: FieldPoly) -> int:
     return max((i + j + k for (i, j, k) in poly), default=0)
-
-
-def evaluate(poly: FieldPoly, x, y, z):
-    """Evaluate at floats or numpy arrays (broadcasting)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    acc = np.zeros(np.broadcast_shapes(x.shape, y.shape, z.shape))
-    for (i, j, k), c in poly.items():
-        acc = acc + float(c) * x**i * y**j * z**k
-    return acc if acc.shape else float(acc)
 
 
 def _dfact(n: int) -> int:
@@ -113,7 +101,11 @@ def a0n_poly(poly: FieldPoly, n: int) -> dict[tuple[int, int, int], Fraction]:
 
 
 def eval_pqt(mpoly: MomentPoly, p, q, t):
-    """Evaluate a moment polynomial at floats or numpy arrays."""
+    """Evaluate a polynomial at floats or numpy arrays (broadcasting).
+
+    Serves moment polynomials in (p, q, t) and field polynomials in
+    (x, y, z) alike.
+    """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     t = np.asarray(t, dtype=float)

@@ -29,16 +29,14 @@ in z.  mirror_even_reconstruct warns in that case rather than guessing.
 from __future__ import annotations
 
 import math
-import os
-import tempfile
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._io import atomic_write, fmt
 from .coeffs import CoefficientTable
 from .fields import ScalarField3D
-from .forward import SphereCenter, first_cosine_coefficient, spherical_mean
 from .moments import MomentGrid, laplacian_power
 
 __all__ = [
@@ -114,21 +112,10 @@ class _AnalyticSource:
         return 0.5 * t * (gx + 1.0), 0.5 * t * gw
 
     def moments(self, x: float, y: float, t: float):
-        if self.field.analytic_moments is not None:
-            return self.field.analytic_moments(x, y, t)
-        c = SphereCenter(x, y, t)
-        return spherical_mean(self.field, c), first_cosine_coefficient(self.field, c)
+        return self.field.moments(x, y, t)
 
     def laplacians(self, x: float, y: float, us: Array, i: int):
-        if i == 0:
-            pairs = [self.moments(x, y, float(u)) for u in us]
-        elif self.field.analytic_laplacians is not None:
-            pairs = [self.field.analytic_laplacians(x, y, float(u), i) for u in us]
-        else:
-            raise ValueError(
-                f"phantom {self.field.descriptor!r} has no Laplacian capability "
-                f"(power {i} requested)"
-            )
+        pairs = [self.field.laplacians(x, y, float(u), i) for u in us]
         return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
 
 
@@ -184,36 +171,25 @@ class _GridSource:
         return mf, a
 
 
-class _ZeroOddSource:
-    """Wrap a source so the odd data reads exactly 0.0 (even-mirror mode)."""
+class _EvenDataSource:
+    """Even-mirror data: the mean data times `scale`, the odd data exactly 0.0.
 
-    def __init__(self, inner):
+    scale 2.0 gives the moments of f(x, y, |z|) for f supported in {z > 0};
+    scale 1.0 keeps the source's own mean data (1.0 * x == x bit for bit).
+    """
+
+    def __init__(self, inner, scale: float = 1.0):
         self.inner = inner
+        self.scale = scale
 
     def radial_scheme(self, x, y, t):
         return self.inner.radial_scheme(x, y, t)
 
     def moments(self, x, y, t):
-        return self.inner.moments(x, y, t)[0], 0.0
+        return self.scale * self.inner.moments(x, y, t)[0], 0.0
 
     def laplacians(self, x, y, us, i):
-        return self.inner.laplacians(x, y, us, i)[0], np.zeros(len(us))
-
-
-class _EvenizedSource:
-    """Moments of f(x, y, |z|) for f supported in {z > 0}: twice f's own."""
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    def radial_scheme(self, x, y, t):
-        return self.inner.radial_scheme(x, y, t)
-
-    def moments(self, x, y, t):
-        return 2.0 * self.inner.moments(x, y, t)[0], 0.0
-
-    def laplacians(self, x, y, us, i):
-        return 2.0 * self.inner.laplacians(x, y, us, i)[0], np.zeros(len(us))
+        return self.scale * self.inner.laplacians(x, y, us, i)[0], np.zeros(len(us))
 
 
 def _make_source(source, order_n: int, radial_rule: int | None):
@@ -292,8 +268,8 @@ def reconstruct_point(req: ReconstructionRequest, table: CoefficientTable) -> Re
     if req.order_n > table.order_n:
         raise ValueError(f"order {req.order_n} exceeds table order {table.order_n}")
     src = _make_source(req.source, req.order_n, req.radial_rule)
-    if req.mode == "even_mirror" and not isinstance(src, (_ZeroOddSource, _EvenizedSource)):
-        src = _ZeroOddSource(src)
+    if req.mode == "even_mirror" and not isinstance(src, _EvenDataSource):
+        src = _EvenDataSource(src)
     even_terms, odd_terms = _filter_terms(table, req.order_n)
 
     values, ladders, last = [], [], []
@@ -417,30 +393,13 @@ def mirror_even_reconstruct(
             f"(max {below:.3g}); using its own moments as already-even data",
             stacklevel=2,
         )
-        source = _ZeroOddSource(inner)
+        source = _EvenDataSource(inner)
     else:
-        source = _EvenizedSource(inner)
+        source = _EvenDataSource(inner, scale=2.0)
     return reconstruct_point(replace(req, mode="even_mirror", source=source), table)
 
 
 # ----- output files -----
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
-def _atomic_write_bytes(path: str, payload: bytes) -> None:
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def write_slice_csv(result: SliceResult, path: str) -> None:
@@ -452,8 +411,8 @@ def write_slice_csv(result: SliceResult, path: str) -> None:
                 y, z = result.spec.value, o
             else:
                 y, z = o, result.spec.value
-            lines.append(f"{_fmt(x)},{_fmt(y)},{_fmt(z)},{_fmt(result.values[ix, io])}")
-    _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode())
+            lines.append(f"{fmt(x)},{fmt(y)},{fmt(z)},{fmt(result.values[ix, io])}")
+    atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
 def write_slice_pgm(result: SliceResult, path: str) -> None:
@@ -472,7 +431,7 @@ def write_slice_pgm(result: SliceResult, path: str) -> None:
     scaled[mask] = np.clip((vals[mask] - lo) / span, 0.0, 1.0) * 255.0
     img = scaled.T[::-1, :].round().astype(np.uint8)
     header = (
-        f"P5\n# linear min-max scaling: fmin={_fmt(lo)} fmax={_fmt(hi)}\n"
+        f"P5\n# linear min-max scaling: fmin={fmt(lo)} fmax={fmt(hi)}\n"
         f"{img.shape[1]} {img.shape[0]}\n255\n"
     )
-    _atomic_write_bytes(path, header.encode() + img.tobytes())
+    atomic_write(path, header.encode() + img.tobytes())

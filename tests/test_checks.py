@@ -16,6 +16,8 @@ from sphradon.checks import (
 )
 from sphradon.coeffs import build_tables, perturb_entry
 from sphradon.fields import ScalarField3D, make_phantom, polynomial_field
+from sphradon.forward import SphereCenter, first_cosine_coefficient, spherical_mean
+from sphradon.reconstruct import _AnalyticSource
 
 
 # ----- representations -----
@@ -80,6 +82,21 @@ def test_rep_argument_errors():
     bare = ScalarField3D(evaluate=lambda x, y, z: np.asarray(z) ** 2, descriptor="bare")
     with pytest.raises(ValueError, match="Laplacian capability"):
         check_representation_even(bare, 0.0, 0.0, 1.0, 1)
+
+
+def test_bare_field_moments_agree_with_reconstructor():
+    # without callbacks the checks and the reconstructor ask the same field
+    # layer, which makes one sphere pass under the default rule; order-0
+    # representations carry the moments unscaled
+    f = ScalarField3D(evaluate=make_phantom("bump").evaluate, descriptor="bare bump")
+    src = _AnalyticSource(f, 0, None)
+    for p, q, t in ((0.1, -0.2, 0.7), (0.5, 0.3, 1.6), (-0.4, 0.0, 2.2)):
+        c = SphereCenter(p, q, t)
+        want = (spherical_mean(f, c), first_cosine_coefficient(f, c))
+        assert want[0] != 0.0 and want[1] != 0.0
+        assert src.moments(p, q, t) == want
+        assert check_representation_even(f, p, q, t, 0).right == want[0]
+        assert check_representation_odd(f, p, q, t, 1).right == want[1]
 
 
 def test_rep_detects_perturbed_coefficient():

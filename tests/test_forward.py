@@ -6,7 +6,7 @@ from fractions import Fraction as Fr
 import numpy as np
 import pytest
 
-from sphradon import polynomials
+from sphradon import fields, polynomials
 from sphradon.fields import (
     bump_field,
     const_field,
@@ -81,6 +81,21 @@ def test_two_data_split_sweep(rule):
             got = two_data_transform(f, c, rule)
             assert got.real == spherical_mean(f, c, rule), (name, c)
             assert got.imag == first_cosine_coefficient(f, c, rule) / 3.0, (name, c)
+
+
+@pytest.mark.parametrize("name", ["gauss", "bump"])
+def test_smooth_callbacks_equal_sphere_operators(name):
+    # the callbacks are forward's one sphere pass under the phantom's own
+    # rule; gauss's first-cosine data is the exact zero of its plane
+    # symmetry, where quadrature leaves rounding noise
+    rule = fields._moment_rule() if name == "gauss" else fields._shell_rule()
+    f = make_phantom(name)
+    rng = random.Random(3303)
+    for _ in range(40):
+        c = SphereCenter(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5), rng.uniform(0.2, 2.5))
+        mf, a01 = f.analytic_moments(c.p, c.q, c.t)
+        assert mf == spherical_mean(f, c, rule), c
+        assert a01 == (0.0 if name == "gauss" else first_cosine_coefficient(f, c, rule)), c
 
 
 def test_harmonic_a00_is_mean():

@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from sphradon.coeffs import build_tables
 from sphradon.fields import make_phantom
+from sphradon.forward import SphereCenter, first_cosine_coefficient, spherical_mean
 from sphradon.moments import (
     MomentGrid,
     laplacian_power,
@@ -14,6 +16,8 @@ from sphradon.moments import (
     sample_moments,
     write_moment_csv,
 )
+from sphradon.quadrature import build_rule
+from sphradon.reconstruct import SliceSpec, reconstruct_slice
 
 
 def _ladder(du: float, n: int) -> np.ndarray:
@@ -32,6 +36,20 @@ def test_sample_zsq_mean_is_u_squared_over_three():
     for iu, u in enumerate(grid.radial_nodes):
         assert np.allclose(grid.mf_values[:, :, iu], u * u / 3.0, rtol=0, atol=1e-15)
     assert np.all(grid.a01_values == 0.0)
+
+
+@pytest.mark.parametrize("rule", [None, build_rule(16, 32)], ids=["default", "16x32"])
+def test_quadrature_sampling_equals_sphere_operators(rule):
+    # one sphere pass per node gives both moments, bit for bit the operators'
+    f = make_phantom("gauss")
+    nodes = _ladder(0.3, 5)
+    grid = sample_moments(f, (-0.3, 0.2), 0.25, 3, 3, nodes, analytic=False, rule=rule)
+    for ip in range(3):
+        for iq in range(3):
+            for iu, u in enumerate(nodes):
+                c = SphereCenter(grid.p_node(ip), grid.q_node(iq), float(u))
+                assert grid.mf_values[ip, iq, iu] == spherical_mean(f, c, rule)
+                assert grid.a01_values[ip, iq, iu] == first_cosine_coefficient(f, c, rule)
 
 
 def test_sample_rsqz3_columns():
@@ -140,6 +158,24 @@ def test_csv_round_trip_is_lossless(tmp_path):
     path2 = str(tmp_path / "again.csv")
     write_moment_csv(back, path2)
     assert open(path, "rb").read() == open(path2, "rb").read()
+
+
+def test_csv_round_trip_keeps_the_sampled_ladder(tmp_path):
+    # on this ladder u0 + du*k misses the sampled du*(k+1) by an ulp at some
+    # nodes; the reader takes the stored u column, so the grid-mode slice
+    # from the file is the slice from memory
+    grid = sample_moments(make_phantom("rsqz3"), (-0.45, -0.45), 0.1, 9, 9, _ladder(1.6 / 16, 16))
+    path = str(tmp_path / "moments.csv")
+    write_moment_csv(grid, path)
+    back = read_moment_csv(path)
+    assert back.radial_nodes.tobytes() == grid.radial_nodes.tobytes()
+    x, y = grid.p_node(4), grid.q_node(4)
+    spec = SliceSpec("y", y, (x, x), (0.3, 1.5), 0.1)
+    table = build_tables(4)
+    want = reconstruct_slice(spec, 4, "two_data", grid, table, min_abs_z=0.25).values
+    got = reconstruct_slice(spec, 4, "two_data", back, table, min_abs_z=0.25).values
+    assert got.shape == (1, 13)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_csv_rejects_nonuniform_ladder(tmp_path):
