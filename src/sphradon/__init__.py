@@ -51,7 +51,6 @@ from .forward import (
 )
 from .moments import (
     MomentGrid,
-    radial_integral,
     read_moment_csv,
     sample_moments,
     write_moment_csv,
@@ -93,7 +92,6 @@ __all__ = [
     "perturb_entry",
     "polynomial_field",
     "polynomial_set",
-    "radial_integral",
     "read_moment_csv",
     "reconstruct_point",
     "reconstruct_slice",

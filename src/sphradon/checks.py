@@ -30,6 +30,7 @@ ever failed, the numbers would say which reading is wrong.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cache
 
 import numpy as np
 
@@ -73,14 +74,17 @@ TEST_LATTICE: tuple = tuple(
     (p, q, t) for p in (-1.0, 0.0, 1.0) for q in (-1.0, 0.0, 1.0) for t in (0.5, 1.0, 2.0)
 )
 
-_TABLE: CoefficientTable | None = None
+# Gauss-Legendre nodes of the representation checks' radial integrals, and
+# the relative tolerances: the representation checks are quadrature against
+# quadrature, the lemma and ODE checks carry O(fd_step^2) differencing error
+_N_RADIAL = 80
+_REP_TOLERANCE = 1e-8
+_FD_TOLERANCE = 1e-5
 
 
+@cache
 def _default_table() -> CoefficientTable:
-    global _TABLE
-    if _TABLE is None:
-        _TABLE = build_tables(8)
-    return _TABLE
+    return build_tables(8)
 
 
 @dataclass(frozen=True)
@@ -132,15 +136,13 @@ def check_representation_even(
     k: int,
     rule: SphereRule | None = None,
     table: CoefficientTable | None = None,
-    n_radial: int = 80,
-    tolerance: float = 1e-8,
 ) -> ResidualReport:
     """a_{0(2k)} from sphere quadrature vs its filtered-integral form."""
     table = table or _default_table()
     if not 0 <= k <= table.order_n:
         raise ValueError(f"need 0 <= k <= {table.order_n}, got k={k}")
     left = harmonic_coefficient(f, SphereCenter(p, q, t), 2 * k, rule=rule)
-    us, ws = _gl_nodes(t, n_radial)
+    us, ws = _gl_nodes(t, _N_RADIAL)
     right = (4 * k + 1) * f.moments(p, q, t, rule)[0]
     for i in range(k + 1):
         cs = [(m, float(table.c_even_at(k, i, m))) for m in range(1, k + i + 1)]
@@ -152,7 +154,7 @@ def check_representation_even(
         for m, c in cs:
             filt += c * (us / t) ** (2 * m)
         right += t ** (2 * i - 1) * float(np.dot(ws, filt * lap))
-    return _report("rep_even", (p, q, t), k, left, right, tolerance, n_radial=n_radial)
+    return _report("rep_even", (p, q, t), k, left, right, _REP_TOLERANCE, n_radial=_N_RADIAL)
 
 
 def check_representation_odd(
@@ -163,8 +165,6 @@ def check_representation_odd(
     k: int,
     rule: SphereRule | None = None,
     table: CoefficientTable | None = None,
-    n_radial: int = 80,
-    tolerance: float = 1e-8,
 ) -> ResidualReport:
     """a_{0(2k-1)} from sphere quadrature vs its filtered-integral form."""
     table = table or _default_table()
@@ -173,7 +173,7 @@ def check_representation_odd(
     if k - 1 > table.order_n:
         raise ValueError(f"need k - 1 <= {table.order_n}, got k={k}")
     left = harmonic_coefficient(f, SphereCenter(p, q, t), 2 * k - 1, rule=rule)
-    us, ws = _gl_nodes(t, n_radial)
+    us, ws = _gl_nodes(t, _N_RADIAL)
     right = (4 * k - 1) / 3.0 * f.moments(p, q, t, rule)[1]
     for i in range(k):
         cs = [(m, float(table.c_odd_at(k - 1, i, m))) for m in range(1, k + i)]
@@ -185,7 +185,7 @@ def check_representation_odd(
         for m, c in cs:
             filt += c * (us / t) ** (2 * m + 1)
         right += t ** (2 * i - 1) * float(np.dot(ws, filt * lap))
-    return _report("rep_odd", (p, q, t), k, left, right, tolerance, n_radial=n_radial)
+    return _report("rep_odd", (p, q, t), k, left, right, _REP_TOLERANCE, n_radial=_N_RADIAL)
 
 
 # ----- lemma check -----
@@ -198,7 +198,6 @@ def check_lemma1(
     t: float,
     rule: SphereRule | None = None,
     fd_step: float = 1e-3,
-    tolerance: float = 1e-5,
 ) -> ResidualReport:
     """Normal derivative of the mean data against the radial a01 derivative."""
     h = fd_step
@@ -221,7 +220,7 @@ def check_lemma1(
         None,
         left,
         right,
-        tolerance,
+        _FD_TOLERANCE,
         fd_step=h,
         variant_left=vleft,
         variant_right=vright,
@@ -242,7 +241,6 @@ def check_ode_residual(
     n: int,
     rule: SphereRule | None = None,
     fd_step: float = 1e-3,
-    tolerance: float = 1e-5,
 ) -> ResidualReport:
     """One consistency identity evaluated as a residual against zero.
 
@@ -330,7 +328,7 @@ def check_ode_residual(
         ) / (h * h)
         val -= 2.0 * lap
 
-    return _report(which, (p, q, t), n, val, 0.0, tolerance, fd_step=h)
+    return _report(which, (p, q, t), n, val, 0.0, _FD_TOLERANCE, fd_step=h)
 
 
 # ----- suite runner -----

@@ -11,6 +11,12 @@ assemble into the filter polynomials
 defined on [0, 1], of degree 2n+2i and 2n+2i+1 respectively, with the
 conventions C_even(0,0) = C_odd(0,0) = 0.
 
+Each of the four families is generated by one recurrence over all of its
+rows.  The boundary row (i = 0 for c, i = 1 for s) is the general row plus
+one constant seed term in its closing entry, since the s and c entries that
+row would read lie outside the stored ranges and count as 0; `build_tables`
+lists the four seeds.
+
 Everything here is computed with `fractions.Fraction`: the recurrences contain
 near-cancelling combinations such as (4k+1)/((8k-2)(k-m)) - 1/(4k-1) whose
 floating-point drift would poison the high-order filters, and exactness makes
@@ -109,9 +115,13 @@ def build_tables(order_n: int) -> CoefficientTable:
       * odd family: with c(1, .) identically 0, alternate
         s(2k, .) <- {s(2k-2, .), c(2k-1, .)} and c(2k+1, .) <- {c(2k-1, .), s(2k, .)}.
 
-    Empty summations (upper limit below lower) are 0.  All arithmetic is
-    exact; the recurrences are total over the stated ranges (no divisor can
-    vanish there).
+    Each family is one recurrence: every summand serves both its entry and
+    the row's closing (top) entry, and the boundary row (i = 1 for s, i = 0
+    for c) differs only by a constant seed term in that closing entry:
+    pref*(8k+2) for s(2k+1), -(4k+5)(4k+3) for c(2k+2), pref*(8k-2)/3 for
+    s(2k) and -(4k+3)(4k+1)/3 for c(2k+1).  Entries outside the stored
+    ranges read as exactly 0.  All arithmetic is exact; the recurrences are
+    total over the stated ranges (no divisor can vanish there).
     """
     if order_n < 0:
         raise ValueError("order_n must be >= 0")
@@ -120,141 +130,65 @@ def build_tables(order_n: int) -> CoefficientTable:
     se: dict[Key, Fraction] = {}
     so: dict[Key, Fraction] = {}
 
-    def ce_at(k: int, i: int, m: int) -> Fraction:
-        return ce.get((k, i, m), Fr(0))
-
-    def co_at(k: int, i: int, m: int) -> Fraction:
-        return co.get((k, i, m), Fr(0))
-
-    def se_at(k: int, i: int, m: int) -> Fraction:
-        return se.get((k, i, m), Fr(0))
-
-    def so_at(k: int, i: int, m: int) -> Fraction:
-        return so.get((k, i, m), Fr(0))
-
     # ----- even family -----
     for k in range(order_n + 1):
         # s_m(2k+1, 2(i-1)), i = 1..k+1
         pref = Fr(4 * k + 3, (2 * k + 2) * (2 * k + 1))
+        carry = Fr(2 * k * (2 * k - 1), 4 * k - 1)
         for i in range(1, k + 2):
-            if i == 1:
-                for m in range(1, k + 1):
-                    so[(k, 1, m)] = pref * (
-                        Fr(2 * k * (2 * k - 1), 4 * k - 1) * so_at(k - 1, 1, m)
-                        + Fr(1, k + 1 - m) * ce_at(k, 0, m)
-                        - Fr(k * (2 * k - 1) * (4 * k + 1), (4 * k - 1) * (k + 1 - m)) * so_at(k - 1, 1, m)
-                    )
-                acc = Fr(8 * k + 2)
-                for m in range(1, k + 1):
-                    acc -= (
-                        Fr(1, k + 1 - m) * ce_at(k, 0, m)
-                        - Fr(k * (2 * k - 1) * (4 * k + 1), (4 * k - 1) * (k + 1 - m)) * so_at(k - 1, 1, m)
-                    )
-                so[(k, 1, k + 1)] = pref * acc
-            else:
-                for m in range(1, k + i):
-                    so[(k, i, m)] = pref * (
-                        Fr(2 * k * (2 * k - 1), 4 * k - 1) * so_at(k - 1, i, m)
-                        + Fr(1, k + i - m) * ce_at(k, i - 1, m)
-                        - Fr(k * (2 * k - 1) * (4 * k + 1), (4 * k - 1) * (k + i - m)) * so_at(k - 1, i, m)
-                    )
-                acc = Fr(0)
-                for m in range(1, k + i):
-                    acc += (
-                        Fr(1, k + i - m) * ce_at(k, i - 1, m)
-                        - Fr(k * (2 * k - 1) * (4 * k + 1), (4 * k - 1) * (k + i - m)) * so_at(k - 1, i, m)
-                    )
-                so[(k, i, k + i)] = -pref * acc
+            acc = Fr(0)
+            for m in range(1, k + i):
+                prev = so.get((k - 1, i, m), 0)
+                term = (
+                    Fr(1, k + i - m) * ce.get((k, i - 1, m), 0)
+                    - Fr(k * (2 * k - 1) * (4 * k + 1), (4 * k - 1) * (k + i - m)) * prev
+                )
+                so[(k, i, m)] = pref * (carry * prev + term)
+                acc += term
+            so[(k, i, k + i)] = pref * ((8 * k + 2 if i == 1 else 0) - acc)
         # c_m(2k+2, 2i), i = 0..k+1, stored at chain index k+1
-        if k + 1 > order_n:
-            continue
-        for i in range(0, k + 2):
-            if i == 0:
-                for m in range(1, k + 1):
-                    ce[(k + 1, 0, m)] = (4 * k + 5) * (
-                        Fr(1, 4 * k + 1) * ce_at(k, 0, m)
-                        - Fr(4 * k + 3, (8 * k + 2) * (k - m + 1)) * ce_at(k, 0, m)
-                    )
-                acc = Fr(0)
-                for m in range(1, k + 1):
-                    acc += Fr(4 * k + 3, (8 * k + 2) * (k - m + 1)) * ce_at(k, 0, m)
-                ce[(k + 1, 0, k + 1)] = (4 * k + 5) * (acc - (4 * k + 3))
-            else:
-                for m in range(1, k + i + 1):
-                    ce[(k + 1, i, m)] = (4 * k + 5) * (
-                        -Fr(4 * k + 3, (8 * k + 2) * (k + i - m + 1)) * ce_at(k, i, m)
-                        - Fr(1, 4 * (k + i - m + 1)) * so_at(k, i, m)
-                        + Fr(1, 4 * k + 1) * ce_at(k, i, m)
-                    )
-                acc = Fr(0)
-                for m in range(1, k + i + 1):
-                    acc += (
-                        Fr(4 * k + 3, (8 * k + 2) * (k + i - m + 1)) * ce_at(k, i, m)
-                        + Fr(1, 4 * (k + i - m + 1)) * so_at(k, i, m)
-                    )
-                ce[(k + 1, i, k + i + 1)] = (4 * k + 5) * acc
+        if k == order_n:
+            break
+        for i in range(k + 2):
+            acc = Fr(0)
+            for m in range(1, k + i + 1):
+                prev = ce.get((k, i, m), 0)
+                term = (
+                    Fr(4 * k + 3, (8 * k + 2) * (k + i - m + 1)) * prev
+                    + Fr(1, 4 * (k + i - m + 1)) * so.get((k, i, m), 0)
+                )
+                ce[(k + 1, i, m)] = (4 * k + 5) * (Fr(1, 4 * k + 1) * prev - term)
+                acc += term
+            ce[(k + 1, i, k + i + 1)] = (4 * k + 5) * (acc - (4 * k + 3 if i == 0 else 0))
 
     # ----- odd family -----
     for k in range(1, order_n + 1):
-        pref = Fr(4 * k + 1, 2 * k * (2 * k + 1))
         # s_m(2k, 2(i-1)), i = 1..k
+        pref = Fr(4 * k + 1, 2 * k * (2 * k + 1))
+        carry = Fr((2 * k - 1) * (2 * k - 2), 4 * k - 3)
         for i in range(1, k + 1):
-            if i == 1:
-                for m in range(1, k):
-                    se[(k, 1, m)] = pref * (
-                        Fr((2 * k - 1) * (2 * k - 2), 4 * k - 3) * se_at(k - 1, 1, m)
-                        + Fr(1, k - m) * co_at(k - 1, 0, m)
-                        - Fr((2 * k - 1) * (k - 1) * (4 * k - 1), (4 * k - 3) * (k - m)) * se_at(k - 1, 1, m)
-                    )
-                acc = Fr(8 * k - 2, 3)
-                for m in range(1, k):
-                    acc -= (
-                        Fr(1, k - m) * co_at(k - 1, 0, m)
-                        - Fr((2 * k - 1) * (k - 1) * (4 * k - 1), (4 * k - 3) * (k - m)) * se_at(k - 1, 1, m)
-                    )
-                se[(k, 1, k)] = pref * acc
-            else:
-                for m in range(1, k + i - 1):
-                    se[(k, i, m)] = pref * (
-                        Fr((2 * k - 1) * (2 * k - 2), 4 * k - 3) * se_at(k - 1, i, m)
-                        + Fr(1, k + i - m - 1) * co_at(k - 1, i - 1, m)
-                        - Fr((2 * k - 1) * (k - 1) * (4 * k - 1), (4 * k - 3) * (k + i - m - 1)) * se_at(k - 1, i, m)
-                    )
-                acc = Fr(0)
-                for m in range(1, k + i - 1):
-                    acc += (
-                        Fr(1, k + i - m - 1) * co_at(k - 1, i - 1, m)
-                        - Fr((2 * k - 1) * (k - 1) * (4 * k - 1), (4 * k - 3) * (k + i - m - 1)) * se_at(k - 1, i, m)
-                    )
-                se[(k, i, k + i - 1)] = -pref * acc
+            acc = Fr(0)
+            for m in range(1, k + i - 1):
+                prev = se.get((k - 1, i, m), 0)
+                term = (
+                    Fr(1, k + i - m - 1) * co.get((k - 1, i - 1, m), 0)
+                    - Fr((2 * k - 1) * (k - 1) * (4 * k - 1), (4 * k - 3) * (k + i - m - 1)) * prev
+                )
+                se[(k, i, m)] = pref * (carry * prev + term)
+                acc += term
+            se[(k, i, k + i - 1)] = pref * ((Fr(8 * k - 2, 3) if i == 1 else 0) - acc)
         # c_m(2k+1, 2i), i = 0..k
-        for i in range(0, k + 1):
-            if i == 0:
-                for m in range(1, k):
-                    co[(k, 0, m)] = -(4 * k + 3) * (
-                        Fr(4 * k + 1, (8 * k - 2) * (k - m)) * co_at(k - 1, 0, m)
-                        - Fr(1, 4 * k - 1) * co_at(k - 1, 0, m)
-                    )
-                acc = Fr(4 * k + 1, 3)
-                for m in range(1, k):
-                    acc -= Fr(4 * k + 1, (8 * k - 2) * (k - m)) * co_at(k - 1, 0, m)
-                co[(k, 0, k)] = -(4 * k + 3) * acc
-            else:
-                # middle-term sign of the mixed branch is as published; it is
-                # the combination under which all anchor oracles close.
-                for m in range(1, k + i):
-                    co[(k, i, m)] = (4 * k + 3) * (
-                        Fr(1, 4 * k - 1) * co_at(k - 1, i, m)
-                        - Fr(1, 4 * (k + i - m)) * se_at(k, i, m)
-                        - Fr(4 * k + 1, (8 * k - 2) * (k + i - m)) * co_at(k - 1, i, m)
-                    )
-                acc = Fr(0)
-                for m in range(1, k + i):
-                    acc += (
-                        Fr(4 * k + 1, (8 * k - 2) * (k + i - m)) * co_at(k - 1, i, m)
-                        + Fr(1, 4 * (k + i - m)) * se_at(k, i, m)
-                    )
-                co[(k, i, k + i)] = (4 * k + 3) * acc
+        for i in range(k + 1):
+            acc = Fr(0)
+            for m in range(1, k + i):
+                prev = co.get((k - 1, i, m), 0)
+                lead = Fr(4 * k + 1, (8 * k - 2) * (k + i - m)) * prev
+                mixed = Fr(1, 4 * (k + i - m)) * se.get((k, i, m), 0)
+                # sign pattern of the mixed term's three summands as published:
+                # the combination under which all anchor oracles close
+                co[(k, i, m)] = (4 * k + 3) * (Fr(1, 4 * k - 1) * prev - mixed - lead)
+                acc += lead + mixed
+            co[(k, i, k + i)] = (4 * k + 3) * (acc - (Fr(4 * k + 1, 3) if i == 0 else 0))
 
     ce = {key: v for key, v in ce.items() if v}
     co = {key: v for key, v in co.items() if v}

@@ -59,30 +59,6 @@ __all__ = [
 
 Array = np.ndarray
 
-# Internal rule for non-polynomial moment callbacks.  160 phi nodes because
-# the Gaussians are evaluated at centers off their own axis; 64 Gauss nodes
-# in cos(theta) resolve entire integrands to ~1e-13.  The mollifier shell is
-# the exception: all its derivatives vanish at the support boundary but grow
-# huge just inside it, so Gauss-Legendre needs ~256 nodes in cos(theta) to
-# reach ~1e-10 there (phi stays cheap, the transverse factor is a Gaussian).
-_MOMENT_RULE: SphereRule | None = None
-_SHELL_RULE: SphereRule | None = None
-
-
-def _moment_rule() -> SphereRule:
-    global _MOMENT_RULE
-    if _MOMENT_RULE is None:
-        _MOMENT_RULE = build_rule(64, 160)
-    return _MOMENT_RULE
-
-
-def _shell_rule() -> SphereRule:
-    global _SHELL_RULE
-    if _SHELL_RULE is None:
-        _SHELL_RULE = build_rule(256, 64)
-    return _SHELL_RULE
-
-
 @dataclass(frozen=True)
 class ScalarField3D:
     """A field f(x,y,z) with optional analytic moment data.
@@ -245,14 +221,16 @@ def gauss_field(
 
         return ev
 
+    # 160 phi nodes because the Gaussian is evaluated at centers off its own
+    # axis; 64 Gauss nodes in cos(theta) resolve entire integrands to ~1e-13
     def moments(x, y, u):
-        mf, _ = _sphere_moments(evaluate, SphereCenter(x, y, u), _moment_rule())
+        mf, _ = _sphere_moments(evaluate, SphereCenter(x, y, u), build_rule(64, 160))
         return mf, 0.0
 
     def laplacians(x, y, u, i):
         if i == 0:
             return moments(x, y, u)
-        mf, _ = _sphere_moments(lap_evaluate(i), SphereCenter(x, y, u), _moment_rule())
+        mf, _ = _sphere_moments(lap_evaluate(i), SphereCenter(x, y, u), build_rule(64, 160))
         return mf, 0.0
 
     return ScalarField3D(
@@ -327,13 +305,17 @@ def bump_field(
 
         return ev
 
+    # all derivatives of the mollifier shell vanish at the support boundary
+    # but grow huge just inside it, so Gauss-Legendre needs ~256 nodes in
+    # cos(theta) to reach ~1e-10 there (phi stays cheap: the transverse
+    # factor is a Gaussian)
     def moments(x, y, u):
-        return _sphere_moments(evaluate, SphereCenter(x, y, u), _shell_rule())
+        return _sphere_moments(evaluate, SphereCenter(x, y, u), build_rule(256, 64))
 
     def laplacians(x, y, u, i):
         if i == 0:
             return moments(x, y, u)
-        return _sphere_moments(lap_evaluate(i), SphereCenter(x, y, u), _shell_rule())
+        return _sphere_moments(lap_evaluate(i), SphereCenter(x, y, u), build_rule(256, 64))
 
     return ScalarField3D(
         evaluate=evaluate,

@@ -29,7 +29,6 @@ from .quadrature import SphereRule, assoc_legendre, build_rule, legendre_all
 
 __all__ = [
     "SphereCenter",
-    "default_rule",
     "spherical_mean",
     "first_cosine_coefficient",
     "two_data_transform",
@@ -37,17 +36,6 @@ __all__ = [
     "restriction_partial_sum",
     "off_plane_mean",
 ]
-
-_DEFAULT_RULE: SphereRule | None = None
-
-
-def default_rule() -> SphereRule:
-    """The shared 24 x 48 product rule (exact to restriction degree ~46)."""
-    global _DEFAULT_RULE
-    if _DEFAULT_RULE is None:
-        _DEFAULT_RULE = build_rule(24, 48)
-    return _DEFAULT_RULE
-
 
 @dataclass(frozen=True)
 class SphereCenter:
@@ -84,13 +72,13 @@ def _zonal_coefficient(vals, rule: SphereRule, n: int = 0, pn=None) -> float:
 
 def spherical_mean(f, c: SphereCenter, rule: SphereRule | None = None) -> float:
     """Mf(p,q,t): the average of f over the sphere."""
-    rule = rule or default_rule()
+    rule = rule or build_rule()
     return _zonal_coefficient(_evaluate_on_sphere(f, c, rule), rule)
 
 
 def first_cosine_coefficient(f, c: SphereCenter, rule: SphereRule | None = None) -> float:
     """a_{01}(p,q,t), the coefficient of cos(theta) in the restriction."""
-    rule = rule or default_rule()
+    rule = rule or build_rule()
     return _zonal_coefficient(_evaluate_on_sphere(f, c, rule), rule, 1, rule.cos_t)
 
 
@@ -100,7 +88,7 @@ def _sphere_moments(f, c: SphereCenter, rule: SphereRule | None = None) -> tuple
     Equal bit for bit to `spherical_mean(f, c, rule)` and
     `first_cosine_coefficient(f, c, rule)`, which evaluate f once each.
     """
-    rule = rule or default_rule()
+    rule = rule or build_rule()
     vals = _evaluate_on_sphere(f, c, rule)
     return _zonal_coefficient(vals, rule), _zonal_coefficient(vals, rule, 1, rule.cos_t)
 
@@ -132,7 +120,7 @@ def harmonic_coefficient(
         raise ValueError("kind must be 'a' or 'b'")
     if kind == "b" and m == 0:
         raise ValueError("b coefficients need m >= 1")
-    rule = rule or default_rule()
+    rule = rule or build_rule()
     vals = _evaluate_on_sphere(f, c, rule)
     if m == 0:
         return _zonal_coefficient(vals, rule, n, legendre_all(n, rule.cos_t)[n])
@@ -161,7 +149,7 @@ def restriction_partial_sum(
     on_sphere = abs(x - c.p) <= tol and abs(y - c.q) <= tol and abs(abs(z) - c.t) <= tol
     if not on_sphere:
         raise ValueError(f"point {point} is not a pole of the sphere ({c.p}, {c.q}, t={c.t})")
-    rule = rule or default_rule()
+    rule = rule or build_rule()
     vals = _evaluate_on_sphere(f, c, rule)
     legs = legendre_all(N, rule.cos_t)
     sgn = 1.0 if z >= 0 else -1.0
@@ -180,5 +168,5 @@ def off_plane_mean(f, p: float, q: float, z0: float, t: float, rule: SphereRule 
     """
     if not t > 0:
         raise ValueError("t must be positive")
-    rule = rule or default_rule()
+    rule = rule or build_rule()
     return _zonal_coefficient(_evaluate_on_sphere(f, SphereCenter(p, q, t), rule, z_shift=z0), rule)

@@ -26,7 +26,6 @@ __all__ = [
     "MomentGrid",
     "sample_moments",
     "laplacian_power",
-    "radial_integral",
     "write_moment_csv",
     "read_moment_csv",
 ]
@@ -50,13 +49,15 @@ class MomentGrid:
     a01_values: Array
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise ValueError("grid spacing h must be positive")
+        if not 0 < self.h < np.inf:
+            raise ValueError("grid spacing h must be positive and finite")
         if self.n_p < 1 or self.n_q < 1:
             raise ValueError("grid must have at least one node per axis")
         nodes = np.asarray(self.radial_nodes, dtype=float)
         if nodes.ndim != 1 or nodes.size == 0:
             raise ValueError("radial_nodes must be a nonempty 1-D array")
+        if not np.all(np.isfinite(nodes)):
+            raise ValueError("radial_nodes must be finite")
         if nodes[0] <= 0 or np.any(np.diff(nodes) <= 0):
             raise ValueError("radial_nodes must be positive and strictly increasing")
         shape = (self.n_p, self.n_q, nodes.size)
@@ -64,6 +65,8 @@ class MomentGrid:
         a01 = np.asarray(self.a01_values, dtype=float)
         if mf.shape != shape or a01.shape != shape:
             raise ValueError(f"value arrays must have shape {shape}")
+        if not (np.all(np.isfinite(mf)) and np.all(np.isfinite(a01))):
+            raise ValueError("moment values must be finite")
         for arr in (nodes, mf, a01):
             arr.setflags(write=False)
         object.__setattr__(self, "radial_nodes", nodes)
@@ -146,15 +149,6 @@ def laplacian_power(grid: MomentGrid, field: str, i: int, at: tuple[int, int, in
     return float(block[0, 0])
 
 
-def radial_integral(values, weights) -> float:
-    """Weighted sum implementing the radial integral over (0, |z|]."""
-    v = np.asarray(values, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if v.shape != w.shape:
-        raise ValueError(f"node/weight length mismatch: {v.shape} vs {w.shape}")
-    return float(np.dot(v, w))
-
-
 # ----- file format -----
 #
 # # h=... Np=... Nq=... u0=... du=... Nu=...
@@ -165,6 +159,10 @@ def radial_integral(values, weights) -> float:
 # representable in a file.  Node coordinates ride along in every row, so the
 # origin needs no extra field, and the reader takes the radial nodes from the
 # u column (exact at 17 digits) rather than rebuilding them from u0 and du.
+# The reader rejects, naming the file line, a row that is not five finite
+# numbers, a (p, q) off origin + h*index in the written order (within the
+# 1e-9*h lattice tolerance of grid mode), and a block whose u column is not
+# the first block's.
 
 
 def write_moment_csv(grid: MomentGrid, path: str) -> None:
@@ -195,8 +193,9 @@ def write_moment_csv(grid: MomentGrid, path: str) -> None:
 def read_moment_csv(path: str) -> MomentGrid:
     meta: dict[str, str] = {}
     rows: list[tuple[float, ...]] = []
+    linenos: list[int] = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
@@ -208,24 +207,49 @@ def read_moment_csv(path: str) -> MomentGrid:
                 continue
             if line.startswith("p,"):
                 continue
-            rows.append(tuple(float(x) for x in line.split(",")))
+            cells = line.split(",")
+            try:
+                if len(cells) != 5:
+                    raise ValueError(f"expected 5 fields p,q,u,Mf,a01, got {len(cells)}")
+                rows.append(tuple(float(x) for x in cells))
+            except ValueError as exc:
+                raise ValueError(f"moment CSV line {lineno}: {exc}") from None
+            linenos.append(lineno)
     try:
         h = float(meta["h"])
         n_p, n_q, n_u = int(meta["Np"]), int(meta["Nq"]), int(meta["Nu"])
         u0, du = float(meta["u0"]), float(meta["du"])
     except KeyError as exc:
         raise ValueError(f"moment CSV missing sidecar field {exc}") from None
+    if not rows:
+        raise ValueError("moment CSV has no data rows")
     if len(rows) != n_p * n_q * n_u:
         raise ValueError(
             f"moment CSV row count {len(rows)} != Np*Nq*Nu = {n_p * n_q * n_u}"
         )
     data = np.asarray(rows)
-    origin = (data[0, 0], data[0, 1])
+
+    def reject(bad, why: str):
+        hits = np.flatnonzero(bad)
+        if hits.size:
+            raise ValueError(f"moment CSV line {linenos[hits[0]]}: {why}")
+
+    reject(~np.all(np.isfinite(data), axis=1), "non-finite value")
     nodes = data[:n_u, 2]
-    mf = data[:, 3].reshape(n_p, n_q, n_u)
-    a01 = data[:, 4].reshape(n_p, n_q, n_u)
+    grid = MomentGrid(
+        (data[0, 0], data[0, 1]), h, n_p, n_q, nodes,
+        data[:, 3].reshape(n_p, n_q, n_u), data[:, 4].reshape(n_p, n_q, n_u),
+    )
+    # rows run p outer, q middle, u inner
+    ip, iq, iu = np.unravel_index(np.arange(len(rows)), (n_p, n_q, n_u))
+    reject(
+        (np.abs(data[:, 0] - grid.p_node(ip)) > 1e-9 * h)
+        | (np.abs(data[:, 1] - grid.q_node(iq)) > 1e-9 * h),
+        "p, q off the lattice origin + h*index in p-outer, q-middle order",
+    )
+    reject(data[:, 2] != nodes[iu], "u differs from the first block's u column")
     # the stored u column must agree with the sidecar ladder
     ladder = u0 + du * np.arange(n_u)
     if not np.allclose(nodes, ladder, rtol=0, atol=1e-12 * max(1.0, abs(ladder[-1]))):
         raise ValueError("radial column disagrees with the sidecar ladder")
-    return MomentGrid(origin, h, n_p, n_q, nodes, mf, a01)
+    return grid

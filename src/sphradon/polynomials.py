@@ -22,7 +22,6 @@ import numpy as np
 
 __all__ = [
     "lap_xy",
-    "total_degree",
     "a0n_poly",
     "eval_pqt",
     "random_polynomial",
@@ -45,10 +44,6 @@ def lap_xy(poly: FieldPoly) -> dict[tuple[int, int, int], Fraction]:
             key = (i, j - 2, k)
             out[key] = out.get(key, Fr(0)) + c * j * (j - 1)
     return {key: v for key, v in out.items() if v}
-
-
-def total_degree(poly: FieldPoly) -> int:
-    return max((i + j + k for (i, j, k) in poly), default=0)
 
 
 def _dfact(n: int) -> int:

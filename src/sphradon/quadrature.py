@@ -16,6 +16,7 @@ i.e. any Condon-Shortley (-1)^m is already divided out, so P_{1,1} = sin(theta).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -41,15 +42,14 @@ class SphereRule:
     sin_p: Array
     w: Array
 
-    @property
-    def nodes(self):
-        """(theta, phi, weight) triples, mainly for inspection."""
-        theta = np.arccos(self.cos_t)
-        phi = np.arctan2(self.sin_p, self.cos_p) % (2.0 * np.pi)
-        return np.stack([theta, phi, self.w], axis=1)
 
-
+@cache
 def build_rule(n_theta: int = 24, n_phi: int = 48) -> SphereRule:
+    """The n_theta x n_phi product rule, built once per argument list.
+
+    The default 24 x 48 rule is exact to restriction degree ~46.  Rules are
+    frozen with read-only arrays, so every caller can share one instance.
+    """
     if n_theta < 1 or n_phi < 1:
         raise ValueError("rule sizes must be positive")
     x, wx = np.polynomial.legendre.leggauss(n_theta)

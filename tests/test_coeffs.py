@@ -204,3 +204,21 @@ def test_csv_writers(tmp_path):
     buf = io.StringIO()
     write_polynomial_csv(TAB, 0, buf)
     assert buf.getvalue().splitlines() == ["parity,n,two_i,m,value"]
+
+
+def test_order_12_csv_digests():
+    # pins every entry through order 12 (the anchors above stop at order 6):
+    # the sha256 of both CSV writers' output for build_tables(12)
+    import hashlib
+    import io
+
+    table = build_tables(12)
+    coeff, poly = io.StringIO(), io.StringIO()
+    write_coefficient_csv(table, coeff)
+    write_polynomial_csv(table, 12, poly)
+    assert hashlib.sha256(coeff.getvalue().encode()).hexdigest() == (
+        "7415d2d9c93548f4e7580398f2b3756bac3cb9cc49e3bb8582af269d80c91b5d"
+    )
+    assert hashlib.sha256(poly.getvalue().encode()).hexdigest() == (
+        "41cd234a903750ff002738627647b3e493f3945aaf8413bd8ff1b798277aa272"
+    )

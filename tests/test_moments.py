@@ -1,4 +1,4 @@
-"""Moment grids: sampling, stencils, radial integrals, CSV round trips."""
+"""Moment grids: sampling, stencils, CSV round trips."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from sphradon.forward import SphereCenter, first_cosine_coefficient, spherical_m
 from sphradon.moments import (
     MomentGrid,
     laplacian_power,
-    radial_integral,
     read_moment_csv,
     sample_moments,
     write_moment_csv,
@@ -83,6 +82,20 @@ def test_grid_validation():
         MomentGrid((0, 0), 0.1, 2, 2, nodes, np.zeros((2, 2, 3)), ok)
 
 
+def test_grid_rejects_non_finite_values():
+    nodes = _ladder(0.5, 2)
+    ok = np.zeros((2, 2, 2))
+    bad = ok.copy()
+    bad[1, 0, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        MomentGrid((0, 0), 0.1, 2, 2, nodes, bad, ok)
+    bad[1, 0, 1] = -np.inf
+    with pytest.raises(ValueError, match="finite"):
+        MomentGrid((0, 0), 0.1, 2, 2, nodes, ok, bad)
+    with pytest.raises(ValueError, match="finite"):
+        MomentGrid((0, 0), 0.1, 2, 2, np.array([0.5, np.inf]), ok, ok)
+
+
 def test_grid_arrays_are_frozen():
     grid = _rsqz3_grid(n_p=3, n_q=3, n_u=2)
     with pytest.raises(ValueError):
@@ -122,20 +135,6 @@ def test_laplacian_margin_and_argument_errors():
         laplacian_power(grid, "Mf", -1, (2, 2, 0))
     with pytest.raises(ValueError):
         laplacian_power(grid, "Mf", 0, (2, 2, 99))
-
-
-# ----- radial integrals -----
-
-
-def test_radial_integral_gauss_nodes():
-    x, w = np.polynomial.legendre.leggauss(4)
-    us, ws = 0.5 * (x + 1.0), 0.5 * w
-    assert radial_integral(np.ones_like(us), ws) == pytest.approx(1.0, rel=1e-15)
-    assert radial_integral(us**5, ws) == pytest.approx(1.0 / 6.0, rel=1e-14)
-    us2, ws2 = 2.0 * us, 2.0 * ws
-    assert radial_integral(us2**3, ws2) == pytest.approx(4.0, rel=1e-14)
-    with pytest.raises(ValueError):
-        radial_integral(np.ones(3), np.ones(4))
 
 
 # ----- CSV -----
@@ -193,4 +192,66 @@ def test_csv_reader_validates(tmp_path):
         read_moment_csv(str(path))
     path.write_text("p,q,u,Mf,a01\n0,0,0.1,1,0\n")
     with pytest.raises(ValueError, match="sidecar"):
+        read_moment_csv(str(path))
+
+
+def _written_lines(tmp_path):
+    # a 2x2x3 rsqz3 grid: two comment/header lines, then block (ip, iq) on
+    # file lines 3 + 3*(2*ip + iq) .. +2
+    grid = sample_moments(make_phantom("rsqz3"), (-0.2, 0.4), 0.1, 2, 2, _ladder(0.25, 3))
+    path = tmp_path / "moments.csv"
+    write_moment_csv(grid, str(path))
+    lines = path.read_text().splitlines()
+    read_moment_csv(str(path))  # the file as written reads back
+    return path, lines
+
+
+def _block(ip: int, iq: int) -> slice:
+    start = 2 + 3 * (2 * ip + iq)
+    return slice(start, start + 3)
+
+
+def test_csv_reader_rejects_rows_out_of_order(tmp_path):
+    # blocks (0, 1) and (1, 1) swapped: every value stays, but a01 would
+    # land in the wrong cells
+    path, lines = _written_lines(tmp_path)
+    swapped = list(lines)
+    swapped[_block(0, 1)], swapped[_block(1, 1)] = lines[_block(1, 1)], lines[_block(0, 1)]
+    path.write_text("\n".join(swapped) + "\n")
+    with pytest.raises(ValueError, match="line 6: p, q off the lattice"):
+        read_moment_csv(str(path))
+
+
+def test_csv_reader_rejects_a_later_block_radius(tmp_path):
+    path, lines = _written_lines(tmp_path)
+    row = lines[_block(1, 0)][1].split(",")
+    row[2] = "9.75"
+    lines[_block(1, 0).start + 1] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="line 10: u differs from the first block"):
+        read_moment_csv(str(path))
+
+
+def test_csv_reader_rejects_non_finite_values(tmp_path):
+    path, lines = _written_lines(tmp_path)
+    row = lines[5].split(",")
+    row[3] = "nan"
+    lines[5] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="line 6: non-finite value"):
+        read_moment_csv(str(path))
+
+
+def test_csv_reader_names_the_line_of_a_malformed_row(tmp_path):
+    path, lines = _written_lines(tmp_path)
+    for bad in (lines[6].rsplit(",", 1)[0], lines[6].replace(",", ",x", 1)):
+        path.write_text("\n".join(lines[:6] + [bad] + lines[7:]) + "\n")
+        with pytest.raises(ValueError, match="line 7: "):
+            read_moment_csv(str(path))
+
+
+def test_csv_reader_rejects_a_file_without_rows(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("# h=0.1 Np=0 Nq=1 u0=0.1 du=0.1 Nu=2\np,q,u,Mf,a01\n")
+    with pytest.raises(ValueError, match="no data rows"):
         read_moment_csv(str(path))
