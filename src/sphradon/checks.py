@@ -5,10 +5,11 @@ sides independently: restriction coefficients by sphere quadrature, the
 representation integrals by dense Gauss-Legendre rules, derivatives by
 central differences.  The checks share the field and sphere layer with the
 reconstructor (the phantoms' moment data comes from `ScalarField3D.moments`
-and `ScalarField3D.laplacians`), but never its filter arithmetic: the filter
-polynomials and radial integrals are assembled here from the coefficient
-tables on their own, so a transcription error in the recurrences or in the
-reconstructor's series cannot cancel out of these checks.
+and `ScalarField3D.laplacian_block`), but never its filter arithmetic: the
+filter polynomials and radial integrals are assembled here from the
+coefficient tables on their own, so a transcription error in the
+recurrences or in the reconstructor's series cannot cancel out of these
+checks.
 
 Identity registry (the names appear verbatim in reports and CSV rows):
 
@@ -58,6 +59,7 @@ __all__ = [
 ]
 
 ODE_NAMES = ("eq4_14", "eq4_16", "eq4_21", "eq4_22")
+IDENTITIES = ("rep_even", "rep_odd", "lemma1") + ODE_NAMES  # registry order
 
 # phantom name -> sphere-rule size (None = default rule); the two smooth
 # phantoms need denser rules than the polynomial ones
@@ -144,16 +146,19 @@ def check_representation_even(
     left = harmonic_coefficient(f, SphereCenter(p, q, t), 2 * k, rule=rule)
     us, ws = _gl_nodes(t, _N_RADIAL)
     right = (4 * k + 1) * f.moments(p, q, t, rule)[0]
+    filters = []
     for i in range(k + 1):
         cs = [(m, float(table.c_even_at(k, i, m))) for m in range(1, k + i + 1)]
         cs = [(m, c) for m, c in cs if c]
-        if not cs:
-            continue
-        lap = np.array([f.laplacians(p, q, float(u), i, rule)[0] for u in us])
+        if cs:
+            filters.append((i, cs))
+    if filters:
+        lap = f.laplacian_block(p, q, us, filters[-1][0], rule)[0]
+    for i, cs in filters:
         filt = np.zeros_like(us)
         for m, c in cs:
             filt += c * (us / t) ** (2 * m)
-        right += t ** (2 * i - 1) * float(np.dot(ws, filt * lap))
+        right += t ** (2 * i - 1) * float(np.dot(ws, filt * lap[i]))
     return _report("rep_even", (p, q, t), k, left, right, _REP_TOLERANCE, n_radial=_N_RADIAL)
 
 
@@ -175,16 +180,19 @@ def check_representation_odd(
     left = harmonic_coefficient(f, SphereCenter(p, q, t), 2 * k - 1, rule=rule)
     us, ws = _gl_nodes(t, _N_RADIAL)
     right = (4 * k - 1) / 3.0 * f.moments(p, q, t, rule)[1]
+    filters = []
     for i in range(k):
         cs = [(m, float(table.c_odd_at(k - 1, i, m))) for m in range(1, k + i)]
         cs = [(m, c) for m, c in cs if c]
-        if not cs:
-            continue
-        lap = np.array([f.laplacians(p, q, float(u), i, rule)[1] for u in us])
+        if cs:
+            filters.append((i, cs))
+    if filters:
+        lap = f.laplacian_block(p, q, us, filters[-1][0], rule)[1]
+    for i, cs in filters:
         filt = np.zeros_like(us)
         for m, c in cs:
             filt += c * (us / t) ** (2 * m + 1)
-        right += t ** (2 * i - 1) * float(np.dot(ws, filt * lap))
+        right += t ** (2 * i - 1) * float(np.dot(ws, filt * lap[i]))
     return _report("rep_odd", (p, q, t), k, left, right, _REP_TOLERANCE, n_radial=_N_RADIAL)
 
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import fields
 from ._io import atomic_write
-from .checks import run_all_checks, write_residual_csv
+from .checks import IDENTITIES, run_all_checks, write_residual_csv
 from .coeffs import (
     build_tables,
     perturb_entry,
@@ -195,6 +195,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     write_residual_csv(reports, args.out)
     failures = [r for r in reports if not r.passed]
     print(f"{len(reports)} checks, {len(failures)} failures -> {args.out}")
+    for name in IDENTITIES:
+        ratios = [(r.rel_residual / r.tolerance, r) for r in reports if r.identity == name]
+        if ratios:
+            ratio, r = max(ratios, key=lambda pair: pair[0])
+            phantom = r.extras.get("phantom", "?")
+            print(f"worst {name} rel/tol={ratio:.3e} phantom={phantom} point={r.point}")
     for r in failures:
         phantom = r.extras.get("phantom", "?")
         print(

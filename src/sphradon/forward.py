@@ -50,12 +50,17 @@ class SphereCenter:
             raise ValueError(f"sphere radius must be positive, got t={self.t}")
 
 
-def _evaluate_on_sphere(f, c: SphereCenter, rule: SphereRule, z_shift: float = 0.0):
-    ev = f.evaluate if hasattr(f, "evaluate") else f
+def _sphere_points(c: SphereCenter, rule: SphereRule, z_shift: float = 0.0):
+    """(X, Y, Z) of the rule's nodes on the sphere c, lifted by z_shift."""
     X = c.p + c.t * rule.sin_t * rule.cos_p
     Y = c.q + c.t * rule.sin_t * rule.sin_p
     Z = z_shift + c.t * rule.cos_t
-    return np.asarray(ev(X, Y, Z), dtype=float)
+    return X, Y, Z
+
+
+def _evaluate_on_sphere(f, c: SphereCenter, rule: SphereRule, z_shift: float = 0.0):
+    ev = f.evaluate if hasattr(f, "evaluate") else f
+    return np.asarray(ev(*_sphere_points(c, rule, z_shift)), dtype=float)
 
 
 def _zonal_coefficient(vals, rule: SphereRule, n: int = 0, pn=None) -> float:

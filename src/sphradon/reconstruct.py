@@ -13,7 +13,13 @@ k = 0..n telescopes exactly into the closed partial-sum formula: the boundary
 weights add up to (n+1)(2n+1) and (n+1)(2n+3)/3, and the per-order filter
 coefficients add up to the order-n filter polynomials.
 
-Two source flavors: analytic (a phantom's moment callbacks, radial integral
+Points (x, y, z) and (x, y, -z) differ only in sgn(z), so each exact
+(x, y, |z|) is reconstructed once and its odd terms are negated for the
+other sign; negation is exact, so every partial sum is the one a separate
+pass would give.
+
+Two source flavors: analytic (a phantom's moment callbacks, every Laplacian
+power of a point from one `ScalarField3D.laplacian_block`, radial integral
 by Gauss-Legendre) and sampled grid (stored nodes, Laplacians by iterated
 5-point stencil, radial integral by the trapezoid ladder with a virtual node
 at u = 0 where every integrand vanishes).  Grid mode requires the target
@@ -103,9 +109,13 @@ class ReconstructionResult:
 class _AnalyticSource:
     def __init__(self, field: ScalarField3D, order_n: int, radial_rule: int | None):
         self.field = field
+        self.order_n = order_n
         n_gl = radial_rule if radial_rule is not None else max(8, order_n + 4)
         x, w = np.polynomial.legendre.leggauss(n_gl)
         self._gl = (x, w)
+        # the last point's Laplacian block, every power 0..order_n
+        self._block_key = None
+        self._block = None
 
     def radial_scheme(self, x: float, y: float, t: float):
         gx, gw = self._gl
@@ -115,8 +125,12 @@ class _AnalyticSource:
         return self.field.moments(x, y, t)
 
     def laplacians(self, x: float, y: float, us: Array, i: int):
-        pairs = [self.field.laplacians(x, y, float(u), i) for u in us]
-        return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+        key = (float(x).hex(), float(y).hex(), us.tobytes())
+        if key != self._block_key:
+            self._block = self.field.laplacian_block(x, y, us, self.order_n)
+            self._block_key = key
+        mf, a01 = self._block
+        return mf[i], a01[i]
 
 
 class _GridSource:
@@ -221,9 +235,13 @@ def _filter_terms(table: CoefficientTable, order_n: int):
     return even, odd
 
 
-def _point_sums(src, x: float, y: float, z: float, order_n: int, even_terms, odd_terms):
-    t = abs(z)
-    sg = 1.0 if z > 0 else -1.0
+def _point_terms(src, x: float, y: float, t: float, order_n: int, even_terms, odd_terms):
+    """Per-order increment terms at (x, y, |z| = t), unsigned.
+
+    Returns (even, odd): even[k] holds order k's terms from the mean data,
+    odd[k] those from the first-cosine data, which sgn(z) multiplies; each
+    list starts with its boundary term.
+    """
     mf_t, a01_t = src.moments(x, y, t)
     us, ws = src.radial_scheme(x, y, t)
     v2 = (us / t) ** 2
@@ -236,35 +254,44 @@ def _point_sums(src, x: float, y: float, z: float, order_n: int, even_terms, odd
             lap_cache[i] = src.laplacians(x, y, us, i)
         return lap_cache[i]
 
-    # per-order increment terms; term lists keep full precision via fsum
-    inc_terms: list[list[float]] = [[] for _ in range(order_n + 1)]
-    for k in range(order_n + 1):
-        inc_terms[k].append((4 * k + 1) * mf_t)
-        inc_terms[k].append(sg * (4 * k + 3) / 3.0 * a01_t)
+    even = [[(4 * k + 1) * mf_t] for k in range(order_n + 1)]
+    odd = [[(4 * k + 3) / 3.0 * a01_t] for k in range(order_n + 1)]
     for k, i, cs in even_terms:
         filt = np.zeros_like(us)
         for m, c in cs:
             filt = filt + c * v2**m
-        val = t ** (2 * i - 1) * float(np.dot(ws, filt * lap(i)[0]))
-        inc_terms[k].append(val)
+        even[k].append(t ** (2 * i - 1) * float(np.dot(ws, filt * lap(i)[0])))
     for k, i, cs in odd_terms:
         filt = np.zeros_like(us)
         for m, c in cs:
             filt = filt + c * v2**m
         filt = filt * vodd
-        val = sg * t ** (2 * i - 1) * float(np.dot(ws, filt * lap(i)[1]))
-        inc_terms[k].append(val)
+        odd[k].append(t ** (2 * i - 1) * float(np.dot(ws, filt * lap(i)[1])))
+    return even, odd
 
+
+def _partial_sums(even, odd, sg: float):
+    """S_0..S_n with sgn(z) = sg applied to the odd terms.
+
+    Negation is exact, and fsum rounds the exact sum once, so both signs
+    of z get the partial sums a separate pass per point would give.
+    """
     all_terms: list[float] = []
     sums = []
-    for k in range(order_n + 1):
-        all_terms.extend(inc_terms[k])
+    for even_k, odd_k in zip(even, odd):
+        all_terms.extend(even_k)
+        all_terms.extend(odd_k if sg > 0 else [-v for v in odd_k])
         sums.append(math.fsum(all_terms))
     return sums
 
 
 def reconstruct_point(req: ReconstructionRequest, table: CoefficientTable) -> ReconstructionResult:
-    """Partial sums of the inversion series at each requested point."""
+    """Partial sums of the inversion series at each requested point.
+
+    Points (x, y, z) and (x, y, -z) share every moment and Laplacian, so
+    the terms are computed once per exact (x, y, |z|) and only sgn(z)
+    differs between them.
+    """
     if req.order_n > table.order_n:
         raise ValueError(f"order {req.order_n} exceeds table order {table.order_n}")
     src = _make_source(req.source, req.order_n, req.radial_rule)
@@ -272,13 +299,17 @@ def reconstruct_point(req: ReconstructionRequest, table: CoefficientTable) -> Re
         src = _EvenDataSource(src)
     even_terms, odd_terms = _filter_terms(table, req.order_n)
 
+    terms: dict[tuple, tuple] = {}
     values, ladders, last = [], [], []
     for (x, y, z) in req.points:
         if abs(z) < req.min_abs_z:
             raise ValueError(
                 f"on-plane point not reconstructible: |z|={abs(z):g} < min_abs_z={req.min_abs_z:g}"
             )
-        sums = _point_sums(src, x, y, z, req.order_n, even_terms, odd_terms)
+        key = (x.hex(), y.hex(), abs(z))  # hex keeps centres -0.0 and 0.0 apart
+        if key not in terms:
+            terms[key] = _point_terms(src, x, y, abs(z), req.order_n, even_terms, odd_terms)
+        sums = _partial_sums(*terms[key], 1.0 if z > 0 else -1.0)
         values.append(sums[-1])
         ladders.append(tuple(sums))
         last.append(abs(sums[-1] - sums[-2]) if len(sums) > 1 else abs(sums[-1]))
@@ -326,6 +357,7 @@ class SliceResult:
     xs: Array
     others: Array
     values: Array  # shape (len(xs), len(others)); NaN where |z| < min_abs_z
+    last_increment: Array  # |S_n - S_{n-1}| per cell, same shape and NaN band
 
 
 def _axis_nodes(lo: float, hi: float, step: float) -> Array:
@@ -346,6 +378,7 @@ def reconstruct_slice(
     xs = _axis_nodes(*spec.xrange, spec.step)
     others = _axis_nodes(*spec.other_range, spec.step)
     values = np.full((xs.size, others.size), np.nan)
+    last_increment = np.full_like(values, np.nan)
     slots, points = [], []
     for ix, x in enumerate(xs):
         for io, o in enumerate(others):
@@ -367,9 +400,18 @@ def reconstruct_slice(
             radial_rule=radial_rule,
         )
         res = reconstruct_point(req, table)
-        for (ix, io), v in zip(slots, res.values):
+        for (ix, io), v, inc in zip(slots, res.values, res.last_increment):
             values[ix, io] = v
-    return SliceResult(spec=spec, order_n=order_n, mode=mode, xs=xs, others=others, values=values)
+            last_increment[ix, io] = inc
+    return SliceResult(
+        spec=spec,
+        order_n=order_n,
+        mode=mode,
+        xs=xs,
+        others=others,
+        values=values,
+        last_increment=last_increment,
+    )
 
 
 def mirror_even_reconstruct(

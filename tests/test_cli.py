@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
 from sphradon import cli
+from sphradon.checks import IDENTITIES
 
 
 def run(*argv) -> int:
@@ -214,7 +217,14 @@ def test_verify_passes_and_is_deterministic(tmp_path, tiny_lattice, capsys):
     assert run("verify", "--seed", "7", "--out", str(a)) == 0
     assert run("verify", "--seed", "7", "--out", str(b)) == 0
     assert a.read_bytes() == b.read_bytes()
-    assert "0 failures" in capsys.readouterr().out
+    out = capsys.readouterr().out.splitlines()
+    assert "0 failures" in out[0]
+    # after the summary, one worst-residual line per identity, registry order
+    worst = out[1:8]
+    assert [line.split()[1] for line in worst] == list(IDENTITIES)
+    for line in worst:
+        assert re.fullmatch(r"worst \w+ rel/tol=\S+ phantom=.+ point=\(.+\)", line), line
+        assert float(line.split("rel/tol=")[1].split()[0]) <= 1.0
     header = a.read_text().splitlines()[0]
     assert header == "identity,p,q,t,n,left,right,abs_residual,rel_residual,pass"
 

@@ -111,6 +111,34 @@ def test_mode_equivalence_bit_for_bit_on_even_phantom():
     assert a.partial_sums == b.partial_sums
 
 
+# ----- points (x, y, +-z) share one reconstruction -----
+
+
+def _rsqz3_grid():
+    # rsqz3's odd data are non-zero, so the two signs of z differ
+    nodes = 0.1 * np.arange(1, 13)
+    return sample_moments(make_phantom("rsqz3"), (-0.4, -0.4), 0.1, 9, 9, nodes)
+
+
+@pytest.mark.parametrize(
+    "source, point",
+    [
+        (make_phantom("rsqz3"), (0.3, -0.2, 0.9)),
+        (make_phantom("gauss"), (0.3, -0.2, 0.9)),
+        (_rsqz3_grid(), (0.1, 0.0, 0.8)),
+    ],
+    ids=["rsqz3", "gauss", "grid"],
+)
+def test_mirrored_points_equal_separate_requests(source, point):
+    x, y, z = point
+    both = _run(source, ((x, y, z), (x, y, -z)), 3)
+    up = _run(source, ((x, y, z),), 3)
+    down = _run(source, ((x, y, -z),), 3)
+    assert both.values == up.values + down.values
+    assert both.partial_sums == up.partial_sums + down.partial_sums
+    assert both.last_increment == up.last_increment + down.last_increment
+
+
 # ----- grid mode -----
 
 
@@ -225,6 +253,22 @@ def test_slice_layout_and_missing_values():
     assert np.isnan(res.values[0, 1])
     assert res.values[0, 0] == pytest.approx(0.25, abs=1e-12)
     assert res.values[0, 2] == pytest.approx(0.25, abs=1e-12)
+
+
+def test_slice_keeps_last_increment():
+    spec = SliceSpec(axis="y", value=0.2, xrange=(-0.5, 0.5), other_range=(-0.6, 0.6), step=0.3)
+    f = make_phantom("gauss")
+    res = reconstruct_slice(spec, 3, "two_data", f, TABLE, min_abs_z=0.25)
+    assert res.last_increment.shape == res.values.shape
+    assert np.array_equal(np.isnan(res.last_increment), np.isnan(res.values))
+    assert np.isnan(res.values).sum() == res.xs.size  # the z = 0 column
+    for ix, x in enumerate(res.xs):
+        for io, z in enumerate(res.others):
+            if abs(z) < 0.25:
+                continue
+            one = _run(f, ((float(x), 0.2, float(z)),), 3)
+            assert res.values[ix, io] == one.values[0]
+            assert res.last_increment[ix, io] == one.last_increment[0]
 
 
 def test_slice_z_plane():
