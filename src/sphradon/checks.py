@@ -125,9 +125,30 @@ def _report(identity, point, n, left, right, tolerance, **extras) -> ResidualRep
 # ----- representation checks -----
 
 
-def _gl_nodes(t: float, n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * t * (x + 1.0), 0.5 * t * w
+def _check_representation(f, p, q, t, k, odd, rule, table) -> ResidualReport:
+    """a_{0(2k)} (odd = 0) or a_{0(2k-1)} (odd = 1) from sphere quadrature
+    vs its filtered-integral form; the odd filters are the table's order k - 1."""
+    left = harmonic_coefficient(f, SphereCenter(p, q, t), 2 * k - odd, rule=rule)
+    gx, gw = np.polynomial.legendre.leggauss(_N_RADIAL)
+    us, ws = 0.5 * t * (gx + 1.0), 0.5 * t * gw
+    boundary = (4 * k - 1) / 3.0 if odd else 4 * k + 1
+    right = boundary * f.moments(p, q, t, rule)[odd]
+    c_at = table.c_odd_at if odd else table.c_even_at
+    filters = []
+    for i in range(k - odd + 1):
+        cs = [(m, float(c_at(k - odd, i, m))) for m in range(1, k - odd + i + 1)]
+        cs = [(m, c) for m, c in cs if c]
+        if cs:
+            filters.append((i, cs))
+    if filters:
+        lap = f.laplacian_block(p, q, us, filters[-1][0], rule)[odd]
+    for i, cs in filters:
+        filt = np.zeros_like(us)
+        for m, c in cs:
+            filt += c * (us / t) ** (2 * m + odd)
+        right += t ** (2 * i - 1) * float(np.dot(ws, filt * lap[i]))
+    identity = "rep_odd" if odd else "rep_even"
+    return _report(identity, (p, q, t), k, left, right, _REP_TOLERANCE, n_radial=_N_RADIAL)
 
 
 def check_representation_even(
@@ -143,23 +164,7 @@ def check_representation_even(
     table = table or _default_table()
     if not 0 <= k <= table.order_n:
         raise ValueError(f"need 0 <= k <= {table.order_n}, got k={k}")
-    left = harmonic_coefficient(f, SphereCenter(p, q, t), 2 * k, rule=rule)
-    us, ws = _gl_nodes(t, _N_RADIAL)
-    right = (4 * k + 1) * f.moments(p, q, t, rule)[0]
-    filters = []
-    for i in range(k + 1):
-        cs = [(m, float(table.c_even_at(k, i, m))) for m in range(1, k + i + 1)]
-        cs = [(m, c) for m, c in cs if c]
-        if cs:
-            filters.append((i, cs))
-    if filters:
-        lap = f.laplacian_block(p, q, us, filters[-1][0], rule)[0]
-    for i, cs in filters:
-        filt = np.zeros_like(us)
-        for m, c in cs:
-            filt += c * (us / t) ** (2 * m)
-        right += t ** (2 * i - 1) * float(np.dot(ws, filt * lap[i]))
-    return _report("rep_even", (p, q, t), k, left, right, _REP_TOLERANCE, n_radial=_N_RADIAL)
+    return _check_representation(f, p, q, t, k, 0, rule, table)
 
 
 def check_representation_odd(
@@ -177,23 +182,7 @@ def check_representation_odd(
         raise ValueError("odd representation needs k >= 1")
     if k - 1 > table.order_n:
         raise ValueError(f"need k - 1 <= {table.order_n}, got k={k}")
-    left = harmonic_coefficient(f, SphereCenter(p, q, t), 2 * k - 1, rule=rule)
-    us, ws = _gl_nodes(t, _N_RADIAL)
-    right = (4 * k - 1) / 3.0 * f.moments(p, q, t, rule)[1]
-    filters = []
-    for i in range(k):
-        cs = [(m, float(table.c_odd_at(k - 1, i, m))) for m in range(1, k + i)]
-        cs = [(m, c) for m, c in cs if c]
-        if cs:
-            filters.append((i, cs))
-    if filters:
-        lap = f.laplacian_block(p, q, us, filters[-1][0], rule)[1]
-    for i, cs in filters:
-        filt = np.zeros_like(us)
-        for m, c in cs:
-            filt += c * (us / t) ** (2 * m + 1)
-        right += t ** (2 * i - 1) * float(np.dot(ws, filt * lap[i]))
-    return _report("rep_odd", (p, q, t), k, left, right, _REP_TOLERANCE, n_radial=_N_RADIAL)
+    return _check_representation(f, p, q, t, k, 1, rule, table)
 
 
 # ----- lemma check -----
@@ -209,8 +198,8 @@ def check_lemma1(
 ) -> ResidualReport:
     """Normal derivative of the mean data against the radial a01 derivative."""
     h = fd_step
-    if h <= 0:
-        raise ValueError("fd_step must be positive")
+    if not 0 < h < np.inf:
+        raise ValueError(f"fd_step must be positive and finite, got {h}")
     if h >= t / 4:
         raise ValueError(f"fd_step {h} too coarse for radius {t} (need < t/4)")
     dmean = (off_plane_mean(f, p, q, h, t, rule) - off_plane_mean(f, p, q, -h, t, rule)) / (2 * h)
@@ -266,8 +255,8 @@ def check_ode_residual(
     elif n < 0:
         raise ValueError(f"{which} is valid for n >= 0")
     h = fd_step
-    if h <= 0:
-        raise ValueError("fd_step must be positive")
+    if not 0 < h < np.inf:
+        raise ValueError(f"fd_step must be positive and finite, got {h}")
     if h >= t / 4:
         raise ValueError(f"fd_step {h} too coarse for radius {t} (need < t/4)")
 

@@ -145,10 +145,10 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
         raise ValueError(f"--slice must look like y=V or z=V, got {args.slice_!r}")
     axis, value = m.group(1), float(m.group(2))
     mode = args.mode.replace("-", "_")
-    if args.step <= 0:
-        raise ValueError("--step must be positive")
-    if args.min_abs_z <= 0:
-        raise ValueError("--min-abs-z must be positive")
+    if not 0 < args.step < np.inf:
+        raise ValueError("--step must be positive and finite")
+    if not 0 < args.min_abs_z < np.inf:
+        raise ValueError("--min-abs-z must be positive and finite")
     if args.order_n < 0 or args.order_n > _TABLE_ORDER:
         raise ValueError(f"--order must be in 0..{_TABLE_ORDER}")
     if args.phantom is not None:
@@ -176,8 +176,8 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.fd_step <= 0:
-        raise ValueError("--fd-step must be positive")
+    if not 0 < args.fd_step < np.inf:
+        raise ValueError("--fd-step must be positive and finite")
     table = build_tables(_TABLE_ORDER)
     if args.perturb:
         try:

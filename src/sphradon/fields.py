@@ -11,14 +11,14 @@ phantom's own rule, so the callbacks equal `spherical_mean` and
 first-cosine zeros, below).  For polynomial phantoms the moments are exact
 rationals evaluated in floating point.
 
-`ScalarField3D.moments` and `ScalarField3D.laplacians` are the one place that
-picks between the callbacks and sphere quadrature; the reconstructor and the
-residual checks both ask the field through them.  `laplacian_block` answers
-every power 0..n at a list of radii at once: a field with an
-`analytic_ladder` makes one sphere pass per radius for all powers, any other
-field falls back to one `laplacians` call per (power, radius).  Either way
-row i of the block equals `laplacians(.., i)` bit for bit and row 0 equals
-`moments`.
+`ScalarField3D.moments` is the one place that picks between the moment
+callback and sphere quadrature, and `ScalarField3D.laplacian_block` is the
+one Laplacian entry point: it answers every power 0..n at a list of radii at
+once.  The reconstructor and the residual checks both ask the field through
+these two.  A field with an `analytic_ladder` makes one sphere pass per
+radius for all powers; any other field takes power 0 from `moments` and
+power i from `analytic_laplacians`, one call per (power, radius).  Either
+way row 0 of the block equals `moments` bit for bit.
 
 gauss and bump share a transverse Gaussian G, and the center-Laplacians hit
 only G, so Lap^i f = f * Lap^i G / G.  Their ladders evaluate f once on the
@@ -90,6 +90,8 @@ class ScalarField3D:
         Row i must equal `analytic_laplacians(x, y, u, i)` bit for bit, and
         row 0 `analytic_moments(x, y, u)`.
     descriptor: human-readable name with parameters.
+
+    Callers read the data through `moments` and `laplacian_block` only.
     """
 
     evaluate: Callable
@@ -105,34 +107,29 @@ class ScalarField3D:
             return self.analytic_moments(x, y, u)
         return _sphere_moments(self, SphereCenter(x, y, u), rule)
 
-    def laplacians(self, x: float, y: float, u: float, i: int, rule: SphereRule | None = None):
-        """(Lap^i Mf, Lap^i a01); power 0 is `moments`, higher powers need
-        the analytic callback."""
-        if i == 0:
-            return self.moments(x, y, u, rule)
-        if self.analytic_laplacians is None:
-            raise ValueError(
-                f"phantom {self.descriptor!r} has no Laplacian capability (power {i} requested)"
-            )
-        return self.analytic_laplacians(x, y, u, i)
-
     def laplacian_block(self, x: float, y: float, us, n: int, rule: SphereRule | None = None):
         """(Mf, a01) arrays of shape (n + 1, len(us)): row i, column j is
-        `laplacians(x, y, us[j], i, rule)`, bit for bit.
+        (Lap^i Mf, Lap^i a01) at center (x, y), radius us[j].
 
         A field with `analytic_ladder` makes one call per radius for all
-        powers; any other field falls back to one `laplacians` call per
-        (power, radius).  Radii are never stacked into one array, which
-        would multiply peak memory for no measured gain.
+        powers; any other field takes power 0 from `moments` (under `rule`)
+        and power i from `analytic_laplacians`.  Radii are never stacked
+        into one array, which would multiply peak memory for no measured
+        gain.
         """
+        if n > 0 and self.analytic_ladder is None and self.analytic_laplacians is None:
+            raise ValueError(
+                f"phantom {self.descriptor!r} has no Laplacian capability (power 1 requested)"
+            )
         mf = np.empty((n + 1, len(us)))
         a01 = np.empty((n + 1, len(us)))
         for j, u in enumerate(us):
             if self.analytic_ladder is not None:
                 mf[:, j], a01[:, j] = self.analytic_ladder(x, y, float(u), n)
-            else:
-                for i in range(n + 1):
-                    mf[i, j], a01[i, j] = self.laplacians(x, y, float(u), i, rule)
+                continue
+            mf[0, j], a01[0, j] = self.moments(x, y, float(u), rule)
+            for i in range(1, n + 1):
+                mf[i, j], a01[i, j] = self.analytic_laplacians(x, y, float(u), i)
         return mf, a01
 
 
@@ -152,10 +149,6 @@ def polynomial_field(poly: Mapping[tuple[int, int, int], Fraction], name: str = 
             mcache[i] = (polynomials.a0n_poly(g, 0), polynomials.a0n_poly(g, 1))
         return mcache[i]
 
-    def moments(x, y, u):
-        m0, m1 = momdata(0)
-        return polynomials.eval_pqt(m0, x, y, u), polynomials.eval_pqt(m1, x, y, u)
-
     def laplacians(x, y, u, i):
         m0, m1 = momdata(i)
         return polynomials.eval_pqt(m0, x, y, u), polynomials.eval_pqt(m1, x, y, u)
@@ -163,7 +156,7 @@ def polynomial_field(poly: Mapping[tuple[int, int, int], Fraction], name: str = 
     return ScalarField3D(
         evaluate=lambda x, y, z: polynomials.eval_pqt(poly, x, y, z),
         descriptor=name,
-        analytic_moments=moments,
+        analytic_moments=lambda x, y, u: laplacians(x, y, u, 0),
         analytic_laplacians=laplacians,
     )
 

@@ -7,6 +7,7 @@ needs in grid mode lives here, and nothing else does.
 
 Center-Laplacians are taken by iterating the 5-point stencil, which costs i
 cells of margin per application and is exact on fields quadratic in (p,q).
+One sweep over a node's (2n+1)^2 neighbourhood yields every power 0..n.
 The file format is a CSV with a comment sidecar, lossless at 17 significant
 digits.
 """
@@ -114,6 +115,23 @@ def sample_moments(
     return MomentGrid(tuple(origin), h, n_p, n_q, nodes, mf, a01)
 
 
+def _center_laplacians(block: Array, n: int, h: float) -> Array:
+    """Lap^0..Lap^n at the centre of a (2n+1, 2n+1, ...) neighbourhood, one
+    5-point sweep per power; trailing axes (radii) ride along.  The centre
+    after sweep i depends only on its own (2i+1)^2 cells, so row i is the
+    i-fold stencil on that smaller neighbourhood bit for bit."""
+    out = np.empty((n + 1,) + block.shape[2:])
+    out[0] = block[n, n]
+    h2 = h * h
+    for i in range(1, n + 1):
+        block = (
+            block[2:, 1:-1] + block[:-2, 1:-1] + block[1:-1, 2:] + block[1:-1, :-2]
+            - 4.0 * block[1:-1, 1:-1]
+        ) / h2
+        out[i] = block[n - i, n - i]
+    return out
+
+
 def laplacian_power(grid: MomentGrid, field: str, i: int, at: tuple[int, int, int]) -> float:
     """i-fold 5-point Laplacian of one stored moment function at a grid node.
 
@@ -132,21 +150,13 @@ def laplacian_power(grid: MomentGrid, field: str, i: int, at: tuple[int, int, in
         raise ValueError(f"radial index {iu} out of range")
     if not (0 <= ip < grid.n_p and 0 <= iq < grid.n_q):
         raise ValueError(f"grid index ({ip}, {iq}) out of range")
-    if i == 0:
-        return float(values[ip, iq, iu])
     if ip - i < 0 or ip + i >= grid.n_p or iq - i < 0 or iq + i >= grid.n_q:
         raise ValueError(
             f"insufficient margin: Laplacian power {i} at ({ip}, {iq}) needs "
             f"{i} cells on each side of a {grid.n_p}x{grid.n_q} grid"
         )
-    block = np.array(values[ip - i : ip + i + 1, iq - i : iq + i + 1, iu])
-    h2 = grid.h * grid.h
-    for _ in range(i):
-        block = (
-            block[2:, 1:-1] + block[:-2, 1:-1] + block[1:-1, 2:] + block[1:-1, :-2]
-            - 4.0 * block[1:-1, 1:-1]
-        ) / h2
-    return float(block[0, 0])
+    block = values[ip - i : ip + i + 1, iq - i : iq + i + 1, iu]
+    return float(_center_laplacians(block, i, grid.h)[i])
 
 
 # ----- file format -----

@@ -18,12 +18,16 @@ Points (x, y, z) and (x, y, -z) differ only in sgn(z), so each exact
 other sign; negation is exact, so every partial sum is the one a separate
 pass would give.
 
-Two source flavors: analytic (a phantom's moment callbacks, every Laplacian
-power of a point from one `ScalarField3D.laplacian_block`, radial integral
-by Gauss-Legendre) and sampled grid (stored nodes, Laplacians by iterated
-5-point stencil, radial integral by the trapezoid ladder with a virtual node
+A source answers `radial_scheme(x, y, t)` (radial nodes and weights on
+[0, t]), `moments(x, y, t)` (Mf, a01) and `laplacian_block(x, y, us, n)`
+(every power 0..n of both at the radii us, once per (x, y, |z|)).  Two
+flavors are built in: analytic (a phantom's callbacks, radial integral by
+Gauss-Legendre) and sampled grid (stored nodes, every power from one 5-point
+stencil sweep, radial integral by the trapezoid ladder with a virtual node
 at u = 0 where every integrand vanishes).  Grid mode requires the target
-center and radius to sit on stored nodes; it interpolates nothing.
+center and radius to sit on stored nodes; it interpolates nothing.  A
+source with per-power `laplacians(x, y, us, i)` instead is adapted once.
+The filters of each parity are one dense coefficient array [k, i, m].
 
 Even-mirror mode runs the same pipeline with the odd data identically zero.
 For a phantom verified to vanish on {z <= 0} the evenized field's mean data
@@ -43,7 +47,7 @@ import numpy as np
 from ._io import atomic_write, fmt
 from .coeffs import CoefficientTable
 from .fields import ScalarField3D
-from .moments import MomentGrid, laplacian_power
+from .moments import MomentGrid, _center_laplacians
 
 __all__ = [
     "ReconstructionRequest",
@@ -82,12 +86,15 @@ class ReconstructionRequest:
         object.__setattr__(self, "points", tuple(tuple(map(float, p)) for p in self.points))
         if not self.points:
             raise ValueError("no reconstruction points given")
+        for point in self.points:
+            if not all(map(math.isfinite, point)):
+                raise ValueError(f"points must have finite coordinates, got {point}")
         if self.order_n < 0:
             raise ValueError("order_n must be >= 0")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if self.min_abs_z <= 0:
-            raise ValueError("min_abs_z must be positive")
+        if not 0 < self.min_abs_z < math.inf:
+            raise ValueError(f"min_abs_z must be positive and finite, got {self.min_abs_z}")
         if self.radial_rule is not None and self.radial_rule < 1:
             raise ValueError("radial_rule must be a positive node count")
 
@@ -108,29 +115,14 @@ class ReconstructionResult:
 
 class _AnalyticSource:
     def __init__(self, field: ScalarField3D, order_n: int, radial_rule: int | None):
-        self.field = field
-        self.order_n = order_n
         n_gl = radial_rule if radial_rule is not None else max(8, order_n + 4)
-        x, w = np.polynomial.legendre.leggauss(n_gl)
-        self._gl = (x, w)
-        # the last point's Laplacian block, every power 0..order_n
-        self._block_key = None
-        self._block = None
+        self._gl = np.polynomial.legendre.leggauss(n_gl)
+        self.moments = field.moments
+        self.laplacian_block = field.laplacian_block
 
     def radial_scheme(self, x: float, y: float, t: float):
         gx, gw = self._gl
         return 0.5 * t * (gx + 1.0), 0.5 * t * gw
-
-    def moments(self, x: float, y: float, t: float):
-        return self.field.moments(x, y, t)
-
-    def laplacians(self, x: float, y: float, us: Array, i: int):
-        key = (float(x).hex(), float(y).hex(), us.tobytes())
-        if key != self._block_key:
-            self._block = self.field.laplacian_block(x, y, us, self.order_n)
-            self._block_key = key
-        mf, a01 = self._block
-        return mf[i], a01[i]
 
 
 class _GridSource:
@@ -165,24 +157,23 @@ class _GridSource:
         j = self._radius_index(t)
         us = self.grid.radial_nodes[: j + 1]
         # trapezoid with a virtual node at u=0; every integrand vanishes there
-        w = np.empty(j + 1)
         prev = np.concatenate(([0.0], us[:-1]))
         nxt = np.concatenate((us[1:], [us[-1]]))
-        w[:-1] = (nxt[:-1] - prev[:-1]) / 2.0
-        w[-1] = (us[-1] - prev[-1]) / 2.0
-        return us, w
+        return us, (nxt - prev) / 2.0
 
     def moments(self, x: float, y: float, t: float):
         ip, iq = self._node_index(x, y)
         iu = self._radius_index(t)
         return float(self.grid.mf_values[ip, iq, iu]), float(self.grid.a01_values[ip, iq, iu])
 
-    def laplacians(self, x: float, y: float, us: Array, i: int):
+    def laplacian_block(self, x: float, y: float, us: Array, n: int):
         ip, iq = self._node_index(x, y)
-        idx = [self._radius_index(float(u)) for u in us]
-        mf = np.array([laplacian_power(self.grid, "Mf", i, (ip, iq, iu)) for iu in idx])
-        a = np.array([laplacian_power(self.grid, "a01", i, (ip, iq, iu)) for iu in idx])
-        return mf, a
+        iu = [self._radius_index(float(u)) for u in us]
+        g = self.grid
+        return tuple(
+            _center_laplacians(values[ip - n : ip + n + 1, iq - n : iq + n + 1][:, :, iu], n, g.h)
+            for values in (g.mf_values, g.a01_values)
+        )
 
 
 class _EvenDataSource:
@@ -195,15 +186,28 @@ class _EvenDataSource:
     def __init__(self, inner, scale: float = 1.0):
         self.inner = inner
         self.scale = scale
-
-    def radial_scheme(self, x, y, t):
-        return self.inner.radial_scheme(x, y, t)
+        self.radial_scheme = inner.radial_scheme
 
     def moments(self, x, y, t):
         return self.scale * self.inner.moments(x, y, t)[0], 0.0
 
-    def laplacians(self, x, y, us, i):
-        return self.scale * self.inner.laplacians(x, y, us, i)[0], np.zeros(len(us))
+    def laplacian_block(self, x, y, us, n):
+        mf = self.inner.laplacian_block(x, y, us, n)[0]
+        return self.scale * mf, np.zeros_like(mf)
+
+
+class _PerPowerSource:
+    """A source that answers one Laplacian power per call,
+    `laplacians(x, y, us, i) -> (Lap^i Mf, Lap^i a01)`, seen as a block."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.radial_scheme = inner.radial_scheme
+        self.moments = inner.moments
+
+    def laplacian_block(self, x, y, us, n):
+        rows = [self.inner.laplacians(x, y, us, i) for i in range(n + 1)]
+        return tuple(np.array([row[f] for row in rows], dtype=float) for f in (0, 1))
 
 
 def _make_source(source, order_n: int, radial_rule: int | None):
@@ -211,63 +215,60 @@ def _make_source(source, order_n: int, radial_rule: int | None):
         return _GridSource(source, order_n)
     if isinstance(source, ScalarField3D):
         return _AnalyticSource(source, order_n, radial_rule)
-    if hasattr(source, "radial_scheme") and hasattr(source, "laplacians"):
+    if isinstance(source, _EvenDataSource):
         return source
+    if hasattr(source, "radial_scheme") and hasattr(source, "laplacians"):
+        return _PerPowerSource(source)
     raise TypeError(f"unsupported source type {type(source).__name__}")
 
 
 # ----- core -----
 
 
-def _filter_terms(table: CoefficientTable, order_n: int):
-    """Per-order per-power coefficient lists: [(k, i, [(m, c), ...])]."""
-    even, odd = [], []
-    for k in range(order_n + 1):
-        for i in range(k + 1):
-            cs = [(m, float(table.c_even_at(k, i, m))) for m in range(1, k + i + 1)]
-            cs = [(m, c) for m, c in cs if c]
-            if cs:
-                even.append((k, i, cs))
-            co = [(m, float(table.c_odd_at(k, i, m))) for m in range(1, k + i + 1)]
-            co = [(m, c) for m, c in co if c]
-            if co:
-                odd.append((k, i, co))
-    return even, odd
+def _filter_coefficients(table: CoefficientTable, order_n: int):
+    """Per parity (even, odd): the dense float filter coefficients C[k, i, m]
+    of orders k <= order_n, and the (k, i) pairs whose filter is not zero."""
+    out = []
+    for stored in (table.c_even, table.c_odd):
+        coef = np.zeros((order_n + 1, order_n + 1, 2 * order_n + 1))
+        for (k, i, m), c in stored.items():
+            if k <= order_n:
+                coef[k, i, m] = float(c)
+        active = [(int(k), int(i)) for k, i in zip(*np.nonzero(coef.any(axis=2)))]
+        out.append((coef, active))
+    return out
 
 
-def _point_terms(src, x: float, y: float, t: float, order_n: int, even_terms, odd_terms):
+def _point_terms(src, x: float, y: float, t: float, order_n: int, filters):
     """Per-order increment terms at (x, y, |z| = t), unsigned.
 
     Returns (even, odd): even[k] holds order k's terms from the mean data,
     odd[k] those from the first-cosine data, which sgn(z) multiplies; each
     list starts with its boundary term.
     """
-    mf_t, a01_t = src.moments(x, y, t)
+    data_t = src.moments(x, y, t)
     us, ws = src.radial_scheme(x, y, t)
     v2 = (us / t) ** 2
     vodd = us / t
-
-    lap_cache: dict[int, tuple[Array, Array]] = {}
-
-    def lap(i):
-        if i not in lap_cache:
-            lap_cache[i] = src.laplacians(x, y, us, i)
-        return lap_cache[i]
-
-    even = [[(4 * k + 1) * mf_t] for k in range(order_n + 1)]
-    odd = [[(4 * k + 3) / 3.0 * a01_t] for k in range(order_n + 1)]
-    for k, i, cs in even_terms:
-        filt = np.zeros_like(us)
-        for m, c in cs:
-            filt = filt + c * v2**m
-        even[k].append(t ** (2 * i - 1) * float(np.dot(ws, filt * lap(i)[0])))
-    for k, i, cs in odd_terms:
-        filt = np.zeros_like(us)
-        for m, c in cs:
-            filt = filt + c * v2**m
-        filt = filt * vodd
-        odd[k].append(t ** (2 * i - 1) * float(np.dot(ws, filt * lap(i)[1])))
-    return even, odd
+    if any(active for _, active in filters):
+        lap = src.laplacian_block(x, y, us, order_n)
+    terms = []
+    for parity, (coef, active) in enumerate(filters):
+        per_order = [
+            [((4 * k + 3) / 3.0 if parity else 4 * k + 1) * data_t[parity]] for k in range(order_n + 1)
+        ]
+        if active:
+            # every filter at once, in ascending m: a zero coefficient adds
+            # +0.0, so each sum is bit for bit the one over its non-zero terms
+            filt = np.zeros(coef.shape[:2] + us.shape)
+            for m in range(1, coef.shape[2]):
+                filt = filt + coef[:, :, m, None] * v2**m
+            if parity:
+                filt = filt * vodd
+            for k, i in active:
+                per_order[k].append(t ** (2 * i - 1) * float(np.dot(ws, filt[k, i] * lap[parity][i])))
+        terms.append(per_order)
+    return terms
 
 
 def _partial_sums(even, odd, sg: float):
@@ -297,7 +298,7 @@ def reconstruct_point(req: ReconstructionRequest, table: CoefficientTable) -> Re
     src = _make_source(req.source, req.order_n, req.radial_rule)
     if req.mode == "even_mirror" and not isinstance(src, _EvenDataSource):
         src = _EvenDataSource(src)
-    even_terms, odd_terms = _filter_terms(table, req.order_n)
+    filters = _filter_coefficients(table, req.order_n)
 
     terms: dict[tuple, tuple] = {}
     values, ladders, last = [], [], []
@@ -308,7 +309,7 @@ def reconstruct_point(req: ReconstructionRequest, table: CoefficientTable) -> Re
             )
         key = (x.hex(), y.hex(), abs(z))  # hex keeps centres -0.0 and 0.0 apart
         if key not in terms:
-            terms[key] = _point_terms(src, x, y, abs(z), req.order_n, even_terms, odd_terms)
+            terms[key] = _point_terms(src, x, y, abs(z), req.order_n, filters)
         sums = _partial_sums(*terms[key], 1.0 if z > 0 else -1.0)
         values.append(sums[-1])
         ladders.append(tuple(sums))
@@ -342,9 +343,13 @@ class SliceSpec:
     def __post_init__(self):
         if self.axis not in ("y", "z"):
             raise ValueError("slice axis must be 'y' or 'z'")
-        if self.step <= 0:
-            raise ValueError("step must be positive")
-        for lo, hi in (self.xrange, self.other_range):
+        if not math.isfinite(self.value):
+            raise ValueError(f"slice value must be finite, got {self.value}")
+        if not 0 < self.step < math.inf:
+            raise ValueError(f"step must be positive and finite, got {self.step}")
+        for name, (lo, hi) in (("xrange", self.xrange), ("other_range", self.other_range)):
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"{name} must be finite, got {(lo, hi)}")
             if hi < lo:
                 raise ValueError("range bounds out of order")
 

@@ -140,6 +140,15 @@ def test_lemma_rsqz3_budget_and_convergence():
     assert 3.0 <= r1.rel_residual / r2.rel_residual <= 5.0
 
 
+@pytest.mark.parametrize("step", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_fd_step_must_be_finite(step):
+    f = make_phantom("z")
+    with pytest.raises(ValueError, match="fd_step"):
+        check_lemma1(f, 0, 0, 1.0, fd_step=step)
+    with pytest.raises(ValueError, match="fd_step"):
+        check_ode_residual(f, "eq4_14", 0, 0, 1.0, 0, fd_step=step)
+
+
 def test_lemma_step_validation():
     f = make_phantom("z")
     with pytest.raises(ValueError, match="too coarse"):

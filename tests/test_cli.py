@@ -193,6 +193,26 @@ def test_reconstruct_usage_errors(tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "change, flag",
+    [
+        (("--min-abs-z", "nan"), "--min-abs-z"),
+        (("--slice", "y=nan", "--zrange", "0.4,0.6"), "slice value"),
+        (("--step", "nan"), "--step"),
+    ],
+    ids=["min-abs-z", "slice", "step"],
+)
+def test_reconstruct_rejects_non_finite_geometry(tmp_path, capsys, change, flag):
+    argv = {
+        "--phantom": "zsq", "--order": "2", "--slice": "y=0", "--xrange": "0,0.2",
+        "--zrange": "-0.4,0.4", "--step": "0.2", "--out": str(tmp_path / "r.csv"),
+    }
+    argv.update(zip(change[::2], change[1::2]))
+    assert run("reconstruct", *(tok for pair in argv.items() for tok in pair)) == 1
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_reconstruct_missing_grid_file_is_io_error(tmp_path):
     assert (
         run(
@@ -227,6 +247,12 @@ def test_verify_passes_and_is_deterministic(tmp_path, tiny_lattice, capsys):
         assert float(line.split("rel/tol=")[1].split()[0]) <= 1.0
     header = a.read_text().splitlines()[0]
     assert header == "identity,p,q,t,n,left,right,abs_residual,rel_residual,pass"
+
+
+def test_verify_rejects_non_finite_fd_step(tmp_path, tiny_lattice, capsys):
+    assert run("verify", "--fd-step", "nan", "--out", str(tmp_path / "v.csv")) == 1
+    assert "--fd-step" in capsys.readouterr().err
+    assert not (tmp_path / "v.csv").exists()
 
 
 def test_verify_detects_perturbation(tmp_path, tiny_lattice, capsys):

@@ -9,9 +9,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from sphradon import polynomials
+from sphradon import polynomials, reconstruct
 from sphradon.coeffs import build_tables
 from sphradon.fields import _hermite_laplacians, make_phantom, polynomial_field
+from sphradon.moments import MomentGrid, laplacian_power, sample_moments
 from sphradon.reconstruct import ReconstructionRequest, SliceSpec, reconstruct_point, reconstruct_slice
 
 TABLE = build_tables(8)
@@ -79,7 +80,7 @@ def test_hermite_ladder_against_mpmath(sx, sy, power):
     assert worst <= 1e-12, worst
 
 
-# ----- laplacian_block: row i is laplacians(.., i), row 0 is moments -----
+# ----- laplacian_block: row 0 is moments, row i is analytic_laplacians(.., i) -----
 
 
 def _random_poly_field():
@@ -104,8 +105,9 @@ def test_block_rows_equal_per_power_calls(make, n):
         assert mf.shape == a01.shape == (n + 1, us.size)
         for j, u in enumerate(us):
             assert (mf[0, j], a01[0, j]) == f.moments(x, y, float(u)), (x, y, u)
-            for i in range(n + 1):
-                assert (mf[i, j], a01[i, j]) == f.laplacians(x, y, float(u), i), (x, y, u, i)
+            for i in range(1, n + 1):
+                got = (mf[i, j], a01[i, j])
+                assert got == f.analytic_laplacians(x, y, float(u), i), (x, y, u, i)
 
 
 def test_gauss_block_odd_rows_are_literal_zeros():
@@ -159,3 +161,81 @@ def test_points_one_ulp_apart_in_abs_z_are_not_merged():
     assert len(calls) == 2 * 8
     apart = [run((p,)) for p in pts]
     assert both.partial_sums == apart[0].partial_sums + apart[1].partial_sums
+
+
+# ----- the reconstructor's sources answer whole blocks -----
+
+
+def _random_grid(n_pq=11, n_u=6):
+    rng = np.random.default_rng(31)
+    shape = (n_pq, n_pq, n_u)
+    nodes = 0.1 * np.arange(1, n_u + 1)
+    return MomentGrid((-0.5, -0.5), 0.1, n_pq, n_pq, nodes, rng.normal(size=shape), rng.normal(size=shape))
+
+
+@pytest.mark.parametrize("node", [(5, 5), (4, 6)], ids=["interior", "exact-margin"])
+def test_grid_block_rows_equal_laplacian_power(node):
+    # (4, 6) on an 11 x 11 grid at order 4 touches index 0 in p and 10 in q
+    grid, n = _random_grid(), 4
+    src = reconstruct._GridSource(grid, n)
+    ip, iq = node
+    mf, a01 = src.laplacian_block(grid.p_node(ip), grid.q_node(iq), grid.radial_nodes, n)
+    assert mf.shape == a01.shape == (n + 1, grid.radial_nodes.size)
+    for iu in range(grid.radial_nodes.size):
+        for i in range(n + 1):
+            assert mf[i, iu] == laplacian_power(grid, "Mf", i, (ip, iq, iu)), (iu, i)
+            assert a01[i, iu] == laplacian_power(grid, "a01", i, (ip, iq, iu)), (iu, i)
+
+
+class _PerPowerField:
+    """A duck-typed source answering one power per call, built on a field."""
+
+    def __init__(self, field, order_n):
+        self.field = field
+        self.order_n = order_n
+        self.gl = np.polynomial.legendre.leggauss(max(8, order_n + 4))
+
+    def radial_scheme(self, x, y, t):
+        gx, gw = self.gl
+        return 0.5 * t * (gx + 1.0), 0.5 * t * gw
+
+    def moments(self, x, y, t):
+        return self.field.moments(x, y, t)
+
+    def laplacians(self, x, y, us, i):
+        mf, a01 = self.field.laplacian_block(x, y, us, self.order_n)
+        return mf[i], a01[i]
+
+
+@pytest.mark.parametrize("mode", ["two_data", "even_mirror"])
+@pytest.mark.parametrize("name", ["gauss", "rsqz3"])
+def test_per_power_source_equals_the_field_it_wraps(name, mode):
+    f, n = make_phantom(name), 4
+    points = ((0.2, -0.1, 0.9), (0.2, -0.1, -0.9), (-0.4, 0.3, 1.4))
+
+    def run(source):
+        req = ReconstructionRequest(points=points, order_n=n, mode=mode, source=source)
+        return reconstruct_point(req, TABLE)
+
+    got, want = run(_PerPowerField(f, n)), run(f)
+    assert got.values == want.values
+    assert got.partial_sums == want.partial_sums
+    assert got.last_increment == want.last_increment
+
+
+def test_grid_request_sweeps_once_per_function_and_abs_z(monkeypatch):
+    nodes = 0.1 * np.arange(1, 9)
+    grid = sample_moments(make_phantom("rsqz3"), (-0.4, -0.4), 0.1, 9, 9, nodes)
+    sweeps = []
+
+    def counted(block, n, h):
+        sweeps.append(n)
+        return center(block, n, h)
+
+    center = reconstruct._center_laplacians
+    monkeypatch.setattr(reconstruct, "_center_laplacians", counted)
+    # x in {-0.1, 0, 0.1}, z in {-0.4, -0.2, 0.2, 0.4} once the band is cut:
+    # 12 points, 6 distinct (x, y, |z|)
+    spec = SliceSpec("y", 0.0, (-0.1, 0.1), (-0.4, 0.4), 0.2)
+    reconstruct_slice(spec, 3, "two_data", grid, TABLE, min_abs_z=0.1)
+    assert sweeps == [3] * (2 * 6)

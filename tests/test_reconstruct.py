@@ -303,6 +303,41 @@ def test_slice_csv_and_pgm(tmp_path):
     assert len(rest) == res.xs.size * res.others.size
 
 
+@pytest.mark.parametrize(
+    "kw",
+    [
+        {"points": ((0.0, float("nan"), 1.0),)},
+        {"points": ((0.0, 0.0, float("inf")),)},
+        {"min_abs_z": float("nan")},
+        {"min_abs_z": float("inf")},
+    ],
+    ids=["nan-point", "inf-point", "nan-min-abs-z", "inf-min-abs-z"],
+)
+def test_request_rejects_non_finite_geometry(kw):
+    args = {"points": ((0.0, 0.0, 1.0),), "order_n": 1, "mode": "two_data", "source": make_phantom("zsq")}
+    name = next(iter(kw))
+    with pytest.raises(ValueError, match=name):
+        ReconstructionRequest(**{**args, **kw})
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        {"value": float("nan")},
+        {"xrange": (float("nan"), 1.0)},
+        {"other_range": (0.0, float("inf"))},
+        {"step": float("nan")},
+        {"step": float("inf")},
+    ],
+    ids=["value", "xrange", "other_range", "nan-step", "inf-step"],
+)
+def test_slice_spec_rejects_non_finite_geometry(kw):
+    args = {"axis": "y", "value": 0.0, "xrange": (0.0, 1.0), "other_range": (0.5, 1.0), "step": 0.5}
+    name = next(iter(kw))
+    with pytest.raises(ValueError, match=name):
+        SliceSpec(**{**args, **kw})
+
+
 def test_slice_spec_validation():
     with pytest.raises(ValueError):
         SliceSpec(axis="x", value=0, xrange=(0, 1), other_range=(0, 1), step=0.1)
