@@ -124,8 +124,11 @@ def _cmd_coeffs(args: argparse.Namespace) -> int:
 
 
 def _cmd_forward(args: argparse.Namespace) -> int:
-    if args.h <= 0 or args.umax <= 0:
-        raise ValueError("--h and --umax must be positive")
+    for flag, value in (("--h", args.h), ("--umax", args.umax)):
+        if not 0 < value < np.inf:
+            raise ValueError(f"{flag} must be positive and finite")
+    if not np.all(np.isfinite(args.origin)):
+        raise ValueError("--origin must be finite")
     if args.n_p < 1 or args.n_q < 1 or args.n_u < 1:
         raise ValueError("--np, --nq, --nu must be >= 1")
     field = _parse_phantom(args.phantom)

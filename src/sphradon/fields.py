@@ -13,16 +13,18 @@ rationals evaluated in floating point.
 
 `ScalarField3D.moments` is the one place that picks between the moment
 callback and sphere quadrature, and `ScalarField3D.laplacian_block` is the
-one Laplacian entry point: it answers every power 0..n at a list of radii at
-once.  The reconstructor and the residual checks both ask the field through
-these two.  A field with an `analytic_ladder` makes one sphere pass per
-radius for all powers; any other field takes power 0 from `moments` and
-power i from `analytic_laplacians`, one call per (power, radius).  Either
-way row 0 of the block equals `moments` bit for bit.
+one Laplacian entry point: it answers every power 0..n at a whole array of
+radii with one call to the field's `analytic_ladder`.  The reconstructor,
+the residual checks and `sample_moments` all ask the field through these
+two.  Every catalog phantom has a ladder; a field without one answers
+power 0 only, from `moments`.  Row 0 of the block equals `moments` bit for
+bit.  A polynomial field's ladder is one broadcast `eval_pqt` per (power,
+moment function) over the radii.
 
 gauss and bump share a transverse Gaussian G, and the center-Laplacians hit
-only G, so Lap^i f = f * Lap^i G / G.  Their ladders evaluate f once on the
-phantom's own rule and form every power in Hermite form,
+only G, so Lap^i f = f * Lap^i G / G.  Their ladders evaluate f once per
+radius on the phantom's own rule, project it as power 0, and form every
+higher power in Hermite form,
 
     Lap^i G / G = sum_j C(i, j) He_2j(dx/sx)/sx^2j He_2(i-j)(dy/sy)/sy^2(i-j),
 
@@ -85,10 +87,10 @@ class ScalarField3D:
     analytic_moments: (x, y, u) -> (Mf, a01) at center (x,y), radius u.
     analytic_laplacians: (x, y, u, i) -> (Lap^i Mf, Lap^i a01), the
         two-dimensional center-Laplacians of the moment functions.
-    analytic_ladder: (x, y, u, n) -> (Mf, a01) arrays of length n + 1 whose
-        row i is (Lap^i Mf, Lap^i a01), all powers from one sphere pass.
-        Row i must equal `analytic_laplacians(x, y, u, i)` bit for bit, and
-        row 0 `analytic_moments(x, y, u)`.
+    analytic_ladder: (x, y, us, n) -> (Mf, a01) arrays of shape
+        (n + 1, len(us)) whose row i, column j is (Lap^i Mf, Lap^i a01) at
+        radius us[j].  Entry (i, j) must equal `analytic_laplacians(x, y,
+        us[j], i)` bit for bit, and (0, j) `analytic_moments(x, y, us[j])`.
     descriptor: human-readable name with parameters.
 
     Callers read the data through `moments` and `laplacian_block` only.
@@ -111,26 +113,18 @@ class ScalarField3D:
         """(Mf, a01) arrays of shape (n + 1, len(us)): row i, column j is
         (Lap^i Mf, Lap^i a01) at center (x, y), radius us[j].
 
-        A field with `analytic_ladder` makes one call per radius for all
-        powers; any other field takes power 0 from `moments` (under `rule`)
-        and power i from `analytic_laplacians`.  Radii are never stacked
-        into one array, which would multiply peak memory for no measured
-        gain.
+        One `analytic_ladder` call answers every power and radius.  A field
+        without a ladder answers n == 0 only, from `moments` under `rule`.
         """
-        if n > 0 and self.analytic_ladder is None and self.analytic_laplacians is None:
+        if self.analytic_ladder is not None:
+            return self.analytic_ladder(x, y, np.asarray(us, dtype=float), n)
+        if n > 0:
             raise ValueError(
                 f"phantom {self.descriptor!r} has no Laplacian capability (power 1 requested)"
             )
-        mf = np.empty((n + 1, len(us)))
-        a01 = np.empty((n + 1, len(us)))
-        for j, u in enumerate(us):
-            if self.analytic_ladder is not None:
-                mf[:, j], a01[:, j] = self.analytic_ladder(x, y, float(u), n)
-                continue
-            mf[0, j], a01[0, j] = self.moments(x, y, float(u), rule)
-            for i in range(1, n + 1):
-                mf[i, j], a01[i, j] = self.analytic_laplacians(x, y, float(u), i)
-        return mf, a01
+        pairs = [self.moments(x, y, float(u), rule) for u in us]
+        mf, a01 = np.array(pairs, dtype=float).reshape(-1, 2).T
+        return mf[None], a01[None]
 
 
 # ----- polynomial phantoms -----
@@ -150,14 +144,18 @@ def polynomial_field(poly: Mapping[tuple[int, int, int], Fraction], name: str = 
         return mcache[i]
 
     def laplacians(x, y, u, i):
-        m0, m1 = momdata(i)
-        return polynomials.eval_pqt(m0, x, y, u), polynomials.eval_pqt(m1, x, y, u)
+        return tuple(polynomials.eval_pqt(m, x, y, u) for m in momdata(i))
+
+    def ladder(x, y, us, n):
+        rows = [laplacians(x, y, us, i) for i in range(n + 1)]
+        return tuple(np.array([row[f] for row in rows]) for f in (0, 1))
 
     return ScalarField3D(
         evaluate=lambda x, y, z: polynomials.eval_pqt(poly, x, y, z),
         descriptor=name,
         analytic_moments=lambda x, y, u: laplacians(x, y, u, 0),
         analytic_laplacians=laplacians,
+        analytic_ladder=ladder,
     )
 
 
@@ -229,34 +227,47 @@ def _hermite_laplacians(dx: Array, dy: Array, sx: float, sy: float, n: int):
         yield acc
 
 
-def _gaussian_ladder(
-    evaluate, x0: float, y0: float, sx: float, sy: float, rule: SphereRule, odd: bool
-):
-    """(analytic_ladder, analytic_laplacians) of a field that is
-    G(x - x0, y - y0) times a factor free of (x, y).
+def _gaussian_field(
+    evaluate, descriptor: str, x0: float, y0: float, sx: float, sy: float, rule: SphereRule, odd: bool
+) -> ScalarField3D:
+    """A field that is G(x - x0, y - y0) times a factor free of (x, y), with
+    its ladder on `rule`.
 
-    The ladder evaluates the field once on `rule` per radius and projects
-    each power as soon as it is formed; row 0 is then the field's own
-    sphere pass.  Without `odd` the a01 rows are the literal zeros of a
-    field even in z.  The per-power callback is the ladder's row i.
+    The ladder evaluates the field once on `rule` per radius, projects it as
+    power 0, and projects each higher power as soon as it is formed; power
+    0 alone builds no Hermite table.  Without `odd` the a01 rows are the
+    literal zeros of a field even in z.  The moment and per-power callbacks
+    read one radius of the ladder.
     """
 
-    def ladder(x, y, u, n):
-        X, Y, Z = _sphere_points(SphereCenter(x, y, u), rule)
-        base = np.asarray(evaluate(X, Y, Z), dtype=float)
-        mf, a01 = np.zeros(n + 1), np.zeros(n + 1)
-        for i, vals in enumerate(_hermite_laplacians(X - x0, Y - y0, sx, sy, n)):
-            vals *= base  # Lap^i f on the sphere
-            mf[i] = _zonal_coefficient(vals, rule)
-            if odd:
-                a01[i] = _zonal_coefficient(vals, rule, 1, rule.cos_t)
+    def ladder(x, y, us, n):
+        mf, a01 = np.zeros((n + 1, len(us))), np.zeros((n + 1, len(us)))
+        for j, u in enumerate(us):
+            X, Y, Z = _sphere_points(SphereCenter(x, y, float(u)), rule)
+            base = np.asarray(evaluate(X, Y, Z), dtype=float)
+            # Lap^i f on the sphere (Hermite power 0 is exactly 1.0)
+            if n:
+                laps = _hermite_laplacians(X - x0, Y - y0, sx, sy, n)
+                powers = (np.multiply(lap, base, out=lap) for lap in laps)
+            else:
+                powers = [base]
+            for i, vals in enumerate(powers):
+                mf[i, j] = _zonal_coefficient(vals, rule)
+                if odd:
+                    a01[i, j] = _zonal_coefficient(vals, rule, 1, rule.cos_t)
         return mf, a01
 
     def laplacians(x, y, u, i):
-        mf, a01 = ladder(x, y, u, i)
-        return float(mf[i]), float(a01[i])
+        mf, a01 = ladder(x, y, (u,), i)
+        return float(mf[i, 0]), float(a01[i, 0])
 
-    return ladder, laplacians
+    return ScalarField3D(
+        evaluate=evaluate,
+        descriptor=descriptor,
+        analytic_moments=lambda x, y, u: laplacians(x, y, u, 0),
+        analytic_laplacians=laplacians,
+        analytic_ladder=ladder,
+    )
 
 
 def gauss_field(
@@ -286,18 +297,10 @@ def gauss_field(
 
     # 160 phi nodes because the Gaussian is evaluated at centers off its own
     # axis; 64 Gauss nodes in cos(theta) resolve entire integrands to ~1e-13
-    def moments(x, y, u):
-        mf, _ = _sphere_moments(evaluate, SphereCenter(x, y, u), build_rule(64, 160))
-        return mf, 0.0
-
-    ladder, laplacians = _gaussian_ladder(evaluate, cx, cy, sx, sy, build_rule(64, 160), odd=False)
-
-    return ScalarField3D(
-        evaluate=evaluate,
-        descriptor=f"gauss(amp={amp:g},cx={cx:g},cy={cy:g},sx={sx:g},sy={sy:g},sz={sz:g})",
-        analytic_moments=moments,
-        analytic_laplacians=laplacians,
-        analytic_ladder=ladder,
+    return _gaussian_field(
+        evaluate,
+        f"gauss(amp={amp:g},cx={cx:g},cy={cy:g},sx={sx:g},sy={sy:g},sz={sz:g})",
+        cx, cy, sx, sy, build_rule(64, 160), odd=False,
     )
 
 
@@ -351,17 +354,10 @@ def bump_field(
     # but grow huge just inside it, so Gauss-Legendre needs ~256 nodes in
     # cos(theta) to reach ~1e-10 there (phi stays cheap: the transverse
     # factor is a Gaussian)
-    def moments(x, y, u):
-        return _sphere_moments(evaluate, SphereCenter(x, y, u), build_rule(256, 64))
-
-    ladder, laplacians = _gaussian_ladder(evaluate, x0, y0, sigma, sigma, build_rule(256, 64), odd=True)
-
-    return ScalarField3D(
-        evaluate=evaluate,
-        descriptor=f"bump(amp={amp:g},x0={x0:g},y0={y0:g},sigma={sigma:g},zc={zc:g},rz={rz:g})",
-        analytic_moments=moments,
-        analytic_laplacians=laplacians,
-        analytic_ladder=ladder,
+    return _gaussian_field(
+        evaluate,
+        f"bump(amp={amp:g},x0={x0:g},y0={y0:g},sigma={sigma:g},zc={zc:g},rz={rz:g})",
+        x0, y0, sigma, sigma, build_rule(256, 64), odd=True,
     )
 
 

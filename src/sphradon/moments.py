@@ -20,7 +20,6 @@ import numpy as np
 
 from ._io import atomic_write, fmt
 from .fields import ScalarField3D
-from .forward import SphereCenter, _sphere_moments
 from .quadrature import SphereRule
 
 __all__ = [
@@ -52,6 +51,8 @@ class MomentGrid:
     def __post_init__(self):
         if not 0 < self.h < np.inf:
             raise ValueError("grid spacing h must be positive and finite")
+        if not np.all(np.isfinite(self.origin)):
+            raise ValueError(f"grid origin must be finite, got {self.origin}")
         if self.n_p < 1 or self.n_q < 1:
             raise ValueError("grid must have at least one node per axis")
         nodes = np.asarray(self.radial_nodes, dtype=float)
@@ -92,26 +93,23 @@ def sample_moments(
     analytic: bool = True,
     rule: SphereRule | None = None,
 ) -> MomentGrid:
-    """Fill a MomentGrid from a phantom.
+    """Fill a MomentGrid from a phantom, one `laplacian_block` column of
+    power 0 per centre.
 
     With analytic=True (and the field providing moment callbacks) samples are
-    exact up to the callbacks' own accuracy; otherwise both moments come from
-    one sphere pass at every node.
+    exact up to the callbacks' own accuracy; otherwise the field is asked
+    with its callbacks stripped, so both moments come from one sphere pass
+    under `rule` at every node.
     """
     nodes = np.asarray(radial_nodes, dtype=float)
+    if not analytic:
+        field = ScalarField3D(field.evaluate, field.descriptor)
     mf = np.empty((n_p, n_q, nodes.size))
     a01 = np.empty_like(mf)
     for ip in range(n_p):
-        p = origin[0] + ip * h
         for iq in range(n_q):
-            q = origin[1] + iq * h
-            for iu, u in enumerate(nodes):
-                if analytic:
-                    m, a = field.moments(p, q, float(u), rule)
-                else:
-                    m, a = _sphere_moments(field, SphereCenter(p, q, float(u)), rule)
-                mf[ip, iq, iu] = m
-                a01[ip, iq, iu] = a
+            m, a = field.laplacian_block(origin[0] + ip * h, origin[1] + iq * h, nodes, 0, rule)
+            mf[ip, iq], a01[ip, iq] = m[0], a[0]
     return MomentGrid(tuple(origin), h, n_p, n_q, nodes, mf, a01)
 
 

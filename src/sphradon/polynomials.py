@@ -24,7 +24,6 @@ __all__ = [
     "lap_xy",
     "a0n_poly",
     "eval_pqt",
-    "random_polynomial",
 ]
 
 Fr = Fraction
@@ -108,17 +107,3 @@ def eval_pqt(mpoly: MomentPoly, p, q, t):
     for (a, b, d), c in mpoly.items():
         acc = acc + float(c) * p**a * q**b * t**d
     return acc if acc.shape else float(acc)
-
-
-def random_polynomial(rng, max_degree: int = 5) -> dict[tuple[int, int, int], Fraction]:
-    """Random total-degree <= max_degree polynomial, coefficients in [-1, 1].
-
-    Coefficients are drawn as floats and stored exactly (every float is a
-    rational), so the moment machinery stays exact.
-    """
-    poly: dict[tuple[int, int, int], Fraction] = {}
-    for i in range(max_degree + 1):
-        for j in range(max_degree + 1 - i):
-            for k in range(max_degree + 1 - i - j):
-                poly[(i, j, k)] = Fraction(rng.uniform(-1.0, 1.0))
-    return poly

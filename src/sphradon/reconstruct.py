@@ -66,6 +66,11 @@ Array = np.ndarray
 _MODES = ("two_data", "even_mirror")
 
 
+def _check_min_abs_z(min_abs_z: float) -> None:
+    if not 0 < min_abs_z < math.inf:
+        raise ValueError(f"min_abs_z must be positive and finite, got {min_abs_z}")
+
+
 @dataclass(frozen=True)
 class ReconstructionRequest:
     """What to reconstruct, from what, and how hard.
@@ -93,8 +98,7 @@ class ReconstructionRequest:
             raise ValueError("order_n must be >= 0")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if not 0 < self.min_abs_z < math.inf:
-            raise ValueError(f"min_abs_z must be positive and finite, got {self.min_abs_z}")
+        _check_min_abs_z(self.min_abs_z)
         if self.radial_rule is not None and self.radial_rule < 1:
             raise ValueError("radial_rule must be a positive node count")
 
@@ -146,15 +150,21 @@ class _GridSource:
             )
         return ip, iq
 
-    def _radius_index(self, t: float) -> int:
+    def _radius_indices(self, ts) -> Array:
+        """Index of the stored node nearest each radius, the lower one on a
+        tie (as argmin over the ladder picks), each within 1e-9 relative."""
         nodes = self.grid.radial_nodes
-        j = int(np.argmin(np.abs(nodes - t)))
-        if abs(nodes[j] - t) > 1e-9 * max(1.0, t):
-            raise ValueError(f"radius {t} is not on the stored radial ladder")
+        ts = np.asarray(ts, dtype=float)
+        hi = np.minimum(np.searchsorted(nodes, ts), nodes.size - 1)
+        lo = np.maximum(hi - 1, 0)
+        j = np.where(np.abs(nodes[lo] - ts) <= np.abs(nodes[hi] - ts), lo, hi)
+        off = np.abs(nodes[j] - ts) > 1e-9 * np.maximum(1.0, ts)
+        if off.any():
+            raise ValueError(f"radius {ts[off][0]} is not on the stored radial ladder")
         return j
 
     def radial_scheme(self, x: float, y: float, t: float):
-        j = self._radius_index(t)
+        j = self._radius_indices([t])[0]
         us = self.grid.radial_nodes[: j + 1]
         # trapezoid with a virtual node at u=0; every integrand vanishes there
         prev = np.concatenate(([0.0], us[:-1]))
@@ -163,12 +173,12 @@ class _GridSource:
 
     def moments(self, x: float, y: float, t: float):
         ip, iq = self._node_index(x, y)
-        iu = self._radius_index(t)
+        iu = self._radius_indices([t])[0]
         return float(self.grid.mf_values[ip, iq, iu]), float(self.grid.a01_values[ip, iq, iu])
 
     def laplacian_block(self, x: float, y: float, us: Array, n: int):
         ip, iq = self._node_index(x, y)
-        iu = [self._radius_index(float(u)) for u in us]
+        iu = self._radius_indices(us)
         g = self.grid
         return tuple(
             _center_laplacians(values[ip - n : ip + n + 1, iq - n : iq + n + 1][:, :, iu], n, g.h)
@@ -380,6 +390,7 @@ def reconstruct_slice(
     radial_rule: int | None = None,
 ) -> SliceResult:
     """Reconstruct over a rectangle; on-plane points come back as NaN."""
+    _check_min_abs_z(min_abs_z)
     xs = _axis_nodes(*spec.xrange, spec.step)
     others = _axis_nodes(*spec.other_range, spec.step)
     values = np.full((xs.size, others.size), np.nan)

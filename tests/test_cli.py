@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -112,6 +113,25 @@ def test_forward_validation_exit_codes(tmp_path):
     assert run(*base, "--phantom", "unknown_thing", "--h", "0.1") == 1
     assert run(*base, "--phantom", "zsq:1,2", "--h", "0.1") == 1  # two bare params
     assert run(*base, "--phantom", "z:3", "--h", "0.1") == 1  # takes none
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--origin", "nan,0"), ("--origin", "0,inf"), ("--h", "inf"), ("--h", "nan"),
+     ("--umax", "inf"), ("--umax", "nan")],
+)
+def test_forward_rejects_non_finite_geometry(tmp_path, capsys, flag, value):
+    # each is refused up front, naming the flag: no CSV and no numpy warning
+    out = tmp_path / "x.csv"
+    geometry = {"--origin": "0,0", "--h": "0.1", "--umax": "1", flag: value}
+    argv = ["forward", "--phantom", "zero", "--np", "2", "--nq", "2", "--nu", "2", "--out", str(out)]
+    for key, val in geometry.items():
+        argv += [key, val]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(*argv) == 1
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ----- reconstruct -----

@@ -28,6 +28,8 @@ from sphradon.forward import (
     two_data_transform,
 )
 
+from poly_helpers import random_polynomial
+
 
 def test_mean_of_constant():
     assert spherical_mean(const_field(7.0), SphereCenter(2.0, -1.0, 3.0)) == pytest.approx(7.0, rel=1e-14)
@@ -179,7 +181,7 @@ def test_analytic_moments_match_quadrature_for_catalog():
 def test_polynomial_moments_random():
     rng = random.Random(901)
     for _ in range(3):
-        poly = polynomials.random_polynomial(rng, 5)
+        poly = random_polynomial(rng, 5)
         f = polynomial_field(poly)
         x, y, u = rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(0.3, 2.0)
         mf, a01 = f.analytic_moments(x, y, u)

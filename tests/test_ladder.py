@@ -4,16 +4,19 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import re
 
 import mpmath
 import numpy as np
 import pytest
 
-from sphradon import polynomials, reconstruct
+from sphradon import reconstruct
 from sphradon.coeffs import build_tables
 from sphradon.fields import _hermite_laplacians, make_phantom, polynomial_field
 from sphradon.moments import MomentGrid, laplacian_power, sample_moments
 from sphradon.reconstruct import ReconstructionRequest, SliceSpec, reconstruct_point, reconstruct_slice
+
+from poly_helpers import random_polynomial
 
 TABLE = build_tables(8)
 
@@ -84,7 +87,7 @@ def test_hermite_ladder_against_mpmath(sx, sy, power):
 
 
 def _random_poly_field():
-    return polynomial_field(polynomials.random_polynomial(random.Random(77), 5), "rand5")
+    return polynomial_field(random_polynomial(random.Random(77), 5), "rand5")
 
 
 @pytest.mark.parametrize(
@@ -116,26 +119,27 @@ def test_gauss_block_odd_rows_are_literal_zeros():
     assert np.all(mf[0] != 0.0)
 
 
-# ----- structural guards: one ladder call per (x, y, |z|) and radius -----
+# ----- structural guards: one ladder call per (x, y, |z|) -----
 
 
 def _counted(name: str):
     f = make_phantom(name)
     calls = []
 
-    def ladder(x, y, u, n):
-        calls.append((x, y, u, n))
-        return f.analytic_ladder(x, y, u, n)
+    def ladder(x, y, us, n):
+        calls.append((x, y, us, n))
+        return f.analytic_ladder(x, y, us, n)
 
     return dataclasses.replace(f, analytic_ladder=ladder), calls
 
 
-def test_one_ladder_call_per_radius():
+def test_one_ladder_call_per_point():
     f, calls = _counted("gauss")
     req = ReconstructionRequest(points=((0.2, 0.1, 0.8),), order_n=4, mode="two_data", source=f)
     reconstruct_point(req, TABLE)
-    assert len(calls) == 8  # n_gl = max(8, order + 4) radii, all powers each
-    assert {c[3] for c in calls} == {4}
+    assert len(calls) == 1  # every power at all n_gl = max(8, order + 4) radii
+    (_, _, us, n), = calls
+    assert n == 4 and us.shape == (8,)
 
 
 def test_gauss_slice_makes_one_ladder_pass_per_distinct_abs_z():
@@ -145,7 +149,7 @@ def test_gauss_slice_makes_one_ladder_pass_per_distinct_abs_z():
     spec = SliceSpec("y", 0.1, (-0.8, 0.8), (-0.8, 0.8), 0.8)
     res = reconstruct_slice(spec, 4, "two_data", f, TABLE, min_abs_z=0.25)
     assert np.isnan(res.values).sum() == 3
-    assert len(calls) == 3 * 8
+    assert len(calls) == 3
 
 
 def test_points_one_ulp_apart_in_abs_z_are_not_merged():
@@ -158,7 +162,7 @@ def test_points_one_ulp_apart_in_abs_z_are_not_merged():
         return reconstruct_point(req, TABLE)
 
     both = run(pts)
-    assert len(calls) == 2 * 8
+    assert len(calls) == 2
     apart = [run((p,)) for p in pts]
     assert both.partial_sums == apart[0].partial_sums + apart[1].partial_sums
 
@@ -185,6 +189,19 @@ def test_grid_block_rows_equal_laplacian_power(node):
         for i in range(n + 1):
             assert mf[i, iu] == laplacian_power(grid, "Mf", i, (ip, iq, iu)), (iu, i)
             assert a01[i, iu] == laplacian_power(grid, "a01", i, (ip, iq, iu)), (iu, i)
+
+
+@pytest.mark.parametrize("n_u", [1, 6])
+def test_grid_radius_lookup_equals_per_radius_argmin(n_u):
+    grid = _random_grid(n_u=n_u)
+    src, nodes = reconstruct._GridSource(grid, 0), grid.radial_nodes
+    ts = np.concatenate([nodes, nodes * (1 + 5e-10), nodes - 4e-10])
+    want = [int(np.argmin(np.abs(nodes - t))) for t in ts]
+    assert src._radius_indices(ts).tolist() == want
+    for t in (0.05, 0.01 + (nodes[0] + nodes[-1]) / 2, 0.65, nodes[-1] + 2e-9):
+        msg = f"radius {t} is not on the stored radial ladder"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            src._radius_indices(np.concatenate([nodes, [t]]))
 
 
 class _PerPowerField:

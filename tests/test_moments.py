@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from sphradon.coeffs import build_tables
-from sphradon.fields import make_phantom
-from sphradon.forward import SphereCenter, first_cosine_coefficient, spherical_mean
+from sphradon.fields import ScalarField3D, make_phantom
+from sphradon.forward import SphereCenter, _sphere_moments, first_cosine_coefficient, spherical_mean
 from sphradon.moments import (
     MomentGrid,
     laplacian_power,
@@ -60,6 +60,28 @@ def test_sample_rsqz3_columns():
     assert grid.a01_values[ip, iq, iu] == pytest.approx(want, rel=1e-14)
 
 
+@pytest.mark.parametrize("name", ["rsqz3", "gauss", "bump", "bare"])
+def test_sample_moments_equals_per_sample_moments(name):
+    # analytic mode stores the field's own `moments` at every node, and
+    # quadrature mode one sphere pass under the rule, bit for bit
+    if name == "bare":
+        f = ScalarField3D(make_phantom("gauss").evaluate, "bare gauss")
+    else:
+        f = make_phantom(name)
+    rule, nodes = build_rule(16, 32), _ladder(0.35, 4)
+    origin, h = (-0.2, 0.15), 0.3
+    ga = sample_moments(f, origin, h, 2, 3, nodes, analytic=True, rule=rule)
+    gq = sample_moments(f, origin, h, 2, 3, nodes, analytic=False, rule=rule)
+    for ip in range(2):
+        for iq in range(3):
+            p, q = ga.p_node(ip), ga.q_node(iq)
+            for iu, u in enumerate(nodes):
+                got = (ga.mf_values[ip, iq, iu], ga.a01_values[ip, iq, iu])
+                assert got == f.moments(p, q, float(u), rule), (ip, iq, iu)
+                got = (gq.mf_values[ip, iq, iu], gq.a01_values[ip, iq, iu])
+                assert got == _sphere_moments(f, SphereCenter(p, q, float(u)), rule), (ip, iq, iu)
+
+
 def test_sample_quadrature_agrees_with_analytic():
     f = make_phantom("zsq")
     nodes = _ladder(0.4, 3)
@@ -94,6 +116,13 @@ def test_grid_rejects_non_finite_values():
         MomentGrid((0, 0), 0.1, 2, 2, nodes, ok, bad)
     with pytest.raises(ValueError, match="finite"):
         MomentGrid((0, 0), 0.1, 2, 2, np.array([0.5, np.inf]), ok, ok)
+
+
+@pytest.mark.parametrize("origin", [(np.nan, 0.0), (0.0, -np.inf)], ids=["nan-p", "inf-q"])
+def test_grid_rejects_non_finite_origin(origin):
+    ok = np.zeros((2, 2, 2))
+    with pytest.raises(ValueError, match="origin must be finite"):
+        MomentGrid(origin, 0.1, 2, 2, _ladder(0.5, 2), ok, ok)
 
 
 def test_grid_arrays_are_frozen():

@@ -338,6 +338,15 @@ def test_slice_spec_rejects_non_finite_geometry(kw):
         SliceSpec(**{**args, **kw})
 
 
+@pytest.mark.parametrize("bad", [float("inf"), float("nan"), 0.0], ids=["inf", "nan", "zero"])
+def test_slice_rejects_bad_min_abs_z_before_filtering(bad):
+    # min_abs_z = inf puts every point in the excluded band, so no request
+    # is ever built to reject it; the slice must not come back all NaN
+    spec = SliceSpec("y", 0.0, (-0.2, 0.2), (-0.4, 0.4), 0.2)
+    with pytest.raises(ValueError, match="min_abs_z must be positive and finite"):
+        reconstruct_slice(spec, 1, "two_data", make_phantom("zsq"), TABLE, min_abs_z=bad)
+
+
 def test_slice_spec_validation():
     with pytest.raises(ValueError):
         SliceSpec(axis="x", value=0, xrange=(0, 1), other_range=(0, 1), step=0.1)
