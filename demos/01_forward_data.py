@@ -13,8 +13,8 @@ converges to the field value directly above the center.
 from sphradon import (
     SphereCenter,
     first_cosine_coefficient,
+    harmonic_coefficient,
     make_phantom,
-    restriction_partial_sum,
     spherical_mean,
 )
 
@@ -33,10 +33,12 @@ closed_form = 0.6 * rho2 * c.t**3 + (6.0 / 35.0) * c.t**5
 print(f"a01 sampled:     {a01:+.15f}")
 print(f"a01 closed form: {closed_form:+.15f}")
 
-# partial sums of the restriction expansion at the north pole approach
-# f(p,q,t); degree-5 polynomials terminate, so N=5 is already exact
+# partial sums sum_{n<=N} sgn^n a_{0n} of the restriction expansion at the
+# pole (p, q, sgn*t) approach f there: only the axisymmetric part survives at
+# a pole, where P_n(+-1) = (+-1)^n.  Degree-5 polynomials terminate, so N=5
+# is already exact at the north pole
 truth = float(f.evaluate(c.p, c.q, c.t))
-pole = (c.p, c.q, c.t)
+sgn = 1.0
 for n in (1, 3, 5, 7):
-    s = restriction_partial_sum(f, c, pole, n)
+    s = sum(sgn**k * harmonic_coefficient(f, c, k) for k in range(n + 1))
     print(f"N={n}: pole sum {s:+.12f}   f at pole = {truth:+.12f}")

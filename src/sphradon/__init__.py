@@ -9,7 +9,7 @@ Public surface:
 
 * exact filter coefficient tables (`build_tables`, `polynomial_set`)
 * forward operators (`spherical_mean`, `first_cosine_coefficient`,
-  `harmonic_coefficient`, `restriction_partial_sum`)
+  `harmonic_coefficient`, `off_plane_mean`)
 * sampled-moment containers and CSV round trip (`MomentGrid`,
   `sample_moments`, `read_moment_csv`, `write_moment_csv`)
 * series inversion (`ReconstructionRequest`, `reconstruct_point`,
@@ -46,7 +46,6 @@ from .forward import (
     first_cosine_coefficient,
     harmonic_coefficient,
     off_plane_mean,
-    restriction_partial_sum,
     spherical_mean,
 )
 from .moments import (
@@ -95,7 +94,6 @@ __all__ = [
     "read_moment_csv",
     "reconstruct_point",
     "reconstruct_slice",
-    "restriction_partial_sum",
     "run_all_checks",
     "sample_moments",
     "spherical_mean",

@@ -4,8 +4,8 @@ Every identity the inversion rests on is checked here by computing both
 sides independently: restriction coefficients by sphere quadrature, the
 representation integrals by dense Gauss-Legendre rules, derivatives by
 central differences.  The checks share the field and sphere layer with the
-reconstructor (the phantoms' moment data comes from `ScalarField3D.moments`
-and `ScalarField3D.laplacian_block`), but never its filter arithmetic: the
+reconstructor (the phantoms' moment data comes from
+`ScalarField3D.laplacian_block`), but never its filter arithmetic: the
 filter polynomials and radial integrals are assembled here from the
 coefficient tables on their own, so a transcription error in the
 recurrences or in the reconstructor's series cannot cancel out of these
@@ -132,7 +132,7 @@ def _check_representation(f, p, q, t, k, odd, rule, table) -> ResidualReport:
     gx, gw = np.polynomial.legendre.leggauss(_N_RADIAL)
     us, ws = 0.5 * t * (gx + 1.0), 0.5 * t * gw
     boundary = (4 * k - 1) / 3.0 if odd else 4 * k + 1
-    right = boundary * f.moments(p, q, t, rule)[odd]
+    right = boundary * float(f.laplacian_block(p, q, [t], 0, rule)[odd][0, 0])
     c_at = table.c_odd_at if odd else table.c_even_at
     filters = []
     for i in range(k - odd + 1):

@@ -1,25 +1,24 @@
 """Scalar fields and the phantom catalog.
 
-A ScalarField3D bundles pointwise evaluation with optional analytic moment
-callbacks.  "Analytic" here means: no finite differencing anywhere - the
+A ScalarField3D bundles pointwise evaluation with an optional analytic
+moment ladder.  "Analytic" here means: no finite differencing anywhere - the
 two-dimensional Laplacians are applied in closed form to the field itself
 (they commute with the spherical mean), and any remaining integral over the
 sphere is done by a dedicated high-order quadrature whose error is far below
 every test tolerance.  That quadrature is forward's one sphere pass under the
-phantom's own rule, so the callbacks equal `spherical_mean` and
+phantom's own rule, so power 0 of the ladder equals `spherical_mean` and
 `first_cosine_coefficient` under that rule bit for bit (bar gauss's literal
 first-cosine zeros, below).  For polynomial phantoms the moments are exact
 rationals evaluated in floating point.
 
-`ScalarField3D.moments` is the one place that picks between the moment
-callback and sphere quadrature, and `ScalarField3D.laplacian_block` is the
-one Laplacian entry point: it answers every power 0..n at a whole array of
-radii with one call to the field's `analytic_ladder`.  The reconstructor,
-the residual checks and `sample_moments` all ask the field through these
-two.  Every catalog phantom has a ladder; a field without one answers
-power 0 only, from `moments`.  Row 0 of the block equals `moments` bit for
-bit.  A polynomial field's ladder is one broadcast `eval_pqt` per (power,
-moment function) over the radii.
+`ScalarField3D.laplacian_block` is the one entry point to the moment data:
+it answers every power 0..n at a whole array of radii with one call to the
+field's `analytic_ladder`, and the datum at radius t is its power-0 column
+at [t].  The reconstructor, the residual checks and `sample_moments` all
+ask the field through it.  Every catalog phantom has a ladder; a field
+without one answers power 0 only, by sphere quadrature.  A polynomial
+field's ladder is one broadcast `eval_pqt` per (power, moment function)
+over the radii.
 
 gauss and bump share a transverse Gaussian G, and the center-Laplacians hit
 only G, so Lap^i f = f * Lap^i G / G.  Their ladders evaluate f once per
@@ -54,7 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, inf, isfinite
 from typing import Callable, Mapping
 
 import numpy as np
@@ -81,40 +80,30 @@ Array = np.ndarray
 
 @dataclass(frozen=True)
 class ScalarField3D:
-    """A field f(x,y,z) with optional analytic moment data.
+    """A field f(x,y,z) with an optional analytic moment ladder.
 
     evaluate: vectorized (x, y, z) -> values.
-    analytic_moments: (x, y, u) -> (Mf, a01) at center (x,y), radius u.
-    analytic_laplacians: (x, y, u, i) -> (Lap^i Mf, Lap^i a01), the
-        two-dimensional center-Laplacians of the moment functions.
-    analytic_ladder: (x, y, us, n) -> (Mf, a01) arrays of shape
-        (n + 1, len(us)) whose row i, column j is (Lap^i Mf, Lap^i a01) at
-        radius us[j].  Entry (i, j) must equal `analytic_laplacians(x, y,
-        us[j], i)` bit for bit, and (0, j) `analytic_moments(x, y, us[j])`.
     descriptor: human-readable name with parameters.
+    analytic_ladder: (x, y, us, n) -> (Mf, a01) arrays of shape
+        (n + 1, len(us)) whose row i, column j is (Lap^i Mf, Lap^i a01),
+        the two-dimensional center-Laplacians of the moment functions, at
+        radius us[j].  Column j depends on us[j] alone.
 
-    Callers read the data through `moments` and `laplacian_block` only.
+    Callers read the data through `laplacian_block` only; the datum at
+    radius t is its power-0 column at [t].
     """
 
     evaluate: Callable
     descriptor: str
-    analytic_moments: Callable | None = None
-    analytic_laplacians: Callable | None = None
     analytic_ladder: Callable | None = None
-
-    def moments(self, x: float, y: float, u: float, rule: SphereRule | None = None):
-        """(Mf, a01) at center (x, y), radius u: the analytic callback if
-        there is one, else one sphere pass under `rule` (None: the default)."""
-        if self.analytic_moments is not None:
-            return self.analytic_moments(x, y, u)
-        return _sphere_moments(self, SphereCenter(x, y, u), rule)
 
     def laplacian_block(self, x: float, y: float, us, n: int, rule: SphereRule | None = None):
         """(Mf, a01) arrays of shape (n + 1, len(us)): row i, column j is
         (Lap^i Mf, Lap^i a01) at center (x, y), radius us[j].
 
         One `analytic_ladder` call answers every power and radius.  A field
-        without a ladder answers n == 0 only, from `moments` under `rule`.
+        without a ladder answers n == 0 only, one sphere pass under `rule`
+        (None: the default) per radius.
         """
         if self.analytic_ladder is not None:
             return self.analytic_ladder(x, y, np.asarray(us, dtype=float), n)
@@ -122,9 +111,30 @@ class ScalarField3D:
             raise ValueError(
                 f"phantom {self.descriptor!r} has no Laplacian capability (power 1 requested)"
             )
-        pairs = [self.moments(x, y, float(u), rule) for u in us]
+        pairs = [_sphere_moments(self, SphereCenter(x, y, float(u)), rule) for u in us]
         mf, a01 = np.array(pairs, dtype=float).reshape(-1, 2).T
         return mf[None], a01[None]
+
+    def analytic_laplacians(self, x: float, y: float, u: float, i: int):
+        """(Lap^i Mf, Lap^i a01) at center (x, y), radius u: one radius of
+        `laplacian_block`."""
+        mf, a01 = self.laplacian_block(x, y, [u], i)
+        return float(mf[i, 0]), float(a01[i, 0])
+
+    def analytic_moments(self, x: float, y: float, u: float):
+        """(Mf, a01) at center (x, y), radius u: power 0 of `analytic_laplacians`."""
+        return self.analytic_laplacians(x, y, u, 0)
+
+
+def _check_params(phantom: str, positive: tuple = (), **params) -> None:
+    """Raise naming the first parameter that is not finite, or not positive
+    and finite when it is listed in `positive`."""
+    for name, value in params.items():
+        if name in positive:
+            if not 0 < value < inf:
+                raise ValueError(f"{phantom} parameter {name} must be positive and finite, got {value}")
+        elif not isfinite(value):
+            raise ValueError(f"{phantom} parameter {name} must be finite, got {value}")
 
 
 # ----- polynomial phantoms -----
@@ -143,23 +153,19 @@ def polynomial_field(poly: Mapping[tuple[int, int, int], Fraction], name: str = 
             mcache[i] = (polynomials.a0n_poly(g, 0), polynomials.a0n_poly(g, 1))
         return mcache[i]
 
-    def laplacians(x, y, u, i):
-        return tuple(polynomials.eval_pqt(m, x, y, u) for m in momdata(i))
-
     def ladder(x, y, us, n):
-        rows = [laplacians(x, y, us, i) for i in range(n + 1)]
+        rows = [[polynomials.eval_pqt(m, x, y, us) for m in momdata(i)] for i in range(n + 1)]
         return tuple(np.array([row[f] for row in rows]) for f in (0, 1))
 
     return ScalarField3D(
         evaluate=lambda x, y, z: polynomials.eval_pqt(poly, x, y, z),
         descriptor=name,
-        analytic_moments=lambda x, y, u: laplacians(x, y, u, 0),
-        analytic_laplacians=laplacians,
         analytic_ladder=ladder,
     )
 
 
 def const_field(value: float = 1.0) -> ScalarField3D:
+    _check_params("const", value=value)
     return polynomial_field({(0, 0, 0): Fraction(value)}, f"const({value:g})")
 
 
@@ -236,8 +242,7 @@ def _gaussian_field(
     The ladder evaluates the field once on `rule` per radius, projects it as
     power 0, and projects each higher power as soon as it is formed; power
     0 alone builds no Hermite table.  Without `odd` the a01 rows are the
-    literal zeros of a field even in z.  The moment and per-power callbacks
-    read one radius of the ladder.
+    literal zeros of a field even in z.
     """
 
     def ladder(x, y, us, n):
@@ -257,17 +262,7 @@ def _gaussian_field(
                     a01[i, j] = _zonal_coefficient(vals, rule, 1, rule.cos_t)
         return mf, a01
 
-    def laplacians(x, y, u, i):
-        mf, a01 = ladder(x, y, (u,), i)
-        return float(mf[i, 0]), float(a01[i, 0])
-
-    return ScalarField3D(
-        evaluate=evaluate,
-        descriptor=descriptor,
-        analytic_moments=lambda x, y, u: laplacians(x, y, u, 0),
-        analytic_laplacians=laplacians,
-        analytic_ladder=ladder,
-    )
+    return ScalarField3D(evaluate=evaluate, descriptor=descriptor, analytic_ladder=ladder)
 
 
 def gauss_field(
@@ -284,8 +279,7 @@ def gauss_field(
     that 5-point-stencil residual checks at step 1e-3 stay a factor of two
     under their 1e-5 budget; much narrower Gaussians breach it.
     """
-    if min(sx, sy, sz) <= 0:
-        raise ValueError("Gaussian widths must be positive")
+    _check_params("gauss", ("sx", "sy", "sz"), amp=amp, cx=cx, cy=cy, sx=sx, sy=sy, sz=sz)
     sx2, sy2, sz2 = sx * sx, sy * sy, sz * sz
 
     def evaluate(x, y, z):
@@ -338,10 +332,9 @@ def bump_field(
     origin at polar angle arccos((zc-rz)/zc)) leaves an oscillating tail in
     the harmonic coefficients and partial sums stop improving monotonically.
     """
+    _check_params("bump", ("sigma",), amp=amp, x0=x0, y0=y0, sigma=sigma, zc=zc, rz=rz)
     if not 0 < rz < zc:
         raise ValueError("need 0 < rz < zc so the support stays in {z > 0}")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
     s2 = sigma * sigma
 
     def evaluate(x, y, z):

@@ -21,7 +21,7 @@ the one helper `_zonal_coefficient`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, pi
+from math import factorial, inf, isfinite, pi
 
 import numpy as np
 
@@ -33,7 +33,6 @@ __all__ = [
     "first_cosine_coefficient",
     "two_data_transform",
     "harmonic_coefficient",
-    "restriction_partial_sum",
     "off_plane_mean",
 ]
 
@@ -46,8 +45,10 @@ class SphereCenter:
     t: float
 
     def __post_init__(self):
-        if not self.t > 0:
-            raise ValueError(f"sphere radius must be positive, got t={self.t}")
+        if not (isfinite(self.p) and isfinite(self.q)):
+            raise ValueError(f"sphere centre must be finite, got (p, q) = ({self.p}, {self.q})")
+        if not 0 < self.t < inf:
+            raise ValueError(f"sphere radius must be positive and finite, got t={self.t}")
 
 
 def _sphere_points(c: SphereCenter, rule: SphereRule, z_shift: float = 0.0):
@@ -136,34 +137,6 @@ def harmonic_coefficient(
     return norm * float(np.dot(vals * pnm * trig, rule.w))
 
 
-def restriction_partial_sum(
-    f,
-    c: SphereCenter,
-    point: tuple[float, float, float],
-    N: int,
-    rule: SphereRule | None = None,
-) -> float:
-    """Truncated pole expansion sum_{n=0..N} (sgn z)^n a_{0n}(p,q,t).
-
-    `point` must be one of the two poles (p, q, +-t) of the sphere (within
-    1e-10 relative): those are the only points where the axisymmetric part
-    of the expansion reproduces f.
-    """
-    x, y, z = point
-    tol = 1e-10 * max(1.0, abs(c.t))
-    on_sphere = abs(x - c.p) <= tol and abs(y - c.q) <= tol and abs(abs(z) - c.t) <= tol
-    if not on_sphere:
-        raise ValueError(f"point {point} is not a pole of the sphere ({c.p}, {c.q}, t={c.t})")
-    rule = rule or build_rule()
-    vals = _evaluate_on_sphere(f, c, rule)
-    legs = legendre_all(N, rule.cos_t)
-    sgn = 1.0 if z >= 0 else -1.0
-    total = 0.0
-    for n in range(N + 1):
-        total += sgn**n * _zonal_coefficient(vals, rule, n, legs[n])
-    return total
-
-
 def off_plane_mean(f, p: float, q: float, z0: float, t: float, rule: SphereRule | None = None) -> float:
     """Mean of f over the sphere centered at (p, q, z0), radius t.
 
@@ -171,7 +144,7 @@ def off_plane_mean(f, p: float, q: float, z0: float, t: float, rule: SphereRule 
     plane-centered spheres, but the Dirichlet-Neumann identity differentiates
     the mean as the center moves off the plane.
     """
-    if not t > 0:
-        raise ValueError("t must be positive")
+    if not isfinite(z0):
+        raise ValueError(f"centre height z0 must be finite, got {z0}")
     rule = rule or build_rule()
     return _zonal_coefficient(_evaluate_on_sphere(f, SphereCenter(p, q, t), rule, z_shift=z0), rule)

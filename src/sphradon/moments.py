@@ -7,7 +7,8 @@ needs in grid mode lives here, and nothing else does.
 
 Center-Laplacians are taken by iterating the 5-point stencil, which costs i
 cells of margin per application and is exact on fields quadratic in (p,q).
-One sweep over a node's (2n+1)^2 neighbourhood yields every power 0..n.
+One sweep over a node's (2n+1)^2 neighbourhood yields every power 0..n;
+the reconstructor's grid source is its one caller.
 The file format is a CSV with a comment sidecar, lossless at 17 significant
 digits.
 """
@@ -25,12 +26,31 @@ from .quadrature import SphereRule
 __all__ = [
     "MomentGrid",
     "sample_moments",
-    "laplacian_power",
     "write_moment_csv",
     "read_moment_csv",
 ]
 
 Array = np.ndarray
+
+
+def _check_lattice(origin, h: float, n_p: int, n_q: int, radial_nodes) -> Array:
+    """The radial nodes as a float array, once the sample lattice of a
+    MomentGrid is valid: finite origin, positive finite h, at least one node
+    per axis, and finite, positive, strictly increasing radii."""
+    if not 0 < h < np.inf:
+        raise ValueError("grid spacing h must be positive and finite")
+    if not np.all(np.isfinite(origin)):
+        raise ValueError(f"grid origin must be finite, got {origin}")
+    if n_p < 1 or n_q < 1:
+        raise ValueError("grid must have at least one node per axis")
+    nodes = np.asarray(radial_nodes, dtype=float)
+    if nodes.ndim != 1 or nodes.size == 0:
+        raise ValueError("radial_nodes must be a nonempty 1-D array")
+    if not np.all(np.isfinite(nodes)):
+        raise ValueError("radial_nodes must be finite")
+    if nodes[0] <= 0 or np.any(np.diff(nodes) <= 0):
+        raise ValueError("radial_nodes must be positive and strictly increasing")
+    return nodes
 
 
 @dataclass(frozen=True)
@@ -49,19 +69,7 @@ class MomentGrid:
     a01_values: Array
 
     def __post_init__(self):
-        if not 0 < self.h < np.inf:
-            raise ValueError("grid spacing h must be positive and finite")
-        if not np.all(np.isfinite(self.origin)):
-            raise ValueError(f"grid origin must be finite, got {self.origin}")
-        if self.n_p < 1 or self.n_q < 1:
-            raise ValueError("grid must have at least one node per axis")
-        nodes = np.asarray(self.radial_nodes, dtype=float)
-        if nodes.ndim != 1 or nodes.size == 0:
-            raise ValueError("radial_nodes must be a nonempty 1-D array")
-        if not np.all(np.isfinite(nodes)):
-            raise ValueError("radial_nodes must be finite")
-        if nodes[0] <= 0 or np.any(np.diff(nodes) <= 0):
-            raise ValueError("radial_nodes must be positive and strictly increasing")
+        nodes = _check_lattice(self.origin, self.h, self.n_p, self.n_q, self.radial_nodes)
         shape = (self.n_p, self.n_q, nodes.size)
         mf = np.asarray(self.mf_values, dtype=float)
         a01 = np.asarray(self.a01_values, dtype=float)
@@ -96,12 +104,12 @@ def sample_moments(
     """Fill a MomentGrid from a phantom, one `laplacian_block` column of
     power 0 per centre.
 
-    With analytic=True (and the field providing moment callbacks) samples are
-    exact up to the callbacks' own accuracy; otherwise the field is asked
-    with its callbacks stripped, so both moments come from one sphere pass
-    under `rule` at every node.
+    With analytic=True (and the field providing a ladder) samples are exact
+    up to the ladder's own accuracy; otherwise the field is asked with its
+    ladder stripped, so both moments come from one sphere pass under `rule`
+    at every node.  The lattice is checked before any sample is taken.
     """
-    nodes = np.asarray(radial_nodes, dtype=float)
+    nodes = _check_lattice(origin, h, n_p, n_q, radial_nodes)
     if not analytic:
         field = ScalarField3D(field.evaluate, field.descriptor)
     mf = np.empty((n_p, n_q, nodes.size))
@@ -128,33 +136,6 @@ def _center_laplacians(block: Array, n: int, h: float) -> Array:
         ) / h2
         out[i] = block[n - i, n - i]
     return out
-
-
-def laplacian_power(grid: MomentGrid, field: str, i: int, at: tuple[int, int, int]) -> float:
-    """i-fold 5-point Laplacian of one stored moment function at a grid node.
-
-    The stencil needs i cells of margin around (ip, iq); radii are untouched.
-    """
-    if field == "Mf":
-        values = grid.mf_values
-    elif field == "a01":
-        values = grid.a01_values
-    else:
-        raise ValueError(f"field must be 'Mf' or 'a01', got {field!r}")
-    if i < 0:
-        raise ValueError("Laplacian power must be >= 0")
-    ip, iq, iu = at
-    if not (0 <= iu < grid.radial_nodes.size):
-        raise ValueError(f"radial index {iu} out of range")
-    if not (0 <= ip < grid.n_p and 0 <= iq < grid.n_q):
-        raise ValueError(f"grid index ({ip}, {iq}) out of range")
-    if ip - i < 0 or ip + i >= grid.n_p or iq - i < 0 or iq + i >= grid.n_q:
-        raise ValueError(
-            f"insufficient margin: Laplacian power {i} at ({ip}, {iq}) needs "
-            f"{i} cells on each side of a {grid.n_p}x{grid.n_q} grid"
-        )
-    block = values[ip - i : ip + i + 1, iq - i : iq + i + 1, iu]
-    return float(_center_laplacians(block, i, grid.h)[i])
 
 
 # ----- file format -----

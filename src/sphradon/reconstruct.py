@@ -19,15 +19,17 @@ other sign; negation is exact, so every partial sum is the one a separate
 pass would give.
 
 A source answers `radial_scheme(x, y, t)` (radial nodes and weights on
-[0, t]), `moments(x, y, t)` (Mf, a01) and `laplacian_block(x, y, us, n)`
-(every power 0..n of both at the radii us, once per (x, y, |z|)).  Two
-flavors are built in: analytic (a phantom's callbacks, radial integral by
-Gauss-Legendre) and sampled grid (stored nodes, every power from one 5-point
-stencil sweep, radial integral by the trapezoid ladder with a virtual node
-at u = 0 where every integrand vanishes).  Grid mode requires the target
-center and radius to sit on stored nodes; it interpolates nothing.  A
-source with per-power `laplacians(x, y, us, i)` instead is adapted once.
-The filters of each parity are one dense coefficient array [k, i, m].
+[0, t]) and `laplacian_block(x, y, us, n)` (every power 0..n of Mf and a01
+at the radii us).  Each (x, y, |z|) asks for two blocks: the power-0 column
+at [t], which is the boundary datum (Mf, a01), and every power at the
+radial nodes.  Two flavors are built in: analytic (a phantom's ladder,
+radial integral by Gauss-Legendre) and sampled grid (stored nodes, every
+power from one 5-point stencil sweep, radial integral by the trapezoid
+ladder with a virtual node at u = 0 where every integrand vanishes).  Grid
+mode requires the target center and radius to sit on stored nodes; it
+interpolates nothing.  A source with per-power `laplacians(x, y, us, i)`
+instead is adapted once.  The filters of each parity are one dense
+coefficient array [k, i, m].
 
 Even-mirror mode runs the same pipeline with the odd data identically zero.
 For a phantom verified to vanish on {z <= 0} the evenized field's mean data
@@ -121,7 +123,6 @@ class _AnalyticSource:
     def __init__(self, field: ScalarField3D, order_n: int, radial_rule: int | None):
         n_gl = radial_rule if radial_rule is not None else max(8, order_n + 4)
         self._gl = np.polynomial.legendre.leggauss(n_gl)
-        self.moments = field.moments
         self.laplacian_block = field.laplacian_block
 
     def radial_scheme(self, x: float, y: float, t: float):
@@ -171,11 +172,6 @@ class _GridSource:
         nxt = np.concatenate((us[1:], [us[-1]]))
         return us, (nxt - prev) / 2.0
 
-    def moments(self, x: float, y: float, t: float):
-        ip, iq = self._node_index(x, y)
-        iu = self._radius_indices([t])[0]
-        return float(self.grid.mf_values[ip, iq, iu]), float(self.grid.a01_values[ip, iq, iu])
-
     def laplacian_block(self, x: float, y: float, us: Array, n: int):
         ip, iq = self._node_index(x, y)
         iu = self._radius_indices(us)
@@ -198,9 +194,6 @@ class _EvenDataSource:
         self.scale = scale
         self.radial_scheme = inner.radial_scheme
 
-    def moments(self, x, y, t):
-        return self.scale * self.inner.moments(x, y, t)[0], 0.0
-
     def laplacian_block(self, x, y, us, n):
         mf = self.inner.laplacian_block(x, y, us, n)[0]
         return self.scale * mf, np.zeros_like(mf)
@@ -213,7 +206,6 @@ class _PerPowerSource:
     def __init__(self, inner):
         self.inner = inner
         self.radial_scheme = inner.radial_scheme
-        self.moments = inner.moments
 
     def laplacian_block(self, x, y, us, n):
         rows = [self.inner.laplacians(x, y, us, i) for i in range(n + 1)]
@@ -256,7 +248,7 @@ def _point_terms(src, x: float, y: float, t: float, order_n: int, filters):
     odd[k] those from the first-cosine data, which sgn(z) multiplies; each
     list starts with its boundary term.
     """
-    data_t = src.moments(x, y, t)
+    data_t = [float(col[0, 0]) for col in src.laplacian_block(x, y, [t], 0)]
     us, ws = src.radial_scheme(x, y, t)
     v2 = (us / t) ** 2
     vodd = us / t

@@ -233,6 +233,34 @@ def test_reconstruct_rejects_non_finite_geometry(tmp_path, capsys, change, flag)
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "phantom, message",
+    [
+        ("gauss(sx=nan)", "gauss parameter sx must be positive and finite"),
+        ("gauss(amp=inf)", "gauss parameter amp must be finite"),
+        ("gauss:cy=-inf", "gauss parameter cy must be finite"),
+        ("bump(x0=nan)", "bump parameter x0 must be finite"),
+        ("bump(sigma=inf)", "bump parameter sigma must be positive and finite"),
+        ("bump(zc=inf)", "bump parameter zc must be finite"),
+        ("const(nan)", "const parameter value must be finite"),
+    ],
+    ids=["gauss-sx", "gauss-amp", "gauss-cy", "bump-x0", "bump-sigma", "bump-zc", "const"],
+)
+def test_reconstruct_rejects_non_finite_phantom_parameters(tmp_path, capsys, phantom, message):
+    # refused when the phantom is built, naming the parameter: no slice
+    # file and no numpy warning
+    out = tmp_path / "r.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run(
+            "reconstruct", "--phantom", phantom, "--order", "2", "--slice", "y=0",
+            "--xrange", "0,0.2", "--zrange", "0.4,0.6", "--step", "0.2", "--out", str(out),
+        )
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_reconstruct_missing_grid_file_is_io_error(tmp_path):
     assert (
         run(

@@ -23,7 +23,6 @@ from sphradon.forward import (
     first_cosine_coefficient,
     harmonic_coefficient,
     off_plane_mean,
-    restriction_partial_sum,
     spherical_mean,
     two_data_transform,
 )
@@ -148,15 +147,34 @@ def test_harmonic_validation():
         SphereCenter(0, 0, 0.0)
 
 
+def _pole_sum(f, c, sgn, N):
+    """sum_{n=0..N} sgn^n a_{0n}: the restriction expansion at the pole (p, q, sgn*t)."""
+    return sum(sgn**n * harmonic_coefficient(f, c, n) for n in range(N + 1))
+
+
 def test_restriction_partial_sum_poles():
     c = SphereCenter(0.0, 0.0, 1.5)
-    assert restriction_partial_sum(zsq_field(), c, (0, 0, 1.5), 2) == pytest.approx(1.5**2, rel=1e-13)
+    assert _pole_sum(zsq_field(), c, 1.0, 2) == pytest.approx(1.5**2, rel=1e-13)
     f = rsqz3_field()
     c = SphereCenter(1.0, 3.0, 1.0)
-    assert restriction_partial_sum(f, c, (1.0, 3.0, -1.0), 5) == pytest.approx(-10.0, rel=1e-12)
-    assert restriction_partial_sum(const_field(3), c, (1.0, 3.0, 1.0), 0) == pytest.approx(3.0, rel=1e-14)
-    with pytest.raises(ValueError):
-        restriction_partial_sum(f, c, (1.0, 3.1, 1.0), 5)
+    assert _pole_sum(f, c, -1.0, 5) == pytest.approx(-10.0, rel=1e-12)
+    assert _pole_sum(const_field(3), c, 1.0, 0) == pytest.approx(3.0, rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "p, q, t",
+    [(np.nan, 0.0, 1.0), (0.0, -np.inf, 1.0), (0.0, 0.0, np.nan), (0.0, 0.0, np.inf), (0.0, 0.0, -1.0)],
+    ids=["nan-p", "inf-q", "nan-t", "inf-t", "negative-t"],
+)
+def test_sphere_center_rejects_non_finite_or_nonpositive(p, q, t):
+    with pytest.raises(ValueError, match="sphere (centre|radius) must be"):
+        SphereCenter(p, q, t)
+
+
+@pytest.mark.parametrize("z0", [np.nan, np.inf, -np.inf])
+def test_off_plane_mean_rejects_non_finite_height(z0):
+    with pytest.raises(ValueError, match="z0 must be finite"):
+        off_plane_mean(z_field(), 0.0, 0.0, z0, 1.0)
 
 
 def test_off_plane_mean_matches_shifted_polynomial():

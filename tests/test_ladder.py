@@ -13,7 +13,7 @@ import pytest
 from sphradon import reconstruct
 from sphradon.coeffs import build_tables
 from sphradon.fields import _hermite_laplacians, make_phantom, polynomial_field
-from sphradon.moments import MomentGrid, laplacian_power, sample_moments
+from sphradon.moments import MomentGrid, sample_moments
 from sphradon.reconstruct import ReconstructionRequest, SliceSpec, reconstruct_point, reconstruct_slice
 
 from poly_helpers import random_polynomial
@@ -83,7 +83,7 @@ def test_hermite_ladder_against_mpmath(sx, sy, power):
     assert worst <= 1e-12, worst
 
 
-# ----- laplacian_block: row 0 is moments, row i is analytic_laplacians(.., i) -----
+# ----- laplacian_block: column j is the block at radius us[j] alone -----
 
 
 def _random_poly_field():
@@ -107,7 +107,7 @@ def test_block_rows_equal_per_power_calls(make, n):
         mf, a01 = f.laplacian_block(x, y, us, n)
         assert mf.shape == a01.shape == (n + 1, us.size)
         for j, u in enumerate(us):
-            assert (mf[0, j], a01[0, j]) == f.moments(x, y, float(u)), (x, y, u)
+            assert (mf[0, j], a01[0, j]) == f.analytic_moments(x, y, float(u)), (x, y, u)
             for i in range(1, n + 1):
                 got = (mf[i, j], a01[i, j])
                 assert got == f.analytic_laplacians(x, y, float(u), i), (x, y, u, i)
@@ -119,7 +119,7 @@ def test_gauss_block_odd_rows_are_literal_zeros():
     assert np.all(mf[0] != 0.0)
 
 
-# ----- structural guards: one ladder call per (x, y, |z|) -----
+# ----- structural guards: two ladder calls per (x, y, |z|) -----
 
 
 def _counted(name: str):
@@ -137,19 +137,22 @@ def test_one_ladder_call_per_point():
     f, calls = _counted("gauss")
     req = ReconstructionRequest(points=((0.2, 0.1, 0.8),), order_n=4, mode="two_data", source=f)
     reconstruct_point(req, TABLE)
-    assert len(calls) == 1  # every power at all n_gl = max(8, order + 4) radii
-    (_, _, us, n), = calls
+    # the power-0 column at t = 0.8, then every power at all
+    # n_gl = max(8, order + 4) radii
+    assert len(calls) == 2
+    (_, _, ts, n_t), (_, _, us, n) = calls
+    assert n_t == 0 and ts.tolist() == [0.8]
     assert n == 4 and us.shape == (8,)
 
 
 def test_gauss_slice_makes_one_ladder_pass_per_distinct_abs_z():
     # 3 x 3 nodes at +-0.8 and 0; the z = 0 row is excluded, and the rows
-    # z = +-0.8 share their points' ladders
+    # z = +-0.8 share their points' ladders: two calls for each of 3 points
     f, calls = _counted("gauss")
     spec = SliceSpec("y", 0.1, (-0.8, 0.8), (-0.8, 0.8), 0.8)
     res = reconstruct_slice(spec, 4, "two_data", f, TABLE, min_abs_z=0.25)
     assert np.isnan(res.values).sum() == 3
-    assert len(calls) == 3
+    assert len(calls) == 2 * 3
 
 
 def test_points_one_ulp_apart_in_abs_z_are_not_merged():
@@ -162,7 +165,7 @@ def test_points_one_ulp_apart_in_abs_z_are_not_merged():
         return reconstruct_point(req, TABLE)
 
     both = run(pts)
-    assert len(calls) == 2
+    assert len(calls) == 2 * 2
     apart = [run((p,)) for p in pts]
     assert both.partial_sums == apart[0].partial_sums + apart[1].partial_sums
 
@@ -179,16 +182,20 @@ def _random_grid(n_pq=11, n_u=6):
 
 @pytest.mark.parametrize("node", [(5, 5), (4, 6)], ids=["interior", "exact-margin"])
 def test_grid_block_rows_equal_laplacian_power(node):
-    # (4, 6) on an 11 x 11 grid at order 4 touches index 0 in p and 10 in q
+    # row i of the order-n block equals the top row of an order-i source's
+    # block, which sweeps only the (2i+1)^2 neighbourhood, at each radius on
+    # its own; (4, 6) on an 11 x 11 grid at order 4 touches index 0 in p
+    # and 10 in q
     grid, n = _random_grid(), 4
-    src = reconstruct._GridSource(grid, n)
     ip, iq = node
-    mf, a01 = src.laplacian_block(grid.p_node(ip), grid.q_node(iq), grid.radial_nodes, n)
+    x, y = grid.p_node(ip), grid.q_node(iq)
+    mf, a01 = reconstruct._GridSource(grid, n).laplacian_block(x, y, grid.radial_nodes, n)
     assert mf.shape == a01.shape == (n + 1, grid.radial_nodes.size)
-    for iu in range(grid.radial_nodes.size):
+    for iu, u in enumerate(grid.radial_nodes):
         for i in range(n + 1):
-            assert mf[i, iu] == laplacian_power(grid, "Mf", i, (ip, iq, iu)), (iu, i)
-            assert a01[i, iu] == laplacian_power(grid, "a01", i, (ip, iq, iu)), (iu, i)
+            want_mf, want_a01 = reconstruct._GridSource(grid, i).laplacian_block(x, y, [u], i)
+            assert mf[i, iu] == want_mf[i, 0], (iu, i)
+            assert a01[i, iu] == want_a01[i, 0], (iu, i)
 
 
 @pytest.mark.parametrize("n_u", [1, 6])
@@ -215,9 +222,6 @@ class _PerPowerField:
     def radial_scheme(self, x, y, t):
         gx, gw = self.gl
         return 0.5 * t * (gx + 1.0), 0.5 * t * gw
-
-    def moments(self, x, y, t):
-        return self.field.moments(x, y, t)
 
     def laplacians(self, x, y, us, i):
         mf, a01 = self.field.laplacian_block(x, y, us, self.order_n)
@@ -252,7 +256,8 @@ def test_grid_request_sweeps_once_per_function_and_abs_z(monkeypatch):
     center = reconstruct._center_laplacians
     monkeypatch.setattr(reconstruct, "_center_laplacians", counted)
     # x in {-0.1, 0, 0.1}, z in {-0.4, -0.2, 0.2, 0.4} once the band is cut:
-    # 12 points, 6 distinct (x, y, |z|)
+    # 12 points, 6 distinct (x, y, |z|); each reads its power-0 column at t
+    # (no sweep) and then sweeps once for every power at the radial nodes
     spec = SliceSpec("y", 0.0, (-0.1, 0.1), (-0.4, 0.4), 0.2)
     reconstruct_slice(spec, 3, "two_data", grid, TABLE, min_abs_z=0.1)
-    assert sweeps == [3] * (2 * 6)
+    assert sweeps == [0, 0, 3, 3] * 6

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -10,13 +12,12 @@ from sphradon.fields import ScalarField3D, make_phantom
 from sphradon.forward import SphereCenter, _sphere_moments, first_cosine_coefficient, spherical_mean
 from sphradon.moments import (
     MomentGrid,
-    laplacian_power,
     read_moment_csv,
     sample_moments,
     write_moment_csv,
 )
 from sphradon.quadrature import build_rule
-from sphradon.reconstruct import SliceSpec, reconstruct_slice
+from sphradon.reconstruct import SliceSpec, _GridSource, reconstruct_slice
 
 
 def _ladder(du: float, n: int) -> np.ndarray:
@@ -62,7 +63,7 @@ def test_sample_rsqz3_columns():
 
 @pytest.mark.parametrize("name", ["rsqz3", "gauss", "bump", "bare"])
 def test_sample_moments_equals_per_sample_moments(name):
-    # analytic mode stores the field's own `moments` at every node, and
+    # analytic mode stores the field's own power-0 block at every node, and
     # quadrature mode one sphere pass under the rule, bit for bit
     if name == "bare":
         f = ScalarField3D(make_phantom("gauss").evaluate, "bare gauss")
@@ -77,9 +78,37 @@ def test_sample_moments_equals_per_sample_moments(name):
             p, q = ga.p_node(ip), ga.q_node(iq)
             for iu, u in enumerate(nodes):
                 got = (ga.mf_values[ip, iq, iu], ga.a01_values[ip, iq, iu])
-                assert got == f.moments(p, q, float(u), rule), (ip, iq, iu)
+                want = f.laplacian_block(p, q, [u], 0, rule)
+                assert got == (want[0][0, 0], want[1][0, 0]), (ip, iq, iu)
                 got = (gq.mf_values[ip, iq, iu], gq.a01_values[ip, iq, iu])
                 assert got == _sphere_moments(f, SphereCenter(p, q, float(u)), rule), (ip, iq, iu)
+
+
+@pytest.mark.parametrize(
+    "origin, h, n_p, nodes, message",
+    [
+        ((np.nan, 0.0), 0.1, 3, _ladder(0.2, 4), "grid origin must be finite"),
+        ((0.0, 0.0), np.inf, 3, _ladder(0.2, 4), "grid spacing h must be positive and finite"),
+        ((0.0, 0.0), 0.1, 0, _ladder(0.2, 4), "at least one node per axis"),
+        ((0.0, 0.0), 0.1, 3, np.array([0.2, np.nan]), "radial_nodes must be finite"),
+        ((0.0, 0.0), 0.1, 3, np.array([0.2, 0.2]), "strictly increasing"),
+    ],
+    ids=["nan-origin", "inf-h", "no-p-nodes", "nan-radius", "repeated-radius"],
+)
+def test_sample_moments_checks_the_lattice_before_sampling(origin, h, n_p, nodes, message):
+    calls = []
+
+    def evaluate(x, y, z):
+        calls.append(np.size(z))
+        return np.asarray(z, dtype=float) ** 2
+
+    f = ScalarField3D(evaluate, "counted zsq")
+    sample_moments(f, (0.0, 0.0), 0.1, 1, 1, _ladder(0.2, 2))
+    assert len(calls) == 2  # one sphere pass per radius of the one centre
+    calls.clear()
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sample_moments(f, origin, h, n_p, 3, nodes)
+    assert calls == []
 
 
 def test_sample_quadrature_agrees_with_analytic():
@@ -136,34 +165,36 @@ def test_grid_arrays_are_frozen():
 # ----- stencils -----
 
 
+def _grid_block(grid, n, at):
+    """The grid source's (Mf, a01) block of powers 0..n at node (ip, iq) and
+    radial indices iu."""
+    ip, iq, iu = at
+    src = _GridSource(grid, n)
+    return src.laplacian_block(grid.p_node(ip), grid.q_node(iq), grid.radial_nodes[iu], n)
+
+
 def test_laplacian_exact_on_quadratic_data():
     # a01 of rsqz3 is quadratic in (p,q), so one stencil application is exact
     grid = _rsqz3_grid()
     for iu in (0, 4, 7):
         u = grid.radial_nodes[iu]
-        got = laplacian_power(grid, "a01", 1, (3, 3, iu))
-        assert got == pytest.approx(2.4 * u**3, rel=1e-12)
-        assert laplacian_power(grid, "a01", 2, (3, 3, iu)) == pytest.approx(0.0, abs=1e-9)
+        _, a01 = _grid_block(grid, 2, (3, 3, [iu]))
+        assert a01[1, 0] == pytest.approx(2.4 * u**3, rel=1e-12)
+        assert a01[2, 0] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_laplacian_power_zero_is_plain_lookup():
     grid = _rsqz3_grid(n_p=3, n_q=3)
-    assert laplacian_power(grid, "a01", 0, (2, 1, 5)) == grid.a01_values[2, 1, 5]
-    assert laplacian_power(grid, "Mf", 0, (0, 0, 0)) == 0.0
+    assert _grid_block(grid, 0, (2, 1, [5]))[1][0, 0] == grid.a01_values[2, 1, 5]
+    assert _grid_block(grid, 0, (0, 0, [0]))[0][0, 0] == 0.0
 
 
 def test_laplacian_margin_and_argument_errors():
     grid = _rsqz3_grid(n_p=5, n_q=5)
     with pytest.raises(ValueError, match="insufficient margin"):
-        laplacian_power(grid, "a01", 3, (2, 2, 0))
+        _grid_block(grid, 3, (2, 2, [0]))
     with pytest.raises(ValueError, match="insufficient margin"):
-        laplacian_power(grid, "a01", 1, (0, 2, 0))
-    with pytest.raises(ValueError):
-        laplacian_power(grid, "nope", 1, (2, 2, 0))
-    with pytest.raises(ValueError):
-        laplacian_power(grid, "Mf", -1, (2, 2, 0))
-    with pytest.raises(ValueError):
-        laplacian_power(grid, "Mf", 0, (2, 2, 99))
+        _grid_block(grid, 1, (0, 2, [0]))
 
 
 # ----- CSV -----
