@@ -89,6 +89,13 @@ def _default_table() -> CoefficientTable:
     return build_tables(8)
 
 
+@cache
+def _radial_rule() -> tuple:
+    gx, gw = np.polynomial.legendre.leggauss(_N_RADIAL)
+    gx.flags.writeable = gw.flags.writeable = False  # shared by every call
+    return gx, gw
+
+
 @dataclass(frozen=True)
 class ResidualReport:
     """Two independently computed sides of one identity at one point."""
@@ -129,7 +136,7 @@ def _check_representation(f, p, q, t, k, odd, rule, table) -> ResidualReport:
     """a_{0(2k)} (odd = 0) or a_{0(2k-1)} (odd = 1) from sphere quadrature
     vs its filtered-integral form; the odd filters are the table's order k - 1."""
     left = harmonic_coefficient(f, SphereCenter(p, q, t), 2 * k - odd, rule=rule)
-    gx, gw = np.polynomial.legendre.leggauss(_N_RADIAL)
+    gx, gw = _radial_rule()
     us, ws = 0.5 * t * (gx + 1.0), 0.5 * t * gw
     boundary = (4 * k - 1) / 3.0 if odd else 4 * k + 1
     right = boundary * float(f.laplacian_block(p, q, [t], 0, rule)[odd][0, 0])

@@ -29,6 +29,7 @@ import io
 import os
 import re
 import sys
+import warnings
 
 import numpy as np
 
@@ -284,7 +285,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _HANDLERS[args.subcommand](args)
+        with warnings.catch_warnings():
+            # a library warning is one line on stderr, like an error
+            warnings.showwarning = lambda message, *_: print(
+                f"sphradon: warning: {message}", file=sys.stderr
+            )
+            return _HANDLERS[args.subcommand](args)
     except (ValueError, KeyError) as exc:
         print(f"sphradon: error: {exc}", file=sys.stderr)
         return 1

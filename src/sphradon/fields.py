@@ -53,6 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from inspect import signature
 from math import comb, inf, isfinite
 from typing import Callable, Mapping
 
@@ -375,4 +376,10 @@ def make_phantom(name: str, **params) -> ScalarField3D:
         ctor = _CONSTRUCTORS[name]
     except KeyError:
         raise ValueError(f"unknown phantom {name!r}; available: {', '.join(PHANTOM_NAMES)}") from None
+    accepted = tuple(signature(ctor).parameters)
+    unknown = [key for key in params if key not in accepted]
+    if unknown:
+        raise ValueError(
+            f"phantom {name!r} has no parameter {unknown[0]!r}; accepted: {', '.join(accepted) or 'none'}"
+        )
     return ctor(**params)

@@ -2,13 +2,14 @@
 
 A MomentGrid holds the two measured functions Mf(p,q,u) and a01(p,q,u) on a
 uniform (p,q) lattice times a strictly increasing set of radii.  It is the
-discrete form of the inverse problem's data: everything the reconstructor
-needs in grid mode lives here, and nothing else does.
+discrete form of the inverse problem's data and the reconstructor's grid
+source: it answers `laplacian_block` as a phantom does, and `radial_scheme`
+with the trapezoid ladder of its stored radii, for centres and radii on
+stored nodes only; it interpolates nothing.
 
 Center-Laplacians are taken by iterating the 5-point stencil, which costs i
 cells of margin per application and is exact on fields quadratic in (p,q).
-One sweep over a node's (2n+1)^2 neighbourhood yields every power 0..n;
-the reconstructor's grid source is its one caller.
+One sweep over a node's (2n+1)^2 neighbourhood yields every power 0..n.
 The file format is a CSV with a comment sidecar, lossless at 17 significant
 digits.
 """
@@ -89,6 +90,54 @@ class MomentGrid:
 
     def q_node(self, iq: int) -> float:
         return self.origin[1] + iq * self.h
+
+    # the grid as a reconstruction source
+
+    def _node_index(self, x: float, y: float, n: int):
+        """Lattice indices of node (x, y), checked for n rings of margin."""
+        fp = (x - self.origin[0]) / self.h
+        fq = (y - self.origin[1]) / self.h
+        ip, iq = round(fp), round(fq)
+        if abs(fp - ip) > 1e-9 or abs(fq - iq) > 1e-9:
+            raise ValueError(f"point ({x}, {y}) is not on the stored (p, q) lattice")
+        if ip - n < 0 or ip + n >= self.n_p or iq - n < 0 or iq + n >= self.n_q:
+            raise ValueError(
+                f"insufficient margin: order {n} at node ({ip}, {iq}) of a "
+                f"{self.n_p}x{self.n_q} grid"
+            )
+        return ip, iq
+
+    def _radius_indices(self, ts) -> Array:
+        """Index of the stored node nearest each radius, the lower one on a
+        tie (as argmin over the ladder picks), each within 1e-9 relative."""
+        nodes = self.radial_nodes
+        ts = np.asarray(ts, dtype=float)
+        hi = np.minimum(np.searchsorted(nodes, ts), nodes.size - 1)
+        lo = np.maximum(hi - 1, 0)
+        j = np.where(np.abs(nodes[lo] - ts) <= np.abs(nodes[hi] - ts), lo, hi)
+        off = np.abs(nodes[j] - ts) > 1e-9 * np.maximum(1.0, ts)
+        if off.any():
+            raise ValueError(f"radius {ts[off][0]} is not on the stored radial ladder")
+        return j
+
+    def radial_scheme(self, x: float, y: float, t: float):
+        """The stored radii up to t and their trapezoid weights, with a
+        virtual node at u = 0 where every integrand of the series vanishes."""
+        j = self._radius_indices([t])[0]
+        us = self.radial_nodes[: j + 1]
+        prev = np.concatenate(([0.0], us[:-1]))
+        nxt = np.concatenate((us[1:], [us[-1]]))
+        return us, (nxt - prev) / 2.0
+
+    def laplacian_block(self, x: float, y: float, us, n: int):
+        """(Mf, a01) of shape (n + 1, len(us)): row i is the i-fold 5-point
+        stencil at node (x, y), stored radii us."""
+        ip, iq = self._node_index(x, y, n)
+        iu = self._radius_indices(us)
+        return tuple(
+            _center_laplacians(values[ip - n : ip + n + 1, iq - n : iq + n + 1][:, :, iu], n, self.h)
+            for values in (self.mf_values, self.a01_values)
+        )
 
 
 def sample_moments(

@@ -18,24 +18,25 @@ Points (x, y, z) and (x, y, -z) differ only in sgn(z), so each exact
 other sign; negation is exact, so every partial sum is the one a separate
 pass would give.
 
-A source answers `radial_scheme(x, y, t)` (radial nodes and weights on
-[0, t]) and `laplacian_block(x, y, us, n)` (every power 0..n of Mf and a01
-at the radii us).  Each (x, y, |z|) asks for two blocks: the power-0 column
-at [t], which is the boundary datum (Mf, a01), and every power at the
-radial nodes.  Two flavors are built in: analytic (a phantom's ladder,
-radial integral by Gauss-Legendre) and sampled grid (stored nodes, every
-power from one 5-point stencil sweep, radial integral by the trapezoid
-ladder with a virtual node at u = 0 where every integrand vanishes).  Grid
-mode requires the target center and radius to sit on stored nodes; it
-interpolates nothing.  A source with per-power `laplacians(x, y, us, i)`
-instead is adapted once.  The filters of each parity are one dense
-coefficient array [k, i, m].
+The reconstructor reads a phantom (`ScalarField3D`) or a `MomentGrid`
+directly, through `laplacian_block(x, y, us, n)` (every power 0..n of Mf
+and a01 at the radii us).  Each (x, y, |z|) asks for two blocks: the
+power-0 column at [t], which is the boundary datum (Mf, a01), and every
+power at the radial nodes.  The radial nodes and weights on [0, t] come
+from the source's `radial_scheme(x, y, t)`: a grid's trapezoid ladder on
+its stored radii (target center and radius must sit on stored nodes; it
+interpolates nothing).  A phantom has none and is integrated by
+Gauss-Legendre.  A source with `radial_scheme` and per-power
+`laplacians(x, y, us, i)` instead is adapted once.  The filters of each
+parity are one dense coefficient array [k, i, m].
 
-Even-mirror mode runs the same pipeline with the odd data identically zero.
-For a phantom verified to vanish on {z <= 0} the evenized field's mean data
-is exactly twice the phantom's; a phantom that fails that test is used as-is
-with its odd data dropped, which is exact precisely when the phantom is even
-in z.  mirror_even_reconstruct warns in that case rather than guessing.
+Even-mirror mode, for every entry point, forms the mean-data terms only
+and scales the partial sums: by 2.0 for a phantom verified to vanish on
+{z <= 0}, whose even extension f(x, y, |z|) has exactly twice its mean
+data, and by 1.0 otherwise.  A phantom that fails the test is warned about
+and used as-is, which is exact precisely when it is even in z.  Grid and
+duck-typed data cannot be probed; at scale 1.0 they give the even part
+(f(z) + f(-z)) / 2.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import numpy as np
 from ._io import atomic_write, fmt
 from .coeffs import CoefficientTable
 from .fields import ScalarField3D
-from .moments import MomentGrid, _center_laplacians
+from .moments import MomentGrid
 
 __all__ = [
     "ReconstructionRequest",
@@ -119,86 +120,6 @@ class ReconstructionResult:
 # ----- data sources -----
 
 
-class _AnalyticSource:
-    def __init__(self, field: ScalarField3D, order_n: int, radial_rule: int | None):
-        n_gl = radial_rule if radial_rule is not None else max(8, order_n + 4)
-        self._gl = np.polynomial.legendre.leggauss(n_gl)
-        self.laplacian_block = field.laplacian_block
-
-    def radial_scheme(self, x: float, y: float, t: float):
-        gx, gw = self._gl
-        return 0.5 * t * (gx + 1.0), 0.5 * t * gw
-
-
-class _GridSource:
-    def __init__(self, grid: MomentGrid, order_n: int):
-        self.grid = grid
-        self.order_n = order_n
-
-    def _node_index(self, x: float, y: float):
-        g = self.grid
-        fp = (x - g.origin[0]) / g.h
-        fq = (y - g.origin[1]) / g.h
-        ip, iq = round(fp), round(fq)
-        tol = 1e-9
-        if abs(fp - ip) > tol or abs(fq - iq) > tol:
-            raise ValueError(f"point ({x}, {y}) is not on the stored (p, q) lattice")
-        n = self.order_n
-        if ip - n < 0 or ip + n >= g.n_p or iq - n < 0 or iq + n >= g.n_q:
-            raise ValueError(
-                f"insufficient margin: order {n} at node ({ip}, {iq}) of a "
-                f"{g.n_p}x{g.n_q} grid"
-            )
-        return ip, iq
-
-    def _radius_indices(self, ts) -> Array:
-        """Index of the stored node nearest each radius, the lower one on a
-        tie (as argmin over the ladder picks), each within 1e-9 relative."""
-        nodes = self.grid.radial_nodes
-        ts = np.asarray(ts, dtype=float)
-        hi = np.minimum(np.searchsorted(nodes, ts), nodes.size - 1)
-        lo = np.maximum(hi - 1, 0)
-        j = np.where(np.abs(nodes[lo] - ts) <= np.abs(nodes[hi] - ts), lo, hi)
-        off = np.abs(nodes[j] - ts) > 1e-9 * np.maximum(1.0, ts)
-        if off.any():
-            raise ValueError(f"radius {ts[off][0]} is not on the stored radial ladder")
-        return j
-
-    def radial_scheme(self, x: float, y: float, t: float):
-        j = self._radius_indices([t])[0]
-        us = self.grid.radial_nodes[: j + 1]
-        # trapezoid with a virtual node at u=0; every integrand vanishes there
-        prev = np.concatenate(([0.0], us[:-1]))
-        nxt = np.concatenate((us[1:], [us[-1]]))
-        return us, (nxt - prev) / 2.0
-
-    def laplacian_block(self, x: float, y: float, us: Array, n: int):
-        ip, iq = self._node_index(x, y)
-        iu = self._radius_indices(us)
-        g = self.grid
-        return tuple(
-            _center_laplacians(values[ip - n : ip + n + 1, iq - n : iq + n + 1][:, :, iu], n, g.h)
-            for values in (g.mf_values, g.a01_values)
-        )
-
-
-class _EvenDataSource:
-    """Even-mirror data: the mean data times `scale`, the odd data exactly 0.0.
-
-    scale 2.0 gives the moments of f(x, y, |z|) for f supported in {z > 0};
-    scale 1.0 keeps the source's own mean data (1.0 * x == x bit for bit).
-    """
-
-    def __init__(self, inner, scale: float = 1.0):
-        self.inner = inner
-        self.scale = scale
-        self.radial_scheme = inner.radial_scheme
-
-    def laplacian_block(self, x, y, us, n):
-        mf = self.inner.laplacian_block(x, y, us, n)[0]
-        return self.scale * mf, np.zeros_like(mf)
-
-
 class _PerPowerSource:
     """A source that answers one Laplacian power per call,
     `laplacians(x, y, us, i) -> (Lap^i Mf, Lap^i a01)`, seen as a block."""
@@ -212,16 +133,40 @@ class _PerPowerSource:
         return tuple(np.array([row[f] for row in rows], dtype=float) for f in (0, 1))
 
 
-def _make_source(source, order_n: int, radial_rule: int | None):
-    if isinstance(source, MomentGrid):
-        return _GridSource(source, order_n)
-    if isinstance(source, ScalarField3D):
-        return _AnalyticSource(source, order_n, radial_rule)
-    if isinstance(source, _EvenDataSource):
-        return source
-    if hasattr(source, "radial_scheme") and hasattr(source, "laplacians"):
-        return _PerPowerSource(source)
-    raise TypeError(f"unsupported source type {type(source).__name__}")
+def _source(source, order_n: int, radial_rule: int | None):
+    """The request's source and its radial scheme.
+
+    A phantom or a grid is read as it is; a per-power source is adapted.
+    A source without a `radial_scheme` (a phantom) is integrated by
+    Gauss-Legendre with radial_rule nodes, by default max(8, order_n + 4).
+    """
+    if not isinstance(source, (ScalarField3D, MomentGrid)):
+        if not (hasattr(source, "radial_scheme") and hasattr(source, "laplacians")):
+            raise TypeError(f"unsupported source type {type(source).__name__}")
+        source = _PerPowerSource(source)
+    if hasattr(source, "radial_scheme"):
+        return source, source.radial_scheme
+    gx, gw = np.polynomial.legendre.leggauss(radial_rule or max(8, order_n + 4))
+    return source, lambda x, y, t: (0.5 * t * (gx + 1.0), 0.5 * t * gw)
+
+
+def _mirror_scale(source) -> float:
+    """2.0 for a phantom that vanishes on a probe box over {z <= 0}, else
+    1.0, with a warning for a phantom (see the module docstring)."""
+    if not isinstance(source, ScalarField3D):
+        return 1.0
+    probe = np.linspace(-2.5, 2.5, 9)
+    zs = np.linspace(-3.0, 0.0, 13)
+    X, Y, Z = np.meshgrid(probe, probe, zs, indexing="ij")
+    below = float(np.max(np.abs(np.asarray(source.evaluate(X, Y, Z), dtype=float))))
+    if below > 1e-12:
+        warnings.warn(
+            f"phantom {source.descriptor!r} is detectably nonzero for z <= 0 "
+            f"(max {below:.3g}); using its own moments as already-even data",
+            stacklevel=3,
+        )
+        return 1.0
+    return 2.0
 
 
 # ----- core -----
@@ -241,15 +186,16 @@ def _filter_coefficients(table: CoefficientTable, order_n: int):
     return out
 
 
-def _point_terms(src, x: float, y: float, t: float, order_n: int, filters):
+def _point_terms(src, scheme, x: float, y: float, t: float, order_n: int, filters):
     """Per-order increment terms at (x, y, |z| = t), unsigned.
 
-    Returns (even, odd): even[k] holds order k's terms from the mean data,
-    odd[k] those from the first-cosine data, which sgn(z) multiplies; each
-    list starts with its boundary term.
+    Returns one list per parity in `filters`: [0][k] holds order k's terms
+    from the mean data, [1][k] (two-data mode only) those from the
+    first-cosine data, which sgn(z) multiplies; each list starts with its
+    boundary term.
     """
     data_t = [float(col[0, 0]) for col in src.laplacian_block(x, y, [t], 0)]
-    us, ws = src.radial_scheme(x, y, t)
+    us, ws = scheme(x, y, t)
     v2 = (us / t) ** 2
     vodd = us / t
     if any(active for _, active in filters):
@@ -273,18 +219,19 @@ def _point_terms(src, x: float, y: float, t: float, order_n: int, filters):
     return terms
 
 
-def _partial_sums(even, odd, sg: float):
-    """S_0..S_n with sgn(z) = sg applied to the odd terms.
+def _partial_sums(terms, sg: float, scale: float):
+    """scale * S_0..S_n with sgn(z) = sg applied to the odd terms, if any.
 
     Negation is exact, and fsum rounds the exact sum once, so both signs
-    of z get the partial sums a separate pass per point would give.
+    of z get the partial sums a separate pass per point would give; scale
+    is 1.0 or 2.0, so it is exact too and equals scaling the data.
     """
     all_terms: list[float] = []
     sums = []
-    for even_k, odd_k in zip(even, odd):
-        all_terms.extend(even_k)
-        all_terms.extend(odd_k if sg > 0 else [-v for v in odd_k])
-        sums.append(math.fsum(all_terms))
+    for order_k in zip(*terms):
+        for sign, terms_k in zip((1.0, sg), order_k):
+            all_terms.extend(terms_k if sign > 0 else [-v for v in terms_k])
+        sums.append(scale * math.fsum(all_terms))
     return sums
 
 
@@ -293,16 +240,17 @@ def reconstruct_point(req: ReconstructionRequest, table: CoefficientTable) -> Re
 
     Points (x, y, z) and (x, y, -z) share every moment and Laplacian, so
     the terms are computed once per exact (x, y, |z|) and only sgn(z)
-    differs between them.
+    differs between them.  Even-mirror mode forms the mean-data terms only
+    and scales them by `_mirror_scale`.
     """
     if req.order_n > table.order_n:
         raise ValueError(f"order {req.order_n} exceeds table order {table.order_n}")
-    src = _make_source(req.source, req.order_n, req.radial_rule)
-    if req.mode == "even_mirror" and not isinstance(src, _EvenDataSource):
-        src = _EvenDataSource(src)
-    filters = _filter_coefficients(table, req.order_n)
+    src, scheme = _source(req.source, req.order_n, req.radial_rule)
+    mirror = req.mode == "even_mirror"
+    filters = _filter_coefficients(table, req.order_n)[: 1 if mirror else 2]
+    scale = _mirror_scale(req.source) if mirror else 1.0
 
-    terms: dict[tuple, tuple] = {}
+    terms: dict[tuple, list] = {}
     values, ladders, last = [], [], []
     for (x, y, z) in req.points:
         if abs(z) < req.min_abs_z:
@@ -311,8 +259,8 @@ def reconstruct_point(req: ReconstructionRequest, table: CoefficientTable) -> Re
             )
         key = (x.hex(), y.hex(), abs(z))  # hex keeps centres -0.0 and 0.0 apart
         if key not in terms:
-            terms[key] = _point_terms(src, x, y, abs(z), req.order_n, filters)
-        sums = _partial_sums(*terms[key], 1.0 if z > 0 else -1.0)
+            terms[key] = _point_terms(src, scheme, x, y, abs(z), req.order_n, filters)
+        sums = _partial_sums(terms[key], 1.0 if z > 0 else -1.0, scale)
         values.append(sums[-1])
         ladders.append(tuple(sums))
         last.append(abs(sums[-1] - sums[-2]) if len(sums) > 1 else abs(sums[-1]))
@@ -425,28 +373,9 @@ def reconstruct_slice(
 def mirror_even_reconstruct(
     f_c: ScalarField3D, req: ReconstructionRequest, table: CoefficientTable
 ) -> ReconstructionResult:
-    """SRT-only reconstruction of a phantom supported in {z > 0}.
-
-    Verifies the support condition by sampling f_c on {z <= 0}.  When it
-    holds, the evenized field's mean data is exactly 2*Mf and its odd data
-    vanishes.  When it fails, the phantom's own moments are used unchanged
-    (exact if the phantom is even in z) and a warning is issued.
-    """
-    probe = np.linspace(-2.5, 2.5, 9)
-    zs = np.linspace(-3.0, 0.0, 13)
-    X, Y, Z = np.meshgrid(probe, probe, zs, indexing="ij")
-    below = float(np.max(np.abs(np.asarray(f_c.evaluate(X, Y, Z), dtype=float))))
-    inner = _AnalyticSource(f_c, req.order_n, req.radial_rule)
-    if below > 1e-12:
-        warnings.warn(
-            f"phantom {f_c.descriptor!r} is detectably nonzero for z <= 0 "
-            f"(max {below:.3g}); using its own moments as already-even data",
-            stacklevel=2,
-        )
-        source = _EvenDataSource(inner)
-    else:
-        source = _EvenDataSource(inner, scale=2.0)
-    return reconstruct_point(replace(req, mode="even_mirror", source=source), table)
+    """SRT-only reconstruction of a phantom supported in {z > 0}: `req` in
+    even-mirror mode with f_c as its source (see `reconstruct_point`)."""
+    return reconstruct_point(replace(req, mode="even_mirror", source=f_c), table)
 
 
 # ----- output files -----

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from sphradon.checks import (
 from sphradon.coeffs import build_tables, perturb_entry
 from sphradon.fields import ScalarField3D, make_phantom, polynomial_field
 from sphradon.forward import SphereCenter, first_cosine_coefficient, spherical_mean
-from sphradon.reconstruct import _AnalyticSource
+from sphradon.reconstruct import ReconstructionRequest, reconstruct_point
 
 
 # ----- representations -----
@@ -86,16 +88,18 @@ def test_rep_argument_errors():
 
 def test_bare_field_moments_agree_with_reconstructor():
     # without callbacks the checks and the reconstructor ask the same field
-    # layer, which makes one sphere pass under the default rule; order-0
-    # representations carry the moments unscaled
+    # layer, `laplacian_block`, which makes one sphere pass under the default
+    # rule; order-0 representations carry the moments unscaled, and the
+    # reconstructor's S_0 at (p, q, t) is Mf + a01
     f = ScalarField3D(evaluate=make_phantom("bump").evaluate, descriptor="bare bump")
-    src = _AnalyticSource(f, 0, None)
     for p, q, t in ((0.1, -0.2, 0.7), (0.5, 0.3, 1.6), (-0.4, 0.0, 2.2)):
         c = SphereCenter(p, q, t)
         want = (spherical_mean(f, c), first_cosine_coefficient(f, c))
         assert want[0] != 0.0 and want[1] != 0.0
-        mf, a01 = src.laplacian_block(p, q, [t], 0)
+        mf, a01 = f.laplacian_block(p, q, [t], 0)
         assert (mf[0, 0], a01[0, 0]) == want
+        req = ReconstructionRequest(points=((p, q, t),), order_n=0, mode="two_data", source=f)
+        assert reconstruct_point(req, build_tables(0)).values == (math.fsum(want),)
         assert check_representation_even(f, p, q, t, 0).right == want[0]
         assert check_representation_odd(f, p, q, t, 1).right == want[1]
 

@@ -261,6 +261,40 @@ def test_reconstruct_rejects_non_finite_phantom_parameters(tmp_path, capsys, pha
     assert not out.exists()
 
 
+def test_reconstruct_rejects_unknown_phantom_parameter(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    rc = run(
+        "reconstruct", "--phantom", "gauss:foo=1", "--order", "2", "--slice", "y=0",
+        "--xrange", "0,0.2", "--zrange", "0.4,0.6", "--step", "0.2", "--out", str(out),
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "sphradon: error: phantom 'gauss' has no parameter 'foo'; "
+        "accepted: amp, cx, cy, sx, sy, sz\n"
+    )
+    assert not out.exists()
+
+
+def test_reconstruct_prints_library_warning_as_one_line(tmp_path, capsys):
+    # zsq is not a half-space phantom: even-mirror warns, then writes the
+    # slice from zsq's own (already even) moments
+    out = tmp_path / "r.csv"
+    rc = run(
+        "reconstruct", "--phantom", "zsq", "--mode", "even-mirror", "--order", "2",
+        "--slice", "y=0", "--xrange", "0,0.2", "--zrange", "0.4,0.6", "--step", "0.2",
+        "--out", str(out),
+    )
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "sphradon: warning: phantom 'zsq' is detectably nonzero for z <= 0 (max 9); "
+        "using its own moments as already-even data\n"
+    )
+    assert captured.out.startswith("wrote ")
+    assert _read_rows(out)[:, 3] == pytest.approx(_read_rows(out)[:, 2] ** 2, abs=1e-12)
+
+
 def test_reconstruct_missing_grid_file_is_io_error(tmp_path):
     assert (
         run(

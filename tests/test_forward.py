@@ -242,6 +242,21 @@ def test_make_phantom_unknown():
         make_phantom("cube")
 
 
+@pytest.mark.parametrize(
+    "name, params, message",
+    [
+        ("gauss", {"foo": 1.0}, "phantom 'gauss' has no parameter 'foo'; accepted: amp, cx, cy, sx, sy, sz"),
+        ("bump", {"sigma": 0.5, "z0": 1.0}, "phantom 'bump' has no parameter 'z0'; accepted: amp, x0, y0, sigma, zc, rz"),
+        ("zero", {"value": 1.0}, "phantom 'zero' has no parameter 'value'; accepted: none"),
+    ],
+    ids=["gauss", "bump", "zero"],
+)
+def test_make_phantom_rejects_unknown_parameters(name, params, message):
+    with pytest.raises(ValueError) as info:
+        make_phantom(name, **params)
+    assert str(info.value) == message
+
+
 def test_gauss_validation():
     with pytest.raises(ValueError):
         gauss_field(sx=0.0)

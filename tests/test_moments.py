@@ -17,7 +17,7 @@ from sphradon.moments import (
     write_moment_csv,
 )
 from sphradon.quadrature import build_rule
-from sphradon.reconstruct import SliceSpec, _GridSource, reconstruct_slice
+from sphradon.reconstruct import SliceSpec, reconstruct_slice
 
 
 def _ladder(du: float, n: int) -> np.ndarray:
@@ -166,11 +166,10 @@ def test_grid_arrays_are_frozen():
 
 
 def _grid_block(grid, n, at):
-    """The grid source's (Mf, a01) block of powers 0..n at node (ip, iq) and
+    """The grid's (Mf, a01) block of powers 0..n at node (ip, iq) and
     radial indices iu."""
     ip, iq, iu = at
-    src = _GridSource(grid, n)
-    return src.laplacian_block(grid.p_node(ip), grid.q_node(iq), grid.radial_nodes[iu], n)
+    return grid.laplacian_block(grid.p_node(ip), grid.q_node(iq), grid.radial_nodes[iu], n)
 
 
 def test_laplacian_exact_on_quadratic_data():

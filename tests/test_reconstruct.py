@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from sphradon import cli
 from sphradon.coeffs import build_tables
 from sphradon.fields import make_phantom, polynomial_field
 from sphradon.forward import SphereCenter, harmonic_coefficient
@@ -102,11 +103,14 @@ def test_odd_phantom_flips_sign():
 
 
 def test_mode_equivalence_bit_for_bit_on_even_phantom():
-    # gauss's odd data is identically zero, so the two modes must agree exactly
+    # gauss's odd data is identically zero, so the two modes must agree
+    # exactly; even-mirror warns that gauss is not a half-space phantom and
+    # uses its moments unscaled
     f = make_phantom("gauss")
     pts = ((0.3, -0.6, 0.7), (0.0, 0.0, 1.4), (1.0, 1.0, -0.5))
     a = _run(f, pts, 3, mode="two_data")
-    b = _run(f, pts, 3, mode="even_mirror")
+    with pytest.warns(UserWarning, match="nonzero for z <= 0"):
+        b = _run(f, pts, 3, mode="even_mirror")
     assert a.values == b.values
     assert a.partial_sums == b.partial_sums
 
@@ -240,6 +244,32 @@ def test_mirror_on_plane_symmetric_phantom_warns_and_is_exact():
     with pytest.warns(UserWarning, match="nonzero for z <= 0"):
         res = mirror_even_reconstruct(f, req, TABLE)
     assert res.values[0] == pytest.approx(4.0, abs=1e-10)
+
+
+def test_even_mirror_is_one_path_for_slice_cli_and_mirror(tmp_path):
+    # the bump vanishes on z <= 0, so every entry point doubles its mean
+    # data; the slice and the CLI's CSV (17 digits, lossless) must equal
+    # mirror_even_reconstruct bit for bit
+    f, n = make_phantom("bump"), 4
+    spec = SliceSpec("y", 0.0, (0.0, 0.0), (-1.5, 1.5), 0.5)
+    res = reconstruct_slice(spec, n, "even_mirror", f, TABLE, min_abs_z=0.2)
+    band = np.abs(res.others) < 0.2
+    points = tuple((0.0, 0.0, float(z)) for z in res.others[~band])
+    req = ReconstructionRequest(points=points, order_n=n, mode="two_data", source=f)
+    want = mirror_even_reconstruct(f, req, TABLE)
+    assert tuple(res.values[0, ~band]) == want.values
+    assert tuple(res.last_increment[0, ~band]) == want.last_increment
+    assert want.values[points.index((0.0, 0.0, 1.5))] == pytest.approx(1.0, abs=0.1)
+
+    out = tmp_path / "m.csv"
+    argv = [
+        "reconstruct", "--phantom", "bump", "--order", str(n), "--mode", "even-mirror",
+        "--slice", "y=0", "--xrange", "0,0", "--zrange", "-1.5,1.5", "--step", "0.5",
+        "--min-abs-z", "0.2", "--out", str(out),
+    ]
+    assert cli.main(argv) == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=2)
+    assert tuple(rows[~band, 3]) == want.values
 
 
 # ----- slices and files -----
