@@ -11,6 +11,11 @@ coefficient tables on their own, so a transcription error in the
 recurrences or in the reconstructor's series cannot cancel out of these
 checks.
 
+Each check reads its point once: one `laplacian_block` on the 80 radial
+nodes followed by t (the datum is its last column), and one `_Spheres`
+stencil that evaluates f once per sphere.  `run_all_checks` shares both
+among the checks at one (phantom, lattice point).
+
 Identity registry (the names appear verbatim in reports and CSV rows):
 
     rep_even   a_{0(2k)}  = (4k+1) Mf + filtered radial integrals of Lap^i Mf
@@ -38,12 +43,7 @@ import numpy as np
 from ._io import atomic_write, fmt
 from .coeffs import CoefficientTable, build_tables
 from .fields import ScalarField3D, make_phantom
-from .forward import (
-    SphereCenter,
-    first_cosine_coefficient,
-    harmonic_coefficient,
-    off_plane_mean,
-)
+from .forward import SphereCenter, _evaluate_on_sphere, _project, harmonic_coefficient
 from .quadrature import SphereRule, build_rule
 
 __all__ = [
@@ -132,30 +132,38 @@ def _report(identity, point, n, left, right, tolerance, **extras) -> ResidualRep
 # ----- representation checks -----
 
 
-def _check_representation(f, p, q, t, k, odd, rule, table) -> ResidualReport:
-    """a_{0(2k)} (odd = 0) or a_{0(2k-1)} (odd = 1) from sphere quadrature
-    vs its filtered-integral form; the odd filters are the table's order k - 1."""
-    left = harmonic_coefficient(f, SphereCenter(p, q, t), 2 * k - odd, rule=rule)
+def _radial_block(f, p, q, t, n, rule):
+    """Gauss-Legendre nodes and weights on [0, t], and the (Mf, a01) block
+    of powers 0..n on those nodes followed by t: its last column is the
+    boundary datum."""
     gx, gw = _radial_rule()
-    us, ws = 0.5 * t * (gx + 1.0), 0.5 * t * gw
+    us = 0.5 * t * (gx + 1.0)
+    return us, 0.5 * t * gw, f.laplacian_block(p, q, np.append(us, t), n, rule)
+
+
+def _representation(point, k, odd, left, radial, table) -> ResidualReport:
+    """a_{0(2k)} (odd = 0) or a_{0(2k-1)} (odd = 1), `left` by sphere
+    quadrature, vs its filtered-integral form on `radial` (a `_radial_block`
+    of power k - odd or more); the odd filters are the table's order k - 1."""
+    t = point[2]
+    us, ws, block = radial
+    lap = block[odd]
+    order = k - odd
     boundary = (4 * k - 1) / 3.0 if odd else 4 * k + 1
-    right = boundary * float(f.laplacian_block(p, q, [t], 0, rule)[odd][0, 0])
+    right = boundary * float(lap[0, -1])
     c_at = table.c_odd_at if odd else table.c_even_at
-    filters = []
-    for i in range(k - odd + 1):
-        cs = [(m, float(c_at(k - odd, i, m))) for m in range(1, k - odd + i + 1)]
-        cs = [(m, c) for m, c in cs if c]
-        if cs:
-            filters.append((i, cs))
-    if filters:
-        lap = f.laplacian_block(p, q, us, filters[-1][0], rule)[odd]
-    for i, cs in filters:
+    for i in range(order + 1 if order else 0):  # order 0 has no filters
         filt = np.zeros_like(us)
-        for m, c in cs:
-            filt += c * (us / t) ** (2 * m + odd)
-        right += t ** (2 * i - 1) * float(np.dot(ws, filt * lap[i]))
+        for m in range(1, order + i + 1):
+            filt += float(c_at(order, i, m)) * (us / t) ** (2 * m + odd)
+        right += t ** (2 * i - 1) * float(np.dot(ws, filt * lap[i, :-1]))
     identity = "rep_odd" if odd else "rep_even"
-    return _report(identity, (p, q, t), k, left, right, _REP_TOLERANCE, n_radial=_N_RADIAL)
+    return _report(identity, point, k, left, right, _REP_TOLERANCE, n_radial=_N_RADIAL)
+
+
+def _check_representation(f, p, q, t, k, odd, rule, table) -> ResidualReport:
+    left = harmonic_coefficient(f, SphereCenter(p, q, t), 2 * k - odd, rule=rule)
+    return _representation((p, q, t), k, odd, left, _radial_block(f, p, q, t, k - odd, rule), table)
 
 
 def check_representation_even(
@@ -192,35 +200,51 @@ def check_representation_odd(
     return _check_representation(f, p, q, t, k, 1, rule, table)
 
 
-# ----- lemma check -----
+# ----- lemma and ODE checks: one stencil of spheres -----
 
 
-def check_lemma1(
-    f: ScalarField3D,
-    p: float,
-    q: float,
-    t: float,
-    rule: SphereRule | None = None,
-    fd_step: float = 1e-3,
-) -> ResidualReport:
-    """Normal derivative of the mean data against the radial a01 derivative."""
-    h = fd_step
-    if not 0 < h < np.inf:
-        raise ValueError(f"fd_step must be positive and finite, got {h}")
-    if h >= t / 4:
-        raise ValueError(f"fd_step {h} too coarse for radius {t} (need < t/4)")
-    dmean = (off_plane_mean(f, p, q, h, t, rule) - off_plane_mean(f, p, q, -h, t, rule)) / (2 * h)
+class _Spheres:
+    """Harmonic coefficients of f on the spheres of a finite-difference
+    stencil around the sphere (p, q, t): centre (p + dp h, q + dq h, dz h),
+    radius t + dt h, for unit shifts dp, dq, dt, dz.
 
-    def ta01(tt: float) -> float:
-        return tt * tt * first_cosine_coefficient(f, SphereCenter(p, q, tt), rule)
+    Each sphere is evaluated once; every coefficient is projected from its
+    values with `harmonic_coefficient`'s arithmetic, so it equals that call
+    bit for bit.
+    """
 
-    right = (ta01(t + h) - ta01(t - h)) / (2 * h)
+    def __init__(self, f, p, q, t, rule, h):
+        if not 0 < h < np.inf:
+            raise ValueError(f"fd_step must be positive and finite, got {h}")
+        if h >= t / 4:
+            raise ValueError(f"fd_step {h} too coarse for radius {t} (need < t/4)")
+        self.f, self.point, self.h = f, (p, q, t), h
+        self.rule = rule or build_rule()
+        self._values = {}
+
+    def __call__(self, n, m=0, kind="a", dp=0, dq=0, dt=0, dz=0) -> float:
+        """a_{mn} (kind "a") or b_{mn} (kind "b") on the shifted sphere."""
+        key = (dp, dq, dt, dz)
+        if key not in self._values:
+            p, q, t = (v + d * self.h if d else v for v, d in zip(self.point, key))
+            self._values[key] = _evaluate_on_sphere(self.f, SphereCenter(p, q, t), self.rule, dz * self.h)
+        return _project(self._values[key], self.rule, n, m, kind)
+
+    def diff(self, g) -> float:
+        """(g(1) - g(-1)) / (2 h): the central difference of g over one unit shift."""
+        return (g(1) - g(-1)) / (2 * self.h)
+
+
+def _lemma1(s: _Spheres) -> ResidualReport:
+    t, h = s.point[2], s.h
+    dmean = s.diff(lambda e: s(0, dz=e))
+    right = s.diff(lambda e: (t + e * h) * (t + e * h) * s(1, dt=e))
     left = t * t * 3.0 * dmean
     vleft = t * t * dmean
     vright = 3.0 * right
     return _report(
         "lemma1",
-        (p, q, t),
+        s.point,
         None,
         left,
         right,
@@ -233,7 +257,55 @@ def check_lemma1(
     )
 
 
-# ----- consistency ODE checks -----
+def check_lemma1(
+    f: ScalarField3D,
+    p: float,
+    q: float,
+    t: float,
+    rule: SphereRule | None = None,
+    fd_step: float = 1e-3,
+) -> ResidualReport:
+    """Normal derivative of the mean data against the radial a01 derivative."""
+    return _lemma1(_Spheres(f, p, q, t, rule, fd_step))
+
+
+def _ode(s: _Spheres, which: str, n: int) -> ResidualReport:
+    t, h = s.point[2], s.h
+    if which == "eq4_21":
+        val = (
+            2.0 / (2 * n + 3) * s.diff(lambda e: s(n + 1, dt=e))
+            + 2.0 * (n + 2) / (t * (2 * n + 3)) * s(n + 1)
+            - 2.0 / (2 * n - 1) * s.diff(lambda e: s(n - 1, dt=e))
+            + 2.0 * (n - 1) / (t * (2 * n - 1)) * s(n - 1)
+        )
+        val += s.diff(lambda e: s(n, 1, "a", dp=e))
+        val += s.diff(lambda e: s(n, 1, "b", dq=e))
+        return _report(which, s.point, n, val, 0.0, _FD_TOLERANCE, fd_step=h)
+
+    if which == "eq4_22":  # g is the m = 1 divergence, against Lap a_{0n}
+
+        def g(k, dt):
+            return s.diff(lambda e: s(k, 1, "a", dp=e, dt=dt)) + s.diff(lambda e: s(k, 1, "b", dq=e, dt=dt))
+
+        rhs = (s(n, dp=1) + s(n, dp=-1) + s(n, dq=1) + s(n, dq=-1) - 4.0 * s(n)) / (h * h)
+    else:  # eq4_14: g = a_{1k} against d/dp a_{0n}; eq4_16: b_{1k} and d/dq
+        kind, axis = ("a", "dp") if which == "eq4_14" else ("b", "dq")
+
+        def g(k, dt):
+            return s(k, 1, kind, dt=dt)
+
+        rhs = s.diff(lambda e: s(n, **{axis: e}))
+    # the radial operator of eq4_14, eq4_16 and eq4_22; C = D = 0 below
+    # n = 2, where g_{n-1} holds a_{1k}, b_{1k} with k < 1, zero by convention
+    A = (n + 1) * (n + 2) / (2 * n + 3)
+    B = (n + 1) * (n + 2) ** 2 / (2 * n + 3)
+    C = n * (n - 1) / (2 * n - 1)
+    D = n * (n - 1) ** 2 / (2 * n - 1)
+    val = A * s.diff(lambda e: g(n + 1, e)) + B / t * g(n + 1, 0)
+    if C or D:
+        val += -C * s.diff(lambda e: g(n - 1, e)) + D / t * g(n - 1, 0)
+    val -= 2.0 * rhs
+    return _report(which, s.point, n, val, 0.0, _FD_TOLERANCE, fd_step=h)
 
 
 def check_ode_residual(
@@ -261,78 +333,7 @@ def check_ode_residual(
             raise ValueError("eq4_21 is valid for n >= 1")
     elif n < 0:
         raise ValueError(f"{which} is valid for n >= 0")
-    h = fd_step
-    if not 0 < h < np.inf:
-        raise ValueError(f"fd_step must be positive and finite, got {h}")
-    if h >= t / 4:
-        raise ValueError(f"fd_step {h} too coarse for radius {t} (need < t/4)")
-
-    def a0(pp, qq, tt, k):
-        return harmonic_coefficient(f, SphereCenter(pp, qq, tt), k, rule=rule)
-
-    def a1(pp, qq, tt, k):
-        if k < 1:
-            return 0.0
-        return harmonic_coefficient(f, SphereCenter(pp, qq, tt), k, 1, "a", rule=rule)
-
-    def b1(pp, qq, tt, k):
-        if k < 1:
-            return 0.0
-        return harmonic_coefficient(f, SphereCenter(pp, qq, tt), k, 1, "b", rule=rule)
-
-    A = (n + 1) * (n + 2) / (2 * n + 3)
-    B = (n + 1) * (n + 2) ** 2 / (2 * n + 3)
-    if n >= 1:
-        C = n * (n - 1) / (2 * n - 1)
-        D = n * (n - 1) ** 2 / (2 * n - 1)
-    else:
-        C = D = 0.0
-
-    if which in ("eq4_14", "eq4_16"):
-        coef = a1 if which == "eq4_14" else b1
-        dt_hi = (coef(p, q, t + h, n + 1) - coef(p, q, t - h, n + 1)) / (2 * h)
-        val = A * dt_hi + B / t * coef(p, q, t, n + 1)
-        if C or D:
-            dt_lo = (coef(p, q, t + h, n - 1) - coef(p, q, t - h, n - 1)) / (2 * h)
-            val += -C * dt_lo + D / t * coef(p, q, t, n - 1)
-        if which == "eq4_14":
-            dxy = (a0(p + h, q, t, n) - a0(p - h, q, t, n)) / (2 * h)
-        else:
-            dxy = (a0(p, q + h, t, n) - a0(p, q - h, t, n)) / (2 * h)
-        val -= 2.0 * dxy
-    elif which == "eq4_21":
-        dt_hi = (a0(p, q, t + h, n + 1) - a0(p, q, t - h, n + 1)) / (2 * h)
-        dt_lo = (a0(p, q, t + h, n - 1) - a0(p, q, t - h, n - 1)) / (2 * h)
-        val = (
-            2.0 / (2 * n + 3) * dt_hi
-            + 2.0 * (n + 2) / (t * (2 * n + 3)) * a0(p, q, t, n + 1)
-            - 2.0 / (2 * n - 1) * dt_lo
-            + 2.0 * (n - 1) / (t * (2 * n - 1)) * a0(p, q, t, n - 1)
-        )
-        val += (a1(p + h, q, t, n) - a1(p - h, q, t, n)) / (2 * h)
-        val += (b1(p, q + h, t, n) - b1(p, q - h, t, n)) / (2 * h)
-    else:  # eq4_22
-
-        def g(tt, k):
-            if k < 1:
-                return 0.0
-            da = (a1(p + h, q, tt, k) - a1(p - h, q, tt, k)) / (2 * h)
-            db = (b1(p, q + h, tt, k) - b1(p, q - h, tt, k)) / (2 * h)
-            return da + db
-
-        val = A * (g(t + h, n + 1) - g(t - h, n + 1)) / (2 * h) + B / t * g(t, n + 1)
-        if C or D:
-            val += -C * (g(t + h, n - 1) - g(t - h, n - 1)) / (2 * h) + D / t * g(t, n - 1)
-        lap = (
-            a0(p + h, q, t, n)
-            + a0(p - h, q, t, n)
-            + a0(p, q + h, t, n)
-            + a0(p, q - h, t, n)
-            - 4.0 * a0(p, q, t, n)
-        ) / (h * h)
-        val -= 2.0 * lap
-
-    return _report(which, (p, q, t), n, val, 0.0, _FD_TOLERANCE, fd_step=h)
+    return _ode(_Spheres(f, p, q, t, rule, fd_step), which, n)
 
 
 # ----- suite runner -----
@@ -366,37 +367,30 @@ def run_all_checks(
     With a seed, random degree <= 5 polynomial phantoms are appended to the
     representation checks (the fd-based checks gain nothing from them and
     dominate the runtime).  Reports come back in deterministic order, each
-    tagged with its phantom in extras.
+    tagged with its phantom in extras.  The checks at one (phantom, lattice
+    point) share one power-2 `_radial_block` and one `_Spheres`, which are
+    dropped before the next point.
     """
     table = table or _default_table()
     lattice = TEST_LATTICE if lattice is None else tuple(lattice)
-    reports: list[ResidualReport] = []
-
-    def add(f, r):
-        reports.append(replace(r, extras={**r.extras, "phantom": f.descriptor}))
-
-    catalog = []
-    for name, size in CATALOG_RULES:
-        rule = build_rule(*size) if size else None
-        catalog.append((make_phantom(name), rule))
-    rep_targets = list(catalog)
+    targets = [(make_phantom(name), build_rule(*size) if size else None) for name, size in CATALOG_RULES]
+    n_catalog = len(targets)
     if seed is not None:
-        rep_targets.extend(_random_polynomials(seed))
-    for f, rule in rep_targets:
+        targets.extend(_random_polynomials(seed))
+    reps, lemmas, odes = [], [], []
+    for j, (f, rule) in enumerate(targets):
         for p, q, t in lattice:
+            s = _Spheres(f, p, q, t, rule, fd_step)
+            radial = _radial_block(f, p, q, t, 2, rule)
             for k in (1, 2):
-                add(f, check_representation_even(f, p, q, t, k, rule, table))
-                add(f, check_representation_odd(f, p, q, t, k, rule, table))
-    for f, rule in catalog:
-        for p, q, t in lattice:
-            add(f, check_lemma1(f, p, q, t, rule, fd_step))
-    for f, rule in catalog:
-        for p, q, t in lattice:
-            for which in ODE_NAMES:
-                start = 1 if which == "eq4_21" else 0
-                for n in range(start, 3):
-                    add(f, check_ode_residual(f, which, p, q, t, n, rule, fd_step))
-    return reports
+                for odd in (0, 1):
+                    reps.append((f, _representation(s.point, k, odd, s(2 * k - odd), radial, table)))
+            if j < n_catalog:
+                lemmas.append((f, _lemma1(s)))
+                for which in ODE_NAMES:
+                    for n in range(1 if which == "eq4_21" else 0, 3):
+                        odes.append((f, _ode(s, which, n)))
+    return [replace(r, extras={**r.extras, "phantom": f.descriptor}) for f, r in reps + lemmas + odes]
 
 
 # ----- CSV -----

@@ -13,9 +13,10 @@ check failed its tolerance, 3 I/O failure.
 
 The phantom argument is NAME, NAME:params, or NAME(params); params are
 comma-separated key=value pairs (a single bare number binds to the factory's
-first parameter, so const:3 is the constant 3).  The name paper8 is kept as
-an alias of rsqz3 because published artifacts refer to the worked-example
-phantom by that label.
+first parameter, so const:3 is the constant 3); a parameter given twice,
+also through a second bare number, or a value that is not a number, is
+refused by name.  The name paper8 is kept as an alias of rsqz3 because
+published artifacts refer to the worked-example phantom by that label.
 
 A slice in the plane z=V reuses --zrange for the y extent: the flag set is
 fixed, and a z-slice has no z extent to spend it on.
@@ -87,21 +88,21 @@ def _parse_phantom(spec: str) -> ScalarField3D:
         name, params = spec, ""
     name = _ALIASES.get(name, name)
     kwargs = {}
-    first_positional = None
     for tok in filter(None, (t.strip() for t in params.split(","))):
         if "=" in tok:
-            key, val = tok.split("=", 1)
-            kwargs[key.strip()] = float(val)
-        elif first_positional is None:
-            first_positional = float(tok)
+            key, val = (part.strip() for part in tok.split("=", 1))
         else:
-            raise ValueError(f"at most one bare parameter allowed, got {params!r}")
-    if first_positional is not None:
-        ctor = getattr(fields, f"{name}_field", None)
-        params_of = inspect.signature(ctor).parameters if ctor else {}
-        if not params_of:
-            raise ValueError(f"phantom {name!r} takes no parameters")
-        kwargs.setdefault(next(iter(params_of)), first_positional)
+            ctor = getattr(fields, f"{name}_field", None)
+            params_of = inspect.signature(ctor).parameters if ctor else {}
+            if not params_of:
+                raise ValueError(f"phantom {name!r} takes no parameters")
+            key, val = next(iter(params_of)), tok
+        if key in kwargs:
+            raise ValueError(f"{name} parameter {key} is given twice")
+        try:
+            kwargs[key] = float(val)
+        except ValueError:
+            raise ValueError(f"{name} parameter {key} must be a number, got {val!r}") from None
     return make_phantom(name, **kwargs)
 
 

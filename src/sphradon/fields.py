@@ -13,12 +13,12 @@ rationals evaluated in floating point.
 
 `ScalarField3D.laplacian_block` is the one entry point to the moment data:
 it answers every power 0..n at a whole array of radii with one call to the
-field's `analytic_ladder`, and the datum at radius t is its power-0 column
-at [t].  The reconstructor, the residual checks and `sample_moments` all
-ask the field through it.  Every catalog phantom has a ladder; a field
-without one answers power 0 only, by sphere quadrature.  A polynomial
-field's ladder is one broadcast `eval_pqt` per (power, moment function)
-over the radii.
+field's `analytic_ladder`.  The reconstructor, the residual checks and
+`sample_moments` all ask the field through it; the first two ask one block
+on the radial nodes followed by t, whose last column is the datum at t.
+Every catalog phantom has a ladder; a field without one answers power 0
+only, by sphere quadrature.  A polynomial field's ladder is one broadcast
+`eval_pqt` per (power, moment function) over the radii.
 
 gauss and bump share a transverse Gaussian G, and the center-Laplacians hit
 only G, so Lap^i f = f * Lap^i G / G.  Their ladders evaluate f once per
@@ -90,8 +90,8 @@ class ScalarField3D:
         the two-dimensional center-Laplacians of the moment functions, at
         radius us[j].  Column j depends on us[j] alone.
 
-    Callers read the data through `laplacian_block` only; the datum at
-    radius t is its power-0 column at [t].
+    Callers read the data through `laplacian_block` only; one block on
+    the radial nodes followed by t holds the datum at t in its last column.
     """
 
     evaluate: Callable

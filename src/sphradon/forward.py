@@ -127,7 +127,12 @@ def harmonic_coefficient(
     if kind == "b" and m == 0:
         raise ValueError("b coefficients need m >= 1")
     rule = rule or build_rule()
-    vals = _evaluate_on_sphere(f, c, rule)
+    return _project(_evaluate_on_sphere(f, c, rule), rule, n, m, kind)
+
+
+def _project(vals, rule: SphereRule, n: int, m: int = 0, kind: str = "a") -> float:
+    """a_{mn} (kind "a") or b_{mn} (kind "b") of sphere values already
+    evaluated on `rule`, for arguments `harmonic_coefficient` accepts."""
     if m == 0:
         return _zonal_coefficient(vals, rule, n, legendre_all(n, rule.cos_t)[n])
     pnm = assoc_legendre(n, m, rule.cos_t)

@@ -9,7 +9,9 @@ stored nodes only; it interpolates nothing.
 
 Center-Laplacians are taken by iterating the 5-point stencil, which costs i
 cells of margin per application and is exact on fields quadratic in (p,q).
-One sweep over a node's (2n+1)^2 neighbourhood yields every power 0..n.
+One sweep over a node's (2n+1)^2 neighbourhood yields every power 0..n at
+every radius asked; the reconstructor asks a point's radial nodes followed
+by t, so each point costs one sweep per function.
 The file format is a CSV with a comment sidecar, lossless at 17 significant
 digits.
 """

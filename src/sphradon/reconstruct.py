@@ -20,9 +20,9 @@ pass would give.
 
 The reconstructor reads a phantom (`ScalarField3D`) or a `MomentGrid`
 directly, through `laplacian_block(x, y, us, n)` (every power 0..n of Mf
-and a01 at the radii us).  Each (x, y, |z|) asks for two blocks: the
-power-0 column at [t], which is the boundary datum (Mf, a01), and every
-power at the radial nodes.  The radial nodes and weights on [0, t] come
+and a01 at the radii us).  Each (x, y, |z|) asks for one block, on the
+radial nodes followed by t: its last column's power-0 row is the boundary
+datum (Mf, a01).  The radial nodes and weights on [0, t] come
 from the source's `radial_scheme(x, y, t)`: a grid's trapezoid ladder on
 its stored radii (target center and radius must sit on stored nodes; it
 interpolates nothing).  A phantom has none and is integrated by
@@ -173,16 +173,15 @@ def _mirror_scale(source) -> float:
 
 
 def _filter_coefficients(table: CoefficientTable, order_n: int):
-    """Per parity (even, odd): the dense float filter coefficients C[k, i, m]
-    of orders k <= order_n, and the (k, i) pairs whose filter is not zero."""
+    """Per parity (even, odd): the dense float filter coefficients C[k, i, m],
+    k <= order_n.  Order 0 has no filter; `_point_terms` forms all others."""
     out = []
     for stored in (table.c_even, table.c_odd):
         coef = np.zeros((order_n + 1, order_n + 1, 2 * order_n + 1))
         for (k, i, m), c in stored.items():
             if k <= order_n:
                 coef[k, i, m] = float(c)
-        active = [(int(k), int(i)) for k, i in zip(*np.nonzero(coef.any(axis=2)))]
-        out.append((coef, active))
+        out.append(coef)
     return out
 
 
@@ -194,27 +193,26 @@ def _point_terms(src, scheme, x: float, y: float, t: float, order_n: int, filter
     first-cosine data, which sgn(z) multiplies; each list starts with its
     boundary term.
     """
-    data_t = [float(col[0, 0]) for col in src.laplacian_block(x, y, [t], 0)]
     us, ws = scheme(x, y, t)
+    block = src.laplacian_block(x, y, np.append(us, t), order_n)
     v2 = (us / t) ** 2
     vodd = us / t
-    if any(active for _, active in filters):
-        lap = src.laplacian_block(x, y, us, order_n)
     terms = []
-    for parity, (coef, active) in enumerate(filters):
+    for parity, coef in enumerate(filters):
+        lap = block[parity]
         per_order = [
-            [((4 * k + 3) / 3.0 if parity else 4 * k + 1) * data_t[parity]] for k in range(order_n + 1)
+            [((4 * k + 3) / 3.0 if parity else 4 * k + 1) * float(lap[0, -1])] for k in range(order_n + 1)
         ]
-        if active:
-            # every filter at once, in ascending m: a zero coefficient adds
-            # +0.0, so each sum is bit for bit the one over its non-zero terms
-            filt = np.zeros(coef.shape[:2] + us.shape)
-            for m in range(1, coef.shape[2]):
-                filt = filt + coef[:, :, m, None] * v2**m
-            if parity:
-                filt = filt * vodd
-            for k, i in active:
-                per_order[k].append(t ** (2 * i - 1) * float(np.dot(ws, filt[k, i] * lap[parity][i])))
+        # every filter at once, in ascending m: a zero coefficient adds
+        # +0.0, so each sum is bit for bit the one over its non-zero terms
+        filt = np.zeros(coef.shape[:2] + us.shape)
+        for m in range(1, coef.shape[2]):
+            filt = filt + coef[:, :, m, None] * v2**m
+        if parity:
+            filt = filt * vodd
+        for k in range(1, order_n + 1):
+            for i in range(k + 1):
+                per_order[k].append(t ** (2 * i - 1) * float(np.dot(ws, filt[k, i] * lap[i, :-1])))
         terms.append(per_order)
     return terms
 
@@ -327,7 +325,6 @@ def reconstruct_slice(
     source,
     table: CoefficientTable,
     min_abs_z: float = 1e-3,
-    radial_rule: int | None = None,
 ) -> SliceResult:
     """Reconstruct over a rectangle; on-plane points come back as NaN."""
     _check_min_abs_z(min_abs_z)
@@ -353,7 +350,6 @@ def reconstruct_slice(
             mode=mode,
             source=source,
             min_abs_z=min_abs_z,
-            radial_rule=radial_rule,
         )
         res = reconstruct_point(req, table)
         for (ix, io), v, inc in zip(slots, res.values, res.last_increment):

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from sphradon import checks
 from sphradon.checks import (
+    CATALOG_RULES,
     ODE_NAMES,
     check_lemma1,
     check_ode_residual,
@@ -230,3 +233,25 @@ def test_run_all_checks_small_lattice(tmp_path):
     lemma_rows = [ln for ln in lines[1:] if ln.startswith("lemma1,")]
     assert lemma_rows and all(ln.split(",")[4] == "" for ln in lemma_rows)
     assert all(ln.endswith(",true") for ln in lines[1:])
+
+
+def test_run_all_checks_evaluates_each_sphere_once(monkeypatch):
+    # one lattice point needs 17 spheres per catalog phantom: the centre,
+    # its 4 transverse and 2 radial neighbours, 8 transverse-and-radial
+    # shifts for eq4_22 and 2 off-plane centres for lemma1; the moment
+    # ladders evaluate the field on their own, outside this count
+    counts = dict.fromkeys((name for name, _ in CATALOG_RULES), 0)
+
+    def counted(name, **params):
+        f = make_phantom(name, **params)
+
+        def evaluate(x, y, z):
+            counts[name] += 1
+            return f.evaluate(x, y, z)
+
+        return dataclasses.replace(f, evaluate=evaluate)
+
+    monkeypatch.setattr(checks, "make_phantom", counted)
+    reports = run_all_checks(lattice=((1.0, -1.0, 1.0),))
+    assert reports and all(r.passed for r in reports)
+    assert all(0 < n <= 20 for n in counts.values()), counts

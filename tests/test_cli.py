@@ -243,8 +243,14 @@ def test_reconstruct_rejects_non_finite_geometry(tmp_path, capsys, change, flag)
         ("bump(sigma=inf)", "bump parameter sigma must be positive and finite"),
         ("bump(zc=inf)", "bump parameter zc must be finite"),
         ("const(nan)", "const parameter value must be finite"),
+        ("gauss:amp=1,amp=2", "gauss parameter amp is given twice"),
+        ("gauss:1,amp=2", "gauss parameter amp is given twice"),
+        ("gauss:amp=abc", "gauss parameter amp must be a number, got 'abc'"),
     ],
-    ids=["gauss-sx", "gauss-amp", "gauss-cy", "bump-x0", "bump-sigma", "bump-zc", "const"],
+    ids=[
+        "gauss-sx", "gauss-amp", "gauss-cy", "bump-x0", "bump-sigma", "bump-zc", "const",
+        "repeated-key", "bare-and-named", "non-numeric",
+    ],
 )
 def test_reconstruct_rejects_non_finite_phantom_parameters(tmp_path, capsys, phantom, message):
     # refused when the phantom is built, naming the parameter: no slice

@@ -119,7 +119,7 @@ def test_gauss_block_odd_rows_are_literal_zeros():
     assert np.all(mf[0] != 0.0)
 
 
-# ----- structural guards: two ladder calls per (x, y, |z|) -----
+# ----- structural guards: one ladder call per (x, y, |z|) -----
 
 
 def _counted(name: str):
@@ -137,22 +137,21 @@ def test_one_ladder_call_per_point():
     f, calls = _counted("gauss")
     req = ReconstructionRequest(points=((0.2, 0.1, 0.8),), order_n=4, mode="two_data", source=f)
     reconstruct_point(req, TABLE)
-    # the power-0 column at t = 0.8, then every power at all
-    # n_gl = max(8, order + 4) radii
-    assert len(calls) == 2
-    (_, _, ts, n_t), (_, _, us, n) = calls
-    assert n_t == 0 and ts.tolist() == [0.8]
-    assert n == 4 and us.shape == (8,)
+    # every power at the n_gl = max(8, order + 4) radii followed by
+    # t = 0.8, whose column is the boundary datum
+    assert len(calls) == 1
+    ((_, _, us, n),) = calls
+    assert n == 4 and us.shape == (9,) and us[-1] == 0.8
 
 
 def test_gauss_slice_makes_one_ladder_pass_per_distinct_abs_z():
     # 3 x 3 nodes at +-0.8 and 0; the z = 0 row is excluded, and the rows
-    # z = +-0.8 share their points' ladders: two calls for each of 3 points
+    # z = +-0.8 share their points' ladders: one call for each of 3 points
     f, calls = _counted("gauss")
     spec = SliceSpec("y", 0.1, (-0.8, 0.8), (-0.8, 0.8), 0.8)
     res = reconstruct_slice(spec, 4, "two_data", f, TABLE, min_abs_z=0.25)
     assert np.isnan(res.values).sum() == 3
-    assert len(calls) == 2 * 3
+    assert len(calls) == 3
 
 
 def test_points_one_ulp_apart_in_abs_z_are_not_merged():
@@ -165,7 +164,7 @@ def test_points_one_ulp_apart_in_abs_z_are_not_merged():
         return reconstruct_point(req, TABLE)
 
     both = run(pts)
-    assert len(calls) == 2 * 2
+    assert len(calls) == 2
     apart = [run((p,)) for p in pts]
     assert both.partial_sums == apart[0].partial_sums + apart[1].partial_sums
 
@@ -263,8 +262,8 @@ def test_grid_request_sweeps_once_per_function_and_abs_z(monkeypatch):
     center = moments._center_laplacians
     monkeypatch.setattr(moments, "_center_laplacians", counted)
     # x in {-0.1, 0, 0.1}, z in {-0.4, -0.2, 0.2, 0.4} once the band is cut:
-    # 12 points, 6 distinct (x, y, |z|); each reads its power-0 column at t
-    # (no sweep) and then sweeps once for every power at the radial nodes
+    # 12 points, 6 distinct (x, y, |z|); each sweeps once for every power
+    # at the radial nodes followed by t
     spec = SliceSpec("y", 0.0, (-0.1, 0.1), (-0.4, 0.4), 0.2)
     reconstruct_slice(spec, 3, "two_data", grid, TABLE, min_abs_z=0.1)
-    assert sweeps == [0, 0, 3, 3] * 6
+    assert sweeps == [3, 3] * 6
