@@ -167,7 +167,7 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
         other_range=args.zrange,
         step=args.step,
     )
-    table = build_tables(_TABLE_ORDER)
+    table = build_tables(args.order_n)
     result = reconstruct_slice(
         spec, args.order_n, mode, source, table, min_abs_z=args.min_abs_z
     )

@@ -213,21 +213,21 @@ def write_moment_csv(grid: MomentGrid, path: str) -> None:
             raise ValueError("only uniform radial ladders are representable in CSV")
     else:
         du = nodes[0]
-    lines = [
+    header = (
         f"# h={fmt(grid.h)} Np={grid.n_p} Nq={grid.n_q} "
-        f"u0={fmt(nodes[0])} du={fmt(du)} Nu={nodes.size}",
-        "p,q,u,Mf,a01",
-    ]
-    for ip in range(grid.n_p):
-        p = grid.p_node(ip)
-        for iq in range(grid.n_q):
-            q = grid.q_node(iq)
-            for iu, u in enumerate(nodes):
-                lines.append(
-                    f"{fmt(p)},{fmt(q)},{fmt(u)},"
-                    f"{fmt(grid.mf_values[ip, iq, iu])},{fmt(grid.a01_values[ip, iq, iu])}"
-                )
-    atomic_write(path, ("\n".join(lines) + "\n").encode())
+        f"u0={fmt(nodes[0])} du={fmt(du)} Nu={nodes.size}\n"
+        "p,q,u,Mf,a01\n"
+    )
+    # one (p, q, u, Mf, a01) row per sample, p outer, q middle, u inner; the
+    # p and q columns are p_node/q_node's origin + index * h
+    rows = np.empty(grid.mf_values.shape + (5,))
+    rows[..., 0] = (grid.origin[0] + np.arange(grid.n_p) * grid.h)[:, None, None]
+    rows[..., 1] = (grid.origin[1] + np.arange(grid.n_q) * grid.h)[:, None]
+    rows[..., 2] = nodes
+    rows[..., 3] = grid.mf_values
+    rows[..., 4] = grid.a01_values
+    body = ("%.17g,%.17g,%.17g,%.17g,%.17g\n" * grid.mf_values.size) % tuple(rows.ravel().tolist())
+    atomic_write(path, (header + body).encode())
 
 
 def read_moment_csv(path: str) -> MomentGrid:

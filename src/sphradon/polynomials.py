@@ -10,6 +10,13 @@ vector omega, and every harmonic projection reduces to monomial means
 over the unit sphere (all exponents even; zero otherwise), with (-1)!! = 1.
 This yields the moment functions a_{0n}(p,q,t) as exact polynomials in
 (p, q, t) - the ground truth against which all quadrature is tested.
+
+`eval_pqt` evaluates such a polynomial in floating point from one power
+table per variable, [1, v, v*v, (v*v)*v, ...] up to the largest exponent
+used, built by repeated multiplication instead of a libm `pow` per element
+and term.  A scalar operand stays a Python float, so evaluating at one
+centre costs no numpy call per power.  Powers 0-2 are the bits numpy's
+`v**a` gives; a power of 3 or more may differ from `pow` in the last bits.
 """
 
 from __future__ import annotations
@@ -94,16 +101,31 @@ def a0n_poly(poly: FieldPoly, n: int) -> dict[tuple[int, int, int], Fraction]:
     return {key: v for key, v in out.items() if v}
 
 
+def _powers(v, top: int) -> list:
+    """[1.0, v, v*v, ...] up to v**top, each power one multiplication on the
+    last; the square is v*v, as numpy's `v**2` forms it."""
+    out = [1.0, v]
+    while len(out) <= top:
+        out.append(out[-1] * v)
+    return out
+
+
 def eval_pqt(mpoly: MomentPoly, p, q, t):
     """Evaluate a polynomial at floats or numpy arrays (broadcasting).
 
     Serves moment polynomials in (p, q, t) and field polynomials in
-    (x, y, z) alike.
+    (x, y, z) alike.  Each variable gets one power table per call, built by
+    repeated multiplication up to the largest exponent the polynomial uses;
+    a scalar operand stays a Python float, so its table costs no numpy call.
+    Terms are summed in dict order onto zeros of the broadcast shape, each
+    as float(c) * p^a * q^b * t^d.
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    t = np.asarray(t, dtype=float)
-    acc = np.zeros(np.broadcast_shapes(p.shape, q.shape, t.shape))
-    for (a, b, d), c in mpoly.items():
-        acc = acc + float(c) * p**a * q**b * t**d
-    return acc if acc.shape else float(acc)
+    pqt = [np.asarray(v, dtype=float) for v in (p, q, t)]
+    pqt = [v if v.ndim else float(v) for v in pqt]
+    shape = np.broadcast(*pqt).shape
+    acc = np.zeros(shape) if shape else 0.0
+    if mpoly:
+        P, Q, T = (_powers(v, top) for v, top in zip(pqt, map(max, zip(*mpoly))))
+        for (a, b, d), c in mpoly.items():
+            acc = acc + float(c) * P[a] * Q[b] * T[d]
+    return acc

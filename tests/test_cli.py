@@ -195,6 +195,21 @@ def test_reconstruct_grid_source_round_trip(tmp_path):
     assert rows[:, 3] == pytest.approx(rows[:, 2] ** 2, rel=1e-3)
 
 
+def test_reconstruct_builds_the_table_to_its_order(tmp_path, monkeypatch):
+    orders, build = [], cli.build_tables
+    monkeypatch.setattr(cli, "build_tables", lambda order_n: orders.append(order_n) or build(order_n))
+    out = tmp_path / "r.csv"
+    assert (
+        run(
+            "reconstruct", "--phantom", "gauss", "--order", "2", "--slice", "y=0",
+            "--xrange", "0,0", "--zrange", "0.5,1.0", "--step", "0.5",
+            "--out", str(out),
+        )
+        == 0
+    )
+    assert orders == [2]
+
+
 def test_reconstruct_usage_errors(tmp_path):
     out = str(tmp_path / "x.csv")
     common = ["--order", "1", "--xrange", "0,1", "--zrange", "0.5,1", "--step", "0.5",

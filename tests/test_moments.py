@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from sphradon._io import fmt
 from sphradon.coeffs import build_tables
 from sphradon.fields import ScalarField3D, make_phantom
 from sphradon.forward import SphereCenter, _sphere_moments, first_cosine_coefficient, spherical_mean
@@ -234,6 +235,45 @@ def test_csv_round_trip_keeps_the_sampled_ladder(tmp_path):
     got = reconstruct_slice(spec, 4, "two_data", back, table, min_abs_z=0.25).values
     assert got.shape == (1, 13)
     assert got.tobytes() == want.tobytes()
+
+
+def _per_cell_csv(grid: MomentGrid) -> bytes:
+    """The moment CSV as the per-cell `fmt` loop writes it: the reference
+    for the one-call writer."""
+    nodes = grid.radial_nodes
+    du = nodes[1] - nodes[0] if nodes.size > 1 else nodes[0]
+    lines = [
+        f"# h={fmt(grid.h)} Np={grid.n_p} Nq={grid.n_q} "
+        f"u0={fmt(nodes[0])} du={fmt(du)} Nu={nodes.size}",
+        "p,q,u,Mf,a01",
+    ]
+    for ip in range(grid.n_p):
+        p = grid.p_node(ip)
+        for iq in range(grid.n_q):
+            q = grid.q_node(iq)
+            for iu, u in enumerate(nodes):
+                lines.append(
+                    f"{fmt(p)},{fmt(q)},{fmt(u)},"
+                    f"{fmt(grid.mf_values[ip, iq, iu])},{fmt(grid.a01_values[ip, iq, iu])}"
+                )
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("n_u", [1, 4], ids=["one-radius", "ladder"])
+def test_csv_writer_bytes_equal_the_per_cell_format(tmp_path, n_u):
+    # negative origin, -0.0, a subnormal and 1e300 among the values
+    n_p, n_q = 3, 5
+    rng = np.random.default_rng(7)
+    mf = rng.standard_normal((n_p, n_q, n_u))
+    a01 = rng.standard_normal((n_p, n_q, n_u)) * 1e-3
+    mf[0, 0, 0], mf[1, 2, -1], mf[2, 4, 0] = -0.0, 5e-324, 1e300
+    a01[0, 1, 0], a01[2, 3, -1] = -1e300, -2.2250738585072014e-309
+    nodes = _ladder(0.1, n_u)
+    grid = MomentGrid((-0.7, -1.3), 0.1, n_p, n_q, nodes, mf, a01)
+    path = str(tmp_path / "moments.csv")
+    write_moment_csv(grid, path)
+    with open(path, "rb") as fh:
+        assert fh.read() == _per_cell_csv(grid)
 
 
 def test_csv_rejects_nonuniform_ladder(tmp_path):
