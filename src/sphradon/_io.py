@@ -1,15 +1,23 @@
-"""Output helpers shared by every writer: the lossless number format and
-atomic (write-then-rename) file emission."""
+"""Output helpers shared by every writer: the lossless number format, for
+one number or a whole table, and atomic (write-then-rename) file emission."""
 
 from __future__ import annotations
 
 import os
 import tempfile
 
+_CELL = "%.17g"  # 17 significant digits: every float64 reads back exactly
+
 
 def fmt(x: float) -> str:
-    """17 significant digits: every float64 reads back exactly."""
-    return f"{float(x):.17g}"
+    return _CELL % float(x)
+
+
+def format_rows(rows) -> str:
+    """One line of comma-separated `fmt` cells per row of a 2-D float
+    array, every line ending in a newline, formatted in one call."""
+    line = ",".join([_CELL] * rows.shape[1]) + "\n"
+    return (line * rows.shape[0]) % tuple(rows.ravel().tolist())
 
 
 def atomic_write(path: str, payload: bytes) -> None:

@@ -370,12 +370,16 @@ _CONSTRUCTORS: dict[str, Callable[..., ScalarField3D]] = {
 PHANTOM_NAMES = tuple(sorted(_CONSTRUCTORS))
 
 
-def make_phantom(name: str, **params) -> ScalarField3D:
-    """Build a catalog phantom by name; keyword parameters where supported."""
+def _phantom_constructor(name: str) -> Callable[..., ScalarField3D]:
     try:
-        ctor = _CONSTRUCTORS[name]
+        return _CONSTRUCTORS[name]
     except KeyError:
         raise ValueError(f"unknown phantom {name!r}; available: {', '.join(PHANTOM_NAMES)}") from None
+
+
+def make_phantom(name: str, **params) -> ScalarField3D:
+    """Build a catalog phantom by name; keyword parameters where supported."""
+    ctor = _phantom_constructor(name)
     accepted = tuple(signature(ctor).parameters)
     unknown = [key for key in params if key not in accepted]
     if unknown:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import atomic_write, fmt
+from ._io import atomic_write, fmt, format_rows
 from .fields import ScalarField3D
 from .quadrature import SphereRule
 
@@ -226,8 +226,14 @@ def write_moment_csv(grid: MomentGrid, path: str) -> None:
     rows[..., 2] = nodes
     rows[..., 3] = grid.mf_values
     rows[..., 4] = grid.a01_values
-    body = ("%.17g,%.17g,%.17g,%.17g,%.17g\n" * grid.mf_values.size) % tuple(rows.ravel().tolist())
-    atomic_write(path, (header + body).encode())
+    atomic_write(path, (header + format_rows(rows.reshape(-1, 5))).encode())
+
+
+def _sidecar_count(meta: dict, key: str) -> int:
+    text = meta[key]
+    if not (text.isdecimal() and int(text) > 0):
+        raise ValueError(f"moment CSV sidecar {key}={text!r} is not a positive integer")
+    return int(text)
 
 
 def read_moment_csv(path: str) -> MomentGrid:
@@ -255,14 +261,14 @@ def read_moment_csv(path: str) -> MomentGrid:
             except ValueError as exc:
                 raise ValueError(f"moment CSV line {lineno}: {exc}") from None
             linenos.append(lineno)
+    if not rows:
+        raise ValueError("moment CSV has no data rows")
     try:
         h = float(meta["h"])
-        n_p, n_q, n_u = int(meta["Np"]), int(meta["Nq"]), int(meta["Nu"])
+        n_p, n_q, n_u = (_sidecar_count(meta, key) for key in ("Np", "Nq", "Nu"))
         u0, du = float(meta["u0"]), float(meta["du"])
     except KeyError as exc:
         raise ValueError(f"moment CSV missing sidecar field {exc}") from None
-    if not rows:
-        raise ValueError("moment CSV has no data rows")
     if len(rows) != n_p * n_q * n_u:
         raise ValueError(
             f"moment CSV row count {len(rows)} != Np*Nq*Nu = {n_p * n_q * n_u}"

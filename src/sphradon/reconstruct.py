@@ -27,8 +27,12 @@ from the source's `radial_scheme(x, y, t)`: a grid's trapezoid ladder on
 its stored radii (target center and radius must sit on stored nodes; it
 interpolates nothing).  A phantom has none and is integrated by
 Gauss-Legendre.  A source with `radial_scheme` and per-power
-`laplacians(x, y, us, i)` instead is adapted once.  The filters of each
-parity are one dense coefficient array [k, i, m].
+`laplacians(x, y, us, i)` instead is adapted once.  Each parity's block
+becomes one term table: row k holds order k's boundary term and the
+filtered radial integral of every Laplacian power i, every entry of both
+tables from one contraction of the filters with the block and the
+weights, and S_k is the exactly rounded sum of the first k + 1 rows of
+both tables.
 
 Even-mirror mode, for every entry point, forms the mean-data terms only
 and scales the partial sums: by 2.0 for a phantom verified to vanish on
@@ -47,7 +51,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._io import atomic_write, fmt
+from ._io import atomic_write, fmt, format_rows
 from .coeffs import CoefficientTable
 from .fields import ScalarField3D
 from .moments import MomentGrid
@@ -172,65 +176,55 @@ def _mirror_scale(source) -> float:
 # ----- core -----
 
 
-def _filter_coefficients(table: CoefficientTable, order_n: int):
-    """Per parity (even, odd): the dense float filter coefficients C[k, i, m],
-    k <= order_n.  Order 0 has no filter; `_point_terms` forms all others."""
-    out = []
-    for stored in (table.c_even, table.c_odd):
-        coef = np.zeros((order_n + 1, order_n + 1, 2 * order_n + 1))
+def _filter_coefficients(table: CoefficientTable, order_n: int) -> Array:
+    """The dense float filter coefficients C[parity, k, i, m], k <= order_n,
+    even parity first.  Order 0 has no filter; `_point_terms` forms all others."""
+    coef = np.zeros((2, order_n + 1, order_n + 1, 2 * order_n + 1))
+    for parity, stored in enumerate((table.c_even, table.c_odd)):
         for (k, i, m), c in stored.items():
             if k <= order_n:
-                coef[k, i, m] = float(c)
-        out.append(coef)
-    return out
+                coef[parity, k, i, m] = float(c)
+    return coef
 
 
-def _point_terms(src, scheme, x: float, y: float, t: float, order_n: int, filters):
-    """Per-order increment terms at (x, y, |z| = t), unsigned.
+def _point_terms(src, scheme, x: float, y: float, t: float, order_n: int, filters: Array) -> Array:
+    """Term tables at (x, y, |z| = t), unsigned: shape (parities, n+1, n+2),
+    one table per parity in `filters`.
 
-    Returns one list per parity in `filters`: [0][k] holds order k's terms
-    from the mean data, [1][k] (two-data mode only) those from the
-    first-cosine data, which sgn(z) multiplies; each list starts with its
-    boundary term.
+    Table [0] is from the mean data, [1] (two-data mode only) from the
+    first-cosine data, which sgn(z) multiplies.  Row k holds order k's
+    boundary term, then the filtered radial integral of each Laplacian
+    power i = 0..n: +0.0 where i > k and on row 0, which has no filter.
     """
     us, ws = scheme(x, y, t)
-    block = src.laplacian_block(x, y, np.append(us, t), order_n)
+    lap = np.array(src.laplacian_block(x, y, np.append(us, t), order_n))[: len(filters)]
     v2 = (us / t) ** 2
-    vodd = us / t
-    terms = []
-    for parity, coef in enumerate(filters):
-        lap = block[parity]
-        per_order = [
-            [((4 * k + 3) / 3.0 if parity else 4 * k + 1) * float(lap[0, -1])] for k in range(order_n + 1)
-        ]
-        # every filter at once, in ascending m: a zero coefficient adds
-        # +0.0, so each sum is bit for bit the one over its non-zero terms
-        filt = np.zeros(coef.shape[:2] + us.shape)
-        for m in range(1, coef.shape[2]):
-            filt = filt + coef[:, :, m, None] * v2**m
-        if parity:
-            filt = filt * vodd
-        for k in range(1, order_n + 1):
-            for i in range(k + 1):
-                per_order[k].append(t ** (2 * i - 1) * float(np.dot(ws, filt[k, i] * lap[i, :-1])))
-        terms.append(per_order)
-    return terms
+    # every filter at once, in ascending m: a zero coefficient adds +0.0,
+    # so each sum is bit for bit the one over its non-zero terms
+    filt = np.zeros(filters.shape[:3] + us.shape)
+    for m in range(1, filters.shape[3]):
+        filt = filt + filters[..., m, None] * v2**m
+    filt[1:] = filt[1:] * (us / t)
+    k = np.arange(order_n + 1)
+    # libm pow per power: numpy's vectorised power may differ in the last bit
+    powers = np.array([t ** (2 * i - 1) for i in k.tolist()])
+    integrals = (filt * lap[:, None, :, :-1]) @ ws * powers
+    filtered = (k[:, None] >= k) & (k[:, None] > 0)
+    boundary = np.array([4 * k + 1, (4 * k + 3) / 3.0])[: len(filters)] * lap[:, 0, -1, None]
+    return np.concatenate((boundary[..., None], np.where(filtered, integrals, 0.0)), axis=-1)
 
 
-def _partial_sums(terms, sg: float, scale: float):
-    """scale * S_0..S_n with sgn(z) = sg applied to the odd terms, if any.
+def _partial_sums(tables: Array, sg: float, scale: float):
+    """scale * S_0..S_n with sgn(z) = sg applied to the odd table, if any:
+    S_k sums the first k + 1 rows of the tables side by side.
 
     Negation is exact, and fsum rounds the exact sum once, so both signs
     of z get the partial sums a separate pass per point would give; scale
     is 1.0 or 2.0, so it is exact too and equals scaling the data.
     """
-    all_terms: list[float] = []
-    sums = []
-    for order_k in zip(*terms):
-        for sign, terms_k in zip((1.0, sg), order_k):
-            all_terms.extend(terms_k if sign > 0 else [-v for v in terms_k])
-        sums.append(scale * math.fsum(all_terms))
-    return sums
+    signed = np.concatenate(tables * np.array([1.0, sg])[: len(tables), None, None], axis=1)
+    terms, width = signed.ravel().tolist(), signed.shape[1]
+    return tuple(scale * math.fsum(terms[: (k + 1) * width]) for k in range(len(signed)))
 
 
 def reconstruct_point(req: ReconstructionRequest, table: CoefficientTable) -> ReconstructionResult:
@@ -248,8 +242,8 @@ def reconstruct_point(req: ReconstructionRequest, table: CoefficientTable) -> Re
     filters = _filter_coefficients(table, req.order_n)[: 1 if mirror else 2]
     scale = _mirror_scale(req.source) if mirror else 1.0
 
-    terms: dict[tuple, list] = {}
-    values, ladders, last = [], [], []
+    terms: dict[tuple, Array] = {}
+    ladders = []
     for (x, y, z) in req.points:
         if abs(z) < req.min_abs_z:
             raise ValueError(
@@ -258,16 +252,13 @@ def reconstruct_point(req: ReconstructionRequest, table: CoefficientTable) -> Re
         key = (x.hex(), y.hex(), abs(z))  # hex keeps centres -0.0 and 0.0 apart
         if key not in terms:
             terms[key] = _point_terms(src, scheme, x, y, abs(z), req.order_n, filters)
-        sums = _partial_sums(terms[key], 1.0 if z > 0 else -1.0, scale)
-        values.append(sums[-1])
-        ladders.append(tuple(sums))
-        last.append(abs(sums[-1] - sums[-2]) if len(sums) > 1 else abs(sums[-1]))
+        ladders.append(_partial_sums(terms[key], 1.0 if z > 0 else -1.0, scale))
     return ReconstructionResult(
         points=req.points,
         order_n=req.order_n,
-        values=tuple(values),
+        values=tuple(sums[-1] for sums in ladders),
         partial_sums=tuple(ladders),
-        last_increment=tuple(last),
+        last_increment=tuple(abs(sums[-1] - (sums[-2] if len(sums) > 1 else 0.0)) for sums in ladders),
     )
 
 
@@ -318,6 +309,13 @@ def _axis_nodes(lo: float, hi: float, step: float) -> Array:
     return lo + step * np.arange(n)
 
 
+def _slice_points(spec: SliceSpec, xs: Array, others: Array) -> Array:
+    """(x, y, z) of every slice cell, shape (len(xs), len(others), 3)."""
+    X, O = np.meshgrid(xs, others, indexing="ij")
+    V = np.full_like(X, spec.value)
+    return np.stack((X, V, O) if spec.axis == "y" else (X, O, V), axis=-1)
+
+
 def reconstruct_slice(
     spec: SliceSpec,
     order_n: int,
@@ -330,40 +328,16 @@ def reconstruct_slice(
     _check_min_abs_z(min_abs_z)
     xs = _axis_nodes(*spec.xrange, spec.step)
     others = _axis_nodes(*spec.other_range, spec.step)
-    values = np.full((xs.size, others.size), np.nan)
+    cells = _slice_points(spec, xs, others)
+    keep = np.abs(cells[..., 2]) >= min_abs_z
+    values = np.full(keep.shape, np.nan)
     last_increment = np.full_like(values, np.nan)
-    slots, points = [], []
-    for ix, x in enumerate(xs):
-        for io, o in enumerate(others):
-            if spec.axis == "y":
-                point = (float(x), spec.value, float(o))
-            else:
-                point = (float(x), float(o), spec.value)
-            if abs(point[2]) < min_abs_z:
-                continue
-            slots.append((ix, io))
-            points.append(point)
-    if points:
-        req = ReconstructionRequest(
-            points=tuple(points),
-            order_n=order_n,
-            mode=mode,
-            source=source,
-            min_abs_z=min_abs_z,
-        )
+    if keep.any():
+        req = ReconstructionRequest(cells[keep].tolist(), order_n, mode, source, min_abs_z)
         res = reconstruct_point(req, table)
-        for (ix, io), v, inc in zip(slots, res.values, res.last_increment):
-            values[ix, io] = v
-            last_increment[ix, io] = inc
-    return SliceResult(
-        spec=spec,
-        order_n=order_n,
-        mode=mode,
-        xs=xs,
-        others=others,
-        values=values,
-        last_increment=last_increment,
-    )
+        values[keep] = res.values
+        last_increment[keep] = res.last_increment
+    return SliceResult(spec, order_n, mode, xs, others, values, last_increment)
 
 
 def mirror_even_reconstruct(
@@ -378,16 +352,10 @@ def mirror_even_reconstruct(
 
 
 def write_slice_csv(result: SliceResult, path: str) -> None:
-    mode_name = result.mode.replace("_", "-")
-    lines = [f"# order={result.order_n} mode={mode_name}", "x,y,z,f_rec"]
-    for ix, x in enumerate(result.xs):
-        for io, o in enumerate(result.others):
-            if result.spec.axis == "y":
-                y, z = result.spec.value, o
-            else:
-                y, z = o, result.spec.value
-            lines.append(f"{fmt(x)},{fmt(y)},{fmt(z)},{fmt(result.values[ix, io])}")
-    atomic_write(path, ("\n".join(lines) + "\n").encode())
+    cells = _slice_points(result.spec, result.xs, result.others)
+    rows = np.concatenate((cells, result.values[..., None]), axis=-1).reshape(-1, 4)
+    header = f"# order={result.order_n} mode={result.mode.replace('_', '-')}\nx,y,z,f_rec\n"
+    atomic_write(path, (header + format_rows(rows)).encode())
 
 
 def write_slice_pgm(result: SliceResult, path: str) -> None:

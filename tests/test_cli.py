@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from sphradon import cli
-from sphradon.checks import IDENTITIES
+from sphradon.checks import IDENTITIES, ResidualReport
 
 
 def run(*argv) -> int:
@@ -261,10 +261,11 @@ def test_reconstruct_rejects_non_finite_geometry(tmp_path, capsys, change, flag)
         ("gauss:amp=1,amp=2", "gauss parameter amp is given twice"),
         ("gauss:1,amp=2", "gauss parameter amp is given twice"),
         ("gauss:amp=abc", "gauss parameter amp must be a number, got 'abc'"),
+        ("foo:3", "unknown phantom 'foo'; available: bump, const, gauss, rsqz3, z, zero, zsq"),
     ],
     ids=[
         "gauss-sx", "gauss-amp", "gauss-cy", "bump-x0", "bump-sigma", "bump-zc", "const",
-        "repeated-key", "bare-and-named", "non-numeric",
+        "repeated-key", "bare-and-named", "non-numeric", "unknown-with-value",
     ],
 )
 def test_reconstruct_rejects_non_finite_phantom_parameters(tmp_path, capsys, phantom, message):
@@ -350,6 +351,19 @@ def test_verify_passes_and_is_deterministic(tmp_path, tiny_lattice, capsys):
         assert float(line.split("rel/tol=")[1].split()[0]) <= 1.0
     header = a.read_text().splitlines()[0]
     assert header == "identity,p,q,t,n,left,right,abs_residual,rel_residual,pass"
+
+
+def test_verify_names_the_first_of_tied_worst_points(tmp_path, monkeypatch, capsys):
+    # ratios one ulp apart are a tie: the first report in report order is
+    # named, not the one that last-bit noise makes larger
+    def report(point, rel):
+        return ResidualReport("rep_even", point, 2, 1.0, 1.0, 0.0, rel, 1.0, True, {"phantom": "rsqz3"})
+
+    reports = [report((1.0, 1.0, 2.0), 0.5), report((1.0, 0.0, 2.0), np.nextafter(0.5, 1.0))]
+    monkeypatch.setattr(cli, "run_all_checks", lambda **_: reports)
+    assert run("verify", "--out", str(tmp_path / "v.csv")) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1:] == ["worst rep_even rel/tol=5.000e-01 phantom=rsqz3 point=(1.0, 1.0, 2.0)"]
 
 
 def test_verify_rejects_non_finite_fd_step(tmp_path, tiny_lattice, capsys):

@@ -292,6 +292,13 @@ def test_csv_reader_validates(tmp_path):
     path.write_text("p,q,u,Mf,a01\n0,0,0.1,1,0\n")
     with pytest.raises(ValueError, match="sidecar"):
         read_moment_csv(str(path))
+    for sidecar, message in (
+        ("Np=2.0 Nq=1", "sidecar Np='2.0' is not a positive integer"),
+        ("Np=-2 Nq=-2", "sidecar Np='-2' is not a positive integer"),
+    ):
+        path.write_text(f"# h=0.1 {sidecar} u0=0.1 du=0.1 Nu=1\np,q,u,Mf,a01\n0,0,0.1,1,0\n")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_moment_csv(str(path))
 
 
 def _written_lines(tmp_path):

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from sphradon import cli
+from sphradon._io import fmt
 from sphradon.coeffs import build_tables
 from sphradon.fields import make_phantom, polynomial_field
 from sphradon.forward import SphereCenter, harmonic_coefficient
-from sphradon.moments import sample_moments
+from sphradon.moments import MomentGrid, sample_moments
 from sphradon.reconstruct import (
     ReconstructionRequest,
     SliceSpec,
@@ -141,6 +145,61 @@ def test_mirrored_points_equal_separate_requests(source, point):
     assert both.values == up.values + down.values
     assert both.partial_sums == up.partial_sums + down.partial_sums
     assert both.last_increment == up.last_increment + down.last_increment
+
+
+# ----- the term table against one dot product per (order, power) -----
+
+
+def _reference_partial_sums(source, point, n):
+    """S_0..S_n at one point, each filtered integral by its own np.dot, and
+    the sum of |terms| that enter each S_k."""
+    x, y, z = point
+    t = abs(z)
+    if isinstance(source, MomentGrid):
+        us, ws = source.radial_scheme(x, y, t)
+    else:
+        gx, gw = np.polynomial.legendre.leggauss(max(8, n + 4))
+        us, ws = 0.5 * t * (gx + 1.0), 0.5 * t * gw
+    block = source.laplacian_block(x, y, np.append(us, t), n)
+    v2 = (us / t) ** 2
+    terms, sums, bounds = [], [], []
+    for k in range(n + 1):
+        for lap, stored, sign, weight in (
+            (block[0], TABLE.c_even, 1.0, 4 * k + 1),
+            (block[1], TABLE.c_odd, math.copysign(1.0, z), (4 * k + 3) / 3.0),
+        ):
+            terms.append(sign * weight * float(lap[0, -1]))
+            for i in range(k + 1 if k else 0):
+                filt = np.zeros_like(us)
+                for m in range(1, 2 * n + 1):
+                    if (k, i, m) in stored:
+                        filt = filt + float(stored[(k, i, m)]) * v2**m
+                if stored is TABLE.c_odd:
+                    filt = filt * (us / t)
+                terms.append(sign * t ** (2 * i - 1) * float(np.dot(ws, filt * lap[i, :-1])))
+        sums.append(math.fsum(terms))
+        bounds.append(math.fsum(map(abs, terms)))
+    return sums, bounds
+
+
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize(
+    "source, points",
+    [
+        (make_phantom("rsqz3"), ((0.3, -0.2, 0.9), (1.1, 0.4, -1.3), (-0.7, 0.0, 0.25))),
+        (
+            sample_moments(make_phantom("rsqz3"), (-1.0, -1.0), 0.1, 21, 21, 0.05 * np.arange(1, 41)),
+            ((0.0, 0.0, 1.0), (0.1, -0.2, -0.45), (-0.2, 0.1, 1.95)),
+        ),
+    ],
+    ids=["phantom", "grid"],
+)
+def test_partial_sums_equal_one_dot_per_order_and_power(source, points, n):
+    res = _run(source, points, n)
+    for point, sums in zip(points, res.partial_sums):
+        want, bounds = _reference_partial_sums(source, point, n)
+        for got, ref, bound in zip(sums, want, bounds):
+            assert abs(got - ref) <= 8 * np.finfo(float).eps * bound
 
 
 # ----- grid mode -----
@@ -331,6 +390,36 @@ def test_slice_csv_and_pgm(tmp_path):
     dims = header.decode().splitlines()[2].split()
     assert [int(dims[0]), int(dims[1])] == [res.xs.size, res.others.size]
     assert len(rest) == res.xs.size * res.others.size
+
+
+def _per_cell_csv(result) -> bytes:
+    lines = [f"# order={result.order_n} mode={result.mode.replace('_', '-')}", "x,y,z,f_rec"]
+    for ix, x in enumerate(result.xs):
+        for io, o in enumerate(result.others):
+            y, z = (result.spec.value, o) if result.spec.axis == "y" else (o, result.spec.value)
+            lines.append(",".join(fmt(v) for v in (x, y, z, result.values[ix, io])))
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SliceSpec("y", 0.3, (-0.5, 0.5), (-0.6, 0.6), 0.15),
+        SliceSpec("z", -0.7, (-0.5, 0.5), (-0.45, 0.45), 0.15),
+    ],
+    ids=["y", "z"],
+)
+def test_slice_csv_bytes_equal_the_per_cell_format(tmp_path, spec):
+    res = reconstruct_slice(spec, 4, "two_data", make_phantom("rsqz3"), TABLE, min_abs_z=0.2)
+    values = res.values.copy()
+    values[0, -1] = -0.0
+    res = replace(res, values=values)
+    if spec.axis == "y":
+        assert np.isnan(res.values).any()  # the band |z| < min_abs_z
+    path = tmp_path / "slice.csv"
+    write_slice_csv(res, str(path))
+    assert path.read_bytes() == _per_cell_csv(res)
+    assert b",-0\n" in path.read_bytes()
 
 
 @pytest.mark.parametrize(
