@@ -4,17 +4,17 @@ Every identity the inversion rests on is checked here by computing both
 sides independently: restriction coefficients by sphere quadrature, the
 representation integrals by dense Gauss-Legendre rules, derivatives by
 central differences.  The checks share the field and sphere layer with the
-reconstructor (the phantoms' moment data comes from
-`ScalarField3D.laplacian_block`), but never its filter arithmetic: the
+reconstructor (moment data comes from `ScalarField3D.laplacian_block`, so a
+field without a ladder is refused), but never its filter arithmetic: the
 filter polynomials and radial integrals are assembled here from the
 coefficient tables on their own, so a transcription error in the
 recurrences or in the reconstructor's series cannot cancel out of these
 checks.
 
-Each check reads its point once: one `laplacian_block` on the 80 radial
-nodes followed by t (the datum is its last column), and one `_Spheres`
-stencil that evaluates f once per sphere.  `run_all_checks` shares both
-among the checks at one (phantom, lattice point).
+Each check reads its point once: one `laplacian_block` on the 80 cached
+Gauss-Legendre nodes on [0, t] followed by t (the datum is its last column),
+and one `_Spheres` stencil that evaluates f once per sphere.  `run_all_checks`
+shares both among the checks at one (phantom, lattice point).
 
 Identity registry (the names appear verbatim in reports and CSV rows):
 
@@ -44,7 +44,7 @@ from ._io import atomic_write, fmt
 from .coeffs import CoefficientTable, build_tables
 from .fields import ScalarField3D, make_phantom
 from .forward import SphereCenter, _evaluate_on_sphere, _project, harmonic_coefficient
-from .quadrature import SphereRule, build_rule
+from .quadrature import SphereRule, _gauss_legendre_on, build_rule
 
 __all__ = [
     "ResidualReport",
@@ -61,8 +61,8 @@ __all__ = [
 ODE_NAMES = ("eq4_14", "eq4_16", "eq4_21", "eq4_22")
 IDENTITIES = ("rep_even", "rep_odd", "lemma1") + ODE_NAMES  # registry order
 
-# phantom name -> sphere-rule size (None = default rule); the two smooth
-# phantoms need denser rules than the polynomial ones
+# phantom name -> sphere-rule size of the harmonic coefficients (None = default
+# rule; ladders use their own); the smooth phantoms need denser rules
 CATALOG_RULES: tuple = (
     ("z", None),
     ("zsq", None),
@@ -87,13 +87,6 @@ _FD_TOLERANCE = 1e-5
 @cache
 def _default_table() -> CoefficientTable:
     return build_tables(8)
-
-
-@cache
-def _radial_rule() -> tuple:
-    gx, gw = np.polynomial.legendre.leggauss(_N_RADIAL)
-    gx.flags.writeable = gw.flags.writeable = False  # shared by every call
-    return gx, gw
 
 
 @dataclass(frozen=True)
@@ -132,13 +125,12 @@ def _report(identity, point, n, left, right, tolerance, **extras) -> ResidualRep
 # ----- representation checks -----
 
 
-def _radial_block(f, p, q, t, n, rule):
+def _radial_block(f, p, q, t, n):
     """Gauss-Legendre nodes and weights on [0, t], and the (Mf, a01) block
     of powers 0..n on those nodes followed by t: its last column is the
     boundary datum."""
-    gx, gw = _radial_rule()
-    us = 0.5 * t * (gx + 1.0)
-    return us, 0.5 * t * gw, f.laplacian_block(p, q, np.append(us, t), n, rule)
+    us, ws = _gauss_legendre_on(t, _N_RADIAL)
+    return us, ws, f.laplacian_block(p, q, np.append(us, t), n)
 
 
 def _representation(point, k, odd, left, radial, table) -> ResidualReport:
@@ -163,7 +155,7 @@ def _representation(point, k, odd, left, radial, table) -> ResidualReport:
 
 def _check_representation(f, p, q, t, k, odd, rule, table) -> ResidualReport:
     left = harmonic_coefficient(f, SphereCenter(p, q, t), 2 * k - odd, rule=rule)
-    return _representation((p, q, t), k, odd, left, _radial_block(f, p, q, t, k - odd, rule), table)
+    return _representation((p, q, t), k, odd, left, _radial_block(f, p, q, t, k - odd), table)
 
 
 def check_representation_even(
@@ -214,6 +206,7 @@ class _Spheres:
     """
 
     def __init__(self, f, p, q, t, rule, h):
+        SphereCenter(p, q, t)  # the centre and radius are checked first
         if not 0 < h < np.inf:
             raise ValueError(f"fd_step must be positive and finite, got {h}")
         if h >= t / 4:
@@ -369,9 +362,11 @@ def run_all_checks(
     dominate the runtime).  Reports come back in deterministic order, each
     tagged with its phantom in extras.  The checks at one (phantom, lattice
     point) share one power-2 `_radial_block` and one `_Spheres`, which are
-    dropped before the next point.
+    dropped before the next point.  The table must reach order 2.
     """
     table = table or _default_table()
+    if table.order_n < 2:
+        raise ValueError(f"run_all_checks needs a table of order >= 2, got order {table.order_n}")
     lattice = TEST_LATTICE if lattice is None else tuple(lattice)
     targets = [(make_phantom(name), build_rule(*size) if size else None) for name, size in CATALOG_RULES]
     n_catalog = len(targets)
@@ -381,7 +376,7 @@ def run_all_checks(
     for j, (f, rule) in enumerate(targets):
         for p, q, t in lattice:
             s = _Spheres(f, p, q, t, rule, fd_step)
-            radial = _radial_block(f, p, q, t, 2, rule)
+            radial = _radial_block(f, p, q, t, 2)
             for k in (1, 2):
                 for odd in (0, 1):
                     reps.append((f, _representation(s.point, k, odd, s(2 * k - odd), radial, table)))

@@ -14,11 +14,11 @@ rationals evaluated in floating point.
 `ScalarField3D.laplacian_block` is the one entry point to the moment data:
 it answers every power 0..n at a whole array of radii with one call to the
 field's `analytic_ladder`.  The reconstructor, the residual checks and
-`sample_moments` all ask the field through it; the first two ask one block
-on the radial nodes followed by t, whose last column is the datum at t.
-Every catalog phantom has a ladder; a field without one answers power 0
-only, by sphere quadrature.  A polynomial field's ladder is one broadcast
-`eval_pqt` per (power, moment function) over the radii.
+analytic `sample_moments` all ask the field through it; the first two ask
+one block on the radial nodes followed by t, whose last column is the datum
+at t.  Every catalog phantom has a ladder; a field without one carries no
+moment data (quadrature sampling is `forward`'s sphere pass).  A polynomial
+field's ladder is one broadcast `eval_pqt` per (power, moment function).
 
 gauss and bump share a transverse Gaussian G, and the center-Laplacians hit
 only G, so Lap^i f = f * Lap^i G / G.  Their ladders evaluate f once per
@@ -60,7 +60,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import polynomials
-from .forward import SphereCenter, _sphere_moments, _sphere_points, _zonal_coefficient
+from .forward import SphereCenter, _sphere_points, _zonal_coefficient
 from .quadrature import SphereRule, build_rule
 
 __all__ = [
@@ -98,23 +98,18 @@ class ScalarField3D:
     descriptor: str
     analytic_ladder: Callable | None = None
 
-    def laplacian_block(self, x: float, y: float, us, n: int, rule: SphereRule | None = None):
+    def laplacian_block(self, x: float, y: float, us, n: int):
         """(Mf, a01) arrays of shape (n + 1, len(us)): row i, column j is
         (Lap^i Mf, Lap^i a01) at center (x, y), radius us[j].
 
-        One `analytic_ladder` call answers every power and radius.  A field
-        without a ladder answers n == 0 only, one sphere pass under `rule`
-        (None: the default) per radius.
+        One `analytic_ladder` call answers every power and radius; a field
+        without a ladder carries no moment data and is refused.
         """
-        if self.analytic_ladder is not None:
-            return self.analytic_ladder(x, y, np.asarray(us, dtype=float), n)
-        if n > 0:
+        if self.analytic_ladder is None:
             raise ValueError(
-                f"phantom {self.descriptor!r} has no Laplacian capability (power 1 requested)"
+                f"phantom {self.descriptor!r} has no Laplacian capability (power {n} requested)"
             )
-        pairs = [_sphere_moments(self, SphereCenter(x, y, float(u)), rule) for u in us]
-        mf, a01 = np.array(pairs, dtype=float).reshape(-1, 2).T
-        return mf[None], a01[None]
+        return self.analytic_ladder(x, y, np.asarray(us, dtype=float), n)
 
     def analytic_laplacians(self, x: float, y: float, u: float, i: int):
         """(Lap^i Mf, Lap^i a01) at center (x, y), radius u: one radius of

@@ -2,10 +2,12 @@
 
 A MomentGrid holds the two measured functions Mf(p,q,u) and a01(p,q,u) on a
 uniform (p,q) lattice times a strictly increasing set of radii.  It is the
-discrete form of the inverse problem's data and the reconstructor's grid
-source: it answers `laplacian_block` as a phantom does, and `radial_scheme`
-with the trapezoid ladder of its stored radii, for centres and radii on
-stored nodes only; it interpolates nothing.
+discrete form of the inverse problem's data (`sample_moments` fills it from
+a phantom's ladder, or by forward's sphere pass, which needs only the
+field's `evaluate`; a field without a ladder carries no moment data) and
+the reconstructor's grid source: it answers `laplacian_block` as a phantom
+does, and `radial_scheme` with the trapezoid ladder of its stored radii,
+for centres and radii on stored nodes only; it interpolates nothing.
 
 Center-Laplacians are taken by iterating the 5-point stencil, which costs i
 cells of margin per application and is exact on fields quadratic in (p,q).
@@ -24,6 +26,7 @@ import numpy as np
 
 from ._io import atomic_write, fmt, format_rows
 from .fields import ScalarField3D
+from .forward import SphereCenter, _sphere_moments
 from .quadrature import SphereRule
 
 __all__ = [
@@ -152,23 +155,25 @@ def sample_moments(
     analytic: bool = True,
     rule: SphereRule | None = None,
 ) -> MomentGrid:
-    """Fill a MomentGrid from a phantom, one `laplacian_block` column of
-    power 0 per centre.
+    """Fill a MomentGrid from a phantom, one centre at a time.
 
-    With analytic=True (and the field providing a ladder) samples are exact
-    up to the ladder's own accuracy; otherwise the field is asked with its
-    ladder stripped, so both moments come from one sphere pass under `rule`
-    at every node.  The lattice is checked before any sample is taken.
+    With analytic=True each centre is one power-0 `laplacian_block` column
+    (a field without a ladder is refused); otherwise both moments come from
+    forward's one sphere pass under `rule` at every node, which needs only
+    `evaluate`.  The lattice is checked before any sample is taken.
     """
     nodes = _check_lattice(origin, h, n_p, n_q, radial_nodes)
-    if not analytic:
-        field = ScalarField3D(field.evaluate, field.descriptor)
     mf = np.empty((n_p, n_q, nodes.size))
     a01 = np.empty_like(mf)
     for ip in range(n_p):
         for iq in range(n_q):
-            m, a = field.laplacian_block(origin[0] + ip * h, origin[1] + iq * h, nodes, 0, rule)
-            mf[ip, iq], a01[ip, iq] = m[0], a[0]
+            x, y = origin[0] + ip * h, origin[1] + iq * h
+            if analytic:
+                m, a = field.laplacian_block(x, y, nodes, 0)
+                mf[ip, iq], a01[ip, iq] = m[0], a[0]
+            else:
+                pairs = [_sphere_moments(field, SphereCenter(x, y, float(u)), rule) for u in nodes]
+                mf[ip, iq], a01[ip, iq] = np.array(pairs).T
     return MomentGrid(tuple(origin), h, n_p, n_q, nodes, mf, a01)
 
 
@@ -229,11 +234,17 @@ def write_moment_csv(grid: MomentGrid, path: str) -> None:
     atomic_write(path, (header + format_rows(rows.reshape(-1, 5))).encode())
 
 
-def _sidecar_count(meta: dict, key: str) -> int:
+def _sidecar(meta: dict, key: str) -> int | float:
+    """Sidecar field `key`: a positive integer for the counts, else a float."""
     text = meta[key]
-    if not (text.isdecimal() and int(text) > 0):
-        raise ValueError(f"moment CSV sidecar {key}={text!r} is not a positive integer")
-    return int(text)
+    if key in ("Np", "Nq", "Nu"):
+        if not (text.isdecimal() and int(text) > 0):
+            raise ValueError(f"moment CSV sidecar {key}={text!r} is not a positive integer")
+        return int(text)
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"moment CSV sidecar {key}={text!r} is not a number") from None
 
 
 def read_moment_csv(path: str) -> MomentGrid:
@@ -264,9 +275,7 @@ def read_moment_csv(path: str) -> MomentGrid:
     if not rows:
         raise ValueError("moment CSV has no data rows")
     try:
-        h = float(meta["h"])
-        n_p, n_q, n_u = (_sidecar_count(meta, key) for key in ("Np", "Nq", "Nu"))
-        u0, du = float(meta["u0"]), float(meta["du"])
+        h, n_p, n_q, n_u, u0, du = (_sidecar(meta, key) for key in ("h", "Np", "Nq", "Nu", "u0", "du"))
     except KeyError as exc:
         raise ValueError(f"moment CSV missing sidecar field {exc}") from None
     if len(rows) != n_p * n_q * n_u:

@@ -3,7 +3,8 @@
 The product rule is Gauss-Legendre in cos(theta) crossed with a uniform
 periodic grid in phi.  It integrates every spherical polynomial of degree
 <= min(2*n_theta - 1, n_phi - 1) exactly, which covers all polynomial
-phantoms used in the tests; weights sum to the sphere area 4*pi.
+phantoms used in the tests; weights sum to the sphere area 4*pi.  Its
+Gauss-Legendre factor, cached per size, also gives every radial rule on [0, t].
 
 Legendre conventions: P_n is the standard Legendre polynomial; the associated
 functions used in the harmonic projections follow the positive convention
@@ -44,6 +45,20 @@ class SphereRule:
 
 
 @cache
+def _gauss_legendre(n: int) -> tuple[Array, Array]:
+    """n-point Gauss-Legendre nodes and weights on [-1, 1], built once, read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False  # shared by every caller
+    return x, w
+
+
+def _gauss_legendre_on(t: float, n: int) -> tuple[Array, Array]:
+    """`_gauss_legendre(n)` mapped onto [0, t]."""
+    x, w = _gauss_legendre(n)
+    return 0.5 * t * (x + 1.0), 0.5 * t * w
+
+
+@cache
 def build_rule(n_theta: int = 24, n_phi: int = 48) -> SphereRule:
     """The n_theta x n_phi product rule, built once per argument list.
 
@@ -52,7 +67,7 @@ def build_rule(n_theta: int = 24, n_phi: int = 48) -> SphereRule:
     """
     if n_theta < 1 or n_phi < 1:
         raise ValueError("rule sizes must be positive")
-    x, wx = np.polynomial.legendre.leggauss(n_theta)
+    x, wx = _gauss_legendre(n_theta)
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
     wphi = 2.0 * np.pi / n_phi
     ct = np.repeat(x, n_phi)

@@ -22,17 +22,17 @@ The reconstructor reads a phantom (`ScalarField3D`) or a `MomentGrid`
 directly, through `laplacian_block(x, y, us, n)` (every power 0..n of Mf
 and a01 at the radii us).  Each (x, y, |z|) asks for one block, on the
 radial nodes followed by t: its last column's power-0 row is the boundary
-datum (Mf, a01).  The radial nodes and weights on [0, t] come
-from the source's `radial_scheme(x, y, t)`: a grid's trapezoid ladder on
-its stored radii (target center and radius must sit on stored nodes; it
-interpolates nothing).  A phantom has none and is integrated by
-Gauss-Legendre.  A source with `radial_scheme` and per-power
-`laplacians(x, y, us, i)` instead is adapted once.  Each parity's block
-becomes one term table: row k holds order k's boundary term and the
+datum (Mf, a01); a phantom without a ladder has no data and is refused.  The
+radial nodes and weights on [0, t] come from the source's
+`radial_scheme(x, y, t)`: a grid's trapezoid ladder on its stored radii
+(target center and radius must sit on stored nodes; it interpolates
+nothing).  A phantom has none and is integrated by the cached
+Gauss-Legendre rule of `quadrature`.  A source with `radial_scheme` and
+per-power `laplacians(x, y, us, i)` instead is adapted once.  Each parity's
+block becomes one term table: row k holds order k's boundary term and the
 filtered radial integral of every Laplacian power i, every entry of both
-tables from one contraction of the filters with the block and the
-weights, and S_k is the exactly rounded sum of the first k + 1 rows of
-both tables.
+tables from one contraction of the filters with the block and the weights,
+and S_k is the exactly rounded sum of the first k + 1 rows of both tables.
 
 Even-mirror mode, for every entry point, forms the mean-data terms only
 and scales the partial sums: by 2.0 for a phantom verified to vanish on
@@ -48,6 +48,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -55,6 +56,7 @@ from ._io import atomic_write, fmt, format_rows
 from .coeffs import CoefficientTable
 from .fields import ScalarField3D
 from .moments import MomentGrid
+from .quadrature import _gauss_legendre_on
 
 __all__ = [
     "ReconstructionRequest",
@@ -101,13 +103,14 @@ class ReconstructionRequest:
         for point in self.points:
             if not all(map(math.isfinite, point)):
                 raise ValueError(f"points must have finite coordinates, got {point}")
-        if self.order_n < 0:
-            raise ValueError("order_n must be >= 0")
+        if not (isinstance(self.order_n, Integral) and self.order_n >= 0):
+            raise ValueError(f"order_n must be an integer >= 0, got {self.order_n!r}")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
         _check_min_abs_z(self.min_abs_z)
-        if self.radial_rule is not None and self.radial_rule < 1:
-            raise ValueError("radial_rule must be a positive node count")
+        rule = self.radial_rule
+        if rule is not None and not (isinstance(rule, Integral) and rule >= 1):
+            raise ValueError(f"radial_rule must be an integer node count >= 1, got {rule!r}")
 
 
 @dataclass(frozen=True)
@@ -150,8 +153,8 @@ def _source(source, order_n: int, radial_rule: int | None):
         source = _PerPowerSource(source)
     if hasattr(source, "radial_scheme"):
         return source, source.radial_scheme
-    gx, gw = np.polynomial.legendre.leggauss(radial_rule or max(8, order_n + 4))
-    return source, lambda x, y, t: (0.5 * t * (gx + 1.0), 0.5 * t * gw)
+    n_radial = radial_rule or max(8, order_n + 4)
+    return source, lambda x, y, t: _gauss_legendre_on(t, n_radial)
 
 
 def _mirror_scale(source) -> float:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -21,7 +20,6 @@ from sphradon.checks import (
 )
 from sphradon.coeffs import build_tables, perturb_entry
 from sphradon.fields import ScalarField3D, make_phantom, polynomial_field
-from sphradon.forward import SphereCenter, first_cosine_coefficient, spherical_mean
 from sphradon.reconstruct import ReconstructionRequest, reconstruct_point
 
 
@@ -89,22 +87,26 @@ def test_rep_argument_errors():
         check_representation_even(bare, 0.0, 0.0, 1.0, 1)
 
 
-def test_bare_field_moments_agree_with_reconstructor():
-    # without callbacks the checks and the reconstructor ask the same field
-    # layer, `laplacian_block`, which makes one sphere pass under the default
-    # rule; order-0 representations carry the moments unscaled, and the
-    # reconstructor's S_0 at (p, q, t) is Mf + a01
+def test_bare_field_is_refused_by_checks_and_reconstructor():
+    # a field without a ladder carries no moment data: the checks and the
+    # reconstructor ask it through `laplacian_block`, which refuses it at
+    # every power, order-0 representations and S_0 included
     f = ScalarField3D(evaluate=make_phantom("bump").evaluate, descriptor="bare bump")
-    for p, q, t in ((0.1, -0.2, 0.7), (0.5, 0.3, 1.6), (-0.4, 0.0, 2.2)):
-        c = SphereCenter(p, q, t)
-        want = (spherical_mean(f, c), first_cosine_coefficient(f, c))
-        assert want[0] != 0.0 and want[1] != 0.0
-        mf, a01 = f.laplacian_block(p, q, [t], 0)
-        assert (mf[0, 0], a01[0, 0]) == want
-        req = ReconstructionRequest(points=((p, q, t),), order_n=0, mode="two_data", source=f)
-        assert reconstruct_point(req, build_tables(0)).values == (math.fsum(want),)
-        assert check_representation_even(f, p, q, t, 0).right == want[0]
-        assert check_representation_odd(f, p, q, t, 1).right == want[1]
+
+    def refused():
+        return pytest.raises(ValueError, match="phantom 'bare bump' has no Laplacian capability")
+
+    p, q, t = 0.1, -0.2, 0.7
+    for n in (0, 1, 3):
+        with refused():
+            f.laplacian_block(p, q, [t], n)
+    req = ReconstructionRequest(points=((p, q, t),), order_n=0, mode="two_data", source=f)
+    with refused():
+        reconstruct_point(req, build_tables(0))
+    with refused():
+        check_representation_even(f, p, q, t, 0)
+    with refused():
+        check_representation_odd(f, p, q, t, 1)
 
 
 def test_rep_detects_perturbed_coefficient():
@@ -163,6 +165,16 @@ def test_lemma_step_validation():
         check_lemma1(f, 0, 0, 1.0, fd_step=0.3)
     with pytest.raises(ValueError):
         check_lemma1(f, 0, 0, 1.0, fd_step=0.0)
+    # the sphere itself is checked before the step is compared with its radius
+    for t in (-1.0, 0.0):
+        with pytest.raises(ValueError, match=f"sphere radius must be positive and finite, got t={t}"):
+            check_lemma1(f, 0, 0, t)
+        with pytest.raises(ValueError, match=f"sphere radius must be positive and finite, got t={t}"):
+            check_ode_residual(f, "eq4_14", 0, 0, t, 0)
+    with pytest.raises(ValueError, match="sphere centre must be finite"):
+        check_lemma1(f, np.nan, 0, 1.0, fd_step=0.3)
+    with pytest.raises(ValueError, match="sphere radius must be positive and finite, got t=-1.0"):
+        run_all_checks(lattice=[(0.0, 0.0, -1.0)])
 
 
 # ----- consistency ODEs -----
@@ -233,6 +245,13 @@ def test_run_all_checks_small_lattice(tmp_path):
     lemma_rows = [ln for ln in lines[1:] if ln.startswith("lemma1,")]
     assert lemma_rows and all(ln.split(",")[4] == "" for ln in lemma_rows)
     assert all(ln.endswith(",true") for ln in lines[1:])
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_run_all_checks_refuses_a_table_below_order_2(order):
+    # the gate checks the even representation at k = 2, which needs order 2
+    with pytest.raises(ValueError, match=f"order >= 2, got order {order}"):
+        run_all_checks(table=build_tables(order), lattice=[(1.0, -1.0, 1.0)])
 
 
 def test_run_all_checks_evaluates_each_sphere_once(monkeypatch):

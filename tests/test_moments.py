@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import re
 
 import numpy as np
@@ -41,16 +42,21 @@ def test_sample_zsq_mean_is_u_squared_over_three():
 
 @pytest.mark.parametrize("rule", [None, build_rule(16, 32)], ids=["default", "16x32"])
 def test_quadrature_sampling_equals_sphere_operators(rule):
-    # one sphere pass per node gives both moments, bit for bit the operators'
+    # one sphere pass per node gives both moments, bit for bit the operators';
+    # it needs only `evaluate`, so a field without a ladder is sampled alike
     f = make_phantom("gauss")
+    bare = ScalarField3D(f.evaluate, "bare")
     nodes = _ladder(0.3, 5)
     grid = sample_moments(f, (-0.3, 0.2), 0.25, 3, 3, nodes, analytic=False, rule=rule)
+    bare_grid = sample_moments(bare, (-0.3, 0.2), 0.25, 3, 3, nodes, analytic=False, rule=rule)
     for ip in range(3):
         for iq in range(3):
             for iu, u in enumerate(nodes):
                 c = SphereCenter(grid.p_node(ip), grid.q_node(iq), float(u))
                 assert grid.mf_values[ip, iq, iu] == spherical_mean(f, c, rule)
                 assert grid.a01_values[ip, iq, iu] == first_cosine_coefficient(f, c, rule)
+                got = (bare_grid.mf_values[ip, iq, iu], bare_grid.a01_values[ip, iq, iu])
+                assert got == _sphere_moments(bare, c, rule), (ip, iq, iu)
 
 
 def test_sample_rsqz3_columns():
@@ -65,24 +71,35 @@ def test_sample_rsqz3_columns():
 @pytest.mark.parametrize("name", ["rsqz3", "gauss", "bump", "bare"])
 def test_sample_moments_equals_per_sample_moments(name):
     # analytic mode stores the field's own power-0 block at every node, and
-    # quadrature mode one sphere pass under the rule, bit for bit
-    if name == "bare":
-        f = ScalarField3D(make_phantom("gauss").evaluate, "bare gauss")
-    else:
-        f = make_phantom(name)
+    # quadrature mode one sphere pass under the rule, bit for bit; a field
+    # without a ladder has no analytic data and is refused
     rule, nodes = build_rule(16, 32), _ladder(0.35, 4)
     origin, h = (-0.2, 0.15), 0.3
-    ga = sample_moments(f, origin, h, 2, 3, nodes, analytic=True, rule=rule)
+    if name == "bare":
+        f = ScalarField3D(make_phantom("gauss").evaluate, "bare gauss")
+        with pytest.raises(ValueError, match="phantom 'bare gauss' has no Laplacian capability"):
+            sample_moments(f, origin, h, 2, 3, nodes, analytic=True, rule=rule)
+        ga = None
+    else:
+        f = make_phantom(name)
+        ga = sample_moments(f, origin, h, 2, 3, nodes, analytic=True, rule=rule)
     gq = sample_moments(f, origin, h, 2, 3, nodes, analytic=False, rule=rule)
     for ip in range(2):
         for iq in range(3):
-            p, q = ga.p_node(ip), ga.q_node(iq)
+            p, q = gq.p_node(ip), gq.q_node(iq)
             for iu, u in enumerate(nodes):
-                got = (ga.mf_values[ip, iq, iu], ga.a01_values[ip, iq, iu])
-                want = f.laplacian_block(p, q, [u], 0, rule)
-                assert got == (want[0][0, 0], want[1][0, 0]), (ip, iq, iu)
+                if ga is not None:
+                    got = (ga.mf_values[ip, iq, iu], ga.a01_values[ip, iq, iu])
+                    want = f.laplacian_block(p, q, [u], 0)
+                    assert got == (want[0][0, 0], want[1][0, 0]), (ip, iq, iu)
                 got = (gq.mf_values[ip, iq, iu], gq.a01_values[ip, iq, iu])
                 assert got == _sphere_moments(f, SphereCenter(p, q, float(u)), rule), (ip, iq, iu)
+
+
+def test_phantom_and_grid_blocks_take_the_same_parameters():
+    want = ["self", "x", "y", "us", "n"]
+    assert list(inspect.signature(ScalarField3D.laplacian_block).parameters) == want
+    assert list(inspect.signature(MomentGrid.laplacian_block).parameters) == want
 
 
 @pytest.mark.parametrize(
@@ -104,11 +121,11 @@ def test_sample_moments_checks_the_lattice_before_sampling(origin, h, n_p, nodes
         return np.asarray(z, dtype=float) ** 2
 
     f = ScalarField3D(evaluate, "counted zsq")
-    sample_moments(f, (0.0, 0.0), 0.1, 1, 1, _ladder(0.2, 2))
+    sample_moments(f, (0.0, 0.0), 0.1, 1, 1, _ladder(0.2, 2), analytic=False)
     assert len(calls) == 2  # one sphere pass per radius of the one centre
     calls.clear()
     with pytest.raises(ValueError, match=re.escape(message)):
-        sample_moments(f, origin, h, n_p, 3, nodes)
+        sample_moments(f, origin, h, n_p, 3, nodes, analytic=False)
     assert calls == []
 
 
@@ -298,6 +315,11 @@ def test_csv_reader_validates(tmp_path):
     ):
         path.write_text(f"# h=0.1 {sidecar} u0=0.1 du=0.1 Nu=1\np,q,u,Mf,a01\n0,0,0.1,1,0\n")
         with pytest.raises(ValueError, match=re.escape(message)):
+            read_moment_csv(str(path))
+    for key in ("h", "u0", "du"):
+        sidecar = "h=0.1 Np=1 Nq=1 u0=0.1 du=0.1 Nu=1".replace(f"{key}=0.1", f"{key}=abc")
+        path.write_text(f"# {sidecar}\np,q,u,Mf,a01\n0,0,0.1,1,0\n")
+        with pytest.raises(ValueError, match=re.escape(f"sidecar {key}='abc' is not a number")):
             read_moment_csv(str(path))
 
 

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from sphradon.quadrature import assoc_legendre, build_rule, legendre_all
+from sphradon.quadrature import (
+    _gauss_legendre,
+    _gauss_legendre_on,
+    assoc_legendre,
+    build_rule,
+    legendre_all,
+)
 
 
 def test_weights_sum_to_sphere_area():
@@ -34,6 +40,21 @@ def test_azimuthal_exactness():
 def test_rejects_bad_sizes():
     with pytest.raises(ValueError):
         build_rule(0, 8)
+
+
+def test_gauss_legendre_is_one_shared_read_only_rule():
+    # one cached rule per size serves the sphere rules' theta nodes and the
+    # radial integrals on [0, t], with the values of a fresh leggauss
+    x, w = _gauss_legendre(12)
+    assert _gauss_legendre(12)[0] is x
+    fresh_x, fresh_w = np.polynomial.legendre.leggauss(12)
+    assert np.array_equal(x, fresh_x) and np.array_equal(w, fresh_w)
+    assert not (x.flags.writeable or w.flags.writeable)
+    rule = build_rule(12, 5)
+    assert np.array_equal(rule.cos_t[::5], x)
+    us, ws = _gauss_legendre_on(1.7, 12)
+    assert np.array_equal(us, 0.5 * 1.7 * (fresh_x + 1.0))
+    assert np.array_equal(ws, 0.5 * 1.7 * fresh_w)
 
 
 def test_legendre_values():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -272,6 +273,14 @@ def test_request_validation():
         ReconstructionRequest(points=((0, 0, 1),), order_n=1, mode="two_data", source=f, min_abs_z=0.0)
     with pytest.raises(ValueError):
         ReconstructionRequest(points=((0, 0, 1),), order_n=1, mode="two_data", source=f, radial_rule=0)
+    base = dict(points=((0.0, 0.0, 1.0),), order_n=1, mode="two_data", source=f, radial_rule=9)
+    for key in ("order_n", "radial_rule"):
+        with pytest.raises(ValueError, match=re.escape(f"{key} must be a") + ".* integer.*2.5"):
+            ReconstructionRequest(**{**base, key: 2.5})
+    # numpy integers are accepted and read as the python ones
+    want = reconstruct_point(ReconstructionRequest(**base), TABLE).values
+    req = ReconstructionRequest(**{**base, "order_n": np.int64(1), "radial_rule": np.int32(9)})
+    assert reconstruct_point(req, TABLE).values == want
     with pytest.raises(TypeError):
         reconstruct_point(
             ReconstructionRequest(points=((0, 0, 1),), order_n=1, mode="two_data", source=42),
