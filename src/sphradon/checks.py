@@ -233,8 +233,7 @@ def _lemma1(s: _Spheres) -> ResidualReport:
     dmean = s.diff(lambda e: s(0, dz=e))
     right = s.diff(lambda e: (t + e * h) * (t + e * h) * s(1, dt=e))
     left = t * t * 3.0 * dmean
-    vleft = t * t * dmean
-    vright = 3.0 * right
+    variant = _report("lemma1", s.point, None, t * t * dmean, 3.0 * right, _FD_TOLERANCE)
     return _report(
         "lemma1",
         s.point,
@@ -243,10 +242,10 @@ def _lemma1(s: _Spheres) -> ResidualReport:
         right,
         _FD_TOLERANCE,
         fd_step=h,
-        variant_left=vleft,
-        variant_right=vright,
-        variant_abs_residual=abs(vleft - vright),
-        variant_rel_residual=abs(vleft - vright) / max(1.0, abs(vleft), abs(vright)),
+        variant_left=variant.left,
+        variant_right=variant.right,
+        variant_abs_residual=variant.abs_residual,
+        variant_rel_residual=variant.rel_residual,
     )
 
 

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isfinite
 from types import MappingProxyType
 from typing import Mapping
 
@@ -257,6 +258,8 @@ def perturb_entry(table: CoefficientTable, family: str, key: Key, factor: float)
     """
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")
+    if not isfinite(factor):
+        raise ValueError(f"perturbation factor must be finite, got {factor}")
     data = {name: dict(getattr(table, name)) for name in _FAMILIES}
     if key not in data[family]:
         raise KeyError(f"{family}{key} is not a stored entry")

@@ -60,7 +60,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import polynomials
-from .forward import SphereCenter, _sphere_points, _zonal_coefficient
+from .forward import SphereCenter, _project, _sphere_points
 from .quadrature import SphereRule, build_rule
 
 __all__ = [
@@ -253,9 +253,9 @@ def _gaussian_field(
             else:
                 powers = [base]
             for i, vals in enumerate(powers):
-                mf[i, j] = _zonal_coefficient(vals, rule)
+                mf[i, j] = _project(vals, rule, 0)
                 if odd:
-                    a01[i, j] = _zonal_coefficient(vals, rule, 1, rule.cos_t)
+                    a01[i, j] = _project(vals, rule, 1)
         return mf, a01
 
     return ScalarField3D(evaluate=evaluate, descriptor=descriptor, analytic_ladder=ladder)

@@ -14,18 +14,20 @@ with P_{n,m} in the positive convention of the quadrature module, so that
 a_{00} is the spherical mean Mf and a_{01} is the first cosine coefficient.
 The two-data transform packs them as Mf + i * a01 / 3; under the same rule
 its real and imaginary parts equal `spherical_mean` and
-`first_cosine_coefficient / 3` bit for bit, since every a_{0n} is scaled by
-the one helper `_zonal_coefficient`.
+`first_cosine_coefficient / 3` bit for bit, since every coefficient is one
+`_project` over factor rows cached read-only per (rule, n, m, kind).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import factorial, inf, isfinite, pi
+from numbers import Integral
 
 import numpy as np
 
-from .quadrature import SphereRule, assoc_legendre, build_rule, legendre_all
+from .quadrature import SphereRule, assoc_legendre, build_rule
 
 __all__ = [
     "SphereCenter",
@@ -64,47 +66,29 @@ def _evaluate_on_sphere(f, c: SphereCenter, rule: SphereRule, z_shift: float = 0
     return np.asarray(ev(*_sphere_points(c, rule, z_shift)), dtype=float)
 
 
-def _zonal_coefficient(vals, rule: SphereRule, n: int = 0, pn=None) -> float:
-    """a_{0n} of sphere values already evaluated on `rule`.
-
-    `pn` holds P_n(cos theta) on the rule's nodes (None for n = 0).  Every
-    a_{0n} in this module is scaled here, so operators that project the same
-    values agree bit for bit; 4.0 * pi is exact, leaving one rounding after
-    the (2n+1) factor.
-    """
-    s = float(np.dot(vals if pn is None else vals * pn, rule.w))
-    return (2 * n + 1) * s / (4.0 * pi)
-
-
 def spherical_mean(f, c: SphereCenter, rule: SphereRule | None = None) -> float:
     """Mf(p,q,t): the average of f over the sphere."""
     rule = rule or build_rule()
-    return _zonal_coefficient(_evaluate_on_sphere(f, c, rule), rule)
+    return _project(_evaluate_on_sphere(f, c, rule), rule, 0)
 
 
 def first_cosine_coefficient(f, c: SphereCenter, rule: SphereRule | None = None) -> float:
     """a_{01}(p,q,t), the coefficient of cos(theta) in the restriction."""
     rule = rule or build_rule()
-    return _zonal_coefficient(_evaluate_on_sphere(f, c, rule), rule, 1, rule.cos_t)
+    return _project(_evaluate_on_sphere(f, c, rule), rule, 1)
 
 
 def _sphere_moments(f, c: SphereCenter, rule: SphereRule | None = None) -> tuple[float, float]:
-    """(Mf, a01) from one sphere pass.
-
-    Equal bit for bit to `spherical_mean(f, c, rule)` and
-    `first_cosine_coefficient(f, c, rule)`, which evaluate f once each.
-    """
+    """(Mf, a01) from one sphere pass, bit for bit `spherical_mean` and
+    `first_cosine_coefficient`, which evaluate f once each."""
     rule = rule or build_rule()
     vals = _evaluate_on_sphere(f, c, rule)
-    return _zonal_coefficient(vals, rule), _zonal_coefficient(vals, rule, 1, rule.cos_t)
+    return _project(vals, rule, 0), _project(vals, rule, 1)
 
 
 def two_data_transform(f, c: SphereCenter, rule: SphereRule | None = None) -> complex:
-    """The complex two-data value Mf + i a01/3 in one sphere pass.
-
-    The real part equals `spherical_mean(f, c, rule)` and the imaginary part
-    `first_cosine_coefficient(f, c, rule) / 3.0`, bit for bit.
-    """
+    """The complex two-data value Mf + i a01/3 in one sphere pass; its parts
+    equal `spherical_mean` and `first_cosine_coefficient / 3` bit for bit."""
     mf, a01 = _sphere_moments(f, c, rule)
     return complex(mf, a01 / 3.0)
 
@@ -118,6 +102,9 @@ def harmonic_coefficient(
     rule: SphereRule | None = None,
 ) -> float:
     """General projection a_{mn} (kind "a") or b_{mn} (kind "b")."""
+    for name, v in (("n", n), ("m", m)):
+        if not isinstance(v, Integral):
+            raise ValueError(f"{name} must be an integer, got {v!r}")
     if n < 0:
         raise ValueError("n must be >= 0")
     if not 0 <= m <= n:
@@ -130,26 +117,38 @@ def harmonic_coefficient(
     return _project(_evaluate_on_sphere(f, c, rule), rule, n, m, kind)
 
 
+@cache
+def _factor_rows(rule: SphereRule, n: int, m: int, kind: str) -> tuple:
+    """Read-only factors of a_{mn} (kind "a") or b_{mn} (kind "b") on the
+    nodes of `rule` (hashed by identity; the cache keeps it alive):
+    P_{n,m}(cos theta), then cos(m phi) or sin(m phi) for m >= 1."""
+    if n == 0:
+        return ()  # a_{00} has no factor
+    rows = (assoc_legendre(n, m, rule.cos_t).copy(),)  # a copy, not a table view
+    if m:
+        phi = np.arctan2(rule.sin_p, rule.cos_p)
+        rows += (np.cos(m * phi) if kind == "a" else np.sin(m * phi),)
+    for row in rows:
+        row.setflags(write=False)
+    return rows
+
+
 def _project(vals, rule: SphereRule, n: int, m: int = 0, kind: str = "a") -> float:
-    """a_{mn} (kind "a") or b_{mn} (kind "b") of sphere values already
-    evaluated on `rule`, for arguments `harmonic_coefficient` accepts."""
+    """a_{mn} (kind "a") or b_{mn} (kind "b") of sphere values evaluated on
+    `rule`, for arguments `harmonic_coefficient` accepts: the package's one
+    projection, so operators that project the same values agree bit for bit."""
+    for row in _factor_rows(rule, n, m, kind):
+        vals = vals * row
+    s = float(np.dot(vals, rule.w))
     if m == 0:
-        return _zonal_coefficient(vals, rule, n, legendre_all(n, rule.cos_t)[n])
-    pnm = assoc_legendre(n, m, rule.cos_t)
-    phi = np.arctan2(rule.sin_p, rule.cos_p)
-    trig = np.cos(m * phi) if kind == "a" else np.sin(m * phi)
-    norm = (2 * n + 1) * factorial(n - m) / factorial(n + m) / (2.0 * pi)
-    return norm * float(np.dot(vals * pnm * trig, rule.w))
+        return (2 * n + 1) * s / (4.0 * pi)  # 4.0 * pi is exact: one rounding after (2n+1)
+    return (2 * n + 1) * factorial(n - m) / factorial(n + m) / (2.0 * pi) * s
 
 
 def off_plane_mean(f, p: float, q: float, z0: float, t: float, rule: SphereRule | None = None) -> float:
-    """Mean of f over the sphere centered at (p, q, z0), radius t.
-
-    Plumbing for the normal-derivative check: the detector model only knows
-    plane-centered spheres, but the Dirichlet-Neumann identity differentiates
-    the mean as the center moves off the plane.
-    """
+    """Mean of f over the sphere centered at (p, q, z0), radius t: the mean
+    data moved off the plane, as the Dirichlet-Neumann identity differentiates it."""
     if not isfinite(z0):
         raise ValueError(f"centre height z0 must be finite, got {z0}")
     rule = rule or build_rule()
-    return _zonal_coefficient(_evaluate_on_sphere(f, SphereCenter(p, q, t), rule, z_shift=z0), rule)
+    return _project(_evaluate_on_sphere(f, SphereCenter(p, q, t), rule, z_shift=z0), rule, 0)

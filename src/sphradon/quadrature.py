@@ -26,7 +26,7 @@ __all__ = ["SphereRule", "build_rule", "legendre_all", "assoc_legendre"]
 Array = np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SphereRule:
     """Flattened product quadrature over the unit sphere.
 

@@ -382,9 +382,17 @@ def test_verify_detects_perturbation(tmp_path, tiny_lattice, capsys):
     assert "FAIL rep_even" in out
 
 
-def test_verify_malformed_perturbation(tmp_path):
+def test_verify_malformed_perturbation(tmp_path, capsys):
     assert run("verify", "--out", str(tmp_path / "v.csv"), "--perturb", "junk") == 1
     assert run("verify", "--out", str(tmp_path / "v.csv"), "--perturb", "c_even:9,9,9:2") == 1
+    capsys.readouterr()
+    # a non-finite factor is one named error line, not a traceback
+    for factor in ("inf", "nan"):
+        assert run("verify", "--out", str(tmp_path / "v.csv"), "--perturb", f"c_even:1,0,1:{factor}") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sphradon: error:") and "factor" in err and factor in err
+        assert err.count("\n") == 1
+    assert not (tmp_path / "v.csv").exists()
 
 
 def test_verify_io_error(tiny_lattice):

@@ -180,6 +180,9 @@ def test_perturb_entry():
         perturb_entry(TAB, "c_even", (0, 0, 1), 1.1)
     with pytest.raises(ValueError):
         perturb_entry(TAB, "c_mid", (1, 0, 1), 1.1)
+    for factor in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="factor must be finite"):
+            perturb_entry(TAB, "c_even", (1, 0, 1), factor)
 
 
 def test_csv_writers(tmp_path):

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as Fr
+from math import factorial, pi
 
 import numpy as np
 import pytest
@@ -17,9 +18,12 @@ from sphradon.fields import (
     z_field,
     zsq_field,
 )
-from sphradon.quadrature import build_rule
+from sphradon.quadrature import SphereRule, assoc_legendre, build_rule, legendre_all
 from sphradon.forward import (
     SphereCenter,
+    _evaluate_on_sphere,
+    _factor_rows,
+    _project,
     first_cosine_coefficient,
     harmonic_coefficient,
     off_plane_mean,
@@ -145,6 +149,74 @@ def test_harmonic_validation():
         harmonic_coefficient(f, c, 1, 1, "c")
     with pytest.raises(ValueError):
         SphereCenter(0, 0, 0.0)
+    # non-integer orders are named before any factor row is built
+    with pytest.raises(ValueError, match="n must be an integer"):
+        harmonic_coefficient(f, c, 2.5)
+    with pytest.raises(ValueError, match="m must be an integer"):
+        harmonic_coefficient(f, c, 2, 1.0)
+    got = harmonic_coefficient(f, c, np.int64(2), np.int32(0))
+    assert got == harmonic_coefficient(f, c, 2, 0)
+
+
+def _reference_projection(vals, rule, n, m, kind):
+    """a_{mn} / b_{mn} with every factor rebuilt on the call: the
+    per-call arithmetic the cached rows must reproduce bit for bit."""
+    if m == 0:
+        pn = None if n == 0 else legendre_all(n, rule.cos_t)[n]
+        return (2 * n + 1) * float(np.dot(vals if pn is None else vals * pn, rule.w)) / (4.0 * pi)
+    pnm = assoc_legendre(n, m, rule.cos_t)
+    phi = np.arctan2(rule.sin_p, rule.cos_p)
+    trig = np.cos(m * phi) if kind == "a" else np.sin(m * phi)
+    norm = (2 * n + 1) * factorial(n - m) / factorial(n + m) / (2.0 * pi)
+    return norm * float(np.dot(vals * pnm * trig, rule.w))
+
+
+def _orders(max_n):
+    return [(n, m, kind) for n in range(max_n + 1) for m in range(n + 1) for kind in "ab" if m or kind == "a"]
+
+
+@pytest.mark.parametrize("rule", [None, build_rule(16, 32)], ids=["default", "16x32"])
+@pytest.mark.parametrize("name", ["rsqz3", "gauss", "bump"])
+def test_project_matches_per_call_reference(name, rule):
+    rule = rule or build_rule()
+    f = make_phantom(name)
+    for c in (SphereCenter(0.3, -0.2, 0.8), SphereCenter(-1.0, 0.5, 1.7)):
+        vals = _evaluate_on_sphere(f, c, rule)
+        for n, m, kind in _orders(6):
+            want = _reference_projection(vals, rule, n, m, kind)
+            assert _project(vals, rule, n, m, kind) == want, (c, n, m, kind)
+        assert spherical_mean(f, c, rule) == _reference_projection(vals, rule, 0, 0, "a")
+        assert first_cosine_coefficient(f, c, rule) == _reference_projection(vals, rule, 1, 0, "a")
+
+
+def test_factor_rows_cached_read_only():
+    rule = build_rule()
+    assert _factor_rows(rule, 0, 0, "a") == ()
+    for n, m, kind in _orders(4)[1:]:
+        rows = _factor_rows(rule, n, m, kind)
+        assert len(rows) == (2 if m else 1)
+        for row in rows:
+            assert not row.flags.writeable and row.flags.owndata
+            with pytest.raises(ValueError):
+                row[0] = 0.0
+        assert all(a is b for a, b in zip(rows, _factor_rows(rule, n, m, kind)))
+    assert np.array_equal(_factor_rows(rule, 1, 0, "a")[0], rule.cos_t)
+
+
+def test_factor_rows_follow_rule_identity():
+    # a hand-built rule with a cached rule's sizes but turned phi nodes
+    base = build_rule()
+    phi = np.arctan2(base.sin_p, base.cos_p) + 0.3
+    turned = SphereRule(base.n_theta, base.n_phi, base.cos_t, base.sin_t, np.cos(phi), np.sin(phi), base.w)
+    assert turned != base
+    for n, m, kind in ((2, 0, "a"), (2, 1, "a"), (3, 2, "b")):
+        mine, theirs = _factor_rows(turned, n, m, kind), _factor_rows(base, n, m, kind)
+        assert all(a is not b for a, b in zip(mine, theirs))
+        if m:
+            assert not np.array_equal(mine[1], theirs[1])
+    vals = _evaluate_on_sphere(make_phantom("gauss"), SphereCenter(0.2, 0.1, 0.9), turned)
+    for n, m, kind in _orders(3):
+        assert _project(vals, turned, n, m, kind) == _reference_projection(vals, turned, n, m, kind)
 
 
 def _pole_sum(f, c, sgn, N):
