@@ -37,9 +37,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import isfinite
 from types import MappingProxyType
 from typing import Mapping
+
+import numpy as np
 
 __all__ = [
     "CoefficientTable",
@@ -89,6 +92,20 @@ class CoefficientTable:
 
     def s_odd_at(self, k: int, i: int, m: int) -> Fraction:
         return self.s_odd.get((k, i, m), Fr(0))
+
+    @cached_property
+    def c_dense(self) -> np.ndarray:
+        """c_even and c_odd as one read-only float array C[parity, k, i, m]
+        of shape (2, n + 1, n + 1, 2n + 1), n = order_n, even parity first;
+        each stored entry is float(c), every other entry 0.0.  Converted
+        once per table; C[:, :k+1, :k+1, :2k+1] is the table of order k."""
+        n = self.order_n
+        dense = np.zeros((2, n + 1, n + 1, 2 * n + 1))
+        for parity, stored in enumerate((self.c_even, self.c_odd)):
+            for key, c in stored.items():
+                dense[(parity,) + key] = float(c)
+        dense.setflags(write=False)
+        return dense
 
 
 @dataclass(frozen=True)

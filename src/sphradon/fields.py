@@ -22,16 +22,31 @@ field's ladder is one broadcast `eval_pqt` per (power, moment function).
 
 gauss and bump share a transverse Gaussian G, and the center-Laplacians hit
 only G, so Lap^i f = f * Lap^i G / G.  Their ladders evaluate f once per
-radius on the phantom's own rule, project it as power 0, and form every
-higher power in Hermite form,
+radius on the phantom's own rule, project it as power 0, and project each
+higher power as soon as it is formed.  The anisotropic gauss forms them in
+Hermite form,
 
     Lap^i G / G = sum_j C(i, j) He_2j(dx/sx)/sx^2j He_2(i-j)(dy/sy)/sy^2(i-j),
 
-from one table of even-degree probabilists' Hermite rows; each power is
-projected as soon as it is formed.  Against 50-digit arithmetic at 200
-points of [-2.5, 2.5]^2 (tests/test_ladder.py) its error relative to
-max(|exact|, s^-2i) is at most 3e-13 at powers 4, 8 and 16; the expanded
-monomial form (a sum of c dx^a dy^b) measured 2.9e-12, 3.3e-11 and 2.8e-8.
+from one table of even-degree probabilists' Hermite rows; an isotropic G
+(sx == sy, so the bump) by one Laguerre recurrence in r^2 = dx^2 + dy^2,
+
+    Lap^i G / G = (-2/s^2)^i i! L_i(r^2/(2 s^2)).
+
+Against 50-digit arithmetic at 200 points of [-2.5, 2.5]^2
+(tests/test_ladder.py) the error relative to max(|exact|, s^-2i) is at most
+3e-13 in either form at powers 4, 8 and 16 (Laguerre at s = 0.45: 5.1e-14,
+1.4e-13, 2.1e-13); the expanded monomial form (a sum of c dx^a dy^b)
+measured 2.9e-12, 3.3e-11 and 2.8e-8.
+
+The rules fit the integrands' supports and are module constants.  gauss
+uses the 64 x 48 product rule (`_GAUSS_RULE`).  The bump vanishes outside
+the slab zc - rz < z < zc + rz, which a sphere of radius u centred on the
+plane meets in the band (zc - rz)/u < cos(theta) < (zc + rz)/u; since area
+is uniform in cos(theta), its rule is Gauss-Legendre on that band crossed
+with a phi ring (`_BAND_SIZES`, `quadrature.band_rule`), every node inside
+the support, and a sphere below the slab gets literal zeros.
+`ScalarField3D.ladder_rule` names the rule of each radius.
 
 Catalog (built by `make_phantom`):
 
@@ -61,7 +76,7 @@ import numpy as np
 
 from . import polynomials
 from .forward import SphereCenter, _project, _sphere_points
-from .quadrature import SphereRule, build_rule
+from .quadrature import band_rule, build_rule
 
 __all__ = [
     "ScalarField3D",
@@ -89,6 +104,10 @@ class ScalarField3D:
         (n + 1, len(us)) whose row i, column j is (Lap^i Mf, Lap^i a01),
         the two-dimensional center-Laplacians of the moment functions, at
         radius us[j].  Column j depends on us[j] alone.
+    ladder_rule: u -> the SphereRule a sphere-quadrature ladder projects on
+        at radius u (power 0 equals `spherical_mean` under it bit for bit),
+        or None where the sphere misses the field's support and the column
+        is literal zeros; None for a field without sphere quadrature.
 
     Callers read the data through `laplacian_block` only; one block on
     the radial nodes followed by t holds the datum at t in its last column.
@@ -97,6 +116,7 @@ class ScalarField3D:
     evaluate: Callable
     descriptor: str
     analytic_ladder: Callable | None = None
+    ladder_rule: Callable | None = None
 
     def laplacian_block(self, x: float, y: float, us, n: int):
         """(Mf, a01) arrays of shape (n + 1, len(us)): row i, column j is
@@ -229,36 +249,80 @@ def _hermite_laplacians(dx: Array, dy: Array, sx: float, sy: float, n: int):
         yield acc
 
 
+def _laguerre_laplacians(r2: Array, s: float, n: int):
+    """Yield Lap^i G / G for i = 0..n, G = exp(-r2/(2 s^2)) isotropic.
+
+    Lap^i G / G = R_i = (-2/s^2)^i i! L_i(r2/(2 s^2)), and the Laguerre
+    recurrence (k+1) L_{k+1} = (2k+1-x) L_k - k L_{k-1} scales to
+
+        R_{k+1} = (r2/s^4 - 2(2k+1)/s^2) R_k - (4 k^2/s^4) R_{k-1}.
+
+    Yielded rows are never written again.  Power 0 is exactly 1.0.
+    """
+    s2 = s * s
+    s4 = s2 * s2
+    q = r2 / s4
+    prev, cur = None, np.ones_like(r2)
+    yield cur
+    for k in range(n):
+        nxt = (q - 2 * (2 * k + 1) / s2) * cur
+        if k:
+            nxt -= (4 * k * k / s4) * prev
+        prev, cur = cur, nxt
+        yield cur
+
+
 def _gaussian_field(
-    evaluate, descriptor: str, x0: float, y0: float, sx: float, sy: float, rule: SphereRule, odd: bool
+    evaluate, descriptor: str, x0: float, y0: float, sx: float, sy: float, rule_at: Callable, odd: bool
 ) -> ScalarField3D:
     """A field that is G(x - x0, y - y0) times a factor free of (x, y), with
-    its ladder on `rule`.
+    its ladder on `rule_at(u)`, the sphere rule of radius u (None: the
+    sphere misses the support, and its column is literal zeros).
 
-    The ladder evaluates the field once on `rule` per radius, projects it as
-    power 0, and projects each higher power as soon as it is formed; power
-    0 alone builds no Hermite table.  Without `odd` the a01 rows are the
-    literal zeros of a field even in z.
+    The ladder evaluates the field once per radius, projects it as power 0,
+    and projects each higher power as soon as it is formed; power 0 alone
+    builds no Laplacian rows.  An isotropic G takes the Laguerre form, any
+    other the Hermite form.  Without `odd` the a01 rows are the literal
+    zeros of a field even in z.
     """
+    if sx == sy:
+        def laplacians(X, Y, n):
+            dx, dy = X - x0, Y - y0
+            return _laguerre_laplacians(dx * dx + dy * dy, sx, n)
+    else:
+        def laplacians(X, Y, n):
+            return _hermite_laplacians(X - x0, Y - y0, sx, sy, n)
 
     def ladder(x, y, us, n):
         mf, a01 = np.zeros((n + 1, len(us))), np.zeros((n + 1, len(us)))
         for j, u in enumerate(us):
+            rule = rule_at(float(u))
+            if rule is None:
+                continue
             X, Y, Z = _sphere_points(SphereCenter(x, y, float(u)), rule)
             base = np.asarray(evaluate(X, Y, Z), dtype=float)
-            # Lap^i f on the sphere (Hermite power 0 is exactly 1.0)
+            powers = [base]
             if n:
-                laps = _hermite_laplacians(X - x0, Y - y0, sx, sy, n)
-                powers = (np.multiply(lap, base, out=lap) for lap in laps)
-            else:
-                powers = [base]
+                # Lap^i f on the sphere (power 0 of the rows is exactly 1.0)
+                work = np.empty_like(base)
+                powers = (np.multiply(lap, base, out=work) for lap in laplacians(X, Y, n))
             for i, vals in enumerate(powers):
                 mf[i, j] = _project(vals, rule, 0)
                 if odd:
                     a01[i, j] = _project(vals, rule, 1)
         return mf, a01
 
-    return ScalarField3D(evaluate=evaluate, descriptor=descriptor, analytic_ladder=ladder)
+    return ScalarField3D(evaluate=evaluate, descriptor=descriptor, analytic_ladder=ladder, ladder_rule=rule_at)
+
+
+# the smooth ladders' sphere rules: gauss's integrand is entire, so 64
+# Gauss nodes in cos(theta) and 48 in phi resolve it off its own axis to
+# ~1e-14 (64 x 160 did no better against a 96 x 400 reference); the bump's
+# band rule needs 96 nodes in cos(theta) across its mollifier shell, whose
+# derivatives grow huge just inside the support, and 64 in phi for centres
+# 1.5 off its axis (48 left 4e-9 at power 8)
+_GAUSS_RULE = (64, 48)
+_BAND_SIZES = (96, 64)
 
 
 def gauss_field(
@@ -285,12 +349,11 @@ def gauss_field(
         out = amp * np.exp(-dx * dx / (2 * sx2) - dy * dy / (2 * sy2) - z * z / (2 * sz2))
         return out if out.shape else float(out)
 
-    # 160 phi nodes because the Gaussian is evaluated at centers off its own
-    # axis; 64 Gauss nodes in cos(theta) resolve entire integrands to ~1e-13
+    rule = build_rule(*_GAUSS_RULE)
     return _gaussian_field(
         evaluate,
         f"gauss(amp={amp:g},cx={cx:g},cy={cy:g},sx={sx:g},sy={sy:g},sz={sz:g})",
-        cx, cy, sx, sy, build_rule(64, 160), odd=False,
+        cx, cy, sx, sy, lambda u: rule, odd=False,
     )
 
 
@@ -339,14 +402,15 @@ def bump_field(
         g = amp * np.exp(-(dx * dx + dy * dy) / (2 * s2))
         return g * _mollifier((np.asarray(z, dtype=float) - zc) / rz)
 
-    # all derivatives of the mollifier shell vanish at the support boundary
-    # but grow huge just inside it, so Gauss-Legendre needs ~256 nodes in
-    # cos(theta) to reach ~1e-10 there (phi stays cheap: the transverse
-    # factor is a Gaussian)
+    def rule_at(u):
+        # the support's band of cos(theta) on the sphere of radius u
+        lo, hi = max(-1.0, (zc - rz) / u), min(1.0, (zc + rz) / u)
+        return band_rule(lo, hi, *_BAND_SIZES) if lo < hi else None
+
     return _gaussian_field(
         evaluate,
         f"bump(amp={amp:g},x0={x0:g},y0={y0:g},sigma={sigma:g},zc={zc:g},rz={rz:g})",
-        x0, y0, sigma, sigma, build_rule(256, 64), odd=True,
+        x0, y0, sigma, sigma, rule_at, odd=True,
     )
 
 

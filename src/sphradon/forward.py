@@ -15,13 +15,14 @@ a_{00} is the spherical mean Mf and a_{01} is the first cosine coefficient.
 The two-data transform packs them as Mf + i * a01 / 3; under the same rule
 its real and imaginary parts equal `spherical_mean` and
 `first_cosine_coefficient / 3` bit for bit, since every coefficient is one
-`_project` over factor rows cached read-only per (rule, n, m, kind).
+`_project` over read-only factor rows stored on the rule itself, built on
+first use and freed with the rule: one Legendre row per (n, m) and one
+trig row per (m, kind), which every degree n shares.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from math import factorial, inf, isfinite, pi
 from numbers import Integral
 
@@ -117,19 +118,26 @@ def harmonic_coefficient(
     return _project(_evaluate_on_sphere(f, c, rule), rule, n, m, kind)
 
 
-@cache
+def _stored_row(rule: SphereRule, key: tuple, build) -> np.ndarray:
+    """rule.rows[key], built by `build()` and made read-only on first use."""
+    row = rule.rows.get(key)
+    if row is None:
+        row = rule.rows[key] = build()
+        row.setflags(write=False)
+    return row
+
+
 def _factor_rows(rule: SphereRule, n: int, m: int, kind: str) -> tuple:
     """Read-only factors of a_{mn} (kind "a") or b_{mn} (kind "b") on the
-    nodes of `rule` (hashed by identity; the cache keeps it alive):
-    P_{n,m}(cos theta), then cos(m phi) or sin(m phi) for m >= 1."""
+    nodes of `rule`, stored on the rule: P_{n,m}(cos theta), then cos(m phi)
+    or sin(m phi) for m >= 1, shared by every n."""
     if n == 0:
         return ()  # a_{00} has no factor
-    rows = (assoc_legendre(n, m, rule.cos_t).copy(),)  # a copy, not a table view
+    # a copy, not a view into the Legendre table
+    rows = (_stored_row(rule, ("P", n, m), lambda: assoc_legendre(n, m, rule.cos_t).copy()),)
     if m:
-        phi = np.arctan2(rule.sin_p, rule.cos_p)
-        rows += (np.cos(m * phi) if kind == "a" else np.sin(m * phi),)
-    for row in rows:
-        row.setflags(write=False)
+        trig = np.cos if kind == "a" else np.sin
+        rows += (_stored_row(rule, (kind, m), lambda: trig(m * np.arctan2(rule.sin_p, rule.cos_p))),)
     return rows
 
 

@@ -4,7 +4,8 @@ The product rule is Gauss-Legendre in cos(theta) crossed with a uniform
 periodic grid in phi.  It integrates every spherical polynomial of degree
 <= min(2*n_theta - 1, n_phi - 1) exactly, which covers all polynomial
 phantoms used in the tests; weights sum to the sphere area 4*pi.  Its
-Gauss-Legendre factor, cached per size, also gives every radial rule on [0, t].
+Gauss-Legendre factor, cached per size, also gives every radial rule on [0, t]
+and every band rule (`band_rule`), which maps it onto a band of cos(theta).
 
 Legendre conventions: P_n is the standard Legendre polynomial; the associated
 functions used in the harmonic projections follow the positive convention
@@ -16,12 +17,12 @@ i.e. any Condon-Shortley (-1)^m is already divided out, so P_{1,1} = sin(theta).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
 
-__all__ = ["SphereRule", "build_rule", "legendre_all", "assoc_legendre"]
+__all__ = ["SphereRule", "build_rule", "band_rule", "legendre_all", "assoc_legendre"]
 
 Array = np.ndarray
 
@@ -33,6 +34,8 @@ class SphereRule:
     Nodes are (theta_j, phi_j) with weights w_j such that
     sum_j w_j g(omega_j) approximates the surface integral of g.
     cos_t, sin_t, cos_p, sin_p, w are 1-D arrays of equal length.
+    `rows` holds the projection factor rows built on these nodes
+    (`forward._factor_rows`), filled on first use and freed with the rule.
     """
 
     n_theta: int
@@ -42,6 +45,7 @@ class SphereRule:
     cos_p: Array
     sin_p: Array
     w: Array
+    rows: dict = field(default_factory=dict, init=False, repr=False)
 
 
 @cache
@@ -59,6 +63,27 @@ def _gauss_legendre_on(t: float, n: int) -> tuple[Array, Array]:
 
 
 @cache
+def _phi_ring(n_theta: int, n_phi: int) -> tuple[Array, Array]:
+    """cos(phi) and sin(phi) of the uniform phi grid, tiled once per theta
+    node: shared, read-only, by every rule of these sizes."""
+    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    ring = np.tile(np.cos(phi), n_theta), np.tile(np.sin(phi), n_theta)
+    for a in ring:
+        a.setflags(write=False)
+    return ring
+
+
+def _product_rule(x: Array, wx: Array, n_phi: int) -> SphereRule:
+    """Nodes x in cos(theta) with weights wx crossed with the phi ring."""
+    ct = np.repeat(x, n_phi)
+    st = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
+    w = np.repeat(wx, n_phi) * (2.0 * np.pi / n_phi)
+    for a in (ct, st, w):
+        a.setflags(write=False)
+    return SphereRule(x.size, n_phi, ct, st, *_phi_ring(x.size, n_phi), w)
+
+
+@cache
 def build_rule(n_theta: int = 24, n_phi: int = 48) -> SphereRule:
     """The n_theta x n_phi product rule, built once per argument list.
 
@@ -67,18 +92,22 @@ def build_rule(n_theta: int = 24, n_phi: int = 48) -> SphereRule:
     """
     if n_theta < 1 or n_phi < 1:
         raise ValueError("rule sizes must be positive")
+    return _product_rule(*_gauss_legendre(n_theta), n_phi)
+
+
+def band_rule(lo: float, hi: float, n_theta: int, n_phi: int) -> SphereRule:
+    """The n_theta x n_phi product rule over the band lo <= cos(theta) <= hi.
+
+    Area on the sphere is uniform in cos(theta) (Archimedes), so
+    Gauss-Legendre mapped onto [lo, hi] integrates a g that vanishes off the
+    band as well as the full rule integrates a smooth g over the sphere.
+    Not cached: a band rule is transient, and its factor rows go with it.
+    """
+    if not -1.0 <= lo < hi <= 1.0:
+        raise ValueError(f"need -1 <= lo < hi <= 1, got [{lo}, {hi}]")
     x, wx = _gauss_legendre(n_theta)
-    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    wphi = 2.0 * np.pi / n_phi
-    ct = np.repeat(x, n_phi)
-    st = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
-    cp = np.tile(np.cos(phi), n_theta)
-    sp = np.tile(np.sin(phi), n_theta)
-    w = np.repeat(wx, n_phi) * wphi
-    arrays = (ct, st, cp, sp, w)
-    for a in arrays:
-        a.setflags(write=False)
-    return SphereRule(n_theta, n_phi, *arrays)
+    half = 0.5 * (hi - lo)
+    return _product_rule(0.5 * (hi + lo) + half * x, half * wx, n_phi)
 
 
 def legendre_all(n: int, x: Array) -> Array:

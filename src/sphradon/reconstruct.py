@@ -181,13 +181,9 @@ def _mirror_scale(source) -> float:
 
 def _filter_coefficients(table: CoefficientTable, order_n: int) -> Array:
     """The dense float filter coefficients C[parity, k, i, m], k <= order_n,
-    even parity first.  Order 0 has no filter; `_point_terms` forms all others."""
-    coef = np.zeros((2, order_n + 1, order_n + 1, 2 * order_n + 1))
-    for parity, stored in enumerate((table.c_even, table.c_odd)):
-        for (k, i, m), c in stored.items():
-            if k <= order_n:
-                coef[parity, k, i, m] = float(c)
-    return coef
+    even parity first: a read-only view of the table's `c_dense`.  Order 0
+    has no filter; `_point_terms` forms all others."""
+    return table.c_dense[:, : order_n + 1, : order_n + 1, : 2 * order_n + 1]
 
 
 def _point_terms(src, scheme, x: float, y: float, t: float, order_n: int, filters: Array) -> Array:

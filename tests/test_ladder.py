@@ -1,8 +1,10 @@
-"""Hermite-form Laplacian ladders and the array-valued block protocol."""
+"""Hermite- and Laguerre-form Laplacian ladders, the smooth ladders' sphere
+rules, and the array-valued block protocol."""
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import random
 import re
 
@@ -10,9 +12,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from sphradon import moments
+from sphradon import fields, moments
 from sphradon.coeffs import build_tables
-from sphradon.fields import _hermite_laplacians, make_phantom, polynomial_field
+from sphradon.fields import _hermite_laplacians, _laguerre_laplacians, make_phantom, polynomial_field
 from sphradon.moments import MomentGrid, sample_moments
 from sphradon.reconstruct import ReconstructionRequest, SliceSpec, reconstruct_point, reconstruct_slice
 
@@ -81,6 +83,82 @@ def test_hermite_ladder_against_mpmath(sx, sy, power):
             exact = _lap_ratio_exact(float(a), float(b), sx, sy, power)
             worst = max(worst, float(abs(v - exact) / max(abs(exact), scale)))
     assert worst <= 1e-12, worst
+
+
+@pytest.mark.parametrize("power", [4, 8, 16], ids=["bump-4", "bump-8", "bump-16"])
+def test_laguerre_ladder_against_mpmath(power):
+    # the isotropic form, against the same 50-digit Hermite sums with
+    # sx == sy; measured 5.1e-14, 1.4e-13 and 2.1e-13
+    s = 0.45
+    rng = np.random.default_rng(20240 + power)
+    dx, dy = rng.uniform(-2.5, 2.5, size=(2, 200))
+    rows = list(_laguerre_laplacians(dx * dx + dy * dy, s, power))
+    assert len(rows) == power + 1 and np.all(rows[0] == 1.0)
+    scale = s ** (-2 * power)
+    with mpmath.workdps(50):
+        worst = 0.0
+        for a, b, v in zip(dx, dy, rows[power]):
+            exact = _lap_ratio_exact(float(a), float(b), s, s, power)
+            worst = max(worst, float(abs(v - exact) / max(abs(exact), scale)))
+    assert worst <= 1e-12, worst
+
+
+# ----- the smooth ladders' sphere rules -----
+
+
+_leggauss = functools.cache(np.polynomial.legendre.leggauss)
+
+
+def _band_reference(f, x, y, u, n, n_theta=384, n_phi=96, zc=1.5, rz=1.4, s=0.45):
+    """(Mf, a01) rows of powers 0..n of the default bump at one radius, on a
+    dense band rule built here from numpy's Gauss-Legendre nodes, with the
+    Hermite form of the Laplacians: no code shared with the ladder but the
+    bump's own evaluate and the Hermite rows pinned above."""
+    lo, hi = (zc - rz) / u, min(1.0, (zc + rz) / u)
+    xg, wg = _leggauss(n_theta)
+    ct = np.repeat(0.5 * (hi + lo) + 0.5 * (hi - lo) * xg, n_phi)
+    w = np.repeat(0.5 * (hi - lo) * wg, n_phi) * (2 * np.pi / n_phi)
+    phi = np.tile(2 * np.pi * np.arange(n_phi) / n_phi, n_theta)
+    st = np.sqrt(1.0 - ct * ct)
+    X, Y = x + u * st * np.cos(phi), y + u * st * np.sin(phi)
+    base = f.evaluate(X, Y, u * ct)
+    rows = np.array([lap * base for lap in _hermite_laplacians(X, Y, s, s, n)])
+    return rows @ w / (4 * np.pi), 3 * (rows * ct) @ w / (4 * np.pi)
+
+
+def test_bump_ladder_against_a_dense_band_reference():
+    # error relative to each power's largest |value| over the radii of a
+    # centre, powers 0..8: the 96 x 64 band rule measured at most 1.2e-12
+    # here (and 9.8e-13 against a 1024 x 128 band rule summed with
+    # math.fsum); the former 256 x 64 full-sphere rule measured 2.5e-8
+    f, n = make_phantom("bump"), 8
+    us = np.array([0.12, 0.3, 0.7, 1.0, 1.5, 2.0, 2.5, 2.95, 3.4])
+    for x, y in ((0.0, 0.0), (1.5, -1.5), (0.7, 0.3), (-1.5, 1.0)):
+        got = f.laplacian_block(x, y, us, n)
+        ref = np.array([_band_reference(f, x, y, u, n) for u in us]).transpose(1, 2, 0)
+        for g, r in zip(got, ref):
+            err = np.max(np.abs(g - r), axis=1) / np.max(np.abs(r), axis=1)
+            assert np.all(err <= 5e-12), (x, y, err)
+
+
+def test_ladder_point_budget(monkeypatch):
+    # sphere points each smooth ladder evaluates per radius: the 64 x 48
+    # rule for gauss, the 96 x 64 band rule for the bump where its sphere
+    # meets the support z > 0.1, and none below; a dense rule fails here
+    points: dict[float, int] = {}
+    sphere_points = fields._sphere_points
+
+    def counted(c, rule, z_shift=0.0):
+        X, Y, Z = sphere_points(c, rule, z_shift)
+        points[c.t] = points.get(c.t, 0) + X.size
+        return X, Y, Z
+
+    monkeypatch.setattr(fields, "_sphere_points", counted)
+    us = np.array([0.05, 0.0999, 0.3, 1.5, 2.9, 3.5])
+    for name, n, budget in (("gauss", 4, [3072] * 6), ("bump", 8, [0, 0, 6144, 6144, 6144, 6144])):
+        points.clear()
+        make_phantom(name).laplacian_block(0.4, -0.3, us, n)
+        assert [points.get(u, 0) for u in us] == budget, name
 
 
 # ----- laplacian_block: column j is the block at radius us[j] alone -----

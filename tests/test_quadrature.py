@@ -7,6 +7,7 @@ from sphradon.quadrature import (
     _gauss_legendre,
     _gauss_legendre_on,
     assoc_legendre,
+    band_rule,
     build_rule,
     legendre_all,
 )
@@ -86,3 +87,47 @@ def test_assoc_legendre_positive_convention():
 def test_nodes_property_shape():
     rule = build_rule(3, 5)
     assert rule.w.flags.writeable is False
+
+
+@pytest.mark.parametrize("size", [(24, 48), (64, 48), (64, 160), (256, 64)])
+def test_build_rule_nodes_are_unmapped_gauss_legendre(size):
+    # the full rule takes leggauss's nodes as they are: a map of [-1, 1]
+    # onto itself can move their last bit
+    n_theta, n_phi = size
+    x, wx = np.polynomial.legendre.leggauss(n_theta)
+    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    ct = np.repeat(x, n_phi)
+    want = (
+        ct,
+        np.sqrt(np.maximum(0.0, 1.0 - ct * ct)),
+        np.tile(np.cos(phi), n_theta),
+        np.tile(np.sin(phi), n_theta),
+        np.repeat(wx, n_phi) * (2.0 * np.pi / n_phi),
+    )
+    rule = build_rule(*size)
+    got = (rule.cos_t, rule.sin_t, rule.cos_p, rule.sin_p, rule.w)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+def test_band_rule_integrates_over_its_band():
+    lo, hi = 0.15, 0.8
+    rule = band_rule(lo, hi, 12, 16)
+    assert (rule.n_theta, rule.n_phi) == (12, 16) and rule.w.size == 12 * 16
+    assert np.all((lo < rule.cos_t) & (rule.cos_t < hi))
+    # cos^k over the band: 2 pi (hi^(k+1) - lo^(k+1)) / (k + 1), exact to
+    # degree 2 * 12 - 1
+    for k in range(0, 24):
+        want = 2 * np.pi * (hi ** (k + 1) - lo ** (k + 1)) / (k + 1)
+        assert float(np.dot(rule.cos_t**k, rule.w)) == pytest.approx(want, rel=1e-13)
+    for a in (rule.cos_t, rule.sin_t, rule.cos_p, rule.sin_p, rule.w):
+        assert not a.flags.writeable
+    # every band rule of these sizes shares one phi ring
+    other = band_rule(-0.5, 0.25, 12, 16)
+    assert other.cos_p is rule.cos_p and other.sin_p is rule.sin_p
+    assert other is not band_rule(-0.5, 0.25, 12, 16)  # not cached
+
+
+@pytest.mark.parametrize("lo, hi", [(0.5, 0.5), (0.6, 0.2), (-1.5, 0.0), (0.0, 1.01), (np.nan, 0.5)])
+def test_band_rule_rejects_bad_bounds(lo, hi):
+    with pytest.raises(ValueError, match="need -1 <= lo < hi <= 1"):
+        band_rule(lo, hi, 4, 8)

@@ -18,6 +18,7 @@ from sphradon.moments import MomentGrid, sample_moments
 from sphradon.reconstruct import (
     ReconstructionRequest,
     SliceSpec,
+    _filter_coefficients,
     mirror_even_reconstruct,
     reconstruct_point,
     reconstruct_slice,
@@ -201,6 +202,25 @@ def test_partial_sums_equal_one_dot_per_order_and_power(source, points, n):
         want, bounds = _reference_partial_sums(source, point, n)
         for got, ref, bound in zip(sums, want, bounds):
             assert abs(got - ref) <= 8 * np.finfo(float).eps * bound
+
+
+def _per_call_filters(table, order_n):
+    """The dense filter array as every call once rebuilt it from the table."""
+    coef = np.zeros((2, order_n + 1, order_n + 1, 2 * order_n + 1))
+    for parity, stored in enumerate((table.c_even, table.c_odd)):
+        for (k, i, m), c in stored.items():
+            if k <= order_n:
+                coef[parity, k, i, m] = float(c)
+    return coef
+
+
+@pytest.mark.parametrize("n", [0, 4, 8])
+def test_filter_array_is_converted_once_per_table(n):
+    got = _filter_coefficients(TABLE, n)
+    want = _per_call_filters(TABLE, n)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert not got.flags.writeable
+    assert got.base is _filter_coefficients(TABLE, 2).base is TABLE.c_dense
 
 
 # ----- grid mode -----
