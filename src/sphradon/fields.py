@@ -46,7 +46,7 @@ plane meets in the band (zc - rz)/u < cos(theta) < (zc + rz)/u; since area
 is uniform in cos(theta), its rule is Gauss-Legendre on that band crossed
 with a phi ring (`_BAND_SIZES`, `quadrature.band_rule`), every node inside
 the support, and a sphere below the slab gets literal zeros.
-`ScalarField3D.ladder_rule` names the rule of each radius.
+`ScalarField3D._ladder_rule` is the function that picks each radius's rule.
 
 Catalog (built by `make_phantom`):
 
@@ -66,7 +66,7 @@ half-space phantom for the even-mirror reconstruction mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from inspect import signature
 from math import comb, inf, isfinite
@@ -104,10 +104,11 @@ class ScalarField3D:
         (n + 1, len(us)) whose row i, column j is (Lap^i Mf, Lap^i a01),
         the two-dimensional center-Laplacians of the moment functions, at
         radius us[j].  Column j depends on us[j] alone.
-    ladder_rule: u -> the SphereRule a sphere-quadrature ladder projects on
-        at radius u (power 0 equals `spherical_mean` under it bit for bit),
-        or None where the sphere misses the field's support and the column
-        is literal zeros; None for a field without sphere quadrature.
+    _ladder_rule (private, set by a sphere-quadrature ladder's builder):
+        u -> the SphereRule that ladder projects on at radius u (power 0
+        equals `spherical_mean` under it bit for bit), or None where the
+        sphere misses the field's support and the column is literal zeros.
+        It is the very function the ladder calls; None for any other field.
 
     Callers read the data through `laplacian_block` only; one block on
     the radial nodes followed by t holds the datum at t in its last column.
@@ -116,7 +117,7 @@ class ScalarField3D:
     evaluate: Callable
     descriptor: str
     analytic_ladder: Callable | None = None
-    ladder_rule: Callable | None = None
+    _ladder_rule: Callable | None = field(default=None, init=False, repr=False, compare=False)
 
     def laplacian_block(self, x: float, y: float, us, n: int):
         """(Mf, a01) arrays of shape (n + 1, len(us)): row i, column j is
@@ -296,10 +297,11 @@ def _gaussian_field(
     def ladder(x, y, us, n):
         mf, a01 = np.zeros((n + 1, len(us))), np.zeros((n + 1, len(us)))
         for j, u in enumerate(us):
-            rule = rule_at(float(u))
+            c = SphereCenter(x, y, float(u))  # refuses a bad radius before its rule is chosen
+            rule = rule_at(c.t)
             if rule is None:
                 continue
-            X, Y, Z = _sphere_points(SphereCenter(x, y, float(u)), rule)
+            X, Y, Z = _sphere_points(c, rule)
             base = np.asarray(evaluate(X, Y, Z), dtype=float)
             powers = [base]
             if n:
@@ -312,7 +314,9 @@ def _gaussian_field(
                     a01[i, j] = _project(vals, rule, 1)
         return mf, a01
 
-    return ScalarField3D(evaluate=evaluate, descriptor=descriptor, analytic_ladder=ladder, ladder_rule=rule_at)
+    f = ScalarField3D(evaluate=evaluate, descriptor=descriptor, analytic_ladder=ladder)
+    object.__setattr__(f, "_ladder_rule", rule_at)  # frozen: set once, here
+    return f
 
 
 # the smooth ladders' sphere rules: gauss's integrand is entire, so 64

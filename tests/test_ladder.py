@@ -161,6 +161,18 @@ def test_ladder_point_budget(monkeypatch):
         assert [points.get(u, 0) for u in us] == budget, name
 
 
+@pytest.mark.parametrize("name", ["gauss", "bump"])
+def test_smooth_ladders_refuse_a_bad_radius(name):
+    # the sphere is checked before its rule is chosen: the bump's band of a
+    # negative, zero or infinite radius would be empty and read as zeros
+    f = make_phantom(name)
+    for t in (-1.0, 0.0, np.inf):
+        with pytest.raises(ValueError, match=f"sphere radius must be positive and finite, got t={t}"):
+            f.analytic_moments(0.0, 0.0, t)
+        with pytest.raises(ValueError, match=f"sphere radius must be positive and finite, got t={t}"):
+            f.laplacian_block(0.0, 0.0, [0.5, t], 4)
+
+
 # ----- laplacian_block: column j is the block at radius us[j] alone -----
 
 
