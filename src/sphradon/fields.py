@@ -364,13 +364,15 @@ def gauss_field(
 def _mollifier(s: Array) -> Array:
     """exp(1 - 1/(1 - s^2)) on |s| < 1, zero outside; C-infinity, peak 1 at 0."""
     s = np.asarray(s, dtype=float)
-    scalar = s.ndim == 0
-    s1 = np.atleast_1d(s)
-    out = np.zeros_like(s1)
-    inside = np.abs(s1) < 1.0
-    w = s1[inside]
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - w * w))
-    return float(out[0]) if scalar else out.reshape(s.shape)
+    # one elementwise pass over every node (the bump's band rule puts them
+    # all inside); a node outside may divide by zero, overflow or be NaN,
+    # and reads 0 after the pass
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        out = np.exp(1.0 - 1.0 / (1.0 - s * s))
+    if s.ndim == 0:
+        return float(out) if abs(s) < 1.0 else 0.0
+    out[~(np.abs(s) < 1.0)] = 0.0
+    return out
 
 
 def bump_field(

@@ -18,6 +18,12 @@ its real and imaginary parts equal `spherical_mean` and
 `_project` over read-only factor rows stored on the rule itself, built on
 first use and freed with the rule: one Legendre row per (n, m) and one
 trig row per (m, kind), which every degree n shares.
+
+A sphere's nodes are its centre plus the offsets of its radius
+(`_sphere_offsets`), which depend on the radius and the rule alone, so
+quadrature sampling builds them once per grid and evaluates a centre's
+radii in blocks; every row is still projected on its own, one `np.dot`
+each, so the samples equal one sphere pass per radius bit for bit.
 """
 
 from __future__ import annotations
@@ -54,12 +60,23 @@ class SphereCenter:
             raise ValueError(f"sphere radius must be positive and finite, got t={self.t}")
 
 
+def _sphere_offsets(ts, rule: SphereRule, z_shift: float = 0.0):
+    """(dX, dY, Z) of the rule's nodes on spheres of radius ts about a centre
+    at the origin, lifted by z_shift: each of shape ts.shape + (nodes,), so a
+    1-D array of radii gives one row per radius, whatever the centre."""
+    t = np.asarray(ts, dtype=float)[..., None]
+    dX = (t * rule.sin_t) * rule.cos_p
+    dY = (t * rule.sin_t) * rule.sin_p
+    Z = z_shift + t * rule.cos_t
+    return dX, dY, Z
+
+
 def _sphere_points(c: SphereCenter, rule: SphereRule, z_shift: float = 0.0):
     """(X, Y, Z) of the rule's nodes on the sphere c, lifted by z_shift."""
-    X = c.p + c.t * rule.sin_t * rule.cos_p
-    Y = c.q + c.t * rule.sin_t * rule.sin_p
-    Z = z_shift + c.t * rule.cos_t
-    return X, Y, Z
+    dX, dY, Z = _sphere_offsets(c.t, rule, z_shift)
+    dX += c.p  # in place: the same sums as c.p + dX, one array fewer live
+    dY += c.q
+    return dX, dY, Z
 
 
 def _evaluate_on_sphere(f, c: SphereCenter, rule: SphereRule, z_shift: float = 0.0):
@@ -141,13 +158,20 @@ def _factor_rows(rule: SphereRule, n: int, m: int, kind: str) -> tuple:
     return rows
 
 
-def _project(vals, rule: SphereRule, n: int, m: int = 0, kind: str = "a") -> float:
+def _project(vals, rule: SphereRule, n: int, m: int = 0, kind: str = "a"):
     """a_{mn} (kind "a") or b_{mn} (kind "b") of sphere values evaluated on
     `rule`, for arguments `harmonic_coefficient` accepts: the package's one
-    projection, so operators that project the same values agree bit for bit."""
+    projection, so operators that project the same values agree bit for bit.
+
+    A float for one sphere's values; for an (R, nodes) block, the R
+    coefficients as an array, each row summed by its own `np.dot` exactly
+    as a single sphere is (a matrix product sums in another order)."""
     for row in _factor_rows(rule, n, m, kind):
         vals = vals * row
-    s = float(np.dot(vals, rule.w))
+    if vals.ndim == 1:
+        s = float(np.dot(vals, rule.w))
+    else:
+        s = np.array([np.dot(v, rule.w) for v in vals])
     if m == 0:
         return (2 * n + 1) * s / (4.0 * pi)  # 4.0 * pi is exact: one rounding after (2n+1)
     return (2 * n + 1) * factorial(n - m) / factorial(n + m) / (2.0 * pi) * s

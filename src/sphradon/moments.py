@@ -3,8 +3,9 @@
 A MomentGrid holds the two measured functions Mf(p,q,u) and a01(p,q,u) on a
 uniform (p,q) lattice times a strictly increasing set of radii.  It is the
 discrete form of the inverse problem's data (`sample_moments` fills it from
-a phantom's ladder, or by forward's sphere pass, which needs only the
-field's `evaluate`; a field without a ladder carries no moment data) and
+a phantom's ladder, or by quadrature, which needs only the field's
+`evaluate`: one pass per centre over blocks of its radii, on sphere offsets
+built once per grid; a field without a ladder carries no moment data) and
 the reconstructor's grid source: it answers `laplacian_block` as a phantom
 does, and `radial_scheme` with the trapezoid ladder of its stored radii,
 for centres and radii on stored nodes only; it interpolates nothing.
@@ -26,8 +27,8 @@ import numpy as np
 
 from ._io import atomic_write, fmt, format_rows
 from .fields import ScalarField3D
-from .forward import SphereCenter, _sphere_moments
-from .quadrature import SphereRule
+from .forward import _project, _sphere_offsets
+from .quadrature import SphereRule, build_rule
 
 __all__ = [
     "MomentGrid",
@@ -37,6 +38,10 @@ __all__ = [
 ]
 
 Array = np.ndarray
+
+# radii of one centre per `evaluate` call in quadrature sampling: enough to
+# amortise the call, few enough to keep the block's temporaries small
+_RADII_PER_PASS = 8
 
 
 def _check_lattice(origin, h: float, n_p: int, n_q: int, radial_nodes) -> Array:
@@ -158,11 +163,23 @@ def sample_moments(
     """Fill a MomentGrid from a phantom, one centre at a time.
 
     With analytic=True each centre is one power-0 `laplacian_block` column
-    (a field without a ladder is refused); otherwise both moments come from
-    forward's one sphere pass under `rule` at every node, which needs only
-    `evaluate`.  The lattice is checked before any sample is taken.
+    (a field without a ladder is refused).  Otherwise both moments come from
+    quadrature under `rule` (default `build_rule()`), which needs only
+    `evaluate`: the node offsets of every radius are built once, each centre
+    is one `evaluate` per block of at most _RADII_PER_PASS radii, which must
+    return one value per node, and each radius's row is summed by its own
+    `np.dot`, so every sample is bit for bit `forward._sphere_moments` at
+    its sphere.  The lattice is checked before any sample is taken.
     """
     nodes = _check_lattice(origin, h, n_p, n_q, radial_nodes)
+    if not analytic:
+        rule = rule or build_rule()
+        # every centre shares the node offsets of each radius; read-only,
+        # since each block of Z goes to `evaluate` as it is
+        offsets = _sphere_offsets(nodes, rule)
+        for arr in offsets:
+            arr.setflags(write=False)
+        blocks = [slice(lo, lo + _RADII_PER_PASS) for lo in range(0, nodes.size, _RADII_PER_PASS)]
     mf = np.empty((n_p, n_q, nodes.size))
     a01 = np.empty_like(mf)
     for ip in range(n_p):
@@ -172,9 +189,25 @@ def sample_moments(
                 m, a = field.laplacian_block(x, y, nodes, 0)
                 mf[ip, iq], a01[ip, iq] = m[0], a[0]
             else:
-                pairs = [_sphere_moments(field, SphereCenter(x, y, float(u)), rule) for u in nodes]
-                mf[ip, iq], a01[ip, iq] = np.array(pairs).T
+                for block in blocks:
+                    vals = _sphere_block(field, x, y, offsets, block)
+                    mf[ip, iq, block] = _project(vals, rule, 0)
+                    a01[ip, iq, block] = _project(vals, rule, 1)
     return MomentGrid(tuple(origin), h, n_p, n_q, nodes, mf, a01)
+
+
+def _sphere_block(field: ScalarField3D, x: float, y: float, offsets, block: slice) -> Array:
+    """The field on the nodes of the radii `block` of the sphere offsets
+    about centre (x, y), one row per radius from one `evaluate` call, which
+    is refused by the field's name unless it returns one value per node."""
+    dX, dY, Z = (arr[block] for arr in offsets)
+    vals = np.asarray(field.evaluate(x + dX, y + dY, Z), dtype=float)
+    if vals.shape != Z.shape:
+        raise ValueError(
+            f"phantom '{field.descriptor}' evaluate returned shape {vals.shape} "
+            f"on sphere nodes of shape {Z.shape}; it must return one value per node"
+        )
+    return vals
 
 
 def _center_laplacians(block: Array, n: int, h: float) -> Array:

@@ -101,6 +101,8 @@ class ReconstructionRequest:
         if not self.points:
             raise ValueError("no reconstruction points given")
         for point in self.points:
+            if len(point) != 3:
+                raise ValueError(f"points must have three coordinates (x, y, z), got {point}")
             if not all(map(math.isfinite, point)):
                 raise ValueError(f"points must have finite coordinates, got {point}")
         if not (isinstance(self.order_n, Integral) and self.order_n >= 0):

@@ -199,6 +199,17 @@ def test_project_matches_per_call_reference(name, rule):
         assert first_cosine_coefficient(f, c, rule) == _reference_projection(vals, rule, 1, 0, "a")
 
 
+@pytest.mark.parametrize("rule", [build_rule(7, 12), build_rule(16, 32)], ids=["7x12", "16x32"])
+def test_project_of_a_block_equals_its_rows(rule):
+    # an (R, nodes) block gives each row's own projection bit for bit
+    rng = np.random.default_rng(7)
+    block = rng.normal(size=(5, rule.w.size))
+    for n, m, kind in _orders(4):
+        got = _project(block, rule, n, m, kind)
+        assert got.shape == (5,)
+        assert got.tolist() == [_project(row, rule, n, m, kind) for row in block], (n, m, kind)
+
+
 def test_factor_rows_cached_read_only():
     rule = build_rule()
     assert _factor_rows(rule, 0, 0, "a") == ()

@@ -141,6 +141,30 @@ def test_bump_ladder_against_a_dense_band_reference():
             assert np.all(err <= 5e-12), (x, y, err)
 
 
+def _masked_mollifier(s):
+    """The mollifier evaluated on the inside nodes only, zeros elsewhere."""
+    s1 = np.atleast_1d(np.asarray(s, dtype=float))
+    out = np.zeros_like(s1)
+    inside = np.abs(s1) < 1.0
+    w = s1[inside]
+    out[inside] = np.exp(1.0 - 1.0 / (1.0 - w * w))
+    return out.reshape(np.shape(s))
+
+
+def test_mollifier_equals_its_masked_form():
+    # one pass over every node, then zeros outside, is bit for bit the form
+    # that evaluates the inside nodes only, at NaN, +-inf, +-1, the last
+    # floats inside and outside +-1 and signed zeros, with no warning
+    edges = [np.nan, np.inf, -np.inf, 1.0, -1.0, 0.0, -0.0, 2.0, -5.0]
+    edges += [np.nextafter(1.0, 0.0), np.nextafter(-1.0, 0.0), np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0)]
+    s = np.concatenate([edges, np.random.default_rng(3).uniform(-1.5, 1.5, 500)]).reshape(3, -1)
+    got = fields._mollifier(s)
+    assert got.shape == s.shape and got.tobytes() == _masked_mollifier(s).tobytes()
+    for v in edges + [0.5, -0.999]:
+        got = fields._mollifier(v)
+        assert type(got) is float and repr(got) == repr(float(_masked_mollifier(v))), v
+
+
 def test_ladder_point_budget(monkeypatch):
     # sphere points each smooth ladder evaluates per radius: the 64 x 48
     # rule for gauss, the 96 x 64 band rule for the bump where its sphere

@@ -96,6 +96,51 @@ def test_sample_moments_equals_per_sample_moments(name):
                 assert got == _sphere_moments(f, SphereCenter(p, q, float(u)), rule), (ip, iq, iu)
 
 
+@pytest.mark.parametrize(
+    "rule, n_u",
+    [(build_rule(7, 12), 5), (build_rule(16, 32), 19)],
+    ids=["odd-theta", "two-blocks-and-a-part"],
+)
+@pytest.mark.parametrize("name", ["rsqz3", "bump"])
+def test_per_centre_pass_equals_per_sphere_moments(name, rule, n_u):
+    # one `evaluate` per block of radii of a centre, each radius projected on
+    # its own, is bit for bit one sphere pass per radius: on an odd-theta rule
+    # (a node at cos theta = 0) and on 19 radii, two full blocks and a part
+    f = make_phantom(name)
+    nodes = _ladder(2.9 / n_u, n_u)
+    grid = sample_moments(f, (-0.25, 0.1), 0.35, 2, 2, nodes, analytic=False, rule=rule)
+    for ip in range(2):
+        for iq in range(2):
+            for iu, u in enumerate(nodes):
+                c = SphereCenter(grid.p_node(ip), grid.q_node(iq), float(u))
+                got = (grid.mf_values[ip, iq, iu], grid.a01_values[ip, iq, iu])
+                assert got == _sphere_moments(f, c, rule), (ip, iq, iu)
+
+
+def test_per_centre_pass_evaluates_blocks_of_radii():
+    # 19 radii of each of 2 centres: blocks of 8, 8 and 3 radii per centre
+    shapes = []
+
+    def evaluate(x, y, z):
+        shapes.append(np.shape(z))
+        return np.asarray(z, dtype=float) ** 2
+
+    rule = build_rule(7, 12)
+    sample_moments(ScalarField3D(evaluate, "zsq"), (0.0, 0.0), 0.1, 2, 1, _ladder(0.1, 19), analytic=False, rule=rule)
+    assert shapes == [(8, 84), (8, 84), (3, 84)] * 2
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [lambda x, y, z: 1.0, lambda x, y, z: np.ravel(z), lambda x, y, z: np.asarray(z)[..., :-1]],
+    ids=["scalar", "flat", "short"],
+)
+def test_sampling_refuses_an_evaluate_without_one_value_per_node(evaluate):
+    f = ScalarField3D(evaluate, "odd one")
+    with pytest.raises(ValueError, match="phantom 'odd one' evaluate returned shape .* one value per node"):
+        sample_moments(f, (0.0, 0.0), 0.1, 1, 1, _ladder(0.2, 2), analytic=False)
+
+
 def test_phantom_and_grid_blocks_take_the_same_parameters():
     want = ["self", "x", "y", "us", "n"]
     assert list(inspect.signature(ScalarField3D.laplacian_block).parameters) == want
@@ -122,7 +167,7 @@ def test_sample_moments_checks_the_lattice_before_sampling(origin, h, n_p, nodes
 
     f = ScalarField3D(evaluate, "counted zsq")
     sample_moments(f, (0.0, 0.0), 0.1, 1, 1, _ladder(0.2, 2), analytic=False)
-    assert len(calls) == 2  # one sphere pass per radius of the one centre
+    assert sum(calls) == 2 * 1152  # both radii of the one centre on the 24 x 48 rule
     calls.clear()
     with pytest.raises(ValueError, match=re.escape(message)):
         sample_moments(f, origin, h, n_p, 3, nodes, analytic=False)

@@ -468,6 +468,16 @@ def test_request_rejects_non_finite_geometry(kw):
         ReconstructionRequest(**{**args, **kw})
 
 
+@pytest.mark.parametrize("point", [(0.0, 1.0), (0.0, 0.0, 1.0, 2.0)], ids=["two", "four"])
+def test_request_rejects_a_point_without_three_coordinates(point):
+    # refused by name when the request is built, not by an unpacking error
+    # inside reconstruct_point
+    with pytest.raises(ValueError, match=re.escape(f"three coordinates (x, y, z), got {point}")):
+        ReconstructionRequest(
+            points=((0.0, 0.0, 1.0), point), order_n=1, mode="two_data", source=make_phantom("zsq")
+        )
+
+
 @pytest.mark.parametrize(
     "kw",
     [
