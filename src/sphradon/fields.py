@@ -14,9 +14,11 @@ rationals evaluated in floating point.
 `ScalarField3D.laplacian_block` is the one entry point to the moment data:
 it answers every power 0..n at a whole array of radii with one call to the
 field's `analytic_ladder`.  The reconstructor, the residual checks and
-analytic `sample_moments` all ask the field through it; the first two ask
-one block on the radial nodes followed by t, whose last column is the datum
-at t.  Every catalog phantom has a ladder; a field without one carries no
+analytic `sample_moments` all ask the field through it.  The
+reconstructor asks one block per slice column (x, y), on the sorted union
+of its points' radial nodes and radii t, and reads each point's nodes and
+its datum at t from it; the checks ask one block on a point's radial nodes
+followed by t, whose last column is the datum at t.  Every catalog phantom has a ladder; a field without one carries no
 moment data (quadrature sampling is `forward`'s sphere pass).  A polynomial
 field's ladder is one broadcast `eval_pqt` per (power, moment function).
 

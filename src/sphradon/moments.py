@@ -13,15 +13,17 @@ for centres and radii on stored nodes only; it interpolates nothing.
 Center-Laplacians are taken by iterating the 5-point stencil, which costs i
 cells of margin per application and is exact on fields quadratic in (p,q).
 One sweep over a node's (2n+1)^2 neighbourhood yields every power 0..n at
-every radius asked; the reconstructor asks a point's radial nodes followed
-by t, so each point costs one sweep per function.
+every radius asked, and the stencil is elementwise in the radius; the
+reconstructor asks the union of a slice column's radial nodes and radii,
+so each column costs one sweep per function.
 The file format is a CSV with a comment sidecar, lossless at 17 significant
-digits.
+digits; the reader parses its body in one `np.loadtxt` call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -46,12 +48,22 @@ _RADII_PER_PASS = 8
 
 def _check_lattice(origin, h: float, n_p: int, n_q: int, radial_nodes) -> Array:
     """The radial nodes as a float array, once the sample lattice of a
-    MomentGrid is valid: finite origin, positive finite h, at least one node
-    per axis, and finite, positive, strictly increasing radii."""
+    MomentGrid is valid: an origin of two finite numbers, positive finite h,
+    integer node counts of at least one per axis, and finite, positive,
+    strictly increasing radii."""
     if not 0 < h < np.inf:
         raise ValueError("grid spacing h must be positive and finite")
-    if not np.all(np.isfinite(origin)):
+    try:
+        pq0 = np.asarray(origin, dtype=float)
+    except (TypeError, ValueError):
+        pq0 = None
+    if pq0 is None or pq0.shape != (2,):
+        raise ValueError(f"grid origin must be two numbers (p0, q0), got {origin!r}")
+    if not np.all(np.isfinite(pq0)):
         raise ValueError(f"grid origin must be finite, got {origin}")
+    for name, count in (("n_p", n_p), ("n_q", n_q)):
+        if not isinstance(count, Integral):
+            raise ValueError(f"{name} must be an integer node count, got {count!r}")
     if n_p < 1 or n_q < 1:
         raise ValueError("grid must have at least one node per axis")
     nodes = np.asarray(radial_nodes, dtype=float)
@@ -280,9 +292,35 @@ def _sidecar(meta: dict, key: str) -> int | float:
         raise ValueError(f"moment CSV sidecar {key}={text!r} is not a number") from None
 
 
+def _parse_body(lines: list[str], linenos: list[int]) -> Array:
+    """The data rows as a (rows, 5) array, parsed in one `np.loadtxt` call.
+
+    A body that call refuses is read again line by line, cell by cell with
+    `float`, to name the file line of the first row that is not five
+    numbers.
+    """
+    try:
+        data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        if data.shape[1] == 5:
+            return data
+        why = f"expected 5 fields p,q,u,Mf,a01, got {data.shape[1]}"
+    except ValueError as exc:
+        why = str(exc)
+    for lineno, line in zip(linenos, lines):
+        cells = line.split(",")
+        try:
+            if len(cells) != 5:
+                raise ValueError(f"expected 5 fields p,q,u,Mf,a01, got {len(cells)}")
+            for cell in cells:
+                float(cell)
+        except ValueError as exc:
+            raise ValueError(f"moment CSV line {lineno}: {exc}") from None
+    raise ValueError(f"moment CSV body: {why}")
+
+
 def read_moment_csv(path: str) -> MomentGrid:
     meta: dict[str, str] = {}
-    rows: list[tuple[float, ...]] = []
+    lines: list[str] = []
     linenos: list[int] = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -297,25 +335,19 @@ def read_moment_csv(path: str) -> MomentGrid:
                 continue
             if line.startswith("p,"):
                 continue
-            cells = line.split(",")
-            try:
-                if len(cells) != 5:
-                    raise ValueError(f"expected 5 fields p,q,u,Mf,a01, got {len(cells)}")
-                rows.append(tuple(float(x) for x in cells))
-            except ValueError as exc:
-                raise ValueError(f"moment CSV line {lineno}: {exc}") from None
+            lines.append(line)
             linenos.append(lineno)
-    if not rows:
+    if not lines:
         raise ValueError("moment CSV has no data rows")
+    data = _parse_body(lines, linenos)
     try:
         h, n_p, n_q, n_u, u0, du = (_sidecar(meta, key) for key in ("h", "Np", "Nq", "Nu", "u0", "du"))
     except KeyError as exc:
         raise ValueError(f"moment CSV missing sidecar field {exc}") from None
-    if len(rows) != n_p * n_q * n_u:
+    if len(data) != n_p * n_q * n_u:
         raise ValueError(
-            f"moment CSV row count {len(rows)} != Np*Nq*Nu = {n_p * n_q * n_u}"
+            f"moment CSV row count {len(data)} != Np*Nq*Nu = {n_p * n_q * n_u}"
         )
-    data = np.asarray(rows)
 
     def reject(bad, why: str):
         hits = np.flatnonzero(bad)
@@ -329,7 +361,7 @@ def read_moment_csv(path: str) -> MomentGrid:
         data[:, 3].reshape(n_p, n_q, n_u), data[:, 4].reshape(n_p, n_q, n_u),
     )
     # rows run p outer, q middle, u inner
-    ip, iq, iu = np.unravel_index(np.arange(len(rows)), (n_p, n_q, n_u))
+    ip, iq, iu = np.unravel_index(np.arange(len(data)), (n_p, n_q, n_u))
     reject(
         (np.abs(data[:, 0] - grid.p_node(ip)) > 1e-9 * h)
         | (np.abs(data[:, 1] - grid.q_node(iq)) > 1e-9 * h),

@@ -20,19 +20,26 @@ pass would give.
 
 The reconstructor reads a phantom (`ScalarField3D`) or a `MomentGrid`
 directly, through `laplacian_block(x, y, us, n)` (every power 0..n of Mf
-and a01 at the radii us).  Each (x, y, |z|) asks for one block, on the
-radial nodes followed by t: its last column's power-0 row is the boundary
-datum (Mf, a01); a phantom without a ladder has no data and is refused.  The
-radial nodes and weights on [0, t] come from the source's
+and a01 at the radii us).  The value at (x, y, z) needs only the spheres
+centred at (x, y) with radii up to |z|, so each slice column, the points of
+one exact centre (x, y), asks for one block: on the sorted union of every
+point's radial nodes and every t.  A source's column j depends on us[j]
+alone, so each point reads its own columns (its nodes, then t) bit for bit
+as a block of its own would give them; the last one's power-0 row is the
+boundary datum (Mf, a01).  A phantom without a ladder has no data and is
+refused.  The radial nodes and weights on [0, t] come from the source's
 `radial_scheme(x, y, t)`: a grid's trapezoid ladder on its stored radii
 (target center and radius must sit on stored nodes; it interpolates
 nothing).  A phantom has none and is integrated by the cached
 Gauss-Legendre rule of `quadrature`.  A source with `radial_scheme` and
-per-power `laplacians(x, y, us, i)` instead is adapted once.  Each parity's
-block becomes one term table: row k holds order k's boundary term and the
-filtered radial integral of every Laplacian power i, every entry of both
-tables from one contraction of the filters with the block and the weights,
-and S_k is the exactly rounded sum of the first k + 1 rows of both tables.
+per-power `laplacians(x, y, us, i)` instead is adapted once.  The filter
+rows at u/t are formed once per column for the stacked rows of the points
+with the same node count (every point of a phantom column; a grid point's
+prefix has its own length).  Each parity's block becomes one term table
+per point: row k holds order k's boundary term and the filtered radial
+integral of every Laplacian power i, every entry of both tables from the
+point's own contraction of its filter rows with its block and weights, and
+S_k is the exactly rounded sum of the first k + 1 rows of both tables.
 
 Even-mirror mode, for every entry point, forms the mean-data terms only
 and scales the partial sums: by 2.0 for a phantom verified to vanish on
@@ -188,31 +195,66 @@ def _filter_coefficients(table: CoefficientTable, order_n: int) -> Array:
     return table.c_dense[:, : order_n + 1, : order_n + 1, : 2 * order_n + 1]
 
 
-def _point_terms(src, scheme, x: float, y: float, t: float, order_n: int, filters: Array) -> Array:
-    """Term tables at (x, y, |z| = t), unsigned: shape (parities, n+1, n+2),
-    one table per parity in `filters`.
+def _filter_rows(filters: Array, ratios: Array) -> Array:
+    """Every filter of `filters` at the stacked rows `ratios` = u/t, shape
+    (points, nodes): shape (parities, n+1, n+1, points, nodes).
+
+    Row (k, i) is sum_m C[k, i, m] (u/t)^2m, times u/t for the odd parity.
+    Every operation is elementwise, so each point's rows are bit for bit
+    the ones it would get on its own.
+    """
+    v2 = ratios**2
+    # every filter at once, in ascending m: a zero coefficient adds +0.0,
+    # so each sum is bit for bit the one over its non-zero terms
+    filt = np.zeros(filters.shape[:3] + ratios.shape)
+    for m in range(1, filters.shape[3]):
+        filt = filt + filters[..., m, None, None] * v2**m
+    filt[1:] = filt[1:] * ratios
+    return filt
+
+
+def _point_terms(lap: Array, filt: Array, ws: Array, t: float, order_n: int) -> Array:
+    """Term tables at |z| = t, unsigned: shape (parities, n+1, n+2), one
+    table per parity of `lap`, the point's block (its radial nodes, then
+    t), and of `filt`, its filter rows at those nodes.
 
     Table [0] is from the mean data, [1] (two-data mode only) from the
     first-cosine data, which sgn(z) multiplies.  Row k holds order k's
     boundary term, then the filtered radial integral of each Laplacian
     power i = 0..n: +0.0 where i > k and on row 0, which has no filter.
     """
-    us, ws = scheme(x, y, t)
-    lap = np.array(src.laplacian_block(x, y, np.append(us, t), order_n))[: len(filters)]
-    v2 = (us / t) ** 2
-    # every filter at once, in ascending m: a zero coefficient adds +0.0,
-    # so each sum is bit for bit the one over its non-zero terms
-    filt = np.zeros(filters.shape[:3] + us.shape)
-    for m in range(1, filters.shape[3]):
-        filt = filt + filters[..., m, None] * v2**m
-    filt[1:] = filt[1:] * (us / t)
     k = np.arange(order_n + 1)
     # libm pow per power: numpy's vectorised power may differ in the last bit
     powers = np.array([t ** (2 * i - 1) for i in k.tolist()])
     integrals = (filt * lap[:, None, :, :-1]) @ ws * powers
     filtered = (k[:, None] >= k) & (k[:, None] > 0)
-    boundary = np.array([4 * k + 1, (4 * k + 3) / 3.0])[: len(filters)] * lap[:, 0, -1, None]
+    boundary = np.array([4 * k + 1, (4 * k + 3) / 3.0])[: len(lap)] * lap[:, 0, -1, None]
     return np.concatenate((boundary[..., None], np.where(filtered, integrals, 0.0)), axis=-1)
+
+
+def _column_terms(src, scheme, x: float, y: float, ts: list, order_n: int, filters: Array) -> dict:
+    """`_point_terms` of every |z| = t in ts at centre (x, y), keyed by t.
+
+    The column asks one block, on the sorted union of every point's radial
+    nodes and every t; a source's column j depends on us[j] alone, so each
+    point's columns are the block it would get on its own.  The filter
+    rows are formed once per node count, for the stacked rows of the points
+    that share it.  Each point keeps its own contraction.
+    """
+    schemes = [scheme(x, y, t) for t in ts]
+    nodes = np.unique(np.concatenate([us for us, _ in schemes] + [np.array(ts)]))
+    block = np.array(src.laplacian_block(x, y, nodes, order_n))[: len(filters)]
+    groups: dict[int, list[int]] = {}
+    for j, (us, _) in enumerate(schemes):
+        groups.setdefault(len(us), []).append(j)
+    out = {}
+    for members in groups.values():
+        filt = _filter_rows(filters, np.stack([schemes[j][0] / ts[j] for j in members]))
+        for row, j in enumerate(members):
+            us, ws = schemes[j]
+            lap = block[:, :, np.searchsorted(nodes, np.append(us, ts[j]))]
+            out[ts[j]] = _point_terms(lap, filt[..., row, :], ws, ts[j], order_n)
+    return out
 
 
 def _partial_sums(tables: Array, sg: float, scale: float):
@@ -233,8 +275,14 @@ def reconstruct_point(req: ReconstructionRequest, table: CoefficientTable) -> Re
 
     Points (x, y, z) and (x, y, -z) share every moment and Laplacian, so
     the terms are computed once per exact (x, y, |z|) and only sgn(z)
-    differs between them.  Even-mirror mode forms the mean-data terms only
-    and scales them by `_mirror_scale`.
+    differs between them; every |z| of one exact centre (x, y) is read
+    from one block (`_column_terms`).  Even-mirror mode forms the mean-data
+    terms only and scales them by `_mirror_scale`.
+
+    Every point is checked against min_abs_z, in request order, before any
+    data is read.  Then the columns are read in the order of their first
+    points, each column's radial schemes in the order of first appearance
+    of its |z|, then its one block; the first error raised names its point.
     """
     if req.order_n > table.order_n:
         raise ValueError(f"order {req.order_n} exceeds table order {table.order_n}")
@@ -243,17 +291,22 @@ def reconstruct_point(req: ReconstructionRequest, table: CoefficientTable) -> Re
     filters = _filter_coefficients(table, req.order_n)[: 1 if mirror else 2]
     scale = _mirror_scale(req.source) if mirror else 1.0
 
-    terms: dict[tuple, Array] = {}
-    ladders = []
+    columns: dict[tuple, tuple] = {}
     for (x, y, z) in req.points:
         if abs(z) < req.min_abs_z:
             raise ValueError(
                 f"on-plane point not reconstructible: |z|={abs(z):g} < min_abs_z={req.min_abs_z:g}"
             )
-        key = (x.hex(), y.hex(), abs(z))  # hex keeps centres -0.0 and 0.0 apart
-        if key not in terms:
-            terms[key] = _point_terms(src, scheme, x, y, abs(z), req.order_n, filters)
-        ladders.append(_partial_sums(terms[key], 1.0 if z > 0 else -1.0, scale))
+        # hex keeps centres -0.0 and 0.0 apart; a dict keeps first-appearance order
+        columns.setdefault((x.hex(), y.hex()), (x, y, {}))[2][abs(z)] = None
+    terms = {
+        key: _column_terms(src, scheme, x, y, list(ts), req.order_n, filters)
+        for key, (x, y, ts) in columns.items()
+    }
+    ladders = [
+        _partial_sums(terms[x.hex(), y.hex()][abs(z)], 1.0 if z > 0 else -1.0, scale)
+        for (x, y, z) in req.points
+    ]
     return ReconstructionResult(
         points=req.points,
         order_n=req.order_n,

@@ -233,7 +233,7 @@ def test_gauss_block_odd_rows_are_literal_zeros():
     assert np.all(mf[0] != 0.0)
 
 
-# ----- structural guards: one ladder call per (x, y, |z|) -----
+# ----- structural guards: one ladder call per slice column (x, y) -----
 
 
 def _counted(name: str):
@@ -260,7 +260,7 @@ def test_one_ladder_call_per_point():
 
 def test_gauss_slice_makes_one_ladder_pass_per_distinct_abs_z():
     # 3 x 3 nodes at +-0.8 and 0; the z = 0 row is excluded, and the rows
-    # z = +-0.8 share their points' ladders: one call for each of 3 points
+    # z = +-0.8 share their points' ladders: one call for each of 3 columns
     f, calls = _counted("gauss")
     spec = SliceSpec("y", 0.1, (-0.8, 0.8), (-0.8, 0.8), 0.8)
     res = reconstruct_slice(spec, 4, "two_data", f, TABLE, min_abs_z=0.25)
@@ -278,7 +278,10 @@ def test_points_one_ulp_apart_in_abs_z_are_not_merged():
         return reconstruct_point(req, TABLE)
 
     both = run(pts)
-    assert len(calls) == 2
+    # one column, one ladder call, in which each |z| keeps its own column
+    assert len(calls) == 1
+    ((_, _, us, _),) = calls
+    assert z in us and np.nextafter(z, 2.0) in us
     apart = [run((p,)) for p in pts]
     assert both.partial_sums == apart[0].partial_sums + apart[1].partial_sums
 
@@ -375,9 +378,59 @@ def test_grid_request_sweeps_once_per_function_and_abs_z(monkeypatch):
 
     center = moments._center_laplacians
     monkeypatch.setattr(moments, "_center_laplacians", counted)
-    # x in {-0.1, 0, 0.1}, z in {-0.4, -0.2, 0.2, 0.4} once the band is cut:
-    # 12 points, 6 distinct (x, y, |z|); each sweeps once for every power
-    # at the radial nodes followed by t
+    # x in {-0.1, 0.1}, z in {-0.4, -0.2, 0.2 + 7e-17, 0.4} once the band is
+    # cut: 8 points, 6 distinct (x, y, |z|) in 2 columns; each column sweeps
+    # once for every power at the union of its points' radial nodes and t
     spec = SliceSpec("y", 0.0, (-0.1, 0.1), (-0.4, 0.4), 0.2)
     reconstruct_slice(spec, 3, "two_data", grid, TABLE, min_abs_z=0.1)
-    assert sweeps == [3, 3] * 6
+    assert sweeps == [3, 3] * 2
+
+
+# ----- a slice column equals its points asked one at a time -----
+
+
+def _gl_node(t: float, n: int, j: int) -> float:
+    """Radial node j of the default max(8, n + 4)-point rule on [0, t]."""
+    gx, _ = np.polynomial.legendre.leggauss(max(8, n + 4))
+    return float(0.5 * t * (gx[j] + 1.0))
+
+
+def _column_points(x: float, y: float, z: float, node: float) -> tuple:
+    """Two columns, (x, y) and the centre (-0.0, y) beside (0.0, y): +-z, a
+    |z| one ulp above z, a |z| equal to another point's radial node, and
+    both signed zeros."""
+    return (
+        (x, y, z), (x, y, -z), (x, y, -np.nextafter(z, 2.0)), (x, y, node),
+        (0.0, y, z), (-0.0, y, -z), (-0.0, y, node), (0.0, y, -node),
+    )
+
+
+def _bits(res) -> tuple:
+    return tuple(
+        np.array(v, dtype=float).tobytes() for v in (res.values, res.partial_sums, res.last_increment)
+    )
+
+
+_GRID = sample_moments(make_phantom("rsqz3"), (-0.4, -0.4), 0.1, 9, 9, 0.1 * np.arange(1, 13))
+
+
+@pytest.mark.parametrize(
+    "source, mode, n, points",
+    [
+        (make_phantom("rsqz3"), "two_data", 8, _column_points(0.3, -0.2, 0.9, _gl_node(0.9, 8, 5))),
+        (make_phantom("gauss"), "two_data", 4, _column_points(0.3, -0.2, 0.9, _gl_node(0.9, 4, 3))),
+        (make_phantom("bump"), "even_mirror", 8, _column_points(0.1, 0.2, 1.5, _gl_node(1.5, 8, 9))),
+        # the grid's node 0.4 is one of t = 0.8's radial nodes
+        (_GRID, "two_data", 3, _column_points(0.1, 0.1, 0.8, 0.4)),
+        (_PerPowerField(make_phantom("rsqz3"), 4), "two_data", 4, _column_points(0.3, -0.2, 0.9, _gl_node(0.9, 4, 2))),
+    ],
+    ids=["rsqz3", "gauss", "bump-even-mirror", "grid", "per-power"],
+)
+def test_a_column_equals_its_points_one_at_a_time(source, mode, n, points):
+    def run(pts):
+        req = ReconstructionRequest(points=pts, order_n=n, mode=mode, source=source)
+        return reconstruct_point(req, TABLE)
+
+    together = run(points)
+    apart = [run((p,)) for p in points]
+    assert _bits(together) == tuple(b"".join(parts) for parts in zip(*map(_bits, apart)))

@@ -155,8 +155,14 @@ def test_phantom_and_grid_blocks_take_the_same_parameters():
         ((0.0, 0.0), 0.1, 0, _ladder(0.2, 4), "at least one node per axis"),
         ((0.0, 0.0), 0.1, 3, np.array([0.2, np.nan]), "radial_nodes must be finite"),
         ((0.0, 0.0), 0.1, 3, np.array([0.2, 0.2]), "strictly increasing"),
+        ((0.0,), 0.1, 3, _ladder(0.2, 4), "grid origin must be two numbers (p0, q0), got (0.0,)"),
+        ((0.0, 0.0, 0.0), 0.1, 3, _ladder(0.2, 4), "grid origin must be two numbers"),
+        ((0.0, 0.0), 0.1, 2.5, _ladder(0.2, 4), "n_p must be an integer node count, got 2.5"),
     ],
-    ids=["nan-origin", "inf-h", "no-p-nodes", "nan-radius", "repeated-radius"],
+    ids=[
+        "nan-origin", "inf-h", "no-p-nodes", "nan-radius", "repeated-radius",
+        "one-value-origin", "three-value-origin", "fractional-n_p",
+    ],
 )
 def test_sample_moments_checks_the_lattice_before_sampling(origin, h, n_p, nodes, message):
     calls = []
@@ -215,6 +221,35 @@ def test_grid_rejects_non_finite_origin(origin):
     ok = np.zeros((2, 2, 2))
     with pytest.raises(ValueError, match="origin must be finite"):
         MomentGrid(origin, 0.1, 2, 2, _ladder(0.5, 2), ok, ok)
+
+
+@pytest.mark.parametrize(
+    "origin, n_p, n_q, message",
+    [
+        ((0.0,), 2, 2, "grid origin must be two numbers (p0, q0), got (0.0,)"),
+        ((0.0, 0.0, 0.0), 2, 2, "grid origin must be two numbers (p0, q0), got (0.0, 0.0, 0.0)"),
+        (0.0, 2, 2, "grid origin must be two numbers (p0, q0), got 0.0"),
+        (("a", 0.0), 2, 2, "grid origin must be two numbers (p0, q0), got ('a', 0.0)"),
+        ((0.0, 0.0), 2.5, 2, "n_p must be an integer node count, got 2.5"),
+        ((0.0, 0.0), 2, 2.0, "n_q must be an integer node count, got 2.0"),
+    ],
+    ids=["one-value-origin", "three-value-origin", "scalar-origin", "text-origin", "fractional-n_p", "float-n_q"],
+)
+def test_grid_names_a_bad_lattice_argument(origin, n_p, n_q, message):
+    ok = np.zeros((2, 2, 2))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        MomentGrid(origin, 0.1, n_p, n_q, _ladder(0.5, 2), ok, ok)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sample_moments(make_phantom("zsq"), origin, 0.1, n_p, n_q, _ladder(0.5, 2))
+
+
+def test_grid_accepts_numpy_lattice_arguments():
+    grid = _rsqz3_grid(n_p=3, n_q=3, n_u=2)
+    same = MomentGrid(
+        np.array(grid.origin), grid.h, np.int64(3), np.int32(3), grid.radial_nodes,
+        grid.mf_values, grid.a01_values,
+    )
+    assert same.mf_values.tobytes() == grid.mf_values.tobytes()
 
 
 def test_grid_arrays_are_frozen():
@@ -428,3 +463,37 @@ def test_csv_reader_rejects_a_file_without_rows(tmp_path):
     path.write_text("# h=0.1 Np=0 Nq=1 u0=0.1 du=0.1 Nu=2\np,q,u,Mf,a01\n")
     with pytest.raises(ValueError, match="no data rows"):
         read_moment_csv(str(path))
+
+
+def test_csv_reader_counts_comment_and_blank_lines_inside_the_body(tmp_path):
+    path, lines = _written_lines(tmp_path)
+    row = lines[5].split(",")
+    row[4] = "inf"
+    lines[5] = ",".join(row)
+    # a comment and a blank line before the bad row push it to file line 8
+    path.write_text("\n".join(lines[:3] + ["# note", ""] + lines[3:]) + "\n")
+    with pytest.raises(ValueError, match="line 8: non-finite value"):
+        read_moment_csv(str(path))
+    lines[5] = lines[5].rsplit(",", 1)[0]
+    path.write_text("\n".join(lines[:3] + ["# note", ""] + lines[3:]) + "\n")
+    with pytest.raises(ValueError, match="line 8: expected 5 fields p,q,u,Mf,a01, got 4"):
+        read_moment_csv(str(path))
+
+
+def test_csv_reader_values_equal_the_per_cell_float_parse(tmp_path):
+    # spellings the writer never emits but a hand-made file may hold:
+    # padding, signs, -0, subnormals and extremes
+    path = tmp_path / "moments.csv"
+    body = [
+        "-0.1, 0.2 ,0.25,+1.5,-0",
+        "-0.1,0.3,0.25,4.9e-324,1e-320",
+        "0.0,0.2,0.25,1.7976931348623157e308,-2.2250738585072014e-308",
+        "-0.0,0.3,0.25,0.1,3",
+    ]
+    path.write_text("# h=0.1 Np=2 Nq=2 u0=0.25 du=0.25 Nu=1\np,q,u,Mf,a01\n" + "\n".join(body) + "\n")
+    grid = read_moment_csv(str(path))
+    want = np.array([[float(c) for c in line.split(",")] for line in body])
+    assert grid.mf_values.ravel().tobytes() == want[:, 3].tobytes()
+    assert grid.a01_values.ravel().tobytes() == want[:, 4].tobytes()
+    assert grid.radial_nodes.tobytes() == want[:1, 2].tobytes()
+    assert np.array(grid.origin).tobytes() == want[0, :2].tobytes()

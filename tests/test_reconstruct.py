@@ -276,6 +276,23 @@ def test_grid_mode_errors():
         _run(grid, ((0.0, 0.0, 1.0),), 5)
 
 
+def test_a_request_with_several_bad_points_names_the_first_in_column_order():
+    grid = _zsq_grid(du=0.25, half=2)  # 5 x 5 nodes, h = 0.1: x = 0.2 has no margin
+    # every point is held to min_abs_z, in request order, before any data
+    # is read
+    with pytest.raises(ValueError, match="on-plane"):
+        _run(grid, ((0.03, 0.0, 1.0), (0.0, 0.0, 1e-5)), 1)
+    # columns are read in the order of their first points: column x = 0
+    # reads its off-ladder radius before column x = 0.2 asks its block
+    with pytest.raises(ValueError, match="radius 1.07 is not on the stored radial ladder"):
+        _run(grid, ((0.0, 0.0, 1.0), (0.2, 0.0, 1.0), (0.0, 0.0, 1.07)), 1)
+    with pytest.raises(ValueError, match="insufficient margin"):
+        _run(grid, ((0.2, 0.0, 1.0), (0.0, 0.0, 1.07)), 1)
+    # a column reads every radial scheme before its one block
+    with pytest.raises(ValueError, match="radius 1.07 is not on the stored radial ladder"):
+        _run(grid, ((0.2, 0.0, 1.0), (0.2, 0.0, 1.07)), 1)
+
+
 # ----- request validation -----
 
 
