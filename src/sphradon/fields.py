@@ -18,8 +18,9 @@ analytic `sample_moments` all ask the field through it.  The
 reconstructor asks one block per slice column (x, y), on the sorted union
 of its points' radial nodes and radii t, and reads each point's nodes and
 its datum at t from it; the checks ask one block on a point's radial nodes
-followed by t, whose last column is the datum at t.  Every catalog phantom has a ladder; a field without one carries no
-moment data (quadrature sampling is `forward`'s sphere pass).  A polynomial
+followed by t, whose last column is the datum at t.  Every catalog phantom
+has a ladder; a field without one carries no moment data (quadrature
+sampling is `forward`'s sphere pass).  A polynomial
 field's ladder is one broadcast `eval_pqt` per (power, moment function).
 
 gauss and bump share a transverse Gaussian G, and the center-Laplacians hit

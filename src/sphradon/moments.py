@@ -295,17 +295,18 @@ def _sidecar(meta: dict, key: str) -> int | float:
 def _parse_body(lines: list[str], linenos: list[int]) -> Array:
     """The data rows as a (rows, 5) array, parsed in one `np.loadtxt` call.
 
-    A body that call refuses is read again line by line, cell by cell with
-    `float`, to name the file line of the first row that is not five
-    numbers.
+    A body that call refuses, or whose rows are not five wide, is read
+    again line by line, cell by cell with `float`, to name the file line of
+    the first row that is not five numbers.
     """
+    why = None
     try:
         data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
         if data.shape[1] == 5:
             return data
-        why = f"expected 5 fields p,q,u,Mf,a01, got {data.shape[1]}"
     except ValueError as exc:
-        why = str(exc)
+        why = exc
+    # a row of other than five fields always stops this loop
     for lineno, line in zip(linenos, lines):
         cells = line.split(",")
         try:

@@ -242,7 +242,9 @@ def _column_terms(src, scheme, x: float, y: float, ts: list, order_n: int, filte
     that share it.  Each point keeps its own contraction.
     """
     schemes = [scheme(x, y, t) for t in ts]
-    nodes = np.unique(np.concatenate([us for us, _ in schemes] + [np.array(ts)]))
+    nodes = np.sort(np.concatenate([us for us, _ in schemes] + [np.array(ts)]))
+    # de-duplicated by hand: np.unique's first call adds over 1 MiB of peak RSS
+    nodes = nodes[np.append(True, nodes[1:] != nodes[:-1])]
     block = np.array(src.laplacian_block(x, y, nodes, order_n))[: len(filters)]
     groups: dict[int, list[int]] = {}
     for j, (us, _) in enumerate(schemes):
