@@ -13,8 +13,9 @@ checks.
 
 Each check reads its point once: one `laplacian_block` on the 80 cached
 Gauss-Legendre nodes on [0, t] followed by t (the datum is its last column),
-and one `_Spheres` stencil that evaluates f once per sphere.  `run_all_checks`
-shares both among the checks at one (phantom, lattice point).
+and one `_Spheres` stencil that evaluates f once per sphere and projects each
+of its coefficients once.  `run_all_checks` shares both among the checks at
+one (phantom, lattice point).
 
 Identity registry (the names appear verbatim in reports and CSV rows):
 
@@ -203,8 +204,8 @@ class _Spheres:
     stencil around the sphere (p, q, t): centre (p + dp h, q + dq h, dz h),
     radius t + dt h, for unit shifts dp, dq, dt, dz.
 
-    Each sphere is evaluated once; every coefficient is projected from its
-    values with `harmonic_coefficient`'s arithmetic, so it equals that call
+    Each sphere is evaluated once, and each coefficient of it projected
+    once, with `harmonic_coefficient`'s arithmetic, so it equals that call
     bit for bit.
     """
 
@@ -217,14 +218,18 @@ class _Spheres:
         self.f, self.point, self.h = f, (p, q, t), h
         self.rule = rule or build_rule()
         self._values = {}
+        self._coefficients = {}
 
     def __call__(self, n, m=0, kind="a", dp=0, dq=0, dt=0, dz=0) -> float:
         """a_{mn} (kind "a") or b_{mn} (kind "b") on the shifted sphere."""
         key = (dp, dq, dt, dz)
-        if key not in self._values:
-            p, q, t = (v + d * self.h if d else v for v, d in zip(self.point, key))
-            self._values[key] = _evaluate_on_sphere(self.f, SphereCenter(p, q, t), self.rule, dz * self.h)
-        return _project(self._values[key], self.rule, n, m, kind)
+        coefficient = (key, n, m, kind)
+        if coefficient not in self._coefficients:
+            if key not in self._values:
+                p, q, t = (v + d * self.h if d else v for v, d in zip(self.point, key))
+                self._values[key] = _evaluate_on_sphere(self.f, SphereCenter(p, q, t), self.rule, dz * self.h)
+            self._coefficients[coefficient] = _project(self._values[key], self.rule, n, m, kind)
+        return self._coefficients[coefficient]
 
     def diff(self, g) -> float:
         """(g(1) - g(-1)) / (2 h): the central difference of g over one unit shift."""

@@ -13,8 +13,10 @@ rationals evaluated in floating point.
 
 `ScalarField3D.laplacian_block` is the one entry point to the moment data:
 it answers every power 0..n at a whole array of radii with one call to the
-field's `analytic_ladder`.  The reconstructor, the residual checks and
-analytic `sample_moments` all ask the field through it.  The
+field's `analytic_ladder`, for both moment functions, or with odd=False
+for the mean Mf alone (no a01 is formed; even-mirror mode asks that way).
+The reconstructor, the residual checks and analytic `sample_moments` all
+ask the field through it.  The
 reconstructor asks one block per slice column (x, y), on the sorted union
 of its points' radial nodes and radii t, and reads each point's nodes and
 its datum at t from it; the checks ask one block on a point's radial nodes
@@ -26,8 +28,16 @@ field's ladder is one broadcast `eval_pqt` per (power, moment function).
 gauss and bump share a transverse Gaussian G, and the center-Laplacians hit
 only G, so Lap^i f = f * Lap^i G / G.  Their ladders evaluate f once per
 radius on the phantom's own rule, project it as power 0, and project each
-higher power as soon as it is formed.  The anisotropic gauss forms them in
-Hermite form,
+higher power as soon as it is formed.  The points are laid out on the
+rule's (theta ring, phi) grid with z one value per ring, so a factor of z
+alone (the bump's mollifier) is formed once per ring.  gauss is even in z
+and its rule's rings are exact mirror images about the equator (the
+Gauss-Legendre nodes are symmetrised in `quadrature`), so it is evaluated,
+and its Laplacian rows formed, on one hemisphere of rings, and each power
+is mirrored onto the other before it is projected.  Every node keeps its
+value bit for bit, and every projection runs over all nodes, so the
+ladders equal a pass over every node bit for bit.  The anisotropic gauss
+forms the Laplacians in Hermite form,
 
     Lap^i G / G = sum_j C(i, j) He_2j(dx/sx)/sx^2j He_2(i-j)(dy/sy)/sy^2(i-j),
 
@@ -35,6 +45,9 @@ from one table of even-degree probabilists' Hermite rows; an isotropic G
 (sx == sy, so the bump) by one Laguerre recurrence in r^2 = dx^2 + dy^2,
 
     Lap^i G / G = (-2/s^2)^i i! L_i(r^2/(2 s^2)).
+
+Power 0 of either is exactly 1.0 and is never formed: power 0 of the
+ladder is f itself.
 
 Against 50-digit arithmetic at 200 points of [-2.5, 2.5]^2
 (tests/test_ladder.py) the error relative to max(|exact|, s^-2i) is at most
@@ -78,7 +91,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import polynomials
-from .forward import SphereCenter, _project, _sphere_points
+from .forward import SphereCenter, _project, _ring_points
 from .quadrature import band_rule, build_rule
 
 __all__ = [
@@ -103,10 +116,11 @@ class ScalarField3D:
 
     evaluate: vectorized (x, y, z) -> values.
     descriptor: human-readable name with parameters.
-    analytic_ladder: (x, y, us, n) -> (Mf, a01) arrays of shape
+    analytic_ladder: (x, y, us, n, odd) -> (Mf, a01) arrays of shape
         (n + 1, len(us)) whose row i, column j is (Lap^i Mf, Lap^i a01),
         the two-dimensional center-Laplacians of the moment functions, at
-        radius us[j].  Column j depends on us[j] alone.
+        radius us[j]; (Mf,) alone when odd is False, with no a01 formed.
+        Column j depends on us[j] alone.
     _ladder_rule (private, set by a sphere-quadrature ladder's builder):
         u -> the SphereRule that ladder projects on at radius u (power 0
         equals `spherical_mean` under it bit for bit), or None where the
@@ -122,9 +136,11 @@ class ScalarField3D:
     analytic_ladder: Callable | None = None
     _ladder_rule: Callable | None = field(default=None, init=False, repr=False, compare=False)
 
-    def laplacian_block(self, x: float, y: float, us, n: int):
+    def laplacian_block(self, x: float, y: float, us, n: int, odd: bool = True):
         """(Mf, a01) arrays of shape (n + 1, len(us)): row i, column j is
-        (Lap^i Mf, Lap^i a01) at center (x, y), radius us[j].
+        (Lap^i Mf, Lap^i a01) at center (x, y), radius us[j].  With odd
+        False the block is (Mf,) alone: the mean data is all that
+        even-mirror mode reads, and no a01 is formed.
 
         One `analytic_ladder` call answers every power and radius; a field
         without a ladder carries no moment data and is refused.
@@ -133,7 +149,7 @@ class ScalarField3D:
             raise ValueError(
                 f"phantom {self.descriptor!r} has no Laplacian capability (power {n} requested)"
             )
-        return self.analytic_ladder(x, y, np.asarray(us, dtype=float), n)
+        return self.analytic_ladder(x, y, np.asarray(us, dtype=float), n, odd)
 
     def analytic_laplacians(self, x: float, y: float, u: float, i: int):
         """(Lap^i Mf, Lap^i a01) at center (x, y), radius u: one radius of
@@ -173,9 +189,11 @@ def polynomial_field(poly: Mapping[tuple[int, int, int], Fraction], name: str = 
             mcache[i] = (polynomials.a0n_poly(g, 0), polynomials.a0n_poly(g, 1))
         return mcache[i]
 
-    def ladder(x, y, us, n):
-        rows = [[polynomials.eval_pqt(m, x, y, us) for m in momdata(i)] for i in range(n + 1)]
-        return tuple(np.array([row[f] for row in rows]) for f in (0, 1))
+    def ladder(x, y, us, n, odd):
+        return tuple(
+            np.array([polynomials.eval_pqt(momdata(i)[f], x, y, us) for i in range(n + 1)])
+            for f in range(2 if odd else 1)
+        )
 
     return ScalarField3D(
         evaluate=lambda x, y, z: polynomials.eval_pqt(poly, x, y, z),
@@ -232,62 +250,74 @@ def _even_hermite_rows(xi: Array, s: float, n: int) -> Array:
 
 
 def _hermite_laplacians(dx: Array, dy: Array, sx: float, sy: float, n: int):
-    """Yield Lap^i G / G for i = 0..n, G = exp(-dx^2/(2 sx^2) - dy^2/(2 sy^2)).
+    """Yield Lap^i G / G for i = 1..n, G = exp(-dx^2/(2 sx^2) - dy^2/(2 sy^2)).
 
     d^2j/dx^2j exp(-xi^2/2) = He_2j(xi) exp(-xi^2/2) with xi = dx/sx, so
 
         Lap^i G / G = sum_j C(i, j) He_2j(dx/sx)/sx^2j He_2(i-j)(dy/sy)/sy^2(i-j).
 
-    The even Hermite rows are built once; each power then costs i + 1
-    products.  Power 0 is exactly 1.0.
+    The even Hermite rows are built once.  Row 0 of each is exactly 1.0 and
+    C(i, 0) = C(i, i) = 1, so the terms j = 0 and j = i are the rows
+    hy[i] and hx[i] as they are, and power i costs i - 1 products.  Power
+    0, exactly 1.0, is not formed.
     """
     hx = _even_hermite_rows(dx / sx, sx, n)
     hy = _even_hermite_rows(dy / sy, sy, n)
     term = np.empty_like(hx[0])
-    for i in range(n + 1):
-        acc = hx[0] * hy[i]
-        for j in range(1, i + 1):
+    for i in range(1, n + 1):
+        acc = hy[i].copy()
+        for j in range(1, i):
             np.multiply(hx[j], comb(i, j), out=term)
             term *= hy[i - j]
             acc += term
+        acc += hx[i]
         yield acc
 
 
 def _laguerre_laplacians(r2: Array, s: float, n: int):
-    """Yield Lap^i G / G for i = 0..n, G = exp(-r2/(2 s^2)) isotropic.
+    """Yield Lap^i G / G for i = 1..n, G = exp(-r2/(2 s^2)) isotropic.
 
     Lap^i G / G = R_i = (-2/s^2)^i i! L_i(r2/(2 s^2)), and the Laguerre
     recurrence (k+1) L_{k+1} = (2k+1-x) L_k - k L_{k-1} scales to
 
         R_{k+1} = (r2/s^4 - 2(2k+1)/s^2) R_k - (4 k^2/s^4) R_{k-1}.
 
-    Yielded rows are never written again.  Power 0 is exactly 1.0.
+    Power 0, exactly 1.0, is not formed: it enters the recurrence as the
+    scalar 1.0, so R_1 takes no product with it.  Yielded rows are never
+    written again.
     """
     s2 = s * s
     s4 = s2 * s2
     q = r2 / s4
-    prev, cur = None, np.ones_like(r2)
-    yield cur
+    prev, cur = None, 1.0
     for k in range(n):
-        nxt = (q - 2 * (2 * k + 1) / s2) * cur
+        nxt = q - 2 * (2 * k + 1) / s2
         if k:
+            nxt *= cur
             nxt -= (4 * k * k / s4) * prev
         prev, cur = cur, nxt
-        yield cur
+        yield nxt
 
 
 def _gaussian_field(
-    evaluate, descriptor: str, x0: float, y0: float, sx: float, sy: float, rule_at: Callable, odd: bool
+    evaluate, descriptor: str, x0: float, y0: float, sx: float, sy: float, rule_at: Callable, even: bool
 ) -> ScalarField3D:
     """A field that is G(x - x0, y - y0) times a factor free of (x, y), with
     its ladder on `rule_at(u)`, the sphere rule of radius u (None: the
     sphere misses the support, and its column is literal zeros).
 
-    The ladder evaluates the field once per radius, projects it as power 0,
-    and projects each higher power as soon as it is formed; power 0 alone
-    builds no Laplacian rows.  An isotropic G takes the Laguerre form, any
-    other the Hermite form.  Without `odd` the a01 rows are the literal
-    zeros of a field even in z.
+    The ladder evaluates the field once per radius on the rule's (theta
+    ring, phi) grid, with z one value per ring, projects it as power 0, and
+    projects each higher power Lap^i G / G * f as soon as it is formed;
+    power 0 alone builds no Laplacian rows.  An isotropic G takes the
+    Laguerre form, any other the Hermite form.
+
+    `even` declares evaluate(x, y, -z) == evaluate(x, y, z) bit for bit.
+    Then the a01 rows are literal zeros, and on a rule whose rings are
+    mirror images (`SphereRule.symmetric`) only the rings up to the equator
+    are evaluated and every power is mirrored onto the others before it is
+    projected: the node values, and so every projection over the full node
+    vector, are bit for bit those of a pass over every node.
     """
     if sx == sy:
         def laplacians(X, Y, n):
@@ -297,25 +327,32 @@ def _gaussian_field(
         def laplacians(X, Y, n):
             return _hermite_laplacians(X - x0, Y - y0, sx, sy, n)
 
-    def ladder(x, y, us, n):
+    def ladder(x, y, us, n, odd):
         mf, a01 = np.zeros((n + 1, len(us))), np.zeros((n + 1, len(us)))
+        project_a01 = odd and not even
         for j, u in enumerate(us):
             c = SphereCenter(x, y, float(u))  # refuses a bad radius before its rule is chosen
             rule = rule_at(c.t)
             if rule is None:
                 continue
-            X, Y, Z = _sphere_points(c, rule)
+            n_theta = rule.n_theta
+            rings = (n_theta + 1) // 2 if even and rule.symmetric else n_theta
+            X, Y, Z = _ring_points(c, rule, rings)
             base = np.asarray(evaluate(X, Y, Z), dtype=float)
-            powers = [base]
-            if n:
-                # Lap^i f on the sphere (power 0 of the rows is exactly 1.0)
-                work = np.empty_like(base)
-                powers = (np.multiply(lap, base, out=work) for lap in laplacians(X, Y, n))
-            for i, vals in enumerate(powers):
-                mf[i, j] = _project(vals, rule, 0)
-                if odd:
-                    a01[i, j] = _project(vals, rule, 1)
-        return mf, a01
+            # one power on every node: its first rings formed in place, the
+            # rest (if any) their mirror images
+            vals = np.empty((n_theta, rule.n_phi))
+            head, flat = vals[:rings], vals.reshape(-1)
+            np.copyto(head, base)
+            laps = laplacians(X, Y, n) if n else ()
+            for i in range(n + 1):
+                if i:
+                    np.multiply(next(laps), base, out=head)
+                vals[rings:] = vals[: n_theta - rings][::-1]
+                mf[i, j] = _project(flat, rule, 0)
+                if project_a01:
+                    a01[i, j] = _project(flat, rule, 1)
+        return (mf, a01) if odd else (mf,)
 
     f = ScalarField3D(evaluate=evaluate, descriptor=descriptor, analytic_ladder=ladder)
     object.__setattr__(f, "_ladder_rule", rule_at)  # frozen: set once, here
@@ -360,7 +397,7 @@ def gauss_field(
     return _gaussian_field(
         evaluate,
         f"gauss(amp={amp:g},cx={cx:g},cy={cy:g},sx={sx:g},sy={sy:g},sz={sz:g})",
-        cx, cy, sx, sy, lambda u: rule, odd=False,
+        cx, cy, sx, sy, lambda u: rule, even=True,
     )
 
 
@@ -419,7 +456,7 @@ def bump_field(
     return _gaussian_field(
         evaluate,
         f"bump(amp={amp:g},x0={x0:g},y0={y0:g},sigma={sigma:g},zc={zc:g},rz={rz:g})",
-        x0, y0, sigma, sigma, rule_at, odd=True,
+        x0, y0, sigma, sigma, rule_at, even=False,
     )
 
 

@@ -79,6 +79,23 @@ def _sphere_points(c: SphereCenter, rule: SphereRule, z_shift: float = 0.0):
     return dX, dY, Z
 
 
+def _ring_points(c: SphereCenter, rule: SphereRule, rings: int):
+    """(X, Y, Z) of the rule's nodes on the sphere c on its first `rings`
+    theta rings: X and Y of shape (rings, n_phi), Z of shape (rings, 1),
+    one value per ring.  Each node gets `_sphere_points`' operations on the
+    same factors, so its coordinates are bit for bit those of the flat
+    arrays."""
+    k = rule.n_phi
+    nodes = rings * k
+    # flat products, as a (rings, 1) by (n_phi,) broadcast is slower
+    tst = c.t * rule.sin_t[:nodes]
+    X, Y = tst * rule.cos_p[:nodes], tst * rule.sin_p[:nodes]
+    X += c.p
+    Y += c.q
+    # 0.0 + : `_sphere_points`' lift by z_shift = 0.0, which turns -0.0 into 0.0
+    return X.reshape(rings, k), Y.reshape(rings, k), 0.0 + c.t * rule.cos_t[:nodes:k, None]
+
+
 def _evaluate_on_sphere(f, c: SphereCenter, rule: SphereRule, z_shift: float = 0.0):
     ev = f.evaluate if hasattr(f, "evaluate") else f
     return np.asarray(ev(*_sphere_points(c, rule, z_shift)), dtype=float)
@@ -150,8 +167,8 @@ def _factor_rows(rule: SphereRule, n: int, m: int, kind: str) -> tuple:
     or sin(m phi) for m >= 1, shared by every n."""
     if n == 0:
         return ()  # a_{00} has no factor
-    # a copy, not a view into the Legendre table
-    rows = (_stored_row(rule, ("P", n, m), lambda: assoc_legendre(n, m, rule.cos_t).copy()),)
+    k = rule.n_phi  # formed on the theta rings, then repeated along each
+    rows = (_stored_row(rule, ("P", n, m), lambda: np.repeat(assoc_legendre(n, m, rule.cos_t[::k]), k)),)
     if m:
         trig = np.cos if kind == "a" else np.sin
         rows += (_stored_row(rule, (kind, m), lambda: trig(m * np.arctan2(rule.sin_p, rule.cos_p))),)

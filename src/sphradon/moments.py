@@ -151,14 +151,24 @@ class MomentGrid:
         nxt = np.concatenate((us[1:], [us[-1]]))
         return us, (nxt - prev) / 2.0
 
-    def laplacian_block(self, x: float, y: float, us, n: int):
-        """(Mf, a01) of shape (n + 1, len(us)): row i is the i-fold 5-point
-        stencil at node (x, y), stored radii us."""
+    def laplacian_block(self, x: float, y: float, us, n: int, odd: bool = True):
+        """(Mf, a01) of shape (n + 1, len(us)), or (Mf,) alone when odd is
+        False: row i is the i-fold 5-point stencil at node (x, y), stored
+        radii us.
+
+        Radii on the same stored node (a radius within 1e-9 of a node but
+        not bit-equal to it, asked beside the node) are swept once, and the
+        columns are read back by index; the stencil is elementwise in the
+        radius, so every column is the one a sweep of its own would give.
+        """
         ip, iq = self._node_index(x, y, n)
         iu = self._radius_indices(us)
+        asked = np.zeros(self.radial_nodes.size, dtype=bool)
+        asked[iu] = True
+        swept, back = np.flatnonzero(asked), np.cumsum(asked)[iu] - 1
         return tuple(
-            _center_laplacians(values[ip - n : ip + n + 1, iq - n : iq + n + 1][:, :, iu], n, self.h)
-            for values in (self.mf_values, self.a01_values)
+            _center_laplacians(values[ip - n : ip + n + 1, iq - n : iq + n + 1][:, :, swept], n, self.h)[:, back]
+            for values in (self.mf_values, self.a01_values)[: 2 if odd else 1]
         )
 
 

@@ -18,7 +18,7 @@ i.e. any Condon-Shortley (-1)^m is already divided out, so P_{1,1} = sin(theta).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -33,7 +33,9 @@ class SphereRule:
 
     Nodes are (theta_j, phi_j) with weights w_j such that
     sum_j w_j g(omega_j) approximates the surface integral of g.
-    cos_t, sin_t, cos_p, sin_p, w are 1-D arrays of equal length.
+    cos_t, sin_t, cos_p, sin_p, w are 1-D arrays of equal length, ring by
+    ring: node k * n_phi + j lies on theta ring k at phi node j, so
+    cos_t[::n_phi] holds the rings' cos(theta) and cos_p[:n_phi] the ring.
     `rows` holds the projection factor rows built on these nodes
     (`forward._factor_rows`), filled on first use and freed with the rule.
     """
@@ -47,11 +49,25 @@ class SphereRule:
     w: Array
     rows: dict = field(default_factory=dict, init=False, repr=False)
 
+    @cached_property
+    def symmetric(self) -> bool:
+        """Whether the theta rings are exactly mirror images about the
+        equator: ring k's cos(theta) is minus ring n_theta - 1 - k's."""
+        ct = self.cos_t[:: self.n_phi]
+        return bool(np.array_equal(ct[::-1], -ct))
+
 
 @cache
 def _gauss_legendre(n: int) -> tuple[Array, Array]:
-    """n-point Gauss-Legendre nodes and weights on [-1, 1], built once, read-only."""
+    """n-point Gauss-Legendre nodes and weights on [-1, 1], built once, read-only.
+
+    The nodes are exactly antisymmetric and the weights exactly symmetric,
+    x[::-1] == -x and w[::-1] == w, on every numpy: they are re-symmetrised
+    here (a no-op where leggauss already symmetrises), since the smooth
+    ladders mirror a field even in z from one hemisphere of rings.
+    """
     x, w = np.polynomial.legendre.leggauss(n)
+    x, w = (x - x[::-1]) / 2, (w + w[::-1]) / 2
     x.flags.writeable = w.flags.writeable = False  # shared by every caller
     return x, w
 
@@ -74,10 +90,11 @@ def _phi_ring(n_theta: int, n_phi: int) -> tuple[Array, Array]:
 
 
 def _product_rule(x: Array, wx: Array, n_phi: int) -> SphereRule:
-    """Nodes x in cos(theta) with weights wx crossed with the phi ring."""
-    ct = np.repeat(x, n_phi)
-    st = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
-    w = np.repeat(wx, n_phi) * (2.0 * np.pi / n_phi)
+    """Nodes x in cos(theta) with weights wx crossed with the phi ring:
+    sin(theta) and the weights are formed once per theta node, then
+    repeated along the ring."""
+    st = np.sqrt(np.maximum(0.0, 1.0 - x * x))
+    ct, st, w = (np.repeat(a, n_phi) for a in (x, st, wx * (2.0 * np.pi / n_phi)))
     for a in (ct, st, w):
         a.setflags(write=False)
     return SphereRule(x.size, n_phi, ct, st, *_phi_ring(x.size, n_phi), w)

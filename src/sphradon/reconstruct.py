@@ -41,7 +41,8 @@ integral of every Laplacian power i, every entry of both tables from the
 point's own contraction of its filter rows with its block and weights, and
 S_k is the exactly rounded sum of the first k + 1 rows of both tables.
 
-Even-mirror mode, for every entry point, forms the mean-data terms only
+Even-mirror mode, for every entry point, asks its blocks for the mean data
+alone (`laplacian_block(..., odd=False)`), forms the mean-data terms only
 and scales the partial sums: by 2.0 for a phantom verified to vanish on
 {z <= 0}, whose even extension f(x, y, |z|) has exactly twice its mean
 data, and by 1.0 otherwise.  A phantom that fails the test is warned about
@@ -144,9 +145,9 @@ class _PerPowerSource:
         self.inner = inner
         self.radial_scheme = inner.radial_scheme
 
-    def laplacian_block(self, x, y, us, n):
+    def laplacian_block(self, x, y, us, n, odd=True):
         rows = [self.inner.laplacians(x, y, us, i) for i in range(n + 1)]
-        return tuple(np.array([row[f] for row in rows], dtype=float) for f in (0, 1))
+        return tuple(np.array([row[f] for row in rows], dtype=float) for f in range(2 if odd else 1))
 
 
 def _source(source, order_n: int, radial_rule: int | None):
@@ -245,7 +246,7 @@ def _column_terms(src, scheme, x: float, y: float, ts: list, order_n: int, filte
     nodes = np.sort(np.concatenate([us for us, _ in schemes] + [np.array(ts)]))
     # de-duplicated by hand: np.unique's first call adds over 1 MiB of peak RSS
     nodes = nodes[np.append(True, nodes[1:] != nodes[:-1])]
-    block = np.array(src.laplacian_block(x, y, nodes, order_n))[: len(filters)]
+    block = np.array(src.laplacian_block(x, y, nodes, order_n, odd=len(filters) > 1))
     groups: dict[int, list[int]] = {}
     for j, (us, _) in enumerate(schemes):
         groups.setdefault(len(us), []).append(j)

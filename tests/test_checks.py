@@ -20,6 +20,8 @@ from sphradon.checks import (
 )
 from sphradon.coeffs import build_tables, perturb_entry
 from sphradon.fields import ScalarField3D, make_phantom, polynomial_field
+from sphradon.forward import SphereCenter, harmonic_coefficient
+from sphradon.quadrature import build_rule
 from sphradon.reconstruct import ReconstructionRequest, reconstruct_point
 
 
@@ -274,3 +276,33 @@ def test_run_all_checks_evaluates_each_sphere_once(monkeypatch):
     reports = run_all_checks(lattice=((1.0, -1.0, 1.0),))
     assert reports and all(r.passed for r in reports)
     assert all(0 < n <= 20 for n in counts.values()), counts
+
+
+def test_run_all_checks_projects_each_coefficient_once(monkeypatch):
+    # one lattice point, with the seed's three random polynomials: 498
+    # projections where one per stencil lookup made 774; on each of the
+    # dense gauss (64 x 160) and bump (256 x 64) rules, 81 where 127
+    sizes = []
+    project = checks._project
+
+    def counted(vals, rule, *args):
+        sizes.append(rule.w.size)
+        return project(vals, rule, *args)
+
+    monkeypatch.setattr(checks, "_project", counted)
+    reports = run_all_checks(seed=1, lattice=((1.0, -1.0, 1.0),))
+    assert reports and all(r.passed for r in reports)
+    assert len(sizes) == 498
+    assert sizes.count(64 * 160) == sizes.count(256 * 64) == 81
+
+
+def test_stencil_coefficient_equals_harmonic_coefficient():
+    # a coefficient read again from the stencil is the stored value, and
+    # every one is `harmonic_coefficient` on its shifted sphere bit for bit
+    f, rule, h = make_phantom("gauss"), build_rule(24, 48), 1e-3
+    s = checks._Spheres(f, 0.3, -0.2, 0.8, rule, h)
+    for n, m, kind, shift in ((2, 0, "a", {}), (3, 1, "b", {"dq": -1}), (1, 1, "a", {"dp": 1, "dt": 1})):
+        first = s(n, m, kind, **shift)
+        assert s(n, m, kind, **shift) == first
+        c = SphereCenter(0.3 + shift.get("dp", 0) * h, -0.2 + shift.get("dq", 0) * h, 0.8 + shift.get("dt", 0) * h)
+        assert first == harmonic_coefficient(f, c, n, m, kind, rule)

@@ -7,6 +7,7 @@ import dataclasses
 import functools
 import random
 import re
+from math import comb
 
 import mpmath
 import numpy as np
@@ -75,7 +76,7 @@ def test_hermite_ladder_against_mpmath(sx, sy, power):
     # value is a cancellation of terms of size s^-2i
     rng = np.random.default_rng(20240 + power)
     dx, dy = rng.uniform(-2.5, 2.5, size=(2, 200))
-    got = list(_hermite_laplacians(dx, dy, sx, sy, power))[power]
+    got = list(_hermite_laplacians(dx, dy, sx, sy, power))[power - 1]  # powers 1..n
     scale = min(sx, sy) ** (-2 * power)
     with mpmath.workdps(50):
         worst = 0.0
@@ -93,11 +94,11 @@ def test_laguerre_ladder_against_mpmath(power):
     rng = np.random.default_rng(20240 + power)
     dx, dy = rng.uniform(-2.5, 2.5, size=(2, 200))
     rows = list(_laguerre_laplacians(dx * dx + dy * dy, s, power))
-    assert len(rows) == power + 1 and np.all(rows[0] == 1.0)
+    assert len(rows) == power  # powers 1..n: power 0 is exactly 1.0 and not formed
     scale = s ** (-2 * power)
     with mpmath.workdps(50):
         worst = 0.0
-        for a, b, v in zip(dx, dy, rows[power]):
+        for a, b, v in zip(dx, dy, rows[-1]):
             exact = _lap_ratio_exact(float(a), float(b), s, s, power)
             worst = max(worst, float(abs(v - exact) / max(abs(exact), scale)))
     assert worst <= 1e-12, worst
@@ -122,7 +123,7 @@ def _band_reference(f, x, y, u, n, n_theta=384, n_phi=96, zc=1.5, rz=1.4, s=0.45
     st = np.sqrt(1.0 - ct * ct)
     X, Y = x + u * st * np.cos(phi), y + u * st * np.sin(phi)
     base = f.evaluate(X, Y, u * ct)
-    rows = np.array([lap * base for lap in _hermite_laplacians(X, Y, s, s, n)])
+    rows = np.array([base] + [lap * base for lap in _hermite_laplacians(X, Y, s, s, n)])
     return rows @ w / (4 * np.pi), 3 * (rows * ct) @ w / (4 * np.pi)
 
 
@@ -166,23 +167,123 @@ def test_mollifier_equals_its_masked_form():
 
 
 def test_ladder_point_budget(monkeypatch):
-    # sphere points each smooth ladder evaluates per radius: the 64 x 48
-    # rule for gauss, the 96 x 64 band rule for the bump where its sphere
-    # meets the support z > 0.1, and none below; a dense rule fails here
+    # sphere points each smooth ladder evaluates per radius, and the values
+    # its z factor is formed on: gauss, even in z, on the 32 rings of one
+    # hemisphere of the 64 x 48 rule; the bump on the 96 x 64 band rule
+    # where its sphere meets the support z > 0.1, its mollifier once per
+    # ring, and none below; a dense rule or a full-sphere gauss fails here
     points: dict[float, int] = {}
-    sphere_points = fields._sphere_points
+    ring_values: list[int] = []
+    ring_points, mollifier = fields._ring_points, fields._mollifier
 
-    def counted(c, rule, z_shift=0.0):
-        X, Y, Z = sphere_points(c, rule, z_shift)
+    def counted(c, rule, rings):
+        X, Y, Z = ring_points(c, rule, rings)
         points[c.t] = points.get(c.t, 0) + X.size
+        assert Z.shape == (rings, 1)
         return X, Y, Z
 
-    monkeypatch.setattr(fields, "_sphere_points", counted)
+    def counted_mollifier(s):
+        ring_values.append(np.size(s))
+        return mollifier(s)
+
+    monkeypatch.setattr(fields, "_ring_points", counted)
+    monkeypatch.setattr(fields, "_mollifier", counted_mollifier)
     us = np.array([0.05, 0.0999, 0.3, 1.5, 2.9, 3.5])
-    for name, n, budget in (("gauss", 4, [3072] * 6), ("bump", 8, [0, 0, 6144, 6144, 6144, 6144])):
+    for name, n, budget in (("gauss", 4, [1536] * 6), ("bump", 8, [0, 0, 6144, 6144, 6144, 6144])):
         points.clear()
         make_phantom(name).laplacian_block(0.4, -0.3, us, n)
         assert [points.get(u, 0) for u in us] == budget, name
+    assert ring_values == [96] * 4
+
+
+# ----- the smooth ladders against a plain pass over every node -----
+
+
+def _plain_even_hermite_rows(xi, s, n):
+    """He_2j(xi) / s^2j, j = 0..n, by the recurrence He_{k+1} = xi He_k - k He_{k-1}."""
+    rows = [np.ones_like(xi)]
+    prev, cur = np.ones_like(xi), xi
+    for k in range(1, 2 * n):
+        prev, cur = cur, xi * cur - k * prev
+        if k % 2:
+            rows.append(cur / (s * s) ** ((k + 1) // 2))
+    return rows
+
+
+def _plain_hermite_laplacians(dx, dy, sx, sy, n):
+    """Lap^i G / G, i = 0..n, with every product formed, row 0 and C(i, i) too."""
+    hx = _plain_even_hermite_rows(dx / sx, sx, n)
+    hy = _plain_even_hermite_rows(dy / sy, sy, n)
+    out = []
+    for i in range(n + 1):
+        acc = hx[0] * hy[i]
+        for j in range(1, i + 1):
+            acc = acc + hx[j] * comb(i, j) * hy[i - j]
+        out.append(acc)
+    return out
+
+
+def _plain_laguerre_laplacians(r2, s, n):
+    """Lap^i G / G, i = 0..n, by the Laguerre recurrence from R_0 = ones."""
+    s2 = s * s
+    s4 = s2 * s2
+    q = r2 / s4
+    rows = [np.ones_like(r2)]
+    for k in range(n):
+        nxt = (q - 2 * (2 * k + 1) / s2) * rows[-1]
+        if k:
+            nxt = nxt - (4 * k * k / s4) * rows[-2]
+        rows.append(nxt)
+    return rows
+
+
+def _plain_pass(f, laplacians, x, y, u, n):
+    """(Mf, a01) of powers 0..n at one radius: the field and every Laplacian
+    row on every node of the ladder's own rule, as flat arrays, each power
+    projected over all nodes with `_project`'s arithmetic."""
+    rule = f._ladder_rule(u)
+    if rule is None:
+        return np.zeros((2, n + 1))
+    st = u * rule.sin_t
+    X, Y, Z = x + st * rule.cos_p, y + st * rule.sin_p, 0.0 + u * rule.cos_t
+    base = np.asarray(f.evaluate(X, Y, Z), dtype=float)
+    powers = [lap * base for lap in laplacians(X, Y, n)]
+    return np.array(
+        [[float(np.dot(v, rule.w)) / (4.0 * np.pi) for v in powers],
+         [3 * float(np.dot(v * rule.cos_t, rule.w)) / (4.0 * np.pi) for v in powers]]
+    )
+
+
+def _plain_bump_laplacians(X, Y, n):
+    dx, dy = X - 0.0, Y - 0.0
+    return _plain_laguerre_laplacians(dx * dx + dy * dy, 0.45, n)
+
+
+# the default phantoms' Laplacian rows, about their centres (0, 0)
+_PLAIN_LAPLACIANS = {
+    "gauss": lambda X, Y, n: _plain_hermite_laplacians(X - 0.0, Y - 0.0, 0.55, 0.65, n),
+    "bump": _plain_bump_laplacians,
+}
+
+
+@pytest.mark.parametrize("name", ["gauss", "bump"])
+def test_smooth_ladders_equal_a_plain_pass_over_every_node(name):
+    # powers 0..8 bit for bit, for both moment functions of the bump and
+    # the mean of gauss (its a01 rows are literal zeros): gauss on one
+    # hemisphere of rings, mirrored, and the bump with its z factor per
+    # ring, against a pass that forms every node and product; the bump's
+    # radii give a sphere below its support, bands cut below and above,
+    # and one ending at the pole
+    f, n = make_phantom(name), 8
+    us = np.array([0.05, 0.3, 0.9, 1.5, 2.9, 3.4]) if name == "bump" else np.array([0.1, 0.3, 0.9, 1.7, 2.5])
+    for x, y in ((0.0, 0.0), (0.4, -0.3), (1.5, -1.5), (-0.7, 1.1)):
+        got = np.array(f.laplacian_block(x, y, us, n))
+        want = np.array([_plain_pass(f, _PLAIN_LAPLACIANS[name], x, y, float(u), n) for u in us]).transpose(1, 2, 0)
+        assert got[0].tobytes() == want[0].tobytes(), (x, y)
+        if name == "bump":
+            assert got[1].tobytes() == want[1].tobytes(), (x, y)
+        else:
+            assert np.all(got[1] == 0.0) and not np.any(np.signbit(got[1]))
 
 
 @pytest.mark.parametrize("name", ["gauss", "bump"])
@@ -240,9 +341,9 @@ def _counted(name: str):
     f = make_phantom(name)
     calls = []
 
-    def ladder(x, y, us, n):
-        calls.append((x, y, us, n))
-        return f.analytic_ladder(x, y, us, n)
+    def ladder(x, y, us, n, odd):
+        calls.append((x, y, us, n, odd))
+        return f.analytic_ladder(x, y, us, n, odd)
 
     return dataclasses.replace(f, analytic_ladder=ladder), calls
 
@@ -254,8 +355,8 @@ def test_one_ladder_call_per_point():
     # every power at the n_gl = max(8, order + 4) radii followed by
     # t = 0.8, whose column is the boundary datum
     assert len(calls) == 1
-    ((_, _, us, n),) = calls
-    assert n == 4 and us.shape == (9,) and us[-1] == 0.8
+    ((_, _, us, n, odd),) = calls
+    assert n == 4 and us.shape == (9,) and us[-1] == 0.8 and odd
 
 
 def test_gauss_slice_makes_one_ladder_pass_per_distinct_abs_z():
@@ -280,10 +381,41 @@ def test_points_one_ulp_apart_in_abs_z_are_not_merged():
     both = run(pts)
     # one column, one ladder call, in which each |z| keeps its own column
     assert len(calls) == 1
-    ((_, _, us, _),) = calls
+    ((_, _, us, _, _),) = calls
     assert z in us and np.nextafter(z, 2.0) in us
     apart = [run((p,)) for p in pts]
     assert both.partial_sums == apart[0].partial_sums + apart[1].partial_sums
+
+
+def test_an_even_mirror_request_forms_no_a01(monkeypatch):
+    # even-mirror mode reads the mean data alone: its block asks odd=False,
+    # and the bump's ladder projects no a01 (no P_1 row on any band rule);
+    # its Mf rows are the two-data block's bit for bit
+    f, calls = _counted("bump")
+    orders = []
+    project = fields._project
+
+    def counted(vals, rule, n, *args):
+        orders.append(n)
+        return project(vals, rule, n, *args)
+
+    monkeypatch.setattr(fields, "_project", counted)
+    req = ReconstructionRequest(points=((0.0, 0.2, 1.5),), order_n=8, mode="even_mirror", source=f)
+    reconstruct_point(req, TABLE)
+    ((x, y, us, n, odd),) = calls
+    assert odd is False and orders and set(orders) == {0}
+    (mf,) = f.laplacian_block(x, y, us, n, odd=False)
+    assert mf.tobytes() == f.laplacian_block(x, y, us, n)[0].tobytes()
+
+
+@pytest.mark.parametrize("make", [lambda: make_phantom("gauss"), lambda: make_phantom("rsqz3"), lambda: _random_grid()])
+def test_a_mean_only_block_is_the_mean_of_the_full_block(make):
+    src = make()
+    x, y, us = (0.0, 0.0, np.array([0.2, 0.4, 0.6])) if isinstance(src, MomentGrid) else (0.3, -0.1, np.array([0.2, 0.9]))
+    full = src.laplacian_block(x, y, us, 3)
+    mean = src.laplacian_block(x, y, us, 3, odd=False)
+    assert len(full) == 2 and len(mean) == 1
+    assert mean[0].tobytes() == full[0].tobytes()
 
 
 # ----- the reconstructor's sources answer whole blocks -----
@@ -384,6 +516,36 @@ def test_grid_request_sweeps_once_per_function_and_abs_z(monkeypatch):
     spec = SliceSpec("y", 0.0, (-0.1, 0.1), (-0.4, 0.4), 0.2)
     reconstruct_slice(spec, 3, "two_data", grid, TABLE, min_abs_z=0.1)
     assert sweeps == [3, 3] * 2
+    # even-mirror mode sweeps the mean data alone
+    sweeps.clear()
+    reconstruct_slice(spec, 3, "even_mirror", grid, TABLE, min_abs_z=0.1)
+    assert sweeps == [3] * 2
+
+
+def test_grid_column_sweeps_each_stored_radius_once(monkeypatch):
+    # the slice's |z| = |-1.5 + 0.1 k| are not all bit-equal to the stored
+    # nodes 0.1 j they sit on, and its column asks both: 29 radii on 15
+    # stored nodes; each stored radius is swept once, and every column of
+    # the block is bit for bit the one a sweep of that radius alone gives
+    nodes = 0.1 * np.arange(1, 17)
+    grid = sample_moments(make_phantom("rsqz3"), (-0.6, -0.6), 0.1, 13, 13, nodes)
+    spec = SliceSpec("y", 0.0, (0.0, 0.0), (-1.5, 1.5), 0.1)
+    swept = []
+
+    def counted(block, n, h):
+        swept.append(block.shape[2])
+        return center(block, n, h)
+
+    center = moments._center_laplacians
+    monkeypatch.setattr(moments, "_center_laplacians", counted)
+    res = reconstruct_slice(spec, 4, "two_data", grid, TABLE, min_abs_z=0.25)
+    assert swept == [15, 15]
+    us = np.array(sorted(set(nodes[:15].tolist()) | set(np.abs(res.others[np.abs(res.others) >= 0.25]).tolist())))
+    assert us.size == 29
+    block = grid.laplacian_block(0.0, 0.0, us, 4)
+    for j, u in enumerate(us):
+        alone = grid.laplacian_block(0.0, 0.0, [u], 4)
+        assert all(b[:, j].tobytes() == a[:, 0].tobytes() for b, a in zip(block, alone)), u
 
 
 # ----- a slice column equals its points asked one at a time -----

@@ -142,7 +142,7 @@ def test_sampling_refuses_an_evaluate_without_one_value_per_node(evaluate):
 
 
 def test_phantom_and_grid_blocks_take_the_same_parameters():
-    want = ["self", "x", "y", "us", "n"]
+    want = ["self", "x", "y", "us", "n", "odd"]
     assert list(inspect.signature(ScalarField3D.laplacian_block).parameters) == want
     assert list(inspect.signature(MomentGrid.laplacian_block).parameters) == want
 

@@ -89,6 +89,25 @@ def test_nodes_property_shape():
     assert rule.w.flags.writeable is False
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 24, 63, 64, 80, 96, 256])
+def test_gauss_legendre_nodes_are_exactly_symmetric(n):
+    # the smooth ladders mirror a field even in z from one hemisphere of
+    # rings, which needs x[::-1] == -x bit for bit; the weights follow
+    x, w = _gauss_legendre(n)
+    assert np.array_equal(x[::-1], -x) and np.array_equal(w[::-1], w)
+    if n % 2:
+        assert x[n // 2] == 0.0 and not np.signbit(x[n // 2])
+    assert build_rule(n, 3).symmetric
+
+
+def test_rule_symmetry_reads_its_rings():
+    # a band off the equator, or one mapped onto [-0.5, 0.25], is not a
+    # mirror image of itself; [-0.5, 0.5] is, as the map is exact there
+    assert not band_rule(0.1, 0.9, 12, 4).symmetric
+    assert not band_rule(-0.5, 0.25, 12, 4).symmetric
+    assert band_rule(-0.5, 0.5, 12, 4).symmetric
+
+
 @pytest.mark.parametrize("size", [(24, 48), (64, 48), (64, 160), (256, 64)])
 def test_build_rule_nodes_are_unmapped_gauss_legendre(size):
     # the full rule takes leggauss's nodes as they are: a map of [-1, 1]
@@ -107,6 +126,19 @@ def test_build_rule_nodes_are_unmapped_gauss_legendre(size):
     rule = build_rule(*size)
     got = (rule.cos_t, rule.sin_t, rule.cos_p, rule.sin_p, rule.w)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("lo, hi", [(0.1 / 1.5, 1.0), (0.1 / 3.4, 2.9 / 3.4), (-1.0, 1.0)])
+def test_band_rule_arrays_equal_the_flat_construction(lo, hi):
+    # sin(theta) and the weights are formed per theta node and repeated:
+    # bit for bit the arrays formed on every node
+    n_theta, n_phi = 96, 64
+    x, wx = np.polynomial.legendre.leggauss(n_theta)
+    half = 0.5 * (hi - lo)
+    ct = np.repeat(0.5 * (hi + lo) + half * x, n_phi)
+    want = (ct, np.sqrt(np.maximum(0.0, 1.0 - ct * ct)), np.repeat(half * wx, n_phi) * (2.0 * np.pi / n_phi))
+    rule = band_rule(lo, hi, n_theta, n_phi)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip((rule.cos_t, rule.sin_t, rule.w), want))
 
 
 def test_band_rule_integrates_over_its_band():
