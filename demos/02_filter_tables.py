@@ -3,7 +3,7 @@ Exact filter coefficients and their polynomials
 ===============================================
 
 Everything the inversion series needs besides the data is a table of
-rational numbers produced by two interleaved triangular recurrences.  The
+rational numbers produced by one triangular recurrence in the degree N.  The
 table stays in Fractions end to end, so coefficients of any order are exact,
 and the filter polynomials assembled from them can be printed, differenced,
 or perturbed without a single rounding step.

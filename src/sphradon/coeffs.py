@@ -2,7 +2,7 @@
 
 The series inversion of the two-data spherical transform is driven by two
 families of universal (data-independent) coefficients c_m and two auxiliary
-families s_m, generated by coupled triangular recurrences.  The c coefficients
+families s_m, generated by one coupled triangular recurrence.  The c coefficients
 assemble into the filter polynomials
 
     C_even(n, i; t) = sum_{k=i..n} sum_{m=1..k+i} c_m(2k, 2i)   t^(2m),
@@ -11,23 +11,27 @@ assemble into the filter polynomials
 defined on [0, 1], of degree 2n+2i and 2n+2i+1 respectively, with the
 conventions C_even(0,0) = C_odd(0,0) = 0.
 
-Each of the four families is generated by one recurrence over all of its
-rows.  The boundary row (i = 0 for c, i = 1 for s) is the general row plus
-one constant seed term in its closing entry, since the s and c entries that
-row would read lie outside the stored ranges and count as 0; `build_tables`
-lists the four seeds.
+The four families are one triangular recurrence in the harmonic degree N:
+c(N, .) and s(N, .) are formed from the rows of degree N-1 and N-2, and
+stored in the even or odd table by the parity of N.  The boundary row (i = 0
+for c, i = 1 for s) is the general row plus one constant seed term in its
+closing entry, since the s and c entries that row would read lie outside the
+stored ranges and count as 0; `build_tables` states the recurrence and its
+seeds.
 
 Everything here is computed with `fractions.Fraction`: the recurrences contain
-near-cancelling combinations such as (4k+1)/((8k-2)(k-m)) - 1/(4k-1) whose
+near-cancelling combinations such as (2N-1)/((4N-6)(top-m)) - 1/(2N-3) whose
 floating-point drift would poison the high-order filters, and exactness makes
 the tables bitwise reproducible.
 
-A transcription note: the published statement of the recurrence for the odd
-family's mixed term carries an unusual sign pattern across its three summands.
-It is implemented here exactly as stated; the whole sign structure has been
-validated against 29 independently hand-derived anchor values and against
-exact symbolic closure of the representation identities on polynomial fields
-(see tests).  One published table of example polynomial values disagrees with
+A transcription note: the published statement of the odd family's mixed
+term carries what looks like an unusual sign pattern across its three
+summands.  Written in N it is the even family's term with N odd, so one
+recurrence covers both; it has been validated against 29 independently
+hand-derived anchor values and against exact symbolic closure of the
+representation identities on polynomial fields (see tests).
+
+One published table of example polynomial values disagrees with
 the recurrences for a single polynomial (the odd n=2, i=1 filter); the
 recurrence output is kept, since it is the value under which the worked
 example and the boundary identity C(1) = 0 close exactly.  See README.
@@ -39,6 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import isfinite
+from numbers import Integral
 from types import MappingProxyType
 from typing import Mapping
 
@@ -123,108 +128,83 @@ class PolynomialSet:
 
 
 def build_tables(order_n: int) -> CoefficientTable:
-    """Generate all coefficients with k <= order_n by the triangular recurrences.
+    """Generate all coefficients with k <= order_n by one recurrence in N.
 
-    Two interleaved chains:
+    For N = 1..2n+1, n = order_n, it forms c(N, .) from c(N-2, .) and
+    s(N-1, .) when N >= 2 (c(1, .) is identically 0), then s(N, .) from
+    s(N-2, .) and c(N-1, .).  Row i of c(N) runs over i = 0..N//2 and
+    closes at top = N//2 + i; row i of s(N) runs over i = 1..(N+1)//2 and
+    closes at top = (N-1)//2 + i.  For m < top, with c' = c_m(N-2, 2i),
+    s' = s_m(N-2, 2(i-1)) and d = top - m,
 
-      * even family: starting from the empty order-0 row, alternate
-        s(2k+1, .) <- {s(2k-1, .), c(2k, .)} and c(2k+2, .) <- {c(2k, .), s(2k+1, .)};
-        the seeds s_1(1,0) = 3 and c_1(2,0) = -15 fall out of the first step.
-      * odd family: with c(1, .) identically 0, alternate
-        s(2k, .) <- {s(2k-2, .), c(2k-1, .)} and c(2k+1, .) <- {c(2k-1, .), s(2k, .)}.
+      c_m(N, 2i)     = (2N+1) (c'/(2N-3) - lead - mixed),
+                       lead = (2N-1) c' / ((4N-6) d),  mixed = s_m(N-1, 2i) / (4d),
+      s_m(N, 2(i-1)) = pref ((N-1)(N-2)/(2N-3) s' + term),  pref = (2N+1)/(N(N+1)),
+                       term = (c_m(N-1, 2(i-1)) - (N-1)(N-2)(2N-1)/(2(2N-3)) s') / d,
 
-    Each family is one recurrence: every summand serves both its entry and
-    the row's closing (top) entry, and the boundary row (i = 1 for s, i = 0
-    for c) differs only by a constant seed term in that closing entry:
-    pref*(8k+2) for s(2k+1), -(4k+5)(4k+3) for c(2k+2), pref*(8k-2)/3 for
-    s(2k) and -(4k+3)(4k+1)/3 for c(2k+1).  Entries outside the stored
-    ranges read as exactly 0.  All arithmetic is exact; the recurrences are
-    total over the stated ranges (no divisor can vanish there).
+    and the closing entries sum the same summands over m < top:
+    c_top = (2N+1) (sum(lead + mixed) - seed) and s_top = pref (seed - sum(term)).
+    The seed sits only in the boundary row (i = 0 for c, i = 1 for s): 2N-1
+    for c and 4N-2 for s, each divided by 3 in the odd family (c at odd N,
+    s at even N).  Entries outside the stored ranges read as exactly 0.  c(N)
+    goes to c_even or c_odd by the parity of N, s(N) likewise, at k = N//2.
+    All arithmetic is exact; the recurrence is total over the stated ranges
+    (no divisor can vanish there).
     """
-    if order_n < 0:
-        raise ValueError("order_n must be >= 0")
-    ce: dict[Key, Fraction] = {}
-    co: dict[Key, Fraction] = {}
-    se: dict[Key, Fraction] = {}
-    so: dict[Key, Fraction] = {}
-
-    # ----- even family -----
-    for k in range(order_n + 1):
-        # s_m(2k+1, 2(i-1)), i = 1..k+1
-        pref = Fr(4 * k + 3, (2 * k + 2) * (2 * k + 1))
-        carry = Fr(2 * k * (2 * k - 1), 4 * k - 1)
-        for i in range(1, k + 2):
+    if not (isinstance(order_n, Integral) and order_n >= 0):
+        raise ValueError(f"order_n must be an integer >= 0, got {order_n!r}")
+    c: dict[Key, Fraction] = {}  # c_m(N, 2i) at (N, i, m)
+    s: dict[Key, Fraction] = {}  # s_m(N, 2(i-1)) at (N, i, m)
+    for N in range(1, 2 * order_n + 2):
+        odd = N % 2
+        if N >= 2:
+            seed = Fr(2 * N - 1, 3 if odd else 1)
+            for i in range(N // 2 + 1):
+                top = N // 2 + i
+                acc = Fr(0)
+                for m in range(1, top):
+                    prev = c.get((N - 2, i, m), 0)
+                    term = (
+                        Fr(2 * N - 1, (4 * N - 6) * (top - m)) * prev
+                        + Fr(1, 4 * (top - m)) * s.get((N - 1, i, m), 0)
+                    )
+                    c[(N, i, m)] = (2 * N + 1) * (Fr(1, 2 * N - 3) * prev - term)
+                    acc += term
+                c[(N, i, top)] = (2 * N + 1) * (acc - (seed if i == 0 else 0))
+        pref = Fr(2 * N + 1, N * (N + 1))
+        carry = Fr((N - 1) * (N - 2), 2 * N - 3)
+        seed = Fr(4 * N - 2, 1 if odd else 3)
+        for i in range(1, (N + 1) // 2 + 1):
+            top = (N - 1) // 2 + i
             acc = Fr(0)
-            for m in range(1, k + i):
-                prev = so.get((k - 1, i, m), 0)
+            for m in range(1, top):
+                prev = s.get((N - 2, i, m), 0)
                 term = (
-                    Fr(1, k + i - m) * ce.get((k, i - 1, m), 0)
-                    - Fr(k * (2 * k - 1) * (4 * k + 1), (4 * k - 1) * (k + i - m)) * prev
+                    Fr(1, top - m) * c.get((N - 1, i - 1, m), 0)
+                    - Fr((N - 1) * (N - 2) * (2 * N - 1), 2 * (2 * N - 3) * (top - m)) * prev
                 )
-                so[(k, i, m)] = pref * (carry * prev + term)
+                s[(N, i, m)] = pref * (carry * prev + term)
                 acc += term
-            so[(k, i, k + i)] = pref * ((8 * k + 2 if i == 1 else 0) - acc)
-        # c_m(2k+2, 2i), i = 0..k+1, stored at chain index k+1
-        if k == order_n:
-            break
-        for i in range(k + 2):
-            acc = Fr(0)
-            for m in range(1, k + i + 1):
-                prev = ce.get((k, i, m), 0)
-                term = (
-                    Fr(4 * k + 3, (8 * k + 2) * (k + i - m + 1)) * prev
-                    + Fr(1, 4 * (k + i - m + 1)) * so.get((k, i, m), 0)
-                )
-                ce[(k + 1, i, m)] = (4 * k + 5) * (Fr(1, 4 * k + 1) * prev - term)
-                acc += term
-            ce[(k + 1, i, k + i + 1)] = (4 * k + 5) * (acc - (4 * k + 3 if i == 0 else 0))
+            s[(N, i, top)] = pref * ((seed if i == 1 else 0) - acc)
 
-    # ----- odd family -----
-    for k in range(1, order_n + 1):
-        # s_m(2k, 2(i-1)), i = 1..k
-        pref = Fr(4 * k + 1, 2 * k * (2 * k + 1))
-        carry = Fr((2 * k - 1) * (2 * k - 2), 4 * k - 3)
-        for i in range(1, k + 1):
-            acc = Fr(0)
-            for m in range(1, k + i - 1):
-                prev = se.get((k - 1, i, m), 0)
-                term = (
-                    Fr(1, k + i - m - 1) * co.get((k - 1, i - 1, m), 0)
-                    - Fr((2 * k - 1) * (k - 1) * (4 * k - 1), (4 * k - 3) * (k + i - m - 1)) * prev
-                )
-                se[(k, i, m)] = pref * (carry * prev + term)
-                acc += term
-            se[(k, i, k + i - 1)] = pref * ((Fr(8 * k - 2, 3) if i == 1 else 0) - acc)
-        # c_m(2k+1, 2i), i = 0..k
-        for i in range(k + 1):
-            acc = Fr(0)
-            for m in range(1, k + i):
-                prev = co.get((k - 1, i, m), 0)
-                lead = Fr(4 * k + 1, (8 * k - 2) * (k + i - m)) * prev
-                mixed = Fr(1, 4 * (k + i - m)) * se.get((k, i, m), 0)
-                # sign pattern of the mixed term's three summands as published:
-                # the combination under which all anchor oracles close
-                co[(k, i, m)] = (4 * k + 3) * (Fr(1, 4 * k - 1) * prev - mixed - lead)
-                acc += lead + mixed
-            co[(k, i, k + i)] = (4 * k + 3) * (acc - (Fr(4 * k + 1, 3) if i == 0 else 0))
+    def family(table: dict[Key, Fraction], parity: int) -> Table:
+        return MappingProxyType(
+            {(N // 2, i, m): v for (N, i, m), v in table.items() if N % 2 == parity and v}
+        )
 
-    ce = {key: v for key, v in ce.items() if v}
-    co = {key: v for key, v in co.items() if v}
-    se = {key: v for key, v in se.items() if v}
-    so = {key: v for key, v in so.items() if v}
     return CoefficientTable(
         order_n=order_n,
-        c_even=MappingProxyType(ce),
-        c_odd=MappingProxyType(co),
-        s_even=MappingProxyType(se),
-        s_odd=MappingProxyType(so),
+        c_even=family(c, 0),
+        c_odd=family(c, 1),
+        s_even=family(s, 0),
+        s_odd=family(s, 1),
     )
 
 
 def polynomial_set(table: CoefficientTable, n: int) -> PolynomialSet:
     """Assemble the order-n filter polynomials from a coefficient table."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    if not (isinstance(n, Integral) and n >= 0):
+        raise ValueError(f"n must be an integer >= 0, got {n!r}")
     if n > table.order_n:
         raise ValueError(f"n={n} exceeds table order {table.order_n}")
     even = []

@@ -96,9 +96,26 @@ def _ring_points(c: SphereCenter, rule: SphereRule, rings: int):
     return X.reshape(rings, k), Y.reshape(rings, k), 0.0 + c.t * rule.cos_t[:nodes:k, None]
 
 
+def _node_values(f, X, Y, Z) -> np.ndarray:
+    """f on the nodes (X, Y, Z) as floats, by `f.evaluate` for a field and
+    by f itself for a plain function; refused by name unless it returns one
+    value per node."""
+    vals = np.asarray((f.evaluate if hasattr(f, "evaluate") else f)(X, Y, Z), dtype=float)
+    if vals.shape != Z.shape:
+        name = (
+            f"phantom '{f.descriptor}' evaluate"
+            if hasattr(f, "descriptor")
+            else f"evaluate {getattr(f, '__name__', type(f).__name__)!r}"
+        )
+        raise ValueError(
+            f"{name} returned shape {vals.shape} "
+            f"on sphere nodes of shape {Z.shape}; it must return one value per node"
+        )
+    return vals
+
+
 def _evaluate_on_sphere(f, c: SphereCenter, rule: SphereRule, z_shift: float = 0.0):
-    ev = f.evaluate if hasattr(f, "evaluate") else f
-    return np.asarray(ev(*_sphere_points(c, rule, z_shift)), dtype=float)
+    return _node_values(f, *_sphere_points(c, rule, z_shift))
 
 
 def spherical_mean(f, c: SphereCenter, rule: SphereRule | None = None) -> float:

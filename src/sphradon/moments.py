@@ -29,7 +29,7 @@ import numpy as np
 
 from ._io import atomic_write, fmt, format_rows
 from .fields import ScalarField3D
-from .forward import _project, _sphere_offsets
+from .forward import _node_values, _project, _sphere_offsets
 from .quadrature import SphereRule, build_rule
 
 __all__ = [
@@ -223,13 +223,7 @@ def _sphere_block(field: ScalarField3D, x: float, y: float, offsets, block: slic
     about centre (x, y), one row per radius from one `evaluate` call, which
     is refused by the field's name unless it returns one value per node."""
     dX, dY, Z = (arr[block] for arr in offsets)
-    vals = np.asarray(field.evaluate(x + dX, y + dY, Z), dtype=float)
-    if vals.shape != Z.shape:
-        raise ValueError(
-            f"phantom '{field.descriptor}' evaluate returned shape {vals.shape} "
-            f"on sphere nodes of shape {Z.shape}; it must return one value per node"
-        )
-    return vals
+    return _node_values(field, x + dX, y + dY, Z)
 
 
 def _center_laplacians(block: Array, n: int, h: float) -> Array:

@@ -87,18 +87,31 @@ def test_immutability():
         TAB.c_even[(1, 0, 1)] = Fr(1)  # type: ignore[index]
 
 
-def test_range_closure():
-    for (k, i, m) in TAB.c_even:
-        assert k >= 1 and 0 <= i <= k and 1 <= m <= k + i
-    for (k, i, m) in TAB.c_odd:
-        assert k >= 1 and 0 <= i <= k and 1 <= m <= k + i
-    for (k, i, m) in TAB.s_even:
-        assert k >= 1 and 1 <= i <= k and 1 <= m <= k + i - 1
-    for (k, i, m) in TAB.s_odd:
+@pytest.mark.parametrize("order", [0, 1, 6, 12])
+def test_range_closure(order):
+    table = build_tables(order)
+    for (k, i, m) in table.c_even:
+        assert 1 <= k <= order and 0 <= i <= k and 1 <= m <= k + i
+    for (k, i, m) in table.c_odd:
+        assert 1 <= k <= order and 0 <= i <= k and 1 <= m <= k + i
+    for (k, i, m) in table.s_even:
+        assert 1 <= k <= order and 1 <= i <= k and 1 <= m <= k + i - 1
+    for (k, i, m) in table.s_odd:
+        assert k <= order
         if k == 0:
             assert (i, m) == (1, 1)  # the seed
         else:
             assert 1 <= i <= k + 1 and 1 <= m <= k + i
+
+
+def test_smaller_table_is_a_prefix_of_a_larger_one():
+    # the CLI builds its table only up to the requested order
+    big = build_tables(12)
+    for n in range(12):
+        small = build_tables(n)
+        for family in ("c_even", "c_odd", "s_even", "s_odd"):
+            want = {key: v for key, v in getattr(big, family).items() if key[0] <= n}
+            assert dict(getattr(small, family)) == want, (n, family)
 
 
 # ----- filter polynomials -----
@@ -151,6 +164,8 @@ def test_rejects_order_above_table():
         polynomial_set(TAB, 7)
     with pytest.raises(ValueError):
         polynomial_set(TAB, -1)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        polynomial_set(TAB, 1.5)
 
 
 def test_eval_polynomial():
@@ -169,6 +184,9 @@ def test_eval_polynomial():
 def test_build_rejects_negative_order():
     with pytest.raises(ValueError):
         build_tables(-1)
+    for order in (2.0, "3"):
+        with pytest.raises(ValueError, match="order_n must be an integer"):
+            build_tables(order)
 
 
 def test_perturb_entry():

@@ -288,6 +288,32 @@ def test_sphere_center_rejects_non_finite_or_nonpositive(p, q, t):
         SphereCenter(p, q, t)
 
 
+def scalar(x, y, z):
+    return 1.0
+
+
+def three(x, y, z):
+    return np.ones(3)
+
+
+@pytest.mark.parametrize(
+    "operator",
+    [
+        spherical_mean,
+        first_cosine_coefficient,
+        lambda f, c, rule: harmonic_coefficient(f, c, 2, 1, rule=rule),
+        lambda f, c, rule: off_plane_mean(f, c.p, c.q, 0.3, c.t, rule),
+        two_data_transform,
+    ],
+    ids=["mean", "a01", "harmonic", "off-plane", "two-data"],
+)
+@pytest.mark.parametrize("evaluate, shape", [(scalar, r"\(\)"), (three, r"\(3,\)")], ids=["scalar", "three"])
+def test_sphere_operators_refuse_an_evaluate_without_one_value_per_node(operator, evaluate, shape):
+    want = rf"evaluate '{evaluate.__name__}' returned shape {shape} on sphere nodes .* one value per node"
+    with pytest.raises(ValueError, match=want):
+        operator(evaluate, SphereCenter(0.2, 0.1, 1.0), build_rule(7, 12))
+
+
 @pytest.mark.parametrize("z0", [np.nan, np.inf, -np.inf])
 def test_off_plane_mean_rejects_non_finite_height(z0):
     with pytest.raises(ValueError, match="z0 must be finite"):
