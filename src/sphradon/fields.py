@@ -28,9 +28,10 @@ field's ladder is one broadcast `eval_pqt` per (power, moment function).
 gauss and bump share a transverse Gaussian G, and the center-Laplacians hit
 only G, so Lap^i f = f * Lap^i G / G.  Their ladders evaluate f once per
 radius on the phantom's own rule, project it as power 0, and project each
-higher power as soon as it is formed.  The points are laid out on the
-rule's (theta ring, phi) grid with z one value per ring, so a factor of z
-alone (the bump's mollifier) is formed once per ring.  gauss is even in z
+higher power as soon as it is formed.  The points are the rows of
+`forward._sphere_offsets`, the package's one sphere-node builder, read on
+the rule's (theta ring, phi) grid with z one value per ring, so a factor
+of z alone (the bump's mollifier) is formed once per ring.  gauss is even in z
 and its rule's rings are exact mirror images about the equator (the
 Gauss-Legendre nodes are symmetrised in `quadrature`), so it is evaluated,
 and its Laplacian rows formed, on one hemisphere of rings, and each power
@@ -86,12 +87,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from inspect import signature
 from math import comb, inf, isfinite
+from numbers import Integral
 from typing import Callable, Mapping
 
 import numpy as np
 
 from . import polynomials
-from .forward import SphereCenter, _project, _ring_points
+from .forward import SphereCenter, _project, _sphere_offsets
 from .quadrature import band_rule, build_rule
 
 __all__ = [
@@ -178,6 +180,10 @@ def _check_params(phantom: str, positive: tuple = (), **params) -> None:
 
 def polynomial_field(poly: Mapping[tuple[int, int, int], Fraction], name: str = "poly") -> ScalarField3D:
     """Exact-moment field from a trivariate polynomial (see polynomials)."""
+    for key in poly:
+        triple = isinstance(key, tuple) and len(key) == 3
+        if not (triple and all(isinstance(e, Integral) and e >= 0 for e in key)):
+            raise ValueError(f"polynomial {name!r} exponent key {key!r} must be three non-negative integers")
     poly = {k: Fraction(v) for k, v in poly.items() if v}
     mcache: dict[int, tuple[dict, dict]] = {}
 
@@ -337,8 +343,11 @@ def _gaussian_field(
                 continue
             n_theta = rule.n_theta
             rings = (n_theta + 1) // 2 if even and rule.symmetric else n_theta
-            X, Y, Z = _ring_points(c, rule, rings)
-            base = np.asarray(evaluate(X, Y, Z), dtype=float)
+            dX, dY, Z = _sphere_offsets(c.t, rule, rings)
+            dX += c.p  # in place: the same sums as c.p + dX
+            dY += c.q
+            X, Y = dX.reshape(rings, -1), dY.reshape(rings, -1)
+            base = np.asarray(evaluate(X, Y, Z[:, None]), dtype=float)
             # one power on every node: its first rings formed in place, the
             # rest (if any) their mirror images
             vals = np.empty((n_theta, rule.n_phi))

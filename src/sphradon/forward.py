@@ -19,11 +19,15 @@ its real and imaginary parts equal `spherical_mean` and
 first use and freed with the rule: one Legendre row per (n, m) and one
 trig row per (m, kind), which every degree n shares.
 
-A sphere's nodes are its centre plus the offsets of its radius
-(`_sphere_offsets`), which depend on the radius and the rule alone, so
-quadrature sampling builds them once per grid and evaluates a centre's
-radii in blocks; every row is still projected on its own, one `np.dot`
-each, so the samples equal one sphere pass per radius bit for bit.
+A sphere's nodes are its centre plus the offsets of its radius, which
+depend on the radius and the rule alone; `_sphere_offsets` alone forms
+them.  The generic passes (these operators, the checks' stencil,
+quadrature sampling) give `evaluate` flat arrays of every node, and the
+smooth ladders of `fields` read the same rows by (theta ring, phi), so
+every pass forms each coordinate bit for bit alike.  Sampling builds the
+offsets once per grid and evaluates a centre's radii in blocks; each row
+is still projected on its own, one `np.dot` each, so the samples equal
+one sphere pass per radius bit for bit.
 """
 
 from __future__ import annotations
@@ -60,40 +64,18 @@ class SphereCenter:
             raise ValueError(f"sphere radius must be positive and finite, got t={self.t}")
 
 
-def _sphere_offsets(ts, rule: SphereRule, z_shift: float = 0.0):
-    """(dX, dY, Z) of the rule's nodes on spheres of radius ts about a centre
-    at the origin, lifted by z_shift: each of shape ts.shape + (nodes,), so a
-    1-D array of radii gives one row per radius, whatever the centre."""
+def _sphere_offsets(ts, rule: SphereRule, rings: int | None = None, z_shift: float = 0.0):
+    """(dX, dY, Z) of the rule's nodes on its first `rings` theta rings (all
+    by default) on spheres of radius ts about the origin, lifted by z_shift:
+    dX and dY of shape ts.shape + (rings * n_phi,) in the rule's flat ring
+    order, Z of shape ts.shape + (rings,), one value per ring (cos_t is
+    constant along a ring, so `np.repeat` along phi gives the flat Z bit
+    for bit).  A 1-D array of radii gives one row per radius."""
     t = np.asarray(ts, dtype=float)[..., None]
-    dX = (t * rule.sin_t) * rule.cos_p
-    dY = (t * rule.sin_t) * rule.sin_p
-    Z = z_shift + t * rule.cos_t
-    return dX, dY, Z
-
-
-def _sphere_points(c: SphereCenter, rule: SphereRule, z_shift: float = 0.0):
-    """(X, Y, Z) of the rule's nodes on the sphere c, lifted by z_shift."""
-    dX, dY, Z = _sphere_offsets(c.t, rule, z_shift)
-    dX += c.p  # in place: the same sums as c.p + dX, one array fewer live
-    dY += c.q
-    return dX, dY, Z
-
-
-def _ring_points(c: SphereCenter, rule: SphereRule, rings: int):
-    """(X, Y, Z) of the rule's nodes on the sphere c on its first `rings`
-    theta rings: X and Y of shape (rings, n_phi), Z of shape (rings, 1),
-    one value per ring.  Each node gets `_sphere_points`' operations on the
-    same factors, so its coordinates are bit for bit those of the flat
-    arrays."""
     k = rule.n_phi
-    nodes = rings * k
-    # flat products, as a (rings, 1) by (n_phi,) broadcast is slower
-    tst = c.t * rule.sin_t[:nodes]
-    X, Y = tst * rule.cos_p[:nodes], tst * rule.sin_p[:nodes]
-    X += c.p
-    Y += c.q
-    # 0.0 + : `_sphere_points`' lift by z_shift = 0.0, which turns -0.0 into 0.0
-    return X.reshape(rings, k), Y.reshape(rings, k), 0.0 + c.t * rule.cos_t[:nodes:k, None]
+    nodes = None if rings is None else rings * k
+    tst = t * rule.sin_t[:nodes]  # flat: a (rings, 1) by (n_phi,) broadcast is slower
+    return tst * rule.cos_p[:nodes], tst * rule.sin_p[:nodes], z_shift + t * rule.cos_t[:nodes:k]
 
 
 def _node_values(f, X, Y, Z) -> np.ndarray:
@@ -115,7 +97,12 @@ def _node_values(f, X, Y, Z) -> np.ndarray:
 
 
 def _evaluate_on_sphere(f, c: SphereCenter, rule: SphereRule, z_shift: float = 0.0):
-    return _node_values(f, *_sphere_points(c, rule, z_shift))
+    """f on the rule's nodes on the sphere c, lifted by z_shift: flat,
+    contiguous arrays of every node."""
+    dX, dY, Z = _sphere_offsets(c.t, rule, z_shift=z_shift)
+    dX += c.p  # in place: the same sums as c.p + dX, one array fewer live
+    dY += c.q
+    return _node_values(f, dX, dY, np.repeat(Z, rule.n_phi))
 
 
 def spherical_mean(f, c: SphereCenter, rule: SphereRule | None = None) -> float:

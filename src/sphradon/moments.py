@@ -4,8 +4,9 @@ A MomentGrid holds the two measured functions Mf(p,q,u) and a01(p,q,u) on a
 uniform (p,q) lattice times a strictly increasing set of radii.  It is the
 discrete form of the inverse problem's data (`sample_moments` fills it from
 a phantom's ladder, or by quadrature, which needs only the field's
-`evaluate`: one pass per centre over blocks of its radii, on sphere offsets
-built once per grid; a field without a ladder carries no moment data) and
+`evaluate`: one pass per centre over blocks of its radii, on the sphere
+offsets of `forward._sphere_offsets` built once per grid, z repeated along
+each ring; a field without a ladder carries no moment data) and
 the reconstructor's grid source: it answers `laplacian_block` as a phantom
 does, and `radial_scheme` with the trapezoid ladder of its stored radii,
 for centres and radii on stored nodes only; it interpolates nothing.
@@ -198,8 +199,9 @@ def sample_moments(
         rule = rule or build_rule()
         # every centre shares the node offsets of each radius; read-only,
         # since each block of Z goes to `evaluate` as it is
-        offsets = _sphere_offsets(nodes, rule)
-        for arr in offsets:
+        dX, dY, Z = _sphere_offsets(nodes, rule)
+        Z = np.repeat(Z, rule.n_phi, axis=-1)
+        for arr in (dX, dY, Z):
             arr.setflags(write=False)
         blocks = [slice(lo, lo + _RADII_PER_PASS) for lo in range(0, nodes.size, _RADII_PER_PASS)]
     mf = np.empty((n_p, n_q, nodes.size))
@@ -212,18 +214,10 @@ def sample_moments(
                 mf[ip, iq], a01[ip, iq] = m[0], a[0]
             else:
                 for block in blocks:
-                    vals = _sphere_block(field, x, y, offsets, block)
+                    vals = _node_values(field, x + dX[block], y + dY[block], Z[block])
                     mf[ip, iq, block] = _project(vals, rule, 0)
                     a01[ip, iq, block] = _project(vals, rule, 1)
     return MomentGrid(tuple(origin), h, n_p, n_q, nodes, mf, a01)
-
-
-def _sphere_block(field: ScalarField3D, x: float, y: float, offsets, block: slice) -> Array:
-    """The field on the nodes of the radii `block` of the sphere offsets
-    about centre (x, y), one row per radius from one `evaluate` call, which
-    is refused by the field's name unless it returns one value per node."""
-    dX, dY, Z = (arr[block] for arr in offsets)
-    return _node_values(field, x + dX, y + dY, Z)
 
 
 def _center_laplacians(block: Array, n: int, h: float) -> Array:

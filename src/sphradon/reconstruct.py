@@ -44,8 +44,9 @@ S_k is the exactly rounded sum of the first k + 1 rows of both tables.
 Even-mirror mode, for every entry point, asks its blocks for the mean data
 alone (`laplacian_block(..., odd=False)`), forms the mean-data terms only
 and scales the partial sums: by 2.0 for a phantom verified to vanish on
-{z <= 0}, whose even extension f(x, y, |z|) has exactly twice its mean
-data, and by 1.0 otherwise.  A phantom that fails the test is warned about
+{z <= 0} where the request's spheres reach below the plane, whose even
+extension f(x, y, |z|) then has exactly twice its mean data there, and by
+1.0 otherwise.  A phantom that fails the test is warned about
 and used as-is, which is exact precisely when it is even in z.  Grid and
 duck-typed data cannot be probed; at scale 1.0 they give the even part
 (f(z) + f(-z)) / 2.
@@ -167,14 +168,19 @@ def _source(source, order_n: int, radial_rule: int | None):
     return source, lambda x, y, t: _gauss_legendre_on(t, n_radial)
 
 
-def _mirror_scale(source) -> float:
+def _mirror_scale(source, points) -> float:
     """2.0 for a phantom that vanishes on a probe box over {z <= 0}, else
-    1.0, with a warning for a phantom (see the module docstring)."""
+    1.0, with a warning for a phantom (see the module docstring).  The box
+    is the part of {z <= 0} that the spheres of `points` reach: x and y
+    span the points widened by their largest |z|, and z runs from
+    -max(3, largest |z|) to 0."""
     if not isinstance(source, ScalarField3D):
         return 1.0
-    probe = np.linspace(-2.5, 2.5, 9)
-    zs = np.linspace(-3.0, 0.0, 13)
-    X, Y, Z = np.meshgrid(probe, probe, zs, indexing="ij")
+    pts = np.asarray(points, dtype=float)
+    reach = float(np.max(np.abs(pts[:, 2])))
+    xs, ys = (np.linspace(v.min() - reach, v.max() + reach, 9) for v in (pts[:, 0], pts[:, 1]))
+    zs = np.linspace(-max(3.0, reach), 0.0, 13)
+    X, Y, Z = np.meshgrid(xs, ys, zs, indexing="ij")
     below = float(np.max(np.abs(np.asarray(source.evaluate(X, Y, Z), dtype=float))))
     if below > 1e-12:
         warnings.warn(
@@ -292,7 +298,7 @@ def reconstruct_point(req: ReconstructionRequest, table: CoefficientTable) -> Re
     src, scheme = _source(req.source, req.order_n, req.radial_rule)
     mirror = req.mode == "even_mirror"
     filters = _filter_coefficients(table, req.order_n)[: 1 if mirror else 2]
-    scale = _mirror_scale(req.source) if mirror else 1.0
+    scale = _mirror_scale(req.source, req.points) if mirror else 1.0
 
     columns: dict[tuple, tuple] = {}
     for (x, y, z) in req.points:

@@ -400,6 +400,24 @@ def test_make_phantom_rejects_unknown_parameters(name, params, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "poly, key",
+    [
+        ({(-1, 0, 0): 1}, (-1, 0, 0)),
+        ({(2, 0, 0): 1, (0, 0, -2): 1}, (0, 0, -2)),
+        ({(1.0, 0, 0): 1}, (1.0, 0, 0)),
+        ({(1, 0): 1}, (1, 0)),
+    ],
+    ids=["negative", "negative-among-valid", "float", "two-exponents"],
+)
+def test_polynomial_field_refuses_bad_exponent_keys(poly, key):
+    # a negative exponent would index the power table from its end, so
+    # {(-1, 0, 0): 1} would evaluate as x, with a zero mean
+    with pytest.raises(ValueError) as info:
+        polynomial_field(poly, "bad")
+    assert str(info.value) == f"polynomial 'bad' exponent key {key!r} must be three non-negative integers"
+
+
 def test_gauss_validation():
     with pytest.raises(ValueError):
         gauss_field(sx=0.0)

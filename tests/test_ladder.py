@@ -174,19 +174,19 @@ def test_ladder_point_budget(monkeypatch):
     # ring, and none below; a dense rule or a full-sphere gauss fails here
     points: dict[float, int] = {}
     ring_values: list[int] = []
-    ring_points, mollifier = fields._ring_points, fields._mollifier
+    sphere_offsets, mollifier = fields._sphere_offsets, fields._mollifier
 
-    def counted(c, rule, rings):
-        X, Y, Z = ring_points(c, rule, rings)
-        points[c.t] = points.get(c.t, 0) + X.size
-        assert Z.shape == (rings, 1)
-        return X, Y, Z
+    def counted(ts, rule, rings=None, z_shift=0.0):
+        dX, dY, Z = sphere_offsets(ts, rule, rings, z_shift)
+        points[ts] = points.get(ts, 0) + dX.size
+        assert Z.shape == (rings,)
+        return dX, dY, Z
 
     def counted_mollifier(s):
         ring_values.append(np.size(s))
         return mollifier(s)
 
-    monkeypatch.setattr(fields, "_ring_points", counted)
+    monkeypatch.setattr(fields, "_sphere_offsets", counted)
     monkeypatch.setattr(fields, "_mollifier", counted_mollifier)
     us = np.array([0.05, 0.0999, 0.3, 1.5, 2.9, 3.5])
     for name, n, budget in (("gauss", 4, [1536] * 6), ("bump", 8, [0, 0, 6144, 6144, 6144, 6144])):

@@ -351,6 +351,18 @@ def test_mirror_on_plane_symmetric_phantom_warns_and_is_exact():
     assert res.values[0] == pytest.approx(4.0, abs=1e-10)
 
 
+def test_mirror_probes_below_the_requested_points():
+    # gauss(cx=8) is even in z and nonzero below the plane, far from the
+    # origin, where a probe box fixed about the origin would miss it and
+    # double its mean data (1.41330 for f = 0.70665); probed where the
+    # spheres of the request reach, it is warned about and used as-is
+    f = make_phantom("gauss", cx=8.0)
+    req = ReconstructionRequest(points=((8.0, 0.0, 0.5),), order_n=4, mode="even_mirror", source=f)
+    with pytest.warns(UserWarning, match="nonzero for z <= 0"):
+        res = reconstruct_point(req, TABLE)
+    assert res.values[0] == pytest.approx(f.evaluate(8.0, 0.0, 0.5), abs=1e-6)
+
+
 def test_even_mirror_is_one_path_for_slice_cli_and_mirror(tmp_path):
     # the bump vanishes on z <= 0, so every entry point doubles its mean
     # data; the slice and the CLI's CSV (17 digits, lossless) must equal
