@@ -29,8 +29,8 @@ gauss and bump share a transverse Gaussian G, and the center-Laplacians hit
 only G, so Lap^i f = f * Lap^i G / G.  Their ladders evaluate f once per
 radius on the phantom's own rule, project it as power 0, and project each
 higher power as soon as it is formed.  The points are the rows of
-`forward._sphere_offsets`, the package's one sphere-node builder, read on
-the rule's (theta ring, phi) grid with z one value per ring, so a factor
+`forward._sphere_points`, from the package's one sphere-node builder, read
+on the rule's (theta ring, phi) grid with z one value per ring, so a factor
 of z alone (the bump's mollifier) is formed once per ring.  gauss is even in z
 and its rule's rings are exact mirror images about the equator (the
 Gauss-Legendre nodes are symmetrised in `quadrature`), so it is evaluated,
@@ -93,7 +93,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import polynomials
-from .forward import SphereCenter, _project, _sphere_offsets
+from .forward import SphereCenter, _project, _sphere_points
 from .quadrature import band_rule, build_rule
 
 __all__ = [
@@ -343,10 +343,8 @@ def _gaussian_field(
                 continue
             n_theta = rule.n_theta
             rings = (n_theta + 1) // 2 if even and rule.symmetric else n_theta
-            dX, dY, Z = _sphere_offsets(c.t, rule, rings)
-            dX += c.p  # in place: the same sums as c.p + dX
-            dY += c.q
-            X, Y = dX.reshape(rings, -1), dY.reshape(rings, -1)
+            X, Y, Z = _sphere_points(c, rule, rings)
+            X, Y = X.reshape(rings, -1), Y.reshape(rings, -1)
             base = np.asarray(evaluate(X, Y, Z[:, None]), dtype=float)
             # one power on every node: its first rings formed in place, the
             # rest (if any) their mirror images

@@ -21,10 +21,11 @@ trig row per (m, kind), which every degree n shares.
 
 A sphere's nodes are its centre plus the offsets of its radius, which
 depend on the radius and the rule alone; `_sphere_offsets` alone forms
-them.  The generic passes (these operators, the checks' stencil,
-quadrature sampling) give `evaluate` flat arrays of every node, and the
-smooth ladders of `fields` read the same rows by (theta ring, phi), so
-every pass forms each coordinate bit for bit alike.  Sampling builds the
+them, and `_sphere_points` moves them to a centre.  The generic passes
+(these operators, the checks' stencil, quadrature sampling) give
+`evaluate` flat arrays of every node, and the smooth ladders of `fields`
+read the same rows by (theta ring, phi), so every pass forms each
+coordinate bit for bit alike.  Sampling builds the
 offsets once per grid and evaluates a centre's radii in blocks; each row
 is still projected on its own, one `np.dot` each, so the samples equal
 one sphere pass per radius bit for bit.
@@ -96,13 +97,20 @@ def _node_values(f, X, Y, Z) -> np.ndarray:
     return vals
 
 
+def _sphere_points(c: SphereCenter, rule: SphereRule, rings: int | None = None, z_shift: float = 0.0):
+    """(X, Y, Z) of the rule's nodes on the sphere c: `_sphere_offsets` of
+    its radius, in the same layout, moved to its centre."""
+    X, Y, Z = _sphere_offsets(c.t, rule, rings, z_shift)
+    X += c.p  # in place: the same sums as c.p + offsets, one array fewer live
+    Y += c.q
+    return X, Y, Z
+
+
 def _evaluate_on_sphere(f, c: SphereCenter, rule: SphereRule, z_shift: float = 0.0):
     """f on the rule's nodes on the sphere c, lifted by z_shift: flat,
     contiguous arrays of every node."""
-    dX, dY, Z = _sphere_offsets(c.t, rule, z_shift=z_shift)
-    dX += c.p  # in place: the same sums as c.p + dX, one array fewer live
-    dY += c.q
-    return _node_values(f, dX, dY, np.repeat(Z, rule.n_phi))
+    X, Y, Z = _sphere_points(c, rule, z_shift=z_shift)
+    return _node_values(f, X, Y, np.repeat(Z, rule.n_phi))
 
 
 def spherical_mean(f, c: SphereCenter, rule: SphereRule | None = None) -> float:

@@ -44,12 +44,15 @@ S_k is the exactly rounded sum of the first k + 1 rows of both tables.
 Even-mirror mode, for every entry point, asks its blocks for the mean data
 alone (`laplacian_block(..., odd=False)`), forms the mean-data terms only
 and scales the partial sums: by 2.0 for a phantom verified to vanish on
-{z <= 0} where the request's spheres reach below the plane, whose even
-extension f(x, y, |z|) then has exactly twice its mean data there, and by
-1.0 otherwise.  A phantom that fails the test is warned about
-and used as-is, which is exact precisely when it is even in z.  Grid and
-duck-typed data cannot be probed; at scale 1.0 they give the even part
-(f(z) + f(-z)) / 2.
+{z <= 0} where the request's spheres read it, whose even extension
+f(x, y, |z|) then has exactly twice its mean data there, and by 1.0
+otherwise.  The test samples two boxes on lattices of spacing at most
+0.625 in x and y and 0.25 in z: the fixed [-2.5, 2.5]^2 x [-3, 0] (9 x 9
+x 13 points), and the box the spheres read, x and y over the points
+widened by their largest |z| and z from minus that |z| to 0.  A phantom
+that fails it is warned about and used as-is, which is exact precisely
+when it is even in z.  Grid and duck-typed data cannot be probed; at
+scale 1.0 they give the even part (f(z) + f(-z)) / 2.
 """
 
 from __future__ import annotations
@@ -169,19 +172,24 @@ def _source(source, order_n: int, radial_rule: int | None):
 
 
 def _mirror_scale(source, points) -> float:
-    """2.0 for a phantom that vanishes on a probe box over {z <= 0}, else
-    1.0, with a warning for a phantom (see the module docstring).  The box
-    is the part of {z <= 0} that the spheres of `points` reach: x and y
-    span the points widened by their largest |z|, and z runs from
-    -max(3, largest |z|) to 0."""
+    """2.0 for a phantom that vanishes on the probe lattice of `points`,
+    else 1.0, with a warning for a phantom (see the module docstring)."""
     if not isinstance(source, ScalarField3D):
         return 1.0
     pts = np.asarray(points, dtype=float)
-    reach = float(np.max(np.abs(pts[:, 2])))
-    xs, ys = (np.linspace(v.min() - reach, v.max() + reach, 9) for v in (pts[:, 0], pts[:, 1]))
-    zs = np.linspace(-max(3.0, reach), 0.0, 13)
-    X, Y, Z = np.meshgrid(xs, ys, zs, indexing="ij")
-    below = float(np.max(np.abs(np.asarray(source.evaluate(X, Y, Z), dtype=float))))
+    x, y, r = pts[:, 0], pts[:, 1], float(np.max(np.abs(pts[:, 2])))
+    # the fixed box, probed for every request so that a wide request never
+    # misses what a narrow one catches there, and the box the spheres read
+    boxes = (
+        ((-2.5, 2.5), (-2.5, 2.5), (-3.0, 0.0)),
+        ((x.min() - r, x.max() + r), (y.min() - r, y.max() + r), (-r, 0.0)),
+    )
+    below = 0.0
+    for box in boxes:
+        steps = zip(box, (0.625, 0.625, 0.25))
+        axes = [np.linspace(lo, hi, int(np.ceil((hi - lo) / h)) + 1) for (lo, hi), h in steps]
+        vals = np.asarray(source.evaluate(*np.meshgrid(*axes, indexing="ij")), dtype=float)
+        below = max(below, float(np.max(np.abs(vals))))
     if below > 1e-12:
         warnings.warn(
             f"phantom {source.descriptor!r} is detectably nonzero for z <= 0 "

@@ -13,7 +13,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from sphradon import fields, moments
+from sphradon import fields, forward, moments
 from sphradon.coeffs import build_tables
 from sphradon.fields import _hermite_laplacians, _laguerre_laplacians, make_phantom, polynomial_field
 from sphradon.moments import MomentGrid, sample_moments
@@ -174,7 +174,7 @@ def test_ladder_point_budget(monkeypatch):
     # ring, and none below; a dense rule or a full-sphere gauss fails here
     points: dict[float, int] = {}
     ring_values: list[int] = []
-    sphere_offsets, mollifier = fields._sphere_offsets, fields._mollifier
+    sphere_offsets, mollifier = forward._sphere_offsets, fields._mollifier
 
     def counted(ts, rule, rings=None, z_shift=0.0):
         dX, dY, Z = sphere_offsets(ts, rule, rings, z_shift)
@@ -186,7 +186,7 @@ def test_ladder_point_budget(monkeypatch):
         ring_values.append(np.size(s))
         return mollifier(s)
 
-    monkeypatch.setattr(fields, "_sphere_offsets", counted)
+    monkeypatch.setattr(forward, "_sphere_offsets", counted)
     monkeypatch.setattr(fields, "_mollifier", counted_mollifier)
     us = np.array([0.05, 0.0999, 0.3, 1.5, 2.9, 3.5])
     for name, n, budget in (("gauss", 4, [1536] * 6), ("bump", 8, [0, 0, 6144, 6144, 6144, 6144])):

@@ -363,6 +363,22 @@ def test_mirror_probes_below_the_requested_points():
     assert res.values[0] == pytest.approx(f.evaluate(8.0, 0.0, 0.5), abs=1e-6)
 
 
+def test_mirror_probe_is_no_coarser_on_a_wide_slice():
+    # a narrow gauss (sx = 0.1) at cx = 1.5 inside the fixed box: a 9-point
+    # lattice across a slice x in [-10, 10] puts no probe within 1.1 of cx
+    # and doubles its mean data, the fixed box alone has one at x = 1.25;
+    # the probe must warn wherever the fixed box does, however wide the slice
+    f = make_phantom("gauss", cx=1.5, sx=0.1, sy=0.1)
+    pts = ((-10.0, 0.0, 0.5), (1.5, 0.0, 0.5), (10.0, 0.0, 0.5))
+    alone = ReconstructionRequest(points=pts[1:2], order_n=4, mode="even_mirror", source=f)
+    wide = replace(alone, points=pts)
+    with pytest.warns(UserWarning, match="nonzero for z <= 0"):
+        expected = reconstruct_point(alone, TABLE).values[0]
+    with pytest.warns(UserWarning, match="nonzero for z <= 0"):
+        res = reconstruct_point(wide, TABLE)
+    assert res.values[1] == expected
+
+
 def test_even_mirror_is_one_path_for_slice_cli_and_mirror(tmp_path):
     # the bump vanishes on z <= 0, so every entry point doubles its mean
     # data; the slice and the CLI's CSV (17 digits, lossless) must equal
