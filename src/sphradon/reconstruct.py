@@ -33,9 +33,9 @@ refused.  The radial nodes and weights on [0, t] come from the source's
 nothing).  A phantom has none and is integrated by the cached
 Gauss-Legendre rule of `quadrature`.  A source with `radial_scheme` and
 per-power `laplacians(x, y, us, i)` instead is adapted once.  The filter
-rows at u/t are formed once per column for the stacked rows of the points
-with the same node count (every point of a phantom column; a grid point's
-prefix has its own length).  Each parity's block becomes one term table
+rows are formed once per column, on the sorted distinct ratios u/t of all
+its points (a phantom's Gauss-Legendre ratios repeat for every |z|), and
+each point gathers its own.  Each parity's block becomes one term table
 per point: row k holds order k's boundary term and the filtered radial
 integral of every Laplacian power i, every entry of both tables from the
 point's own contraction of its filter rows with its block and weights, and
@@ -211,19 +211,19 @@ def _filter_coefficients(table: CoefficientTable, order_n: int) -> Array:
 
 
 def _filter_rows(filters: Array, ratios: Array) -> Array:
-    """Every filter of `filters` at the stacked rows `ratios` = u/t, shape
-    (points, nodes): shape (parities, n+1, n+1, points, nodes).
+    """Every filter of `filters` at the 1-D `ratios` = u/t: shape
+    (parities, n+1, n+1, len(ratios)).
 
     Row (k, i) is sum_m C[k, i, m] (u/t)^2m, times u/t for the odd parity.
-    Every operation is elementwise, so each point's rows are bit for bit
-    the ones it would get on its own.
+    Every operation is elementwise, so each ratio's column is bit for bit
+    the one it would get on its own.
     """
     v2 = ratios**2
     # every filter at once, in ascending m: a zero coefficient adds +0.0,
     # so each sum is bit for bit the one over its non-zero terms
     filt = np.zeros(filters.shape[:3] + ratios.shape)
     for m in range(1, filters.shape[3]):
-        filt = filt + filters[..., m, None, None] * v2**m
+        filt = filt + filters[..., m, None] * v2**m
     filt[1:] = filt[1:] * ratios
     return filt
 
@@ -241,10 +241,17 @@ def _point_terms(lap: Array, filt: Array, ws: Array, t: float, order_n: int) -> 
     k = np.arange(order_n + 1)
     # libm pow per power: numpy's vectorised power may differ in the last bit
     powers = np.array([t ** (2 * i - 1) for i in k.tolist()])
-    integrals = (filt * lap[:, None, :, :-1]) @ ws * powers
+    # `@` sums in another order for another memory layout: contract C-ordered
+    integrals = np.ascontiguousarray(filt * lap[:, None, :, :-1]) @ ws * powers
     filtered = (k[:, None] >= k) & (k[:, None] > 0)
     boundary = np.array([4 * k + 1, (4 * k + 3) / 3.0])[: len(lap)] * lap[:, 0, -1, None]
     return np.concatenate((boundary[..., None], np.where(filtered, integrals, 0.0)), axis=-1)
+
+
+def _distinct(values: Array) -> Array:
+    """Sorted distinct `values` by sort and neighbour compare: np.unique adds over 1 MiB of peak RSS."""
+    values = np.sort(values)
+    return values[np.append(True, values[1:] != values[:-1])]
 
 
 def _column_terms(src, scheme, x: float, y: float, ts: list, order_n: int, filters: Array) -> dict:
@@ -253,24 +260,19 @@ def _column_terms(src, scheme, x: float, y: float, ts: list, order_n: int, filte
     The column asks one block, on the sorted union of every point's radial
     nodes and every t; a source's column j depends on us[j] alone, so each
     point's columns are the block it would get on its own.  The filter
-    rows are formed once per node count, for the stacked rows of the points
-    that share it.  Each point keeps its own contraction.
+    rows are formed once, on the column's sorted distinct ratios u/t, and
+    each point gathers its own columns and keeps its own contraction.
     """
     schemes = [scheme(x, y, t) for t in ts]
-    nodes = np.sort(np.concatenate([us for us, _ in schemes] + [np.array(ts)]))
-    # de-duplicated by hand: np.unique's first call adds over 1 MiB of peak RSS
-    nodes = nodes[np.append(True, nodes[1:] != nodes[:-1])]
+    nodes = _distinct(np.concatenate([us for us, _ in schemes] + [np.array(ts)]))
     block = np.array(src.laplacian_block(x, y, nodes, order_n, odd=len(filters) > 1))
-    groups: dict[int, list[int]] = {}
-    for j, (us, _) in enumerate(schemes):
-        groups.setdefault(len(us), []).append(j)
+    ratios = [us / t for (us, _), t in zip(schemes, ts)]
+    grid = _distinct(np.concatenate(ratios))
+    filt = _filter_rows(filters, grid)
     out = {}
-    for members in groups.values():
-        filt = _filter_rows(filters, np.stack([schemes[j][0] / ts[j] for j in members]))
-        for row, j in enumerate(members):
-            us, ws = schemes[j]
-            lap = block[:, :, np.searchsorted(nodes, np.append(us, ts[j]))]
-            out[ts[j]] = _point_terms(lap, filt[..., row, :], ws, ts[j], order_n)
+    for (us, ws), t, r in zip(schemes, ts, ratios):
+        lap = block[:, :, np.searchsorted(nodes, np.append(us, t))]
+        out[t] = _point_terms(lap, filt[..., np.searchsorted(grid, r)], ws, t, order_n)
     return out
 
 

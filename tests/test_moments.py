@@ -440,6 +440,19 @@ def test_csv_reader_rejects_a_later_block_radius(tmp_path):
         read_moment_csv(str(path))
 
 
+@pytest.mark.parametrize(
+    "sidecar, us, line",
+    [("u0=0.2 du=0.1", "0.1,0.2", 3), ("u0=0.1 du=0.1", "0.1,0.3", 4), ("u0=inf du=0.1", "0.1,0.2", 3)],
+)
+def test_csv_reader_names_the_first_radius_off_the_sidecar_ladder(tmp_path, sidecar, us, line):
+    path = tmp_path / "ladder.csv"
+    rows = "".join(f"0,0,{u},1,0\n" for u in us.split(","))
+    path.write_text(f"# h=0.1 Np=1 Nq=1 {sidecar} Nu=2\np,q,u,Mf,a01\n{rows}")
+    why = "radial column disagrees with the sidecar ladder"
+    with pytest.raises(ValueError, match=f"moment CSV line {line}: {why}"):
+        read_moment_csv(str(path))
+
+
 def test_csv_reader_rejects_non_finite_values(tmp_path):
     path, lines = _written_lines(tmp_path)
     row = lines[5].split(",")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import replace
@@ -9,16 +10,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sphradon import cli
+from sphradon import cli, reconstruct
 from sphradon._io import fmt
 from sphradon.coeffs import build_tables
 from sphradon.fields import make_phantom, polynomial_field
 from sphradon.forward import SphereCenter, harmonic_coefficient
-from sphradon.moments import MomentGrid, sample_moments
+from sphradon.moments import MomentGrid, read_moment_csv, sample_moments, write_moment_csv
+from sphradon.quadrature import _gauss_legendre_on
 from sphradon.reconstruct import (
     ReconstructionRequest,
     SliceSpec,
     _filter_coefficients,
+    _filter_rows,
+    _point_terms,
     mirror_even_reconstruct,
     reconstruct_point,
     reconstruct_slice,
@@ -223,6 +227,83 @@ def test_filter_array_is_converted_once_per_table(n):
     assert got.base is _filter_coefficients(TABLE, 2).base is TABLE.c_dense
 
 
+# ----- filter rows: once per column, on its distinct ratios -----
+
+
+def _point_operands(n=8, x=0.3, y=-0.2, t=0.9):
+    """`_point_terms`' operands at one rsqz3 point: its block, its filter
+    rows (by Horner's rule in (u/t)^2), its weights, t and the order."""
+    us, ws = _gauss_legendre_on(t, max(8, n + 4))
+    lap = np.array(make_phantom("rsqz3").laplacian_block(x, y, np.append(us, t), n))
+    filt = np.polynomial.polynomial.polyval((us / t) ** 2, np.moveaxis(_filter_coefficients(TABLE, n), -1, 0))
+    filt[1:] *= us / t
+    return lap, filt, ws, t, n
+
+
+def _layouts(a):
+    """`a` C-ordered, Fortran-ordered, as a view with a step of 2 in its last
+    axis, and with its last axis outermost in memory (what gathering the
+    columns of a C-ordered array gives)."""
+    spaced = np.zeros(a.shape[:-1] + (2 * a.shape[-1],))
+    spaced[..., ::2] = a
+    last_outer = np.moveaxis(np.ascontiguousarray(np.moveaxis(a, -1, 0)), 0, -1)
+    return {
+        "C": np.ascontiguousarray(a),
+        "F": np.asfortranarray(a),
+        "step-2": spaced[..., ::2],
+        "last-outer": last_outer,
+    }
+
+
+def test_point_terms_do_not_depend_on_the_operands_memory_layout():
+    lap, filt, ws, t, n = _point_operands()
+    want = _point_terms(lap, filt, ws, t, n).tobytes()
+    for (fname, f), (lname, lp) in itertools.product(_layouts(filt).items(), _layouts(lap).items()):
+        assert f.tobytes(order="C") == filt.tobytes() and lp.tobytes(order="C") == lap.tobytes()
+        assert _point_terms(lp, f, ws, t, n).tobytes() == want, (fname, lname)
+
+
+def _counted_filter_rows(monkeypatch):
+    calls = []
+
+    def counted(filters, ratios):
+        calls.append(np.array(ratios))
+        return filter_rows(filters, ratios)
+
+    filter_rows = reconstruct._filter_rows
+    monkeypatch.setattr(reconstruct, "_filter_rows", counted)
+    return calls
+
+
+def _assert_sorted_distinct(ratios, want):
+    assert ratios.ndim == 1 and np.all(ratios[1:] > ratios[:-1])
+    assert ratios.tolist() == sorted(set(want))
+
+
+def test_a_phantom_column_forms_its_filter_rows_once_on_its_distinct_ratios(monkeypatch):
+    # rsqz3 at order 8 on one column of 14 points, 9 |z| keys (7 values; two
+    # differ by an ulp between +z and -z): 9 x 12 ratio rows, 19 distinct
+    calls = _counted_filter_rows(monkeypatch)
+    spec = SliceSpec("y", 0.3, (0.0, 0.0), (-1.2, 1.2), 0.15)
+    res = reconstruct_slice(spec, 8, "two_data", make_phantom("rsqz3"), TABLE, min_abs_z=0.25)
+    ts = set(np.abs(res.others[np.abs(res.others) >= 0.25]).tolist())
+    assert len(ts) == 9 and len(calls) == 1 and calls[0].size == 19
+    _assert_sorted_distinct(calls[0], [r for t in ts for r in (_gauss_legendre_on(t, 12)[0] / t).tolist()])
+
+
+def test_a_grid_column_forms_its_filter_rows_once_for_every_prefix_length(monkeypatch):
+    # |z| from 0.3 to 1.5 reads 13 prefix lengths of the stored ladder
+    nodes = 0.1 * np.arange(1, 17)
+    grid = sample_moments(make_phantom("rsqz3"), (-0.6, -0.6), 0.1, 13, 13, nodes)
+    calls = _counted_filter_rows(monkeypatch)
+    spec = SliceSpec("y", 0.0, (0.0, 0.0), (-1.5, 1.5), 0.1)
+    res = reconstruct_slice(spec, 4, "two_data", grid, TABLE, min_abs_z=0.25)
+    ts = set(np.abs(res.others[np.abs(res.others) >= 0.25]).tolist())
+    prefixes = {t: grid.radial_scheme(0.0, 0.0, t)[0] for t in ts}
+    assert len({us.size for us in prefixes.values()}) == 13 and len(calls) == 1
+    _assert_sorted_distinct(calls[0], [r for t, us in prefixes.items() for r in (us / t).tolist()])
+
+
 # ----- grid mode -----
 
 
@@ -240,6 +321,23 @@ def test_grid_mode_matches_analytic_closely():
     fine = _zsq_grid(du=0.0025)
     got_fine = _run(fine, ((0.0, 0.0, 2.0),), 2).values[0]
     assert abs(got_fine - 4.0) < abs(got - 4.0) / 10.0
+
+
+def test_grid_mode_reads_a_csv_ladder_that_starts_at_half_du(tmp_path):
+    # any increasing positive ladder integrates: the trapezoid rule runs from
+    # a virtual node at u = 0 through the stored radii up to |z|; on zsq at
+    # du = 0.05 the ladder 0.05 k misses z^2 by 0.051 at z = 1 and z = 2
+    nodes = 0.025 + 0.05 * np.arange(40)
+    grid = sample_moments(make_phantom("zsq"), (-0.4, -0.4), 0.1, 9, 9, nodes)
+    path = str(tmp_path / "half_du.csv")
+    write_moment_csv(grid, path)
+    read = read_moment_csv(path)
+    assert read.radial_nodes.tolist() == nodes.tolist()
+    points = ((0.0, 0.0, nodes[19]), (0.1, -0.1, -nodes[-1]))
+    got = _run(read, points, 2)
+    assert got == _run(grid, points, 2)
+    for (_, _, z), value in zip(points, got.values):
+        assert value == pytest.approx(z * z, abs=0.06)
 
 
 def test_grid_mode_locality():
