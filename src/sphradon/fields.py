@@ -48,7 +48,8 @@ from one table of even-degree probabilists' Hermite rows; an isotropic G
     Lap^i G / G = (-2/s^2)^i i! L_i(r^2/(2 s^2)).
 
 Power 0 of either is exactly 1.0 and is never formed: power 0 of the
-ladder is f itself.
+ladder is f itself.  The bump is itself a function of (r^2, z), so its
+pass forms dx, dy and r^2 once, for f and the Laguerre rows alike.
 
 Against 50-digit arithmetic at 200 points of [-2.5, 2.5]^2
 (tests/test_ladder.py) the error relative to max(|exact|, s^-2i) is at most
@@ -306,7 +307,8 @@ def _laguerre_laplacians(r2: Array, s: float, n: int):
 
 
 def _gaussian_field(
-    evaluate, descriptor: str, x0: float, y0: float, sx: float, sy: float, rule_at: Callable, even: bool
+    evaluate, descriptor: str, x0: float, y0: float, sx: float, sy: float, rule_at: Callable, even: bool,
+    radial: Callable | None = None,
 ) -> ScalarField3D:
     """A field that is G(x - x0, y - y0) times a factor free of (x, y), with
     its ladder on `rule_at(u)`, the sphere rule of radius u (None: the
@@ -316,7 +318,11 @@ def _gaussian_field(
     ring, phi) grid, with z one value per ring, projects it as power 0, and
     projects each higher power Lap^i G / G * f as soon as it is formed;
     power 0 alone builds no Laplacian rows.  An isotropic G takes the
-    Laguerre form, any other the Hermite form.
+    Laguerre form, any other the Hermite form.  `radial(r2, z)`, given
+    for an isotropic G only, is the field as a function of
+    r2 = (x - x0)^2 + (y - y0)^2 and z that `evaluate` is built on; the
+    ladder then forms dx, dy and r2 once per pass, for the field and the
+    Laguerre rows alike.
 
     `even` declares evaluate(x, y, -z) == evaluate(x, y, z) bit for bit.
     Then the a01 rows are literal zeros, and on a rule whose rings are
@@ -325,13 +331,13 @@ def _gaussian_field(
     projected: the node values, and so every projection over the full node
     vector, are bit for bit those of a pass over every node.
     """
-    if sx == sy:
-        def laplacians(X, Y, n):
-            dx, dy = X - x0, Y - y0
-            return _laguerre_laplacians(dx * dx + dy * dy, sx, n)
-    else:
-        def laplacians(X, Y, n):
-            return _hermite_laplacians(X - x0, Y - y0, sx, sy, n)
+    def field_and_laplacians(X, Y, Z, n):
+        """f on the nodes and the rows Lap^i G / G, i = 1..n, formed lazily."""
+        if sx != sy:
+            return evaluate(X, Y, Z), _hermite_laplacians(X - x0, Y - y0, sx, sy, n)
+        dx, dy = X - x0, Y - y0
+        r2 = dx * dx + dy * dy
+        return (evaluate(X, Y, Z) if radial is None else radial(r2, Z)), _laguerre_laplacians(r2, sx, n)
 
     def ladder(x, y, us, n, odd):
         mf, a01 = np.zeros((n + 1, len(us))), np.zeros((n + 1, len(us)))
@@ -345,13 +351,13 @@ def _gaussian_field(
             rings = (n_theta + 1) // 2 if even and rule.symmetric else n_theta
             X, Y, Z = _sphere_points(c, rule, rings)
             X, Y = X.reshape(rings, -1), Y.reshape(rings, -1)
-            base = np.asarray(evaluate(X, Y, Z[:, None]), dtype=float)
+            base, laps = field_and_laplacians(X, Y, Z[:, None], n)
+            base = np.asarray(base, dtype=float)
             # one power on every node: its first rings formed in place, the
             # rest (if any) their mirror images
             vals = np.empty((n_theta, rule.n_phi))
             head, flat = vals[:rings], vals.reshape(-1)
             np.copyto(head, base)
-            laps = laplacians(X, Y, n) if n else ()
             for i in range(n + 1):
                 if i:
                     np.multiply(next(laps), base, out=head)
@@ -449,11 +455,15 @@ def bump_field(
         raise ValueError("need 0 < rz < zc so the support stays in {z > 0}")
     s2 = sigma * sigma
 
+    def radial(r2, z):
+        # f at r2 = (x - x0)^2 + (y - y0)^2: the ladder forms r2 once for
+        # f and its Laguerre rows
+        return amp * np.exp(-r2 / (2 * s2)) * _mollifier((np.asarray(z, dtype=float) - zc) / rz)
+
     def evaluate(x, y, z):
         dx = np.asarray(x, dtype=float) - x0
         dy = np.asarray(y, dtype=float) - y0
-        g = amp * np.exp(-(dx * dx + dy * dy) / (2 * s2))
-        return g * _mollifier((np.asarray(z, dtype=float) - zc) / rz)
+        return radial(dx * dx + dy * dy, z)
 
     def rule_at(u):
         # the support's band of cos(theta) on the sphere of radius u
@@ -463,7 +473,7 @@ def bump_field(
     return _gaussian_field(
         evaluate,
         f"bump(amp={amp:g},x0={x0:g},y0={y0:g},sigma={sigma:g},zc={zc:g},rz={rz:g})",
-        x0, y0, sigma, sigma, rule_at, even=False,
+        x0, y0, sigma, sigma, rule_at, even=False, radial=radial,
     )
 
 

@@ -26,9 +26,9 @@ them, and `_sphere_points` moves them to a centre.  The generic passes
 `evaluate` flat arrays of every node, and the smooth ladders of `fields`
 read the same rows by (theta ring, phi), so every pass forms each
 coordinate bit for bit alike.  Sampling builds the
-offsets once per grid and evaluates a centre's radii in blocks; each row
-is still projected on its own, one `np.dot` each, so the samples equal
-one sphere pass per radius bit for bit.
+offsets once per grid and evaluates a centre's radii in blocks; one
+`np.vecdot` sums a block, one BLAS dot per row as `np.dot` sums one
+sphere, so the samples equal one sphere pass per radius bit for bit.
 """
 
 from __future__ import annotations
@@ -193,14 +193,18 @@ def _project(vals, rule: SphereRule, n: int, m: int = 0, kind: str = "a"):
     projection, so operators that project the same values agree bit for bit.
 
     A float for one sphere's values; for an (R, nodes) block, the R
-    coefficients as an array, each row summed by its own `np.dot` exactly
-    as a single sphere is (a matrix product sums in another order)."""
+    coefficients as an array.  One `np.vecdot` sums either: its loop calls
+    the BLAS dot that `np.dot` calls on one sphere, once per row, so each
+    row is summed exactly as a single sphere is (a matrix product sums in
+    another order).  The values are summed C-ordered: BLAS sums a strided
+    row in another order than a contiguous one, so a Fortran-ordered block
+    or a strided sphere gives the bits of its contiguous copy."""
+    vals = np.ascontiguousarray(vals)
     for row in _factor_rows(rule, n, m, kind):
         vals = vals * row
+    s = np.vecdot(vals, rule.w)
     if vals.ndim == 1:
-        s = float(np.dot(vals, rule.w))
-    else:
-        s = np.array([np.dot(v, rule.w) for v in vals])
+        s = float(s)
     if m == 0:
         return (2 * n + 1) * s / (4.0 * pi)  # 4.0 * pi is exact: one rounding after (2n+1)
     return (2 * n + 1) * factorial(n - m) / factorial(n + m) / (2.0 * pi) * s

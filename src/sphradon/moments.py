@@ -190,9 +190,11 @@ def sample_moments(
     quadrature under `rule` (default `build_rule()`), which needs only
     `evaluate`: the node offsets of every radius are built once, each centre
     is one `evaluate` per block of at most _RADII_PER_PASS radii, which must
-    return one value per node, and each radius's row is summed by its own
-    `np.dot`, so every sample is bit for bit `forward._sphere_moments` at
-    its sphere.  The lattice is checked before any sample is taken.
+    return one value per node, and each moment of a block is one
+    `forward._project`, whose `np.vecdot` sums each radius's row with the
+    BLAS dot of a single sphere, so every sample is bit for bit
+    `forward._sphere_moments` at its sphere.  The lattice is checked
+    before any sample is taken.
     """
     nodes = _check_lattice(origin, h, n_p, n_q, radial_nodes)
     if not analytic:

@@ -117,15 +117,31 @@ def eval_pqt(mpoly: MomentPoly, p, q, t):
     (x, y, z) alike.  Each variable gets one power table per call, built by
     repeated multiplication up to the largest exponent the polynomial uses;
     a scalar operand stays a Python float, so its table costs no numpy call.
-    Terms are summed in dict order onto zeros of the broadcast shape, each
-    as float(c) * p^a * q^b * t^d.
+    Each term is float(c) * p^a * q^b * t^d, multiplied left to right
+    without its factors of exactly 1.0 (a unit coefficient and every
+    zeroth power), since x * 1.0 is x.  Terms are summed in dict order,
+    from the first one plus 0.0 in a fresh array of the broadcast shape, so
+    the sums are those from zeros, a -0.0 first term reading +0.0.
     """
     pqt = [np.asarray(v, dtype=float) for v in (p, q, t)]
     pqt = [v if v.ndim else float(v) for v in pqt]
     shape = np.broadcast(*pqt).shape
-    acc = np.zeros(shape) if shape else 0.0
-    if mpoly:
-        P, Q, T = (_powers(v, top) for v, top in zip(pqt, map(max, zip(*mpoly))))
-        for (a, b, d), c in mpoly.items():
-            acc = acc + float(c) * P[a] * Q[b] * T[d]
+    if not mpoly:
+        return np.zeros(shape) if shape else 0.0
+    P, Q, T = (_powers(v, top) for v, top in zip(pqt, map(max, zip(*mpoly))))
+    acc = None
+    for (a, b, d), c in mpoly.items():
+        term = None if c == 1 else float(c)
+        if a:
+            term = P[a] if term is None else term * P[a]
+        if b:
+            term = Q[b] if term is None else term * Q[b]
+        if d:
+            term = T[d] if term is None else term * T[d]
+        if term is None:
+            term = 1.0
+        if acc is None:
+            acc = np.add(term, 0.0, out=np.empty(shape)) if shape else term + 0.0
+        else:
+            acc += term
     return acc

@@ -199,15 +199,57 @@ def test_project_matches_per_call_reference(name, rule):
         assert first_cosine_coefficient(f, c, rule) == _reference_projection(vals, rule, 1, 0, "a")
 
 
-@pytest.mark.parametrize("rule", [build_rule(7, 12), build_rule(16, 32)], ids=["7x12", "16x32"])
+# the package's rules: default, gauss, the bump's band, the dense
+# reference and the checks' bump rule
+_PACKAGE_RULES = {
+    "24x48": lambda: build_rule(),
+    "64x48": lambda: build_rule(64, 48),
+    "96x64 band": lambda: band_rule(0.1, 0.9, 96, 64),
+    "64x160": lambda: build_rule(64, 160),
+    "256x64": lambda: build_rule(256, 64),
+}
+_BLOCK_RULES = {"7x12": lambda: build_rule(7, 12), "16x32": lambda: build_rule(16, 32), **_PACKAGE_RULES}
+
+
+def _layouts(rng, rows, nodes):
+    """One (rows, nodes) block each C-ordered, a step-2 view and Fortran-ordered."""
+    block = rng.normal(size=(rows, nodes))
+    wide = rng.normal(size=(rows, 2 * nodes))
+    return {"C": block, "step 2": wide[:, ::2], "F": np.asfortranarray(rng.normal(size=(rows, nodes)))}
+
+
+@pytest.mark.parametrize("rule", _PACKAGE_RULES)
+def test_vecdot_sums_each_row_as_its_own_dot(rule):
+    # the property `_project` rests on: np.vecdot over a block calls the
+    # BLAS dot of np.dot once per row, whatever the block's memory layout
+    w = _PACKAGE_RULES[rule]().w
+    rng = np.random.default_rng(23)
+    for rows in (1, 2, 8, 11):
+        for layout, block in _layouts(rng, rows, w.size).items():
+            want = np.array([np.dot(v, w) for v in block])
+            assert np.vecdot(block, w).tobytes() == want.tobytes(), (rows, layout)
+            assert np.vecdot(block[0], w).tobytes() == np.dot(block[0], w).tobytes(), layout
+
+
+@pytest.mark.parametrize("rule", _BLOCK_RULES)
 def test_project_of_a_block_equals_its_rows(rule):
-    # an (R, nodes) block gives each row's own projection bit for bit
+    # an (R, nodes) block gives each row's own projection bit for bit, in
+    # any memory layout
+    rule = _BLOCK_RULES[rule]()
     rng = np.random.default_rng(7)
-    block = rng.normal(size=(5, rule.w.size))
-    for n, m, kind in _orders(4):
-        got = _project(block, rule, n, m, kind)
-        assert got.shape == (5,)
-        assert got.tolist() == [_project(row, rule, n, m, kind) for row in block], (n, m, kind)
+    for layout, block in _layouts(rng, 5, rule.w.size).items():
+        for n, m, kind in _orders(4):
+            got = _project(block, rule, n, m, kind)
+            assert got.shape == (5,)
+            want = np.array([_project(row, rule, n, m, kind) for row in block])
+            assert got.tobytes() == want.tobytes(), (layout, n, m, kind)
+
+
+def test_project_of_one_sphere_is_a_python_float():
+    rule = build_rule()
+    vals = _evaluate_on_sphere(make_phantom("gauss"), SphereCenter(0.2, 0.1, 0.9), rule)
+    for n, m, kind in _orders(2):
+        assert type(_project(vals, rule, n, m, kind)) is float
 
 
 def test_factor_rows_cached_read_only():
