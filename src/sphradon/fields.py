@@ -58,13 +58,14 @@ Against 50-digit arithmetic at 200 points of [-2.5, 2.5]^2
 measured 2.9e-12, 3.3e-11 and 2.8e-8.
 
 The rules fit the integrands' supports and are module constants.  gauss
-uses the 64 x 48 product rule (`_GAUSS_RULE`).  The bump vanishes outside
-the slab zc - rz < z < zc + rz, which a sphere of radius u centred on the
+uses the 64 x 48 product rule (`_GAUSS_RULE`).  The bump declares the
+z_support zc - rz < z < zc + rz, which a sphere of radius u centred on the
 plane meets in the band (zc - rz)/u < cos(theta) < (zc + rz)/u; since area
 is uniform in cos(theta), its rule is Gauss-Legendre on that band crossed
 with a phi ring (`_BAND_SIZES`, `quadrature.band_rule`), every node inside
 the support, and a sphere below the slab gets literal zeros.
-`ScalarField3D._ladder_rule` is the function that picks each radius's rule.
+`_gaussian_field` picks each radius's rule from the declared z_support;
+`ScalarField3D._ladder_rule` is that function.
 
 Catalog (built by `make_phantom`):
 
@@ -88,7 +89,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from inspect import signature
 from math import comb, inf, isfinite
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Callable, Mapping
 
 import numpy as np
@@ -124,6 +125,9 @@ class ScalarField3D:
         the two-dimensional center-Laplacians of the moment functions, at
         radius us[j]; (Mf,) alone when odd is False, with no a01 formed.
         Column j depends on us[j] alone.
+    z_support: (lo, hi), the open interval in z outside which f vanishes,
+        (-inf, inf) by default; lo == hi declares f == 0.  Even-mirror mode
+        doubles the mean data of a field with lo >= 0 (`reconstruct`).
     _ladder_rule (private, set by a sphere-quadrature ladder's builder):
         u -> the SphereRule that ladder projects on at radius u (power 0
         equals `spherical_mean` under it bit for bit), or None where the
@@ -137,7 +141,14 @@ class ScalarField3D:
     evaluate: Callable
     descriptor: str
     analytic_ladder: Callable | None = None
+    z_support: tuple[float, float] = (-inf, inf)
     _ladder_rule: Callable | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        support = tuple(self.z_support) if isinstance(self.z_support, (tuple, list)) else ()
+        if not (len(support) == 2 and all(isinstance(v, Real) for v in support) and support[0] <= support[1]):
+            raise ValueError(f"z_support must be two numbers lo <= hi, neither NaN, got {self.z_support!r}")
+        object.__setattr__(self, "z_support", tuple(map(float, support)))  # frozen: set once, here
 
     def laplacian_block(self, x: float, y: float, us, n: int, odd: bool = True):
         """(Mf, a01) arrays of shape (n + 1, len(us)): row i, column j is
@@ -206,6 +217,7 @@ def polynomial_field(poly: Mapping[tuple[int, int, int], Fraction], name: str = 
         evaluate=lambda x, y, z: polynomials.eval_pqt(poly, x, y, z),
         descriptor=name,
         analytic_ladder=ladder,
+        z_support=(-inf, inf) if poly else (0.0, 0.0),  # a nonzero one vanishes on no open set
     )
 
 
@@ -307,12 +319,14 @@ def _laguerre_laplacians(r2: Array, s: float, n: int):
 
 
 def _gaussian_field(
-    evaluate, descriptor: str, x0: float, y0: float, sx: float, sy: float, rule_at: Callable, even: bool,
-    radial: Callable | None = None,
+    evaluate, descriptor: str, x0: float, y0: float, sx: float, sy: float, sizes: tuple,
+    z_support: tuple, even: bool, radial: Callable | None = None,
 ) -> ScalarField3D:
-    """A field that is G(x - x0, y - y0) times a factor free of (x, y), with
-    its ladder on `rule_at(u)`, the sphere rule of radius u (None: the
-    sphere misses the support, and its column is literal zeros).
+    """A field that is G(x - x0, y - y0) times a factor free of (x, y) and
+    vanishes outside z_support, with its ladder on the `sizes` product rule
+    if z_support is unbounded, else on the `sizes` band rule in cos(theta)
+    that the sphere of radius u shares with it (None: the sphere misses
+    the support, and its column is literal zeros).
 
     The ladder evaluates the field once per radius on the rule's (theta
     ring, phi) grid, with z one value per ring, projects it as power 0, and
@@ -338,6 +352,15 @@ def _gaussian_field(
         dx, dy = X - x0, Y - y0
         r2 = dx * dx + dy * dy
         return (evaluate(X, Y, Z) if radial is None else radial(r2, Z)), _laguerre_laplacians(r2, sx, n)
+
+    lo, hi = z_support
+    full = build_rule(*sizes) if z_support == (-inf, inf) else None
+
+    def rule_at(u):
+        if full is not None:
+            return full
+        a, b = max(-1.0, lo / u), min(1.0, hi / u)
+        return band_rule(a, b, *sizes) if a < b else None
 
     def ladder(x, y, us, n, odd):
         mf, a01 = np.zeros((n + 1, len(us))), np.zeros((n + 1, len(us)))
@@ -367,7 +390,7 @@ def _gaussian_field(
                     a01[i, j] = _project(flat, rule, 1)
         return (mf, a01) if odd else (mf,)
 
-    f = ScalarField3D(evaluate=evaluate, descriptor=descriptor, analytic_ladder=ladder)
+    f = ScalarField3D(evaluate=evaluate, descriptor=descriptor, analytic_ladder=ladder, z_support=z_support)
     object.__setattr__(f, "_ladder_rule", rule_at)  # frozen: set once, here
     return f
 
@@ -406,11 +429,10 @@ def gauss_field(
         out = amp * np.exp(-dx * dx / (2 * sx2) - dy * dy / (2 * sy2) - z * z / (2 * sz2))
         return out if out.shape else float(out)
 
-    rule = build_rule(*_GAUSS_RULE)
     return _gaussian_field(
         evaluate,
         f"gauss(amp={amp:g},cx={cx:g},cy={cy:g},sx={sx:g},sy={sy:g},sz={sz:g})",
-        cx, cy, sx, sy, lambda u: rule, even=True,
+        cx, cy, sx, sy, _GAUSS_RULE, (-inf, inf), even=True,
     )
 
 
@@ -465,15 +487,10 @@ def bump_field(
         dy = np.asarray(y, dtype=float) - y0
         return radial(dx * dx + dy * dy, z)
 
-    def rule_at(u):
-        # the support's band of cos(theta) on the sphere of radius u
-        lo, hi = max(-1.0, (zc - rz) / u), min(1.0, (zc + rz) / u)
-        return band_rule(lo, hi, *_BAND_SIZES) if lo < hi else None
-
     return _gaussian_field(
         evaluate,
         f"bump(amp={amp:g},x0={x0:g},y0={y0:g},sigma={sigma:g},zc={zc:g},rz={rz:g})",
-        x0, y0, sigma, sigma, rule_at, even=False, radial=radial,
+        x0, y0, sigma, sigma, _BAND_SIZES, (zc - rz, zc + rz), even=False, radial=radial,
     )
 
 

@@ -43,16 +43,11 @@ S_k is the exactly rounded sum of the first k + 1 rows of both tables.
 
 Even-mirror mode, for every entry point, asks its blocks for the mean data
 alone (`laplacian_block(..., odd=False)`), forms the mean-data terms only
-and scales the partial sums: by 2.0 for a phantom verified to vanish on
-{z <= 0} where the request's spheres read it, whose even extension
-f(x, y, |z|) then has exactly twice its mean data there, and by 1.0
-otherwise.  The test samples two boxes on lattices of spacing at most
-0.625 in x and y and 0.25 in z: the fixed [-2.5, 2.5]^2 x [-3, 0] (9 x 9
-x 13 points), and the box the spheres read, x and y over the points
-widened by their largest |z| and z from minus that |z| to 0.  A phantom
-that fails it is warned about and used as-is, which is exact precisely
-when it is even in z.  Grid and duck-typed data cannot be probed; at
-scale 1.0 they give the even part (f(z) + f(-z)) / 2.
+and scales the partial sums: by 2.0 for a phantom whose declared z_support
+lies in {z >= 0}, so that its even extension f(x, y, |z|) has exactly twice
+its mean data, and by 1.0 otherwise, with a warning.  Nothing is sampled.
+Scale 1.0 is exact for a phantom even in z; grid and duck-typed data declare
+nothing, and give the even part (f(z) + f(-z)) / 2.
 """
 
 from __future__ import annotations
@@ -171,33 +166,20 @@ def _source(source, order_n: int, radial_rule: int | None):
     return source, lambda x, y, t: _gauss_legendre_on(t, n_radial)
 
 
-def _mirror_scale(source, points) -> float:
-    """2.0 for a phantom that vanishes on the probe lattice of `points`,
-    else 1.0, with a warning for a phantom (see the module docstring)."""
+def _mirror_scale(source) -> float:
+    """2.0 for a phantom whose declared z_support lies in {z >= 0}, else
+    1.0, with a warning for a phantom (see the module docstring)."""
     if not isinstance(source, ScalarField3D):
         return 1.0
-    pts = np.asarray(points, dtype=float)
-    x, y, r = pts[:, 0], pts[:, 1], float(np.max(np.abs(pts[:, 2])))
-    # the fixed box, probed for every request so that a wide request never
-    # misses what a narrow one catches there, and the box the spheres read
-    boxes = (
-        ((-2.5, 2.5), (-2.5, 2.5), (-3.0, 0.0)),
-        ((x.min() - r, x.max() + r), (y.min() - r, y.max() + r), (-r, 0.0)),
+    lo, hi = source.z_support
+    if lo >= 0:
+        return 2.0
+    warnings.warn(
+        f"phantom {source.descriptor!r} may be nonzero for z <= 0 (z_support ({lo:g}, {hi:g})); "
+        "using its own moments as already-even data",
+        stacklevel=3,
     )
-    below = 0.0
-    for box in boxes:
-        steps = zip(box, (0.625, 0.625, 0.25))
-        axes = [np.linspace(lo, hi, int(np.ceil((hi - lo) / h)) + 1) for (lo, hi), h in steps]
-        vals = np.asarray(source.evaluate(*np.meshgrid(*axes, indexing="ij")), dtype=float)
-        below = max(below, float(np.max(np.abs(vals))))
-    if below > 1e-12:
-        warnings.warn(
-            f"phantom {source.descriptor!r} is detectably nonzero for z <= 0 "
-            f"(max {below:.3g}); using its own moments as already-even data",
-            stacklevel=3,
-        )
-        return 1.0
-    return 2.0
+    return 1.0
 
 
 # ----- core -----
@@ -308,7 +290,7 @@ def reconstruct_point(req: ReconstructionRequest, table: CoefficientTable) -> Re
     src, scheme = _source(req.source, req.order_n, req.radial_rule)
     mirror = req.mode == "even_mirror"
     filters = _filter_coefficients(table, req.order_n)[: 1 if mirror else 2]
-    scale = _mirror_scale(req.source, req.points) if mirror else 1.0
+    scale = _mirror_scale(req.source) if mirror else 1.0
 
     columns: dict[tuple, tuple] = {}
     for (x, y, z) in req.points:

@@ -299,8 +299,8 @@ def test_reconstruct_rejects_unknown_phantom_parameter(tmp_path, capsys):
 
 
 def test_reconstruct_prints_library_warning_as_one_line(tmp_path, capsys):
-    # zsq is not a half-space phantom: even-mirror warns, then writes the
-    # slice from zsq's own (already even) moments
+    # zsq is not a half-space phantom (its declared z_support is unbounded):
+    # even-mirror warns, then writes the slice from its own (already even) moments
     out = tmp_path / "r.csv"
     rc = run(
         "reconstruct", "--phantom", "zsq", "--mode", "even-mirror", "--order", "2",
@@ -310,7 +310,7 @@ def test_reconstruct_prints_library_warning_as_one_line(tmp_path, capsys):
     assert rc == 0
     captured = capsys.readouterr()
     assert captured.err == (
-        "sphradon: warning: phantom 'zsq' is detectably nonzero for z <= 0 (max 9); "
+        "sphradon: warning: phantom 'zsq' may be nonzero for z <= 0 (z_support (-inf, inf)); "
         "using its own moments as already-even data\n"
     )
     assert captured.out.startswith("wrote ")

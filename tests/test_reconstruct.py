@@ -115,14 +115,19 @@ def test_odd_phantom_flips_sign():
 def test_mode_equivalence_bit_for_bit_on_even_phantom():
     # gauss's odd data is identically zero, so the two modes must agree
     # exactly; even-mirror warns that gauss is not a half-space phantom and
-    # uses its moments unscaled
-    f = make_phantom("gauss")
-    pts = ((0.3, -0.6, 0.7), (0.0, 0.0, 1.4), (1.0, 1.0, -0.5))
-    a = _run(f, pts, 3, mode="two_data")
-    with pytest.warns(UserWarning, match="nonzero for z <= 0"):
-        b = _run(f, pts, 3, mode="even_mirror")
-    assert a.values == b.values
-    assert a.partial_sums == b.partial_sums
+    # uses its moments unscaled.  The narrow gauss at x = 0.3125 lies between
+    # the points of any probe lattice of spacing 0.625 or 0.5; its declared
+    # z_support, not a sample, keeps it from being doubled
+    cases = (
+        (make_phantom("gauss"), ((0.3, -0.6, 0.7), (0.0, 0.0, 1.4), (1.0, 1.0, -0.5))),
+        (make_phantom("gauss", cx=0.3125, sx=0.005, sy=0.005), ((0.5, 0.0, 0.5),)),
+    )
+    for f, pts in cases:
+        a = _run(f, pts, 3, mode="two_data")
+        with pytest.warns(UserWarning, match="nonzero for z <= 0"):
+            b = _run(f, pts, 3, mode="even_mirror")
+        assert a.values == b.values
+        assert a.partial_sums == b.partial_sums
 
 
 # ----- points (x, y, +-z) share one reconstruction -----
@@ -437,6 +442,28 @@ def test_mirror_on_half_space_bump_is_silent():
         warnings.simplefilter("error")
         res = mirror_even_reconstruct(f, req, TABLE)
     assert np.isfinite(res.values[0])
+
+
+def test_mirror_scale_reads_the_declared_support_and_samples_nothing():
+    # the scale comes from z_support alone: the same ladder declared
+    # unbounded is warned about and gives exactly half the bump's values
+    import warnings
+
+    def evaluate(x, y, z):
+        raise AssertionError("even-mirror mode sampled the field")
+
+    bump = make_phantom("bump")
+    pts = ((0.0, 0.2, 1.5), (0.3, 0.0, 1.0))
+    declared = replace(bump, evaluate=evaluate)
+    undeclared = replace(declared, z_support=(-math.inf, math.inf))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = _run(bump, pts, 4, mode="even_mirror")
+        got = _run(declared, pts, 4, mode="even_mirror")
+    assert got.partial_sums == want.partial_sums
+    with pytest.warns(UserWarning, match=r"nonzero for z <= 0 \(z_support \(-inf, inf\)\)"):
+        half = _run(undeclared, pts, 4, mode="even_mirror")
+    assert tuple(2.0 * v for v in half.values) == want.values
 
 
 def test_mirror_on_plane_symmetric_phantom_warns_and_is_exact():

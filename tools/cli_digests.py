@@ -14,7 +14,8 @@ clean.  It exits 1 if any command exits non-zero.
 The list: `forward` by quadrature (rsqz3 21x21x40, bump 5x5x12) and with
 `--analytic` (gauss 9x9x20); `reconstruct` of an rsqz3 order-8 61x41 slice
 and a gauss order-4 21x15 slice (CSV and PGM), bump even-mirror order-8 y-
-and z-slices, grid slices at orders 2 and 4 from the quadrature rsqz3 CSV;
+and z-slices, grid slices at orders 2 and 4 from the quadrature rsqz3 CSV,
+a zsq even-mirror order-2 slice, whose library warning is in its stderr;
 and `verify --seed 5`.
 """
 
@@ -50,6 +51,8 @@ COMMANDS = (
     ("grid_order4", "reconstruct --grid forward_rsqz3.csv --order 4 --slice y=0.2 "
      "--xrange -0.4,0.4 --zrange -1.5,1.5 --step 0.1 --min-abs-z 0.25 "
      "--out grid_order4.csv --pgm grid_order4.pgm"),
+    ("mirror_zsq", "reconstruct --phantom zsq --mode even-mirror --order 2 --slice y=0 "
+     "--xrange 0,0.2 --zrange 0.4,0.6 --step 0.2 --out mirror_zsq.csv"),
     ("verify", "verify --seed 5 --out verify.csv"),
 )
 
