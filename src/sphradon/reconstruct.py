@@ -16,30 +16,23 @@ coefficients add up to the order-n filter polynomials.
 Points (x, y, z) and (x, y, -z) differ only in sgn(z), so each exact
 (x, y, |z|) is reconstructed once and its odd terms are negated for the
 other sign; negation is exact, so every partial sum is the one a separate
-pass would give.
+pass would give.  A slice axis symmetric about 0 holds exact negatives
+(`_axis_nodes`), so its z and -z are one |z|.
 
 The reconstructor reads a phantom (`ScalarField3D`) or a `MomentGrid`
 directly, through `laplacian_block(x, y, us, n)` (every power 0..n of Mf
 and a01 at the radii us).  The value at (x, y, z) needs only the spheres
 centred at (x, y) with radii up to |z|, so each slice column, the points of
-one exact centre (x, y), asks for one block: on the sorted union of every
-point's radial nodes and every t.  A source's column j depends on us[j]
-alone, so each point reads its own columns (its nodes, then t) bit for bit
-as a block of its own would give them; the last one's power-0 row is the
-boundary datum (Mf, a01).  A phantom without a ladder has no data and is
-refused.  The radial nodes and weights on [0, t] come from the source's
-`radial_scheme(x, y, t)`: a grid's trapezoid ladder on its stored radii
-(target center and radius must sit on stored nodes; it interpolates
-nothing).  A phantom has none and is integrated by the cached
-Gauss-Legendre rule of `quadrature`.  A source with `radial_scheme` and
-per-power `laplacians(x, y, us, i)` instead is adapted once.  The filter
-rows are formed once per column, on the sorted distinct ratios u/t of all
-its points (a phantom's Gauss-Legendre ratios repeat for every |z|), and
-each point gathers its own.  Each parity's block becomes one term table
-per point: row k holds order k's boundary term and the filtered radial
-integral of every Laplacian power i, every entry of both tables from the
-point's own contraction of its filter rows with its block and weights, and
-S_k is the exactly rounded sum of the first k + 1 rows of both tables.
+one exact centre (x, y), asks for one block, on the sorted union of every
+point's radial nodes and every t, and forms its filter rows once, on the
+distinct ratios u/t of all its points (`_column_terms`).  The radial nodes
+and weights on [0, t] are a grid's trapezoid ladder on its stored radii
+(target centre and radius must sit on stored nodes; it interpolates
+nothing) or a phantom's cached Gauss-Legendre rule (`_source`).  Each
+parity's block becomes one term table per point: row k holds order k's
+boundary term and the filtered radial integral of every Laplacian power i
+(`_point_terms`), and S_k is the exactly rounded sum of the first k + 1
+rows of both tables.
 
 Even-mirror mode, for every entry point, asks its blocks for the mean data
 alone (`laplacian_block(..., odd=False)`), forms the mean-data terms only
@@ -167,8 +160,7 @@ def _source(source, order_n: int, radial_rule: int | None):
 
 
 def _mirror_scale(source) -> float:
-    """2.0 for a phantom whose declared z_support lies in {z >= 0}, else
-    1.0, with a warning for a phantom (see the module docstring)."""
+    """2.0 for a phantom whose z_support lies in {z >= 0}, else 1.0, warned for a phantom."""
     if not isinstance(source, ScalarField3D):
         return 1.0
     lo, hi = source.z_support
@@ -360,8 +352,16 @@ class SliceResult:
 
 
 def _axis_nodes(lo: float, hi: float, step: float) -> Array:
-    n = int(np.floor((hi - lo) / step + 1e-9)) + 1
-    return lo + step * np.arange(n)
+    """lo + step k up to hi; on nodes spanning lo == -hi, the upper half
+    negates the lower about an exact 0, so node k is -node(n - 1 - k)."""
+    ratio = (hi - lo) / step
+    n = int(np.floor(ratio + 1e-9)) + 1
+    nodes = lo + step * np.arange(n)
+    if lo == -hi and abs(ratio - (n - 1)) < 1e-9:
+        nodes[n - n // 2 :] = -nodes[: n // 2][::-1]
+        if n % 2:
+            nodes[n // 2] = 0.0
+    return nodes
 
 
 def _slice_points(spec: SliceSpec, xs: Array, others: Array) -> Array:

@@ -523,9 +523,9 @@ def test_grid_request_sweeps_once_per_function_and_abs_z(monkeypatch):
 
 
 def test_grid_column_sweeps_each_stored_radius_once(monkeypatch):
-    # the slice's |z| = |-1.5 + 0.1 k| are not all bit-equal to the stored
-    # nodes 0.1 j they sit on, and its column asks both: 29 radii on 15
-    # stored nodes; each stored radius is swept once, and every column of
+    # the slice's 13 |z| (+z and -z are one) are not all bit-equal to the
+    # stored nodes 0.1 j they sit on, and its column asks both: 23 radii on
+    # 15 stored nodes; each stored radius is swept once, and every column of
     # the block is bit for bit the one a sweep of that radius alone gives
     nodes = 0.1 * np.arange(1, 17)
     grid = sample_moments(make_phantom("rsqz3"), (-0.6, -0.6), 0.1, 13, 13, nodes)
@@ -541,7 +541,7 @@ def test_grid_column_sweeps_each_stored_radius_once(monkeypatch):
     res = reconstruct_slice(spec, 4, "two_data", grid, TABLE, min_abs_z=0.25)
     assert swept == [15, 15]
     us = np.array(sorted(set(nodes[:15].tolist()) | set(np.abs(res.others[np.abs(res.others) >= 0.25]).tolist())))
-    assert us.size == 29
+    assert us.size == 23
     block = grid.laplacian_block(0.0, 0.0, us, 4)
     for j, u in enumerate(us):
         alone = grid.laplacian_block(0.0, 0.0, [u], 4)

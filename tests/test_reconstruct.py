@@ -286,13 +286,13 @@ def _assert_sorted_distinct(ratios, want):
 
 
 def test_a_phantom_column_forms_its_filter_rows_once_on_its_distinct_ratios(monkeypatch):
-    # rsqz3 at order 8 on one column of 14 points, 9 |z| keys (7 values; two
-    # differ by an ulp between +z and -z): 9 x 12 ratio rows, 19 distinct
+    # rsqz3 at order 8 on one column of 14 points, 7 |z| keys (+z and -z
+    # of the symmetric range are one key): 7 x 12 ratio rows, 18 distinct
     calls = _counted_filter_rows(monkeypatch)
     spec = SliceSpec("y", 0.3, (0.0, 0.0), (-1.2, 1.2), 0.15)
     res = reconstruct_slice(spec, 8, "two_data", make_phantom("rsqz3"), TABLE, min_abs_z=0.25)
     ts = set(np.abs(res.others[np.abs(res.others) >= 0.25]).tolist())
-    assert len(ts) == 9 and len(calls) == 1 and calls[0].size == 19
+    assert len(ts) == 7 and len(calls) == 1 and calls[0].size == 18
     _assert_sorted_distinct(calls[0], [r for t in ts for r in (_gauss_legendre_on(t, 12)[0] / t).tolist()])
 
 
@@ -541,6 +541,26 @@ def test_slice_layout_and_missing_values():
     assert np.isnan(res.values[0, 1])
     assert res.values[0, 0] == pytest.approx(0.25, abs=1e-12)
     assert res.values[0, 2] == pytest.approx(0.25, abs=1e-12)
+
+
+@pytest.mark.parametrize("lo, step", [(2.0, 0.1), (3.0, 0.1), (0.7, 0.1), (1.5, 0.1), (0.4, 0.1), (1.0, 0.5)])
+def test_a_symmetric_axis_is_its_own_negated_reverse(lo, step):
+    nodes = reconstruct._axis_nodes(-lo, lo, step)
+    assert nodes[0] == -lo and nodes[-1] == lo
+    assert nodes.tolist() == (-nodes[::-1]).tolist()
+    assert len(nodes) == round(2 * lo / step) + 1
+
+
+def test_rsqz3_on_a_symmetric_slice_is_odd_in_z_bit_for_bit():
+    # rsqz3 is odd in z; z and -z on a symmetric slice are one |z|, so the
+    # two halves of the slice are exact negatives of each other
+    spec = SliceSpec("y", 0.3, (-0.5, 0.5), (-2.0, 2.0), 0.1)
+    res = reconstruct_slice(spec, 8, "two_data", make_phantom("rsqz3"), TABLE, min_abs_z=0.25)
+    up, down = res.values, -res.values[:, ::-1]
+    kept = ~np.isnan(up)
+    assert kept.sum() == 11 * 36 and (kept == ~np.isnan(down)).all()
+    assert up[kept].tobytes() == down[kept].tobytes()
+    assert res.others.tolist() == (-res.others[::-1]).tolist()
 
 
 def test_slice_keeps_last_increment():
