@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from sphradon.fields import PHANTOM_NAMES, ScalarField3D, make_phantom, polynomial_field
 
 # every phantom whose declared support is bounded, and the empty polynomial
-BOUNDED = {name: make_phantom(name) for name in PHANTOM_NAMES if make_phantom(name).z_support != (-inf, inf)}
+BOUNDED = {name: f for name in PHANTOM_NAMES if (f := make_phantom(name)).z_support != (-inf, inf)}
 BOUNDED["polynomial {}"] = polynomial_field({})
 
 
