@@ -13,11 +13,19 @@ def fmt(x: float) -> str:
     return _CELL % float(x)
 
 
-def format_rows(rows) -> str:
+def format_rows(rows, prefixes=None) -> str:
     """One line of comma-separated `fmt` cells per row of a 2-D float
-    array, every line ending in a newline, formatted in one call."""
+    array, every line ending in a newline, formatted in one call; with
+    `prefixes`, one string per row, each line starts with its row's."""
     line = ",".join([_CELL] * rows.shape[1]) + "\n"
-    return (line * rows.shape[0]) % tuple(rows.ravel().tolist())
+    if prefixes is None:
+        return (line * rows.shape[0]) % tuple(rows.ravel().tolist())
+    width = rows.shape[1] + 1
+    cells = [None] * (rows.shape[0] * width)
+    cells[::width] = prefixes
+    for col in range(1, width):
+        cells[col::width] = rows[:, col - 1].tolist()
+    return (("%s" + line) * rows.shape[0]) % tuple(cells)
 
 
 def atomic_write(path: str, payload: bytes) -> None:

@@ -31,13 +31,12 @@ radius on the phantom's own rule, project it as power 0, and project each
 higher power as soon as it is formed.  The points are the rows of
 `forward._sphere_points`, from the package's one sphere-node builder, read
 on the rule's (theta ring, phi) grid with z one value per ring, so a factor
-of z alone (the bump's mollifier) is formed once per ring.  gauss is even in z
-and its rule's rings are exact mirror images about the equator (the
-Gauss-Legendre nodes are symmetrised in `quadrature`), so it is evaluated,
-and its Laplacian rows formed, on one hemisphere of rings, and each power
-is mirrored onto the other before it is projected.  Every node keeps its
-value bit for bit, and every projection runs over all nodes, so the
-ladders equal a pass over every node bit for bit.  The anisotropic gauss
+of z alone (the bump's mollifier) is formed once per ring.  gauss declares
+itself even in z, so as in every on-plane pass (`forward`) it is
+evaluated, and its Laplacian rows formed, on one hemisphere of rings, and
+each power is mirrored onto the other before it is projected.  Every node
+keeps its value bit for bit, and every projection runs over all nodes, so
+the ladders equal a pass over every node bit for bit.  The anisotropic gauss
 forms the Laplacians in Hermite form,
 
     Lap^i G / G = sum_j C(i, j) He_2j(dx/sx)/sx^2j He_2(i-j)(dy/sy)/sy^2(i-j),
@@ -67,6 +66,10 @@ the support, and a sphere below the slab gets literal zeros.
 `_gaussian_field` picks each radius's rule from the declared z_support;
 `ScalarField3D._ladder_rule` is that function.
 
+Each field also declares its parity in z, `z_parity` (`ScalarField3D`):
+`polynomial_field` derives it from its z-exponents (all even +1, all odd
+-1, mixed 0), gauss declares +1 and the bump 0.
+
 Catalog (built by `make_phantom`):
 
     rsqz3   (x^2 + y^2) z^3, the worked example with identically zero mean data
@@ -95,7 +98,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import polynomials
-from .forward import SphereCenter, _project, _sphere_points
+from .forward import SphereCenter, _evaluated_rings, _mirror, _project, _sphere_points
 from .quadrature import band_rule, build_rule
 
 __all__ = [
@@ -128,6 +131,10 @@ class ScalarField3D:
     z_support: (lo, hi), the open interval in z outside which f vanishes,
         (-inf, inf) by default; lo == hi declares f == 0.  Even-mirror mode
         doubles the mean data of a field with lo >= 0 (`reconstruct`).
+    z_parity: +1 declares f(x, y, -z) == f(x, y, z) bit for bit, -1
+        f(x, y, -z) == 0.0 - f(x, y, z) bit for bit, 0 (the default)
+        neither.  A sphere pass on the plane then evaluates one hemisphere
+        and mirrors it (`forward`).
     _ladder_rule (private, set by a sphere-quadrature ladder's builder):
         u -> the SphereRule that ladder projects on at radius u (power 0
         equals `spherical_mean` under it bit for bit), or None where the
@@ -142,6 +149,7 @@ class ScalarField3D:
     descriptor: str
     analytic_ladder: Callable | None = None
     z_support: tuple[float, float] = (-inf, inf)
+    z_parity: int = 0
     _ladder_rule: Callable | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -149,6 +157,10 @@ class ScalarField3D:
         if not (len(support) == 2 and all(isinstance(v, Real) for v in support) and support[0] <= support[1]):
             raise ValueError(f"z_support must be two numbers lo <= hi, neither NaN, got {self.z_support!r}")
         object.__setattr__(self, "z_support", tuple(map(float, support)))  # frozen: set once, here
+        parity = self.z_parity
+        if isinstance(parity, bool) or not (isinstance(parity, Integral) and parity in (-1, 0, 1)):
+            raise ValueError(f"z_parity must be the integer 1, -1 or 0, got {parity!r}")
+        object.__setattr__(self, "z_parity", int(parity))
 
     def laplacian_block(self, x: float, y: float, us, n: int, odd: bool = True):
         """(Mf, a01) arrays of shape (n + 1, len(us)): row i, column j is
@@ -213,11 +225,15 @@ def polynomial_field(poly: Mapping[tuple[int, int, int], Fraction], name: str = 
             for f in range(2 if odd else 1)
         )
 
+    # an odd power of -z is the power of z negated, and eval_pqt's sums from
+    # +0.0 negate exactly, bar a zero sum, which stays +0.0
+    z_powers = {k % 2 for _, _, k in poly}
     return ScalarField3D(
         evaluate=lambda x, y, z: polynomials.eval_pqt(poly, x, y, z),
         descriptor=name,
         analytic_ladder=ladder,
         z_support=(-inf, inf) if poly else (0.0, 0.0),  # a nonzero one vanishes on no open set
+        z_parity=0 if len(z_powers) > 1 else -1 if z_powers == {1} else 1,
     )
 
 
@@ -320,7 +336,7 @@ def _laguerre_laplacians(r2: Array, s: float, n: int):
 
 def _gaussian_field(
     evaluate, descriptor: str, x0: float, y0: float, sx: float, sy: float, sizes: tuple,
-    z_support: tuple, even: bool, radial: Callable | None = None,
+    z_support: tuple, z_parity: int = 0, radial: Callable | None = None,
 ) -> ScalarField3D:
     """A field that is G(x - x0, y - y0) times a factor free of (x, y) and
     vanishes outside z_support, with its ladder on the `sizes` product rule
@@ -338,12 +354,12 @@ def _gaussian_field(
     ladder then forms dx, dy and r2 once per pass, for the field and the
     Laguerre rows alike.
 
-    `even` declares evaluate(x, y, -z) == evaluate(x, y, z) bit for bit.
-    Then the a01 rows are literal zeros, and on a rule whose rings are
-    mirror images (`SphereRule.symmetric`) only the rings up to the equator
-    are evaluated and every power is mirrored onto the others before it is
-    projected: the node values, and so every projection over the full node
-    vector, are bit for bit those of a pass over every node.
+    The field declares z_support and z_parity.  When it is even in z
+    (z_parity 1), the a01 rows are literal zeros, and each pass evaluates
+    the rings `forward._evaluated_rings` names and mirrors every power onto
+    the others before it is projected (Lap^i G / G is free of z): the node
+    values, and so every projection over the full node vector, are bit for
+    bit those of a pass over every node.
     """
     def field_and_laplacians(X, Y, Z, n):
         """f on the nodes and the rows Lap^i G / G, i = 1..n, formed lazily."""
@@ -364,6 +380,7 @@ def _gaussian_field(
 
     def ladder(x, y, us, n, odd):
         mf, a01 = np.zeros((n + 1, len(us))), np.zeros((n + 1, len(us)))
+        even = f.z_parity == 1
         project_a01 = odd and not even
         for j, u in enumerate(us):
             c = SphereCenter(x, y, float(u))  # refuses a bad radius before its rule is chosen
@@ -371,26 +388,27 @@ def _gaussian_field(
             if rule is None:
                 continue
             n_theta = rule.n_theta
-            rings = (n_theta + 1) // 2 if even and rule.symmetric else n_theta
+            rings = _evaluated_rings(f, rule) if even else n_theta
             X, Y, Z = _sphere_points(c, rule, rings)
             X, Y = X.reshape(rings, -1), Y.reshape(rings, -1)
             base, laps = field_and_laplacians(X, Y, Z[:, None], n)
             base = np.asarray(base, dtype=float)
-            # one power on every node: its first rings formed in place, the
-            # rest (if any) their mirror images
+            # one power on every node: its first rings formed in place
             vals = np.empty((n_theta, rule.n_phi))
             head, flat = vals[:rings], vals.reshape(-1)
             np.copyto(head, base)
             for i in range(n + 1):
                 if i:
                     np.multiply(next(laps), base, out=head)
-                vals[rings:] = vals[: n_theta - rings][::-1]
+                _mirror(vals, rings, 1)
                 mf[i, j] = _project(flat, rule, 0)
                 if project_a01:
                     a01[i, j] = _project(flat, rule, 1)
         return (mf, a01) if odd else (mf,)
 
-    f = ScalarField3D(evaluate=evaluate, descriptor=descriptor, analytic_ladder=ladder, z_support=z_support)
+    f = ScalarField3D(
+        evaluate=evaluate, descriptor=descriptor, analytic_ladder=ladder, z_support=z_support, z_parity=z_parity
+    )
     object.__setattr__(f, "_ladder_rule", rule_at)  # frozen: set once, here
     return f
 
@@ -432,7 +450,7 @@ def gauss_field(
     return _gaussian_field(
         evaluate,
         f"gauss(amp={amp:g},cx={cx:g},cy={cy:g},sx={sx:g},sy={sy:g},sz={sz:g})",
-        cx, cy, sx, sy, _GAUSS_RULE, (-inf, inf), even=True,
+        cx, cy, sx, sy, _GAUSS_RULE, (-inf, inf), z_parity=1,
     )
 
 
@@ -490,7 +508,7 @@ def bump_field(
     return _gaussian_field(
         evaluate,
         f"bump(amp={amp:g},x0={x0:g},y0={y0:g},sigma={sigma:g},zc={zc:g},rz={rz:g})",
-        x0, y0, sigma, sigma, _BAND_SIZES, (zc - rz, zc + rz), even=False, radial=radial,
+        x0, y0, sigma, sigma, _BAND_SIZES, (zc - rz, zc + rz), radial=radial,
     )
 
 

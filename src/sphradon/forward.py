@@ -29,6 +29,19 @@ coordinate bit for bit alike.  Sampling builds the
 offsets once per grid and evaluates a centre's radii in blocks; one
 `np.vecdot` sums a block, one BLAS dot per row as `np.dot` sums one
 sphere, so the samples equal one sphere pass per radius bit for bit.
+
+The plane of centres is where every pass saves half its evaluations.  On a
+sphere centred on it, under a rule whose theta rings mirror about the
+equator (`SphereRule.symmetric`), node k of ring n_theta - 1 - j is node k
+of ring j with z negated, bit for bit.  So a field that declares a
+`z_parity` is evaluated on the rings up to the equator alone, the flat
+prefix `_sphere_offsets(..., rings)` forms, and `_mirror` writes their
+images onto the other rings (as 0.0 - v for an odd field, so that a zero
+stays +0.0); `_evaluated_rings` decides, and the operators, the checks'
+stencil, quadrature sampling and the gauss ladder all ask it.  Every node
+keeps the value f gives there and every projection runs over all nodes,
+so every sum keeps its bits.  Off-plane spheres, rules whose rings do not
+mirror and fields of parity 0 evaluate every node.
 """
 
 from __future__ import annotations
@@ -106,11 +119,49 @@ def _sphere_points(c: SphereCenter, rule: SphereRule, rings: int | None = None, 
     return X, Y, Z
 
 
+def _evaluated_rings(f, rule: SphereRule, z_shift: float = 0.0) -> int:
+    """How many theta rings, from the first, a pass of f on `rule` lifted by
+    z_shift evaluates: those up to the equator when f declares a z-parity,
+    the sphere is on the plane and the rule's rings mirror about the
+    equator, so that every other node mirrors one of them; else all."""
+    if getattr(f, "z_parity", 0) and z_shift == 0.0 and rule.symmetric:
+        return (rule.n_theta + 1) // 2
+    return rule.n_theta
+
+
+def _mirror(vals, rings: int, parity: int) -> None:
+    """Fill in place the theta rings of vals, shape (..., n_theta, n_phi),
+    past its first `rings` with their mirror images: ring n_theta - 1 - k
+    takes ring k's values, as 0.0 - v for parity -1, so that a zero stays
+    +0.0 as `eval_pqt` gives it."""
+    n_theta = vals.shape[-2]
+    image = vals[..., : n_theta - rings, :][..., ::-1, :]
+    if parity == 1:
+        vals[..., rings:, :] = image
+    else:
+        np.subtract(0.0, image, out=vals[..., rings:, :])
+
+
+def _sphere_values(f, X, Y, Z, rule: SphereRule) -> np.ndarray:
+    """f on every node of `rule` from the flat nodes (X, Y, Z) of its first
+    rings (`_evaluated_rings`), leading axes for radii: evaluated there and
+    mirrored onto the other rings, so every node value is the one f gives
+    there bit for bit."""
+    head = _node_values(f, X, Y, Z)
+    rings = head.shape[-1] // rule.n_phi
+    if rings == rule.n_theta:
+        return head
+    vals = np.empty(head.shape[:-1] + (rule.n_theta, rule.n_phi))
+    vals[..., :rings, :] = head.reshape(head.shape[:-1] + (rings, rule.n_phi))
+    _mirror(vals, rings, f.z_parity)
+    return vals.reshape(head.shape[:-1] + (-1,))
+
+
 def _evaluate_on_sphere(f, c: SphereCenter, rule: SphereRule, z_shift: float = 0.0):
-    """f on the rule's nodes on the sphere c, lifted by z_shift: flat,
-    contiguous arrays of every node."""
-    X, Y, Z = _sphere_points(c, rule, z_shift=z_shift)
-    return _node_values(f, X, Y, np.repeat(Z, rule.n_phi))
+    """f on the rule's nodes on the sphere c, lifted by z_shift: a flat,
+    contiguous array of every node, evaluated on `_evaluated_rings`."""
+    X, Y, Z = _sphere_points(c, rule, _evaluated_rings(f, rule, z_shift), z_shift)
+    return _sphere_values(f, X, Y, np.repeat(Z, rule.n_phi), rule)
 
 
 def spherical_mean(f, c: SphereCenter, rule: SphereRule | None = None) -> float:

@@ -6,7 +6,9 @@ discrete form of the inverse problem's data (`sample_moments` fills it from
 a phantom's ladder, or by quadrature, which needs only the field's
 `evaluate`: one pass per centre over blocks of its radii, on the sphere
 offsets of `forward._sphere_offsets` built once per grid, z repeated along
-each ring; a field without a ladder carries no moment data) and
+each ring, and for a field with a declared z-parity on one hemisphere of
+rings, mirrored onto the other; a field without a ladder carries no
+moment data) and
 the reconstructor's grid source: it answers `laplacian_block` as a phantom
 does, and `radial_scheme` with the trapezoid ladder of its stored radii,
 for centres and radii on stored nodes only; it interpolates nothing.
@@ -18,7 +20,8 @@ every radius asked, and the stencil is elementwise in the radius; the
 reconstructor asks the union of a slice column's radial nodes and radii,
 so each column costs one sweep per function.
 The file format is a CSV with a comment sidecar, lossless at 17 significant
-digits; the reader parses its body in one `np.loadtxt` call.
+digits; the writer formats each distinct coordinate once, and the reader
+parses the body in one `np.loadtxt` call.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 
 from ._io import atomic_write, fmt, format_rows
 from .fields import ScalarField3D
-from .forward import _node_values, _project, _sphere_offsets
+from .forward import _evaluated_rings, _project, _sphere_offsets, _sphere_values
 from .quadrature import SphereRule, build_rule
 
 __all__ = [
@@ -188,20 +191,22 @@ def sample_moments(
     With analytic=True each centre is one power-0 `laplacian_block` column
     (a field without a ladder is refused).  Otherwise both moments come from
     quadrature under `rule` (default `build_rule()`), which needs only
-    `evaluate`: the node offsets of every radius are built once, each centre
-    is one `evaluate` per block of at most _RADII_PER_PASS radii, which must
-    return one value per node, and each moment of a block is one
-    `forward._project`, whose `np.vecdot` sums each radius's row with the
-    BLAS dot of a single sphere, so every sample is bit for bit
-    `forward._sphere_moments` at its sphere.  The lattice is checked
+    `evaluate`: the node offsets of every radius are built once, on the
+    rings `forward._evaluated_rings` names, each centre is one `evaluate`
+    per block of at most _RADII_PER_PASS radii, which must return one value
+    per node and is mirrored onto the other rings, and each moment of a
+    block is one `forward._project`, whose `np.vecdot` sums each radius's
+    row with the BLAS dot of a single sphere, so every sample is bit for
+    bit `forward._sphere_moments` at its sphere.  The lattice is checked
     before any sample is taken.
     """
     nodes = _check_lattice(origin, h, n_p, n_q, radial_nodes)
     if not analytic:
         rule = rule or build_rule()
-        # every centre shares the node offsets of each radius; read-only,
-        # since each block of Z goes to `evaluate` as it is
-        dX, dY, Z = _sphere_offsets(nodes, rule)
+        # every centre shares the node offsets of each radius, on the rings
+        # a pass evaluates; read-only, since each block of Z goes to
+        # `evaluate` as it is
+        dX, dY, Z = _sphere_offsets(nodes, rule, _evaluated_rings(field, rule))
         Z = np.repeat(Z, rule.n_phi, axis=-1)
         for arr in (dX, dY, Z):
             arr.setflags(write=False)
@@ -216,7 +221,7 @@ def sample_moments(
                 mf[ip, iq], a01[ip, iq] = m[0], a[0]
             else:
                 for block in blocks:
-                    vals = _node_values(field, x + dX[block], y + dY[block], Z[block])
+                    vals = _sphere_values(field, x + dX[block], y + dY[block], Z[block], rule)
                     mf[ip, iq, block] = _project(vals, rule, 0)
                     a01[ip, iq, block] = _project(vals, rule, 1)
     return MomentGrid(tuple(origin), h, n_p, n_q, nodes, mf, a01)
@@ -269,14 +274,20 @@ def write_moment_csv(grid: MomentGrid, path: str) -> None:
         "p,q,u,Mf,a01\n"
     )
     # one (p, q, u, Mf, a01) row per sample, p outer, q middle, u inner; the
-    # p and q columns are p_node/q_node's origin + index * h
-    rows = np.empty(grid.mf_values.shape + (5,))
-    rows[..., 0] = (grid.origin[0] + np.arange(grid.n_p) * grid.h)[:, None, None]
-    rows[..., 1] = (grid.origin[1] + np.arange(grid.n_q) * grid.h)[:, None]
-    rows[..., 2] = nodes
-    rows[..., 3] = grid.mf_values
-    rows[..., 4] = grid.a01_values
-    atomic_write(path, (header + format_rows(rows.reshape(-1, 5))).encode())
+    # p and q columns are p_node/q_node's origin + index * h.  Each distinct
+    # coordinate is formatted once and each row's "p,q,u," joined from them
+    p, q, u = (
+        [fmt(v) + "," for v in axis.tolist()]
+        for axis in (
+            grid.origin[0] + np.arange(grid.n_p) * grid.h,
+            grid.origin[1] + np.arange(grid.n_q) * grid.h,
+            nodes,
+        )
+    )
+    pq = [a + b for a in p for b in q]
+    moments = np.stack((grid.mf_values.ravel(), grid.a01_values.ravel()), axis=1)
+    body = format_rows(moments, [a + b for a in pq for b in u])
+    atomic_write(path, (header + body).encode())
 
 
 def _sidecar(meta: dict, key: str) -> int | float:

@@ -63,8 +63,9 @@ def _gauss_legendre(n: int) -> tuple[Array, Array]:
 
     The nodes are exactly antisymmetric and the weights exactly symmetric,
     x[::-1] == -x and w[::-1] == w, on every numpy: they are re-symmetrised
-    here (a no-op where leggauss already symmetrises), since the smooth
-    ladders mirror a field even in z from one hemisphere of rings.
+    here (a no-op where leggauss already symmetrises), since on-plane
+    sphere passes mirror a field of declared z-parity from one
+    hemisphere of rings.
     """
     x, w = np.polynomial.legendre.leggauss(n)
     x, w = (x - x[::-1]) / 2, (w + w[::-1]) / 2

@@ -1,4 +1,4 @@
-"""Declared field traits: each phantom's z_support."""
+"""Declared field traits: each phantom's z_support and z_parity."""
 
 from __future__ import annotations
 
@@ -101,3 +101,100 @@ def test_the_declaration_survives_a_replaced_evaluate():
     f = make_phantom("bump")
     g = dataclasses.replace(f, evaluate=lambda x, y, z: f.evaluate(x, y, z))
     assert g.z_support == f.z_support
+
+
+# ----- z_parity -----
+
+PARITY = {"rsqz3": -1, "z": -1, "zsq": 1, "const": 1, "zero": 1, "gauss": 1, "bump": 0}
+
+
+def test_every_catalog_phantom_declares_its_parity():
+    assert sorted(PARITY) == sorted(PHANTOM_NAMES)
+    assert {name: make_phantom(name).z_parity for name in PHANTOM_NAMES} == PARITY
+
+
+def _mirrored(f, x, y, z):
+    """f at (x, y, -z), and what the declared parity says it is, as bytes."""
+    got = np.asarray(f.evaluate(x, y, -np.asarray(z)), dtype=float)
+    v = np.asarray(f.evaluate(x, y, z), dtype=float)
+    want = v if f.z_parity == 1 else np.subtract(0.0, v)
+    return got.tobytes(), want.tobytes()
+
+
+@pytest.mark.parametrize("name", [n for n in sorted(PARITY) if PARITY[n]])
+def test_a_declared_parity_holds_bit_for_bit_on_a_lattice(name):
+    f = make_phantom(name)
+    # z = 0.0 reads as -0.0 once negated, and rsqz3 is 0.0 on the z axis:
+    # an odd field's zeros stay +0.0, which -f would not give
+    zs = np.append(np.linspace(-4.0, 4.0, 81), 0.0)
+    X, Y, Z = np.meshgrid(np.linspace(-3.0, 3.0, 25), np.linspace(-3.0, 3.0, 25), zs, indexing="ij")
+    got, want = _mirrored(f, X, Y, Z)
+    assert got == want
+
+
+@pytest.mark.parametrize("name", [n for n in sorted(PARITY) if PARITY[n]])
+@settings(max_examples=200, deadline=None)
+@given(x=_coords, y=_coords, z=st.floats(-50.0, 50.0, allow_nan=False) | st.sampled_from([0.0, 5e-324, 1e-120]))
+def test_a_declared_parity_holds_bit_for_bit(name, x, y, z):
+    f = make_phantom(name)
+    got, want = _mirrored(f, np.array([x]), np.array([y]), np.array([z]))
+    assert got == want
+    got, want = _mirrored(f, x, y, z)
+    assert got == want
+
+
+def test_the_bump_is_neither_even_nor_odd():
+    f = make_phantom("bump")
+    assert f.evaluate(0.0, 0.0, 1.5) > 0.0 == f.evaluate(0.0, 0.0, -1.5)
+
+
+_monomials = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 5))
+_coefficients = st.fractions(-9, 9, max_denominator=7).filter(bool)
+
+
+@st.composite
+def _polynomials(draw, z_powers):
+    """A nonzero polynomial whose z-exponents have the parities `z_powers`
+    (all of them present)."""
+    keys = draw(st.lists(_monomials, min_size=len(z_powers), max_size=6, unique=True))
+    keys = [(i, j, 2 * (k // 2) + z_powers[n % len(z_powers)]) for n, (i, j, k) in enumerate(keys)]
+    return {key: draw(_coefficients) for key in keys}
+
+
+@pytest.mark.parametrize("z_powers, parity", [((0,), 1), ((1,), -1), ((0, 1), 0)], ids=["even", "odd", "mixed"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), x=_coords, y=_coords, z=st.floats(-5.0, 5.0, allow_nan=False))
+def test_a_polynomial_derives_its_parity_from_its_z_exponents(z_powers, parity, data, x, y, z):
+    poly = data.draw(_polynomials(z_powers))
+    f = polynomial_field(poly)
+    assert f.z_parity == parity
+    if parity:
+        got, want = _mirrored(f, np.array([x, 0.0]), np.array([y, 0.0]), np.array([z, 0.0]))
+        assert got == want
+
+
+def test_the_zero_polynomial_is_even():
+    assert polynomial_field({}).z_parity == polynomial_field({(0, 0, 1): Fraction(0)}).z_parity == 1
+    # a zero coefficient does not make a polynomial mixed
+    assert polynomial_field({(0, 0, 1): Fraction(1), (0, 0, 2): Fraction(0)}).z_parity == -1
+
+
+def test_a_field_declares_no_parity_by_default():
+    assert ScalarField3D(lambda x, y, z: z, "bare").z_parity == 0
+    for parity in (1, -1, 0, np.int64(-1)):
+        f = ScalarField3D(lambda x, y, z: z, "declared", z_parity=parity)
+        assert f.z_parity == parity and type(f.z_parity) is int
+
+
+@pytest.mark.parametrize("parity", [2, 0.5, True, "odd", None, -2, 1.0, nan], ids=lambda p: repr(p))
+def test_a_malformed_z_parity_is_refused_by_name(parity):
+    with pytest.raises(ValueError, match="z_parity"):
+        ScalarField3D(lambda x, y, z: z, "bad", z_parity=parity)
+
+
+@pytest.mark.parametrize("name", ["rsqz3", "gauss", "bump"])
+def test_the_parity_survives_a_replaced_evaluate(name):
+    f = make_phantom(name)
+    g = dataclasses.replace(f, evaluate=lambda x, y, z: f.evaluate(x, y, z))
+    assert g.z_parity == f.z_parity
+    assert dataclasses.replace(f, z_parity=0).z_parity == 0

@@ -1,5 +1,6 @@
 """Forward operators against symbolic ground truth."""
 
+import dataclasses
 import gc
 import random
 import weakref
@@ -9,7 +10,7 @@ from math import factorial, pi
 import numpy as np
 import pytest
 
-from sphradon import polynomials
+from sphradon import checks, forward, moments, polynomials
 from sphradon.fields import (
     bump_field,
     const_field,
@@ -20,10 +21,12 @@ from sphradon.fields import (
     z_field,
     zsq_field,
 )
+from sphradon.moments import sample_moments
 from sphradon.quadrature import SphereRule, assoc_legendre, band_rule, build_rule, legendre_all
 from sphradon.forward import (
     SphereCenter,
     _evaluate_on_sphere,
+    _evaluated_rings,
     _factor_rows,
     _project,
     first_cosine_coefficient,
@@ -463,3 +466,143 @@ def test_polynomial_field_refuses_bad_exponent_keys(poly, key):
 def test_gauss_validation():
     with pytest.raises(ValueError):
         gauss_field(sx=0.0)
+
+
+# ----- a declared z-parity: one hemisphere evaluated, then mirrored -----
+
+PARITY_PHANTOMS = ("rsqz3", "z", "zsq", "const", "zero", "gauss")
+# 7 x 12 has an equator ring, which is evaluated; the band over
+# |cos(theta)| < 0.6 mirrors about the equator, the one over (0.1, 0.9) not
+PARITY_RULES = {
+    "24x48": (24, 48),
+    "64x160": (64, 160),
+    "256x64": (256, 64),
+    "7x12": (7, 12),
+    "band-symmetric": (-0.6, 0.6, 12, 16),
+    "band": (0.1, 0.9, 12, 16),
+}
+
+
+def _rule(sizes):
+    return build_rule(*sizes) if len(sizes) == 2 else band_rule(*sizes)
+
+
+def _bits(v) -> bytes:
+    return np.asarray(v, dtype=complex if isinstance(v, complex) else float).tobytes()
+
+
+def _undeclared(f):
+    return dataclasses.replace(f, z_parity=0)
+
+
+def test_which_passes_evaluate_one_hemisphere():
+    rsqz3, bump = make_phantom("rsqz3"), make_phantom("bump")
+    assert _evaluated_rings(rsqz3, build_rule(24, 48)) == 12
+    assert _evaluated_rings(rsqz3, build_rule(7, 12)) == 4  # the equator with the rings above it
+    assert _evaluated_rings(rsqz3, band_rule(-0.6, 0.6, 12, 16)) == 6
+    assert _evaluated_rings(rsqz3, band_rule(0.1, 0.9, 12, 16)) == 12
+    assert _evaluated_rings(rsqz3, build_rule(24, 48), z_shift=1e-3) == 24
+    assert _evaluated_rings(bump, build_rule(24, 48)) == 24
+    assert _evaluated_rings(lambda x, y, z: z, build_rule(24, 48)) == 24
+
+
+@pytest.mark.parametrize("rule", PARITY_RULES, ids=str)
+@pytest.mark.parametrize("name", PARITY_PHANTOMS)
+def test_a_declared_parity_keeps_every_sphere_operator_bit_for_bit(name, rule):
+    f, rule = make_phantom(name), _rule(PARITY_RULES[rule])
+    g = _undeclared(f)
+    for c in (SphereCenter(0.3, -0.2, 0.8), SphereCenter(-1.1, 0.4, 2.3)):
+        assert _bits(_evaluate_on_sphere(f, c, rule)) == _bits(_evaluate_on_sphere(g, c, rule))
+        for op in (spherical_mean, first_cosine_coefficient, two_data_transform):
+            assert _bits(op(f, c, rule)) == _bits(op(g, c, rule))
+        for n, m, kind in ((0, 0, "a"), (1, 0, "a"), (2, 0, "a"), (3, 1, "a"), (3, 2, "b"), (5, 5, "a")):
+            assert _bits(harmonic_coefficient(f, c, n, m, kind, rule)) == _bits(harmonic_coefficient(g, c, n, m, kind, rule))
+        assert _bits(off_plane_mean(f, c.p, c.q, 0.25, c.t, rule)) == _bits(off_plane_mean(g, c.p, c.q, 0.25, c.t, rule))
+
+
+@pytest.mark.parametrize("rule", PARITY_RULES, ids=str)
+@pytest.mark.parametrize("name", PARITY_PHANTOMS)
+def test_a_declared_parity_keeps_quadrature_sampling_bit_for_bit(name, rule):
+    f, rule = make_phantom(name), _rule(PARITY_RULES[rule])
+    # 11 radii: one full block and one partial block per centre
+    args = ((-0.35, 0.2), 0.15, 2, 3, 0.2 * np.arange(1, 12))
+    got = sample_moments(f, *args, analytic=False, rule=rule)
+    want = sample_moments(_undeclared(f), *args, analytic=False, rule=rule)
+    assert _bits(got.mf_values) == _bits(want.mf_values)
+    assert _bits(got.a01_values) == _bits(want.a01_values)
+
+
+# every sphere the checks' stencil evaluates, two of them off the plane
+_STENCIL = [(0, 0, 0, 0)] + [
+    tuple(e if i == axis else 0 for i in range(4)) for axis in range(4) for e in (-1, 1)
+] + [(1, 0, 1, 0), (0, -1, -1, 0)]
+
+
+@pytest.mark.parametrize("rule", ["24x48", "64x160", "256x64", "7x12", "band-symmetric"])
+@pytest.mark.parametrize("name", PARITY_PHANTOMS)
+def test_a_declared_parity_keeps_the_checks_stencil_bit_for_bit(name, rule):
+    f, rule = make_phantom(name), _rule(PARITY_RULES[rule])
+    s, plain = checks._Spheres(f, 0.3, -0.2, 0.8, rule, 1e-3), checks._Spheres(_undeclared(f), 0.3, -0.2, 0.8, rule, 1e-3)
+    for dp, dq, dt, dz in _STENCIL:
+        for n, m, kind in ((0, 0, "a"), (1, 0, "a"), (2, 1, "a"), (2, 1, "b")):
+            assert _bits(s(n, m, kind, dp, dq, dt, dz)) == _bits(plain(n, m, kind, dp, dq, dt, dz))
+
+
+@pytest.mark.parametrize("rule", ["24x48", "7x12", "band-symmetric"])
+def test_an_odd_field_zero_at_a_node_mirrors_as_plus_zero(rule):
+    # x z is odd in z; move the centre so that x is exactly 0.0 at a node
+    # above the equator, where f is +0.0, and so at its mirror node, which
+    # the pass fills as 0.0 - v (-v would give -0.0 there)
+    f, rule = polynomial_field({(1, 0, 1): Fr(1)}, "xz"), _rule(PARITY_RULES[rule])
+    assert f.z_parity == -1
+    t, node = 0.9, rule.n_phi + 1
+    p = -float(t * rule.sin_t[node] * rule.cos_p[node])
+    c = SphereCenter(p, 0.2, t)
+    vals = _evaluate_on_sphere(f, c, rule)
+    mirror = (rule.n_theta - 2) * rule.n_phi + 1
+    assert _bits(vals[[node, mirror]]) == _bits([0.0, 0.0])
+    assert _bits(vals) == _bits(_evaluate_on_sphere(_undeclared(f), c, rule))
+    for n in range(4):
+        assert _bits(harmonic_coefficient(f, c, n, rule=rule)) == _bits(harmonic_coefficient(_undeclared(f), c, n, rule=rule))
+
+
+def _count_nodes(monkeypatch, module):
+    """(radii, nodes) of every `_sphere_offsets` call made through `module`."""
+    calls = []
+    offsets = forward._sphere_offsets
+
+    def counted(ts, rule, rings=None, z_shift=0.0):
+        dX, dY, Z = offsets(ts, rule, rings, z_shift)
+        calls.append((np.size(ts), dX.size // np.size(ts)))
+        return dX, dY, Z
+
+    monkeypatch.setattr(module, "_sphere_offsets", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name, per_radius", [("rsqz3", 576), ("zsq", 576), ("bump", 1152)])
+def test_quadrature_sampling_node_budget(monkeypatch, name, per_radius):
+    # 24 x 48: one hemisphere of 12 rings for a declared parity, all 24 otherwise
+    calls = _count_nodes(monkeypatch, moments)
+    f = make_phantom(name)
+    points = []
+
+    def counted(x, y, z):
+        points.append(np.shape(z))
+        return f.evaluate(x, y, z)
+
+    sample_moments(dataclasses.replace(f, evaluate=counted), (0.0, 0.0), 0.1, 2, 2, 0.1 * np.arange(1, 12), analytic=False)
+    assert calls == [(11, per_radius)]
+    assert points == [(8, per_radius), (3, per_radius)] * 4
+
+
+def test_checks_stencil_node_budget(monkeypatch):
+    # on the plane one hemisphere; an off-plane sphere every node
+    calls = _count_nodes(monkeypatch, forward)
+    s = checks._Spheres(make_phantom("rsqz3"), 0.3, -0.2, 0.8, build_rule(24, 48), 1e-3)
+    for dz in (0, 1, -1):
+        s(0, dz=dz)
+    assert calls == [(1, 576), (1, 1152), (1, 1152)]
+    calls.clear()
+    checks._Spheres(make_phantom("bump"), 0.3, -0.2, 0.8, build_rule(24, 48), 1e-3)(0)
+    assert calls == [(1, 1152)]

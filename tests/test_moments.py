@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import inspect
 import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sphradon._io import fmt
 from sphradon.coeffs import build_tables
@@ -371,6 +374,44 @@ def test_csv_writer_bytes_equal_the_per_cell_format(tmp_path, n_u):
     write_moment_csv(grid, path)
     with open(path, "rb") as fh:
         assert fh.read() == _per_cell_csv(grid)
+
+
+_values = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -2.2250738585072014e-309, 1e300, -1e300]
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 6)),
+    origin=st.tuples(*[st.floats(-1e6, 1e6, allow_nan=False) | st.just(-0.0)] * 2),
+    h=st.floats(1e-6, 1e3),
+    du=st.floats(1e-6, 1e3),
+    data=st.data(),
+)
+def test_csv_round_trip_is_lossless_for_drawn_grids(shape, origin, h, du, data):
+    # the radii as the CLI builds them, du * (1..n_u); -0.0, subnormals and
+    # +-1e300 among the values
+    n_p, n_q, n_u = shape
+    size = n_p * n_q * n_u
+    mf, a01 = (np.array(data.draw(st.lists(_values, min_size=size, max_size=size))).reshape(shape) for _ in "ma")
+    grid = MomentGrid(origin, h, n_p, n_q, _ladder(du, n_u), mf, a01)
+    with tempfile.TemporaryDirectory() as d:
+        first, second = f"{d}/moments.csv", f"{d}/again.csv"
+        write_moment_csv(grid, first)
+        back = read_moment_csv(first)
+        write_moment_csv(back, second)
+        with open(first, "rb") as a, open(second, "rb") as b:
+            assert a.read() == b.read()
+    assert (back.h, back.n_p, back.n_q) == (grid.h, n_p, n_q)
+    # the file stores node coordinates, not the origin: an origin of -0.0
+    # reads back as its first node, origin + 0 * h == +0.0
+    for node, count in ((MomentGrid.p_node, n_p), (MomentGrid.q_node, n_q)):
+        assert np.array([node(back, i) for i in range(count)]).tobytes() == np.array(
+            [node(grid, i) for i in range(count)]
+        ).tobytes()
+    for name in ("radial_nodes", "mf_values", "a01_values"):
+        assert getattr(back, name).tobytes() == getattr(grid, name).tobytes(), name
 
 
 def test_csv_rejects_nonuniform_ladder(tmp_path):
