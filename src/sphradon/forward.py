@@ -135,7 +135,9 @@ def _mirror(vals, rings: int, parity: int) -> None:
     takes ring k's values, as 0.0 - v for parity -1, so that a zero stays
     +0.0 as `eval_pqt` gives it."""
     n_theta = vals.shape[-2]
-    image = vals[..., : n_theta - rings, :][..., ::-1, :]
+    if rings == n_theta:
+        return
+    image = vals[..., n_theta - rings - 1 :: -1, :]
     if parity == 1:
         vals[..., rings:, :] = image
     else:
