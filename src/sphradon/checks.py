@@ -44,7 +44,7 @@ import numpy as np
 from ._io import atomic_write, fmt
 from .coeffs import CoefficientTable, build_tables
 from .fields import ScalarField3D, make_phantom
-from .forward import SphereCenter, _evaluate_on_sphere, _project, harmonic_coefficient
+from .forward import SphereCenter, _evaluate_on_sphere, _project, _z_parity, harmonic_coefficient
 from .quadrature import SphereRule, _gauss_legendre_on, build_rule
 
 __all__ = [
@@ -228,7 +228,8 @@ class _Spheres:
             if key not in self._values:
                 p, q, t = (v + d * self.h if d else v for v, d in zip(self.point, key))
                 self._values[key] = _evaluate_on_sphere(self.f, SphereCenter(p, q, t), self.rule, dz * self.h)
-            self._coefficients[coefficient] = _project(self._values[key], self.rule, n, m, kind)
+            parity = _z_parity(self.f)
+            self._coefficients[coefficient] = _project(self._values[key], self.rule, n, m, kind, parity)
         return self._coefficients[coefficient]
 
     def diff(self, g) -> float:

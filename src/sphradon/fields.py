@@ -7,9 +7,8 @@ two-dimensional Laplacians are applied in closed form to the field itself
 sphere is done by a dedicated high-order quadrature whose error is far below
 every test tolerance.  That quadrature is forward's one sphere pass under the
 phantom's own rule, so power 0 of the ladder equals `spherical_mean` and
-`first_cosine_coefficient` under that rule bit for bit (bar gauss's literal
-first-cosine zeros, below).  For polynomial phantoms the moments are exact
-rationals evaluated in floating point.
+`first_cosine_coefficient` under that rule bit for bit.  For polynomial
+phantoms the moments are exact rationals evaluated in floating point.
 
 `ScalarField3D.laplacian_block` is the one entry point to the moment data:
 it answers every power 0..n at a whole array of radii with one call to the
@@ -34,9 +33,11 @@ on the rule's (theta ring, phi) grid with z one value per ring, so a factor
 of z alone (the bump's mollifier) is formed once per ring.  gauss declares
 itself even in z, so as in every on-plane pass (`forward`) it is
 evaluated, and its Laplacian rows formed, on one hemisphere of rings, and
-each power is mirrored onto the other before it is projected.  Every node
-keeps its value bit for bit, and every projection runs over all nodes, so
-the ladders equal a pass over every node bit for bit.  The anisotropic gauss
+each power's projection is folded by that parity: its mean is the
+hemisphere's sum against the folded weights, and its first-cosine
+coefficient +0.0 with no arithmetic.  Every node keeps its value bit for
+bit, so the ladders equal a pass over every node, projected as
+`forward._project` projects it, bit for bit.  The anisotropic gauss
 forms the Laplacians in Hermite form,
 
     Lap^i G / G = sum_j C(i, j) He_2j(dx/sx)/sx^2j He_2(i-j)(dy/sy)/sy^2(i-j),
@@ -82,8 +83,9 @@ Catalog (built by `make_phantom`):
             2-D Gaussian in (x,y) times a mollifier shell in z
 
 The gauss phantom's plane symmetry makes its odd moment data vanish exactly,
-so its first-cosine callbacks return literal zeros.  The bump is the standard
-half-space phantom for the even-mirror reconstruction mode.
+so its first-cosine data are +0.0, by the parity fold of every on-plane
+pass.  The bump is the standard half-space phantom for the even-mirror
+reconstruction mode.
 """
 
 from __future__ import annotations
@@ -98,7 +100,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import polynomials
-from .forward import SphereCenter, _evaluated_rings, _mirror, _project, _sphere_points
+from .forward import SphereCenter, _evaluated_rings, _project, _sphere_points
 from .quadrature import band_rule, build_rule
 
 __all__ = [
@@ -134,7 +136,7 @@ class ScalarField3D:
     z_parity: +1 declares f(x, y, -z) == f(x, y, z) bit for bit, -1
         f(x, y, -z) == 0.0 - f(x, y, z) bit for bit, 0 (the default)
         neither.  A sphere pass on the plane then evaluates one hemisphere
-        and mirrors it (`forward`).
+        and folds its projections by the parity (`forward`).
     _ladder_rule (private, set by a sphere-quadrature ladder's builder):
         u -> the SphereRule that ladder projects on at radius u (power 0
         equals `spherical_mean` under it bit for bit), or None where the
@@ -354,11 +356,11 @@ def _gaussian_field(
     ladder then forms dx, dy and r2 once per pass, for the field and the
     Laguerre rows alike.
 
-    The field declares z_support and z_parity.  When it is even in z
-    (z_parity 1), the a01 rows are literal zeros, and each pass evaluates
-    the rings `forward._evaluated_rings` names and mirrors every power onto
-    the others before it is projected (Lap^i G / G is free of z): the node
-    values, and so every projection over the full node vector, are bit for
+    The field declares z_support and z_parity.  Each pass evaluates the
+    rings `forward._evaluated_rings` names: for a field of declared parity
+    on a symmetric rule one hemisphere, whose every power (Lap^i G / G is
+    free of z, so it keeps the field's parity) `forward._project` folds;
+    an even field's a01 rows are thus +0.0.  The node values are bit for
     bit those of a pass over every node.
     """
     def field_and_laplacians(X, Y, Z, n):
@@ -380,30 +382,21 @@ def _gaussian_field(
 
     def ladder(x, y, us, n, odd):
         mf, a01 = np.zeros((n + 1, len(us))), np.zeros((n + 1, len(us)))
-        even = f.z_parity == 1
-        project_a01 = odd and not even
         for j, u in enumerate(us):
             c = SphereCenter(x, y, float(u))  # refuses a bad radius before its rule is chosen
             rule = rule_at(c.t)
             if rule is None:
                 continue
-            n_theta = rule.n_theta
-            rings = _evaluated_rings(f, rule) if even else n_theta
+            rings = _evaluated_rings(f, rule)
             X, Y, Z = _sphere_points(c, rule, rings)
             X, Y = X.reshape(rings, -1), Y.reshape(rings, -1)
             base, laps = field_and_laplacians(X, Y, Z[:, None], n)
             base = np.asarray(base, dtype=float)
-            # one power on every node: its first rings formed in place
-            vals = np.empty((n_theta, rule.n_phi))
-            head, flat = vals[:rings], vals.reshape(-1)
-            np.copyto(head, base)
             for i in range(n + 1):
-                if i:
-                    np.multiply(next(laps), base, out=head)
-                _mirror(vals, rings, 1)
-                mf[i, j] = _project(flat, rule, 0)
-                if project_a01:
-                    a01[i, j] = _project(flat, rule, 1)
+                vals = (next(laps) * base if i else base).reshape(-1)
+                mf[i, j] = _project(vals, rule, 0, parity=f.z_parity)
+                if odd:
+                    a01[i, j] = _project(vals, rule, 1, parity=f.z_parity)
         return (mf, a01) if odd else (mf,)
 
     f = ScalarField3D(

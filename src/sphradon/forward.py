@@ -23,25 +23,30 @@ A sphere's nodes are its centre plus the offsets of its radius, which
 depend on the radius and the rule alone; `_sphere_offsets` alone forms
 them, and `_sphere_points` moves them to a centre.  The generic passes
 (these operators, the checks' stencil, quadrature sampling) give
-`evaluate` flat arrays of every node, and the smooth ladders of `fields`
-read the same rows by (theta ring, phi), so every pass forms each
-coordinate bit for bit alike.  Sampling builds the
+`evaluate` flat arrays of the nodes they evaluate, and the smooth ladders
+of `fields` read the same rows by (theta ring, phi), so every pass forms
+each coordinate bit for bit alike.  Sampling builds the
 offsets once per grid and evaluates a centre's radii in blocks; one
 `np.vecdot` sums a block, one BLAS dot per row as `np.dot` sums one
 sphere, so the samples equal one sphere pass per radius bit for bit.
 
-The plane of centres is where every pass saves half its evaluations.  On a
-sphere centred on it, under a rule whose theta rings mirror about the
-equator (`SphereRule.symmetric`), node k of ring n_theta - 1 - j is node k
-of ring j with z negated, bit for bit.  So a field that declares a
-`z_parity` is evaluated on the rings up to the equator alone, the flat
-prefix `_sphere_offsets(..., rings)` forms, and `_mirror` writes their
-images onto the other rings (as 0.0 - v for an odd field, so that a zero
-stays +0.0); `_evaluated_rings` decides, and the operators, the checks'
-stencil, quadrature sampling and the gauss ladder all ask it.  Every node
-keeps the value f gives there and every projection runs over all nodes,
-so every sum keeps its bits.  Off-plane spheres, rules whose rings do not
-mirror and fields of parity 0 evaluate every node.
+The plane of centres is where every pass does half its work.  On a sphere
+centred on it, under a rule whose theta rings mirror about the equator
+(`SphereRule.symmetric`), node k of ring n_theta - 1 - j is node k of ring
+j with z negated, and P_{n,m}(cos theta) has parity (-1)^(n-m).  So a
+field that declares a `z_parity` s is evaluated on the rings up to the
+equator alone, the flat prefix `_sphere_offsets(..., rings)` forms
+(`_evaluated_rings` decides, and the operators, the checks' stencil,
+quadrature sampling and the gauss ladder all ask it), and `_project`
+folds the projection by parity: a coefficient with s * (-1)^(n-m) == -1
+is exactly +0.0, which the reflection z -> -z makes it, with no
+arithmetic, and any other is the hemisphere's sum against
+`SphereRule.w_fold`, its rings before the equator weighted twice (the
+factor 2 is exact) and an equator ring once.  An odd field's mean data
+and an even field's first-cosine data are thus +0.0 by construction, and
+the surviving sums differ from a sum over every node at rounding level.
+Off-plane spheres, rules whose rings do not mirror and fields of parity 0
+evaluate and sum every node.
 """
 
 from __future__ import annotations
@@ -119,71 +124,53 @@ def _sphere_points(c: SphereCenter, rule: SphereRule, rings: int | None = None, 
     return X, Y, Z
 
 
+def _z_parity(f) -> int:
+    """The z-parity f declares (`ScalarField3D.z_parity`); 0 for a plain
+    function."""
+    return getattr(f, "z_parity", 0)
+
+
 def _evaluated_rings(f, rule: SphereRule, z_shift: float = 0.0) -> int:
     """How many theta rings, from the first, a pass of f on `rule` lifted by
     z_shift evaluates: those up to the equator when f declares a z-parity,
     the sphere is on the plane and the rule's rings mirror about the
     equator, so that every other node mirrors one of them; else all."""
-    if getattr(f, "z_parity", 0) and z_shift == 0.0 and rule.symmetric:
+    if _z_parity(f) and z_shift == 0.0 and rule.symmetric:
         return (rule.n_theta + 1) // 2
     return rule.n_theta
 
 
-def _mirror(vals, rings: int, parity: int) -> None:
-    """Fill in place the theta rings of vals, shape (..., n_theta, n_phi),
-    past its first `rings` with their mirror images: ring n_theta - 1 - k
-    takes ring k's values, as 0.0 - v for parity -1, so that a zero stays
-    +0.0 as `eval_pqt` gives it."""
-    n_theta = vals.shape[-2]
-    if rings == n_theta:
-        return
-    image = vals[..., n_theta - rings - 1 :: -1, :]
-    if parity == 1:
-        vals[..., rings:, :] = image
-    else:
-        np.subtract(0.0, image, out=vals[..., rings:, :])
-
-
-def _sphere_values(f, X, Y, Z, rule: SphereRule) -> np.ndarray:
-    """f on every node of `rule` from the flat nodes (X, Y, Z) of its first
-    rings (`_evaluated_rings`), leading axes for radii: evaluated there and
-    mirrored onto the other rings, so every node value is the one f gives
-    there bit for bit."""
-    head = _node_values(f, X, Y, Z)
-    rings = head.shape[-1] // rule.n_phi
-    if rings == rule.n_theta:
-        return head
-    vals = np.empty(head.shape[:-1] + (rule.n_theta, rule.n_phi))
-    vals[..., :rings, :] = head.reshape(head.shape[:-1] + (rings, rule.n_phi))
-    _mirror(vals, rings, f.z_parity)
-    return vals.reshape(head.shape[:-1] + (-1,))
-
-
 def _evaluate_on_sphere(f, c: SphereCenter, rule: SphereRule, z_shift: float = 0.0):
-    """f on the rule's nodes on the sphere c, lifted by z_shift: a flat,
-    contiguous array of every node, evaluated on `_evaluated_rings`."""
+    """f on the sphere c lifted by z_shift, as a flat, contiguous array of
+    the nodes on the rings `_evaluated_rings` names: every node, or one
+    hemisphere for `_project` to fold."""
     X, Y, Z = _sphere_points(c, rule, _evaluated_rings(f, rule, z_shift), z_shift)
-    return _sphere_values(f, X, Y, np.repeat(Z, rule.n_phi), rule)
+    return _node_values(f, X, Y, np.repeat(Z, rule.n_phi))
+
+
+def _coefficient(f, c: SphereCenter, rule, n: int, m: int = 0, kind: str = "a", z_shift: float = 0.0):
+    """One coefficient of f on the sphere c lifted by z_shift: one pass,
+    one `_project` folded by f's z-parity; the default rule for None."""
+    rule = rule or build_rule()
+    return _project(_evaluate_on_sphere(f, c, rule, z_shift), rule, n, m, kind, _z_parity(f))
 
 
 def spherical_mean(f, c: SphereCenter, rule: SphereRule | None = None) -> float:
     """Mf(p,q,t): the average of f over the sphere."""
-    rule = rule or build_rule()
-    return _project(_evaluate_on_sphere(f, c, rule), rule, 0)
+    return _coefficient(f, c, rule, 0)
 
 
 def first_cosine_coefficient(f, c: SphereCenter, rule: SphereRule | None = None) -> float:
     """a_{01}(p,q,t), the coefficient of cos(theta) in the restriction."""
-    rule = rule or build_rule()
-    return _project(_evaluate_on_sphere(f, c, rule), rule, 1)
+    return _coefficient(f, c, rule, 1)
 
 
 def _sphere_moments(f, c: SphereCenter, rule: SphereRule | None = None) -> tuple[float, float]:
     """(Mf, a01) from one sphere pass, bit for bit `spherical_mean` and
     `first_cosine_coefficient`, which evaluate f once each."""
     rule = rule or build_rule()
-    vals = _evaluate_on_sphere(f, c, rule)
-    return _project(vals, rule, 0), _project(vals, rule, 1)
+    vals, parity = _evaluate_on_sphere(f, c, rule), _z_parity(f)
+    return _project(vals, rule, 0, parity=parity), _project(vals, rule, 1, parity=parity)
 
 
 def two_data_transform(f, c: SphereCenter, rule: SphereRule | None = None) -> complex:
@@ -213,8 +200,7 @@ def harmonic_coefficient(
         raise ValueError("kind must be 'a' or 'b'")
     if kind == "b" and m == 0:
         raise ValueError("b coefficients need m >= 1")
-    rule = rule or build_rule()
-    return _project(_evaluate_on_sphere(f, c, rule), rule, n, m, kind)
+    return _coefficient(f, c, rule, n, m, kind)
 
 
 def _stored_row(rule: SphereRule, key: tuple, build) -> np.ndarray:
@@ -240,7 +226,7 @@ def _factor_rows(rule: SphereRule, n: int, m: int, kind: str) -> tuple:
     return rows
 
 
-def _project(vals, rule: SphereRule, n: int, m: int = 0, kind: str = "a"):
+def _project(vals, rule: SphereRule, n: int, m: int = 0, kind: str = "a", parity: int = 0):
     """a_{mn} (kind "a") or b_{mn} (kind "b") of sphere values evaluated on
     `rule`, for arguments `harmonic_coefficient` accepts: the package's one
     projection, so operators that project the same values agree bit for bit.
@@ -251,11 +237,25 @@ def _project(vals, rule: SphereRule, n: int, m: int = 0, kind: str = "a"):
     row is summed exactly as a single sphere is (a matrix product sums in
     another order).  The values are summed C-ordered: BLAS sums a strided
     row in another order than a contiguous one, so a Fortran-ordered block
-    or a strided sphere gives the bits of its contiguous copy."""
+    or a strided sphere gives the bits of its contiguous copy.
+
+    Values on the rings up to the equator alone (`_evaluated_rings`) are
+    folded by the field's z-parity: P_{n,m} has parity (-1)^(n-m) in
+    cos(theta), so a coefficient of parity * (-1)^(n-m) == -1 is +0.0 with
+    no arithmetic, and any other is the prefix of each factor row times
+    the values, summed against `SphereRule.w_fold`.  A hemisphere with
+    parity 0 is refused."""
     vals = np.ascontiguousarray(vals)
+    nodes, w = vals.shape[-1], rule.w
+    if nodes != w.size:
+        if not parity:
+            raise ValueError(f"{nodes} of the rule's {w.size} sphere nodes need the field's z-parity to fold")
+        if parity != (-1) ** (n - m):
+            return 0.0 if vals.ndim == 1 else np.zeros(vals.shape[:-1])
+        w = rule.w_fold
     for row in _factor_rows(rule, n, m, kind):
-        vals = vals * row
-    s = np.vecdot(vals, rule.w)
+        vals = vals * row[:nodes]
+    s = np.vecdot(vals, w)
     if vals.ndim == 1:
         s = float(s)
     if m == 0:
@@ -268,5 +268,4 @@ def off_plane_mean(f, p: float, q: float, z0: float, t: float, rule: SphereRule 
     data moved off the plane, as the Dirichlet-Neumann identity differentiates it."""
     if not isfinite(z0):
         raise ValueError(f"centre height z0 must be finite, got {z0}")
-    rule = rule or build_rule()
-    return _project(_evaluate_on_sphere(f, SphereCenter(p, q, t), rule, z_shift=z0), rule, 0)
+    return _coefficient(f, SphereCenter(p, q, t), rule, 0, z_shift=z0)

@@ -7,8 +7,8 @@ a phantom's ladder, or by quadrature, which needs only the field's
 `evaluate`: one pass per centre over blocks of its radii, on the sphere
 offsets of `forward._sphere_offsets` built once per grid, z repeated along
 each ring, and for a field with a declared z-parity on one hemisphere of
-rings, mirrored onto the other; a field without a ladder carries no
-moment data) and
+rings, its projections folded by that parity, so that the moment it makes
+vanish is +0.0; a field without a ladder carries no moment data) and
 the reconstructor's grid source: it answers `laplacian_block` as a phantom
 does, and `radial_scheme` with the trapezoid ladder of its stored radii,
 for centres and radii on stored nodes only; it interpolates nothing.
@@ -33,7 +33,7 @@ import numpy as np
 
 from ._io import atomic_write, fmt, format_rows
 from .fields import ScalarField3D
-from .forward import _evaluated_rings, _project, _sphere_offsets, _sphere_values
+from .forward import _evaluated_rings, _node_values, _project, _sphere_offsets, _z_parity
 from .quadrature import SphereRule, build_rule
 
 __all__ = [
@@ -84,7 +84,8 @@ def _check_lattice(origin, h: float, n_p: int, n_q: int, radial_nodes) -> Array:
 class MomentGrid:
     """Moment samples over origin + h*(0..n_p-1) x (0..n_q-1) x radial_nodes.
 
-    Value arrays are indexed (ip, iq, iu) and frozen after construction.
+    Value arrays are indexed (ip, iq, iu) and frozen after construction;
+    the origin is stored as two Python floats, a zero as +0.0.
     """
 
     origin: tuple[float, float]
@@ -106,6 +107,9 @@ class MomentGrid:
             raise ValueError("moment values must be finite")
         for arr in (nodes, mf, a01):
             arr.setflags(write=False)
+        # two Python floats, -0.0 as +0.0: the CSV stores node 0, which is
+        # origin + 0 * h == +0.0 for either zero, so the origin reads back
+        object.__setattr__(self, "origin", tuple(float(v) + 0.0 for v in self.origin))
         object.__setattr__(self, "radial_nodes", nodes)
         object.__setattr__(self, "mf_values", mf)
         object.__setattr__(self, "a01_values", a01)
@@ -194,11 +198,12 @@ def sample_moments(
     `evaluate`: the node offsets of every radius are built once, on the
     rings `forward._evaluated_rings` names, each centre is one `evaluate`
     per block of at most _RADII_PER_PASS radii, which must return one value
-    per node and is mirrored onto the other rings, and each moment of a
-    block is one `forward._project`, whose `np.vecdot` sums each radius's
-    row with the BLAS dot of a single sphere, so every sample is bit for
-    bit `forward._sphere_moments` at its sphere.  The lattice is checked
-    before any sample is taken.
+    per node, and each moment of a block is one `forward._project`, folded
+    by the field's z-parity on one hemisphere (the moment the parity makes
+    vanish is a block of +0.0), whose `np.vecdot` sums each radius's row
+    with the BLAS dot of a single sphere, so every sample is bit for bit
+    `forward._sphere_moments` at its sphere.  The lattice is checked before
+    any sample is taken.
     """
     nodes = _check_lattice(origin, h, n_p, n_q, radial_nodes)
     if not analytic:
@@ -211,6 +216,7 @@ def sample_moments(
         for arr in (dX, dY, Z):
             arr.setflags(write=False)
         blocks = [slice(lo, lo + _RADII_PER_PASS) for lo in range(0, nodes.size, _RADII_PER_PASS)]
+        parity = _z_parity(field)
     mf = np.empty((n_p, n_q, nodes.size))
     a01 = np.empty_like(mf)
     for ip in range(n_p):
@@ -221,9 +227,9 @@ def sample_moments(
                 mf[ip, iq], a01[ip, iq] = m[0], a[0]
             else:
                 for block in blocks:
-                    vals = _sphere_values(field, x + dX[block], y + dY[block], Z[block], rule)
-                    mf[ip, iq, block] = _project(vals, rule, 0)
-                    a01[ip, iq, block] = _project(vals, rule, 1)
+                    vals = _node_values(field, x + dX[block], y + dY[block], Z[block])
+                    mf[ip, iq, block] = _project(vals, rule, 0, parity=parity)
+                    a01[ip, iq, block] = _project(vals, rule, 1, parity=parity)
     return MomentGrid(tuple(origin), h, n_p, n_q, nodes, mf, a01)
 
 
@@ -260,14 +266,20 @@ def _center_laplacians(block: Array, n: int, h: float) -> Array:
 # the first block's.
 
 
+def _off_ladder(nodes: Array, u0: float, du: float) -> Array:
+    """Where the finite radii miss the uniform ladder u0 + du*k by more than
+    1e-12 * max(1, |u_last|) (a non-finite ladder misses everywhere): the
+    writer's rule and the reader's, so every ladder the reader takes can be
+    written."""
+    ladder = u0 + du * np.arange(nodes.size)
+    return ~(np.abs(nodes - ladder) <= 1e-12 * max(1.0, abs(nodes[-1])))
+
+
 def write_moment_csv(grid: MomentGrid, path: str) -> None:
     nodes = grid.radial_nodes
-    if nodes.size > 1:
-        du = nodes[1] - nodes[0]
-        if not np.allclose(np.diff(nodes), du, rtol=1e-12, atol=1e-15):
-            raise ValueError("only uniform radial ladders are representable in CSV")
-    else:
-        du = nodes[0]
+    du = nodes[1] - nodes[0] if nodes.size > 1 else nodes[0]
+    if _off_ladder(nodes, nodes[0], du).any():
+        raise ValueError("only uniform radial ladders are representable in CSV")
     header = (
         f"# h={fmt(grid.h)} Np={grid.n_p} Nq={grid.n_q} "
         f"u0={fmt(nodes[0])} du={fmt(du)} Nu={nodes.size}\n"
@@ -379,7 +391,5 @@ def read_moment_csv(path: str) -> MomentGrid:
         "p, q off the lattice origin + h*index in p-outer, q-middle order",
     )
     reject(data[:, 2] != nodes[iu], "u differs from the first block's u column")
-    ladder = u0 + du * np.arange(n_u)
-    off = np.abs(nodes - ladder) > 1e-12 * max(1.0, abs(ladder[-1]))
-    reject(off | ~np.isfinite(ladder), "radial column disagrees with the sidecar ladder u0 + du*k")
+    reject(_off_ladder(nodes, u0, du), "radial column disagrees with the sidecar ladder u0 + du*k")
     return grid

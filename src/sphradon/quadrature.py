@@ -56,6 +56,17 @@ class SphereRule:
         ct = self.cos_t[:: self.n_phi]
         return bool(np.array_equal(ct[::-1], -ct))
 
+    @cached_property
+    def w_fold(self) -> Array:
+        """The weights of the rings up to the equator, each ring before it
+        doubled and an odd rule's equator ring kept once (read-only): a
+        field of declared z-parity on a symmetric rule is summed over that
+        hemisphere against them (`forward._project`)."""
+        w = self.w[: (self.n_theta + 1) // 2 * self.n_phi].copy()
+        w[: self.n_theta // 2 * self.n_phi] *= 2.0
+        w.setflags(write=False)
+        return w
+
 
 @cache
 def _gauss_legendre(n: int) -> tuple[Array, Array]:
@@ -64,8 +75,8 @@ def _gauss_legendre(n: int) -> tuple[Array, Array]:
     The nodes are exactly antisymmetric and the weights exactly symmetric,
     x[::-1] == -x and w[::-1] == w, on every numpy: they are re-symmetrised
     here (a no-op where leggauss already symmetrises), since on-plane
-    sphere passes mirror a field of declared z-parity from one
-    hemisphere of rings.
+    sphere passes fold a field of declared z-parity onto one hemisphere of
+    rings (`SphereRule.w_fold`).
     """
     x, w = np.polynomial.legendre.leggauss(n)
     x, w = (x - x[::-1]) / 2, (w + w[::-1]) / 2

@@ -191,8 +191,9 @@ def _orders(max_n):
 @pytest.mark.parametrize("rule", [None, build_rule(16, 32)], ids=["default", "16x32"])
 @pytest.mark.parametrize("name", ["rsqz3", "gauss", "bump"])
 def test_project_matches_per_call_reference(name, rule):
+    # on every node: a declared parity would evaluate one hemisphere and fold
     rule = rule or build_rule()
-    f = make_phantom(name)
+    f = _undeclared(make_phantom(name))
     for c in (SphereCenter(0.3, -0.2, 0.8), SphereCenter(-1.0, 0.5, 1.7)):
         vals = _evaluate_on_sphere(f, c, rule)
         for n, m, kind in _orders(6):
@@ -249,10 +250,12 @@ def test_project_of_a_block_equals_its_rows(rule):
 
 
 def test_project_of_one_sphere_is_a_python_float():
+    # gauss is even in z: one hemisphere, folded, so a vanishing
+    # coefficient's +0.0 is a float too
     rule = build_rule()
     vals = _evaluate_on_sphere(make_phantom("gauss"), SphereCenter(0.2, 0.1, 0.9), rule)
     for n, m, kind in _orders(2):
-        assert type(_project(vals, rule, n, m, kind)) is float
+        assert type(_project(vals, rule, n, m, kind, 1)) is float
 
 
 def test_factor_rows_cached_read_only():
@@ -304,7 +307,8 @@ def test_factor_rows_follow_rule_identity():
         assert all(a is not b for a, b in zip(mine, theirs))
         if m:
             assert not np.array_equal(mine[1], theirs[1])
-    vals = _evaluate_on_sphere(make_phantom("gauss"), SphereCenter(0.2, 0.1, 0.9), turned)
+    gauss = _undeclared(make_phantom("gauss"))  # every node
+    vals = _evaluate_on_sphere(gauss, SphereCenter(0.2, 0.1, 0.9), turned)
     for n, m, kind in _orders(3):
         assert _project(vals, turned, n, m, kind) == _reference_projection(vals, turned, n, m, kind)
 
@@ -468,19 +472,29 @@ def test_gauss_validation():
         gauss_field(sx=0.0)
 
 
-# ----- a declared z-parity: one hemisphere evaluated, then mirrored -----
+# ----- a declared z-parity: one hemisphere evaluated, the projection folded -----
 
 PARITY_PHANTOMS = ("rsqz3", "z", "zsq", "const", "zero", "gauss")
-# 7 x 12 has an equator ring, which is evaluated; the band over
-# |cos(theta)| < 0.6 mirrors about the equator, the one over (0.1, 0.9) not
+# 7 x 12 has an equator ring, which is evaluated and weighted once; the
+# band over |cos(theta)| < 0.6 mirrors about the equator, the one over
+# (0.1, 0.9) not
 PARITY_RULES = {
     "24x48": (24, 48),
+    "64x48": (64, 48),
     "64x160": (64, 160),
     "256x64": (256, 64),
     "7x12": (7, 12),
     "band-symmetric": (-0.6, 0.6, 12, 16),
     "band": (0.1, 0.9, 12, 16),
 }
+
+# a surviving coefficient is the hemisphere's sum against w_fold, which
+# holds the same terms as the sum over every node (doubling is exact) added
+# in another order; it stays within _ULPS eps of norm * sum |terms| of that
+# sum (at most 2.6 eps measured over these phantoms and rules, 4 seeded
+# centres each, degrees 0-5)
+_ULPS = 8
+_EPS = np.finfo(float).eps
 
 
 def _rule(sizes):
@@ -495,6 +509,30 @@ def _undeclared(f):
     return dataclasses.replace(f, z_parity=0)
 
 
+def _seeded_centres(count=3, seed=26):
+    rng = np.random.default_rng(seed)
+    return [
+        SphereCenter(float(p), float(q), float(t))
+        for p, q, t in zip(rng.uniform(-1.5, 1.5, count), rng.uniform(-1.5, 1.5, count), rng.uniform(0.2, 2.5, count))
+    ]
+
+
+def _assert_folded(got, f, full, rule, n, m=0, kind="a"):
+    """got is the declared field f's a_{mn} (kind "a") or b_{mn} (kind "b")
+    of a sphere whose values on every node are `full`: exactly +0.0 when
+    f.z_parity * (-1)^(n-m) == -1, else within _ULPS eps * norm * sum |terms|
+    of the sum over every node."""
+    if f.z_parity * (-1) ** (n - m) == -1:
+        assert got == 0.0 and not np.signbit(got), (n, m, kind, got)
+        return
+    terms = full
+    for row in _factor_rows(rule, n, m, kind):
+        terms = terms * row
+    norm = (2 * n + 1) / (4.0 * pi) if m == 0 else (2 * n + 1) * factorial(n - m) / factorial(n + m) / (2.0 * pi)
+    want = _project(full, rule, n, m, kind)
+    assert abs(got - want) <= _ULPS * _EPS * norm * float(np.sum(np.abs(terms * rule.w))), (n, m, kind, got, want)
+
+
 def test_which_passes_evaluate_one_hemisphere():
     rsqz3, bump = make_phantom("rsqz3"), make_phantom("bump")
     assert _evaluated_rings(rsqz3, build_rule(24, 48)) == 12
@@ -507,29 +545,87 @@ def test_which_passes_evaluate_one_hemisphere():
 
 
 @pytest.mark.parametrize("rule", PARITY_RULES, ids=str)
+def test_w_fold_doubles_the_rings_before_the_equator(rule):
+    rule = _rule(PARITY_RULES[rule])
+    before = rule.n_theta // 2 * rule.n_phi
+    fold = rule.w_fold
+    assert fold.size == (rule.n_theta + 1) // 2 * rule.n_phi
+    assert _bits(fold[:before]) == _bits(2.0 * rule.w[:before])
+    # an odd rule's equator ring, kept once; nothing for an even rule
+    assert _bits(fold[before:]) == _bits(rule.w[before : fold.size])
+    assert (fold.size > before) == (rule.n_theta % 2 == 1)
+    assert not fold.flags.writeable and rule.w_fold is fold
+
+
+def test_project_refuses_a_hemisphere_without_a_parity():
+    rule = build_rule(24, 48)
+    half = _evaluate_on_sphere(make_phantom("zsq"), SphereCenter(0.1, 0.2, 0.7), rule)
+    assert half.size == rule.w_fold.size
+    for n, m, kind in _orders(2):
+        with pytest.raises(ValueError, match="z-parity"):
+            _project(half, rule, n, m, kind)
+        with pytest.raises(ValueError, match="z-parity"):
+            _project(np.stack([half, half]), rule, n, m, kind, 0)
+
+
+@pytest.mark.parametrize("rule", PARITY_RULES, ids=str)
 @pytest.mark.parametrize("name", PARITY_PHANTOMS)
 def test_a_declared_parity_keeps_every_sphere_operator_bit_for_bit(name, rule):
+    # the hemisphere keeps every node value of a pass over every node, bit
+    # for bit, and each operator is the parity fold of those values, bit
+    # for bit: a vanishing coefficient +0.0, a surviving one the all-node
+    # sum within _ULPS; on a band whose rings do not mirror and off the
+    # plane, every operator is the all-node sum's bytes, and the undeclared
+    # field's all-node sum is the per-call reference's
     f, rule = make_phantom(name), _rule(PARITY_RULES[rule])
     g = _undeclared(f)
-    for c in (SphereCenter(0.3, -0.2, 0.8), SphereCenter(-1.1, 0.4, 2.3)):
-        assert _bits(_evaluate_on_sphere(f, c, rule)) == _bits(_evaluate_on_sphere(g, c, rule))
-        for op in (spherical_mean, first_cosine_coefficient, two_data_transform):
-            assert _bits(op(f, c, rule)) == _bits(op(g, c, rule))
-        for n, m, kind in ((0, 0, "a"), (1, 0, "a"), (2, 0, "a"), (3, 1, "a"), (3, 2, "b"), (5, 5, "a")):
-            assert _bits(harmonic_coefficient(f, c, n, m, kind, rule)) == _bits(harmonic_coefficient(g, c, n, m, kind, rule))
+    for c in _seeded_centres():
+        full, half = _evaluate_on_sphere(g, c, rule), _evaluate_on_sphere(f, c, rule)
+        assert (half.size < full.size) == rule.symmetric
+        assert _bits(half) == _bits(full[: half.size])
+        for n, m, kind in _orders(5):
+            got = harmonic_coefficient(f, c, n, m, kind, rule)
+            assert type(got) is float
+            assert _bits(got) == _bits(_project(full[: half.size], rule, n, m, kind, f.z_parity))
+            plain = harmonic_coefficient(g, c, n, m, kind, rule)
+            assert _bits(plain) == _bits(_reference_projection(full, rule, n, m, kind))
+            if rule.symmetric:
+                _assert_folded(got, f, full, rule, n, m, kind)
+            else:
+                assert _bits(got) == _bits(plain)
+        mf, a01 = spherical_mean(f, c, rule), first_cosine_coefficient(f, c, rule)
+        assert _bits(mf) == _bits(harmonic_coefficient(f, c, 0, rule=rule))
+        assert _bits(a01) == _bits(harmonic_coefficient(f, c, 1, rule=rule))
+        assert _bits(two_data_transform(f, c, rule)) == _bits(complex(mf, a01 / 3.0))
+        assert _bits(off_plane_mean(f, c.p, c.q, 0.0, c.t, rule)) == _bits(mf)
         assert _bits(off_plane_mean(f, c.p, c.q, 0.25, c.t, rule)) == _bits(off_plane_mean(g, c.p, c.q, 0.25, c.t, rule))
 
 
 @pytest.mark.parametrize("rule", PARITY_RULES, ids=str)
 @pytest.mark.parametrize("name", PARITY_PHANTOMS)
 def test_a_declared_parity_keeps_quadrature_sampling_bit_for_bit(name, rule):
+    # every sample is `_sphere_moments` at its sphere bit for bit, so it
+    # folds as the operators do: +0.0 for the vanishing moment (a whole
+    # block of them at once), the all-node sum within _ULPS for the other,
+    # and the undeclared field's bytes on a band whose rings do not mirror
     f, rule = make_phantom(name), _rule(PARITY_RULES[rule])
+    g = _undeclared(f)
     # 11 radii: one full block and one partial block per centre
     args = ((-0.35, 0.2), 0.15, 2, 3, 0.2 * np.arange(1, 12))
     got = sample_moments(f, *args, analytic=False, rule=rule)
-    want = sample_moments(_undeclared(f), *args, analytic=False, rule=rule)
-    assert _bits(got.mf_values) == _bits(want.mf_values)
-    assert _bits(got.a01_values) == _bits(want.a01_values)
+    plain = sample_moments(g, *args, analytic=False, rule=rule)
+    for ip, iq, iu in np.ndindex(got.mf_values.shape):
+        c = SphereCenter(got.p_node(ip), got.q_node(iq), float(got.radial_nodes[iu]))
+        mf, a01 = got.mf_values[ip, iq, iu], got.a01_values[ip, iq, iu]
+        assert _bits([mf, a01]) == _bits(forward._sphere_moments(f, c, rule))
+        assert _bits([plain.mf_values[ip, iq, iu], plain.a01_values[ip, iq, iu]]) == _bits(forward._sphere_moments(g, c, rule))
+        if rule.symmetric:
+            full = _evaluate_on_sphere(g, c, rule)
+            _assert_folded(mf, f, full, rule, 0)
+            _assert_folded(a01, f, full, rule, 1)
+    if not rule.symmetric:
+        assert _bits(got.mf_values) == _bits(plain.mf_values)
+        assert _bits(got.a01_values) == _bits(plain.a01_values)
 
 
 # every sphere the checks' stencil evaluates, two of them off the plane
@@ -541,29 +637,45 @@ _STENCIL = [(0, 0, 0, 0)] + [
 @pytest.mark.parametrize("rule", ["24x48", "64x160", "256x64", "7x12", "band-symmetric"])
 @pytest.mark.parametrize("name", PARITY_PHANTOMS)
 def test_a_declared_parity_keeps_the_checks_stencil_bit_for_bit(name, rule):
-    f, rule = make_phantom(name), _rule(PARITY_RULES[rule])
-    s, plain = checks._Spheres(f, 0.3, -0.2, 0.8, rule, 1e-3), checks._Spheres(_undeclared(f), 0.3, -0.2, 0.8, rule, 1e-3)
-    for dp, dq, dt, dz in _STENCIL:
+    # an on-plane stencil sphere is `harmonic_coefficient` of its sphere bit
+    # for bit, and so folded; an off-plane one sums every node, as the
+    # undeclared field's stencil does, bit for bit
+    f, rule, h = make_phantom(name), _rule(PARITY_RULES[rule]), 1e-3
+    point = (0.3, -0.2, 0.8)
+    s, plain = checks._Spheres(f, *point, rule, h), checks._Spheres(_undeclared(f), *point, rule, h)
+    for key in _STENCIL:
+        c = SphereCenter(*(v + d * h if d else v for v, d in zip(point, key)))
         for n, m, kind in ((0, 0, "a"), (1, 0, "a"), (2, 1, "a"), (2, 1, "b")):
-            assert _bits(s(n, m, kind, dp, dq, dt, dz)) == _bits(plain(n, m, kind, dp, dq, dt, dz))
+            got = s(n, m, kind, *key)
+            if key[3]:
+                assert _bits(got) == _bits(plain(n, m, kind, *key))
+            else:
+                assert _bits(got) == _bits(harmonic_coefficient(f, c, n, m, kind, rule))
+                _assert_folded(got, f, _evaluate_on_sphere(_undeclared(f), c, rule), rule, n, m, kind)
 
 
 @pytest.mark.parametrize("rule", ["24x48", "7x12", "band-symmetric"])
-def test_an_odd_field_zero_at_a_node_mirrors_as_plus_zero(rule):
+def test_an_odd_field_zero_at_a_node_folds_to_plus_zero(rule):
     # x z is odd in z; move the centre so that x is exactly 0.0 at a node
-    # above the equator, where f is +0.0, and so at its mirror node, which
-    # the pass fills as 0.0 - v (-v would give -0.0 there)
+    # above the equator: the pass keeps the +0.0 f gives there and evaluates
+    # no node below the equator, and every even-degree a_{0n} is +0.0 by the
+    # fold, whatever the signs of the values summed
     f, rule = polynomial_field({(1, 0, 1): Fr(1)}, "xz"), _rule(PARITY_RULES[rule])
     assert f.z_parity == -1
     t, node = 0.9, rule.n_phi + 1
     p = -float(t * rule.sin_t[node] * rule.cos_p[node])
     c = SphereCenter(p, 0.2, t)
     vals = _evaluate_on_sphere(f, c, rule)
-    mirror = (rule.n_theta - 2) * rule.n_phi + 1
-    assert _bits(vals[[node, mirror]]) == _bits([0.0, 0.0])
-    assert _bits(vals) == _bits(_evaluate_on_sphere(_undeclared(f), c, rule))
-    for n in range(4):
-        assert _bits(harmonic_coefficient(f, c, n, rule=rule)) == _bits(harmonic_coefficient(_undeclared(f), c, n, rule=rule))
+    assert vals.size == rule.w_fold.size and _bits(vals[node]) == _bits(0.0)
+    full = _evaluate_on_sphere(_undeclared(f), c, rule)
+    for n in range(6):
+        _assert_folded(harmonic_coefficient(f, c, n, rule=rule), f, full, rule, n)
+    for negative in (np.full(vals.size, -0.0), -np.abs(vals)):
+        for n in (0, 2, 4):
+            got = _project(negative, rule, n, parity=-1)
+            assert type(got) is float and _bits(got) == _bits(0.0)
+            block = _project(np.stack([negative, negative]), rule, n, parity=-1)
+            assert _bits(block) == _bits([0.0, 0.0])
 
 
 def _count_nodes(monkeypatch, module):

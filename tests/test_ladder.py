@@ -240,7 +240,9 @@ def _plain_laguerre_laplacians(r2, s, n):
 def _plain_pass(f, laplacians, x, y, u, n):
     """(Mf, a01) of powers 0..n at one radius: the field and every Laplacian
     row on every node of the ladder's own rule, as flat arrays, each power
-    projected over all nodes with `_project`'s arithmetic."""
+    projected with `_project`'s arithmetic: over all nodes, or for a field
+    of declared z-parity over the hemisphere's prefix against the folded
+    weights."""
     rule = f._ladder_rule(u)
     if rule is None:
         return np.zeros((2, n + 1))
@@ -248,9 +250,11 @@ def _plain_pass(f, laplacians, x, y, u, n):
     X, Y, Z = x + st * rule.cos_p, y + st * rule.sin_p, 0.0 + u * rule.cos_t
     base = np.asarray(f.evaluate(X, Y, Z), dtype=float)
     powers = [lap * base for lap in laplacians(X, Y, n)]
+    w = rule.w_fold if f.z_parity else rule.w
+    powers, cos_t = [v[: w.size] for v in powers], rule.cos_t[: w.size]
     return np.array(
-        [[float(np.dot(v, rule.w)) / (4.0 * np.pi) for v in powers],
-         [3 * float(np.dot(v * rule.cos_t, rule.w)) / (4.0 * np.pi) for v in powers]]
+        [[float(np.dot(v, w)) / (4.0 * np.pi) for v in powers],
+         [3 * float(np.dot(v * cos_t, w)) / (4.0 * np.pi) for v in powers]]
     )
 
 
@@ -269,8 +273,8 @@ _PLAIN_LAPLACIANS = {
 @pytest.mark.parametrize("name", ["gauss", "bump"])
 def test_smooth_ladders_equal_a_plain_pass_over_every_node(name):
     # powers 0..8 bit for bit, for both moment functions of the bump and
-    # the mean of gauss (its a01 rows are literal zeros): gauss on one
-    # hemisphere of rings, mirrored, and the bump with its z factor per
+    # the mean of gauss (its a01 rows are +0.0 by its parity): gauss on one
+    # hemisphere of rings, folded, and the bump with its z factor per
     # ring, against a pass that forms every node and product; the bump's
     # radii give a sphere below its support, bands cut below and above,
     # and one ending at the pole
@@ -395,9 +399,9 @@ def test_an_even_mirror_request_forms_no_a01(monkeypatch):
     orders = []
     project = fields._project
 
-    def counted(vals, rule, n, *args):
+    def counted(vals, rule, n, *args, **kwargs):
         orders.append(n)
-        return project(vals, rule, n, *args)
+        return project(vals, rule, n, *args, **kwargs)
 
     monkeypatch.setattr(fields, "_project", counted)
     req = ReconstructionRequest(points=((0.0, 0.2, 1.5),), order_n=8, mode="even_mirror", source=f)

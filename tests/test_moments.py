@@ -405,7 +405,11 @@ def test_csv_round_trip_is_lossless_for_drawn_grids(shape, origin, h, du, data):
             assert a.read() == b.read()
     assert (back.h, back.n_p, back.n_q) == (grid.h, n_p, n_q)
     # the file stores node coordinates, not the origin: an origin of -0.0
-    # reads back as its first node, origin + 0 * h == +0.0
+    # reads back as its first node, origin + 0 * h == +0.0, which is the
+    # origin the grid stores for either zero
+    assert all(type(v) is float for v in grid.origin + back.origin)
+    assert np.array(back.origin).tobytes() == np.array(grid.origin).tobytes()
+    assert not np.any(np.signbit(grid.origin) & (np.array(grid.origin) == 0.0))
     for node, count in ((MomentGrid.p_node, n_p), (MomentGrid.q_node, n_q)):
         assert np.array([node(back, i) for i in range(count)]).tobytes() == np.array(
             [node(grid, i) for i in range(count)]
@@ -420,6 +424,27 @@ def test_csv_rejects_nonuniform_ladder(tmp_path):
     grid = MomentGrid((0.0, 0.0), 0.1, 1, 1, nodes, z, z)
     with pytest.raises(ValueError, match="uniform"):
         write_moment_csv(grid, str(tmp_path / "bad.csv"))
+
+
+@pytest.mark.parametrize("u0, du", [(100.0, 0.01), (10.0, 0.001)])
+def test_csv_writes_a_uniform_ladder_far_from_zero(tmp_path, u0, du):
+    # the writer holds a ladder to the reader's own rule, |u_k - (u0 + du*k)|
+    # <= 1e-12 * max(1, |u_last|), so these round-trip: the differences of
+    # nodes near 100 round by about 1e-14, more than 1e-12 * du; a step out
+    # of line is still refused
+    nodes = u0 + du * np.arange(6)
+    rng = np.random.default_rng(8)
+    mf, a01 = rng.normal(size=(2, 2, 1, 6))
+    grid = MomentGrid((0.0, 0.0), 0.1, 2, 1, nodes, mf, a01)
+    path = str(tmp_path / "far.csv")
+    write_moment_csv(grid, path)
+    back = read_moment_csv(path)
+    for name in ("radial_nodes", "mf_values", "a01_values"):
+        assert getattr(back, name).tobytes() == getattr(grid, name).tobytes(), name
+    bent = nodes.copy()
+    bent[3] += 1e-3 * du
+    with pytest.raises(ValueError, match="uniform"):
+        write_moment_csv(MomentGrid((0.0, 0.0), 0.1, 2, 1, bent, mf, a01), str(tmp_path / "bent.csv"))
 
 
 def test_csv_reader_validates(tmp_path):

@@ -1,6 +1,8 @@
-"""Run a fixed list of CLI commands and print the sha256 of every output.
+"""Run a fixed list of CLI commands and print the sha256 of every output,
+or count what moved between two such runs.
 
     python3 tools/cli_digests.py OUTDIR
+    python3 tools/cli_digests.py OUTDIR --against OTHERDIR
 
 Each command runs in process through `sphradon.cli.main`, against the
 library in the `src/` of the checkout that holds this script, with OUTDIR
@@ -17,12 +19,24 @@ and a gauss order-4 21x15 slice (CSV and PGM), bump even-mirror order-8 y-
 and z-slices, grid slices at orders 2 and 4 from the quadrature rsqz3 CSV,
 a zsq even-mirror order-2 slice, whose library warning is in its stderr;
 and `verify --seed 5`.
+
+With `--against OTHERDIR` it runs nothing: it compares the files of two
+earlier runs (say OTHERDIR from a parent checkout, OUTDIR from a change)
+and prints one line per file that differs.  For a CSV that both hold it
+prints how many data cells moved (rows after the header line, text
+compared) and the largest |delta| among the moved cells that are numbers
+on both sides, and it names a header that moved; for a `.out` file, the
+lines that differ, `-` from OTHERDIR and `+` from OUTDIR; for any other
+file, that its bytes differ; and it names a file only one directory
+holds.  It exits 0 when every file is byte-identical, else 1.
 """
 
 from __future__ import annotations
 
 import contextlib
+import difflib
 import hashlib
+import math
 import os
 import sys
 
@@ -57,14 +71,82 @@ COMMANDS = (
 )
 
 
-def _sha256(path: str) -> str:
+def _read(path: str) -> bytes:
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        return fh.read()
+
+
+def _sha256(path: str) -> str:
+    return hashlib.sha256(_read(path)).hexdigest()
+
+
+def _number(cell: str) -> float | None:
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def _csv_moves(new: str, old: str) -> str:
+    """What moved from CSV text `old` to `new`: its header, then its data
+    cells, counted and with the largest numeric |delta|."""
+    new_rows, old_rows = ([line.split(",") for line in text.splitlines()] for text in (new, old))
+    # comment lines and the column header come before the first data row
+    heads = [
+        next((i + 1 for i, row in enumerate(rows) if not row[0].startswith("#")), len(rows))
+        for rows in (new_rows, old_rows)
+    ]
+    notes = [] if new_rows[: heads[0]] == old_rows[: heads[1]] else ["header moved"]
+    new_rows, old_rows = new_rows[heads[0]:], old_rows[heads[1]:]
+    if [len(row) for row in new_rows] != [len(row) for row in old_rows]:
+        return "; ".join(notes + [f"shape moved: {len(old_rows)} -> {len(new_rows)} rows"])
+    moved, cells, delta = 0, 0, 0.0
+    for new_row, old_row in zip(new_rows, old_rows):
+        cells += len(new_row)
+        for a, b in zip(new_row, old_row):
+            if a != b:
+                moved += 1
+                x, y = _number(a), _number(b)
+                if x is not None and y is not None and math.isfinite(x - y):
+                    delta = max(delta, abs(x - y))
+    return "; ".join(notes + [f"{moved} of {cells} cells moved, max |delta| {delta:.3g}"])
+
+
+def compare(outdir: str, otherdir: str) -> int:
+    """Print what differs between the files of two runs; 1 if anything does."""
+    names = set(os.listdir(outdir)) | set(os.listdir(otherdir))
+    differ = 0
+    for name in sorted(names):
+        paths = [os.path.join(d, name) for d in (outdir, otherdir)]
+        missing = [d for d, path in zip((outdir, otherdir), paths) if not os.path.isfile(path)]
+        if missing:
+            print(f"{name}: not in {missing[0]}")
+            differ += 1
+            continue
+        new, old = (_read(path) for path in paths)
+        if new == old:
+            continue
+        differ += 1
+        if name.endswith(".csv"):
+            print(f"{name}: {_csv_moves(new.decode(), old.decode())}")
+        elif name.endswith(".out"):
+            # past the two file-header lines, every line but the @@ hunk marks
+            diff = difflib.unified_diff(old.decode().splitlines(), new.decode().splitlines(), n=0, lineterm="")
+            print(f"{name}: lines differ")
+            for line in list(diff)[2:]:
+                if not line.startswith("@@"):
+                    print(f"  {line}")
+        else:
+            print(f"{name}: bytes differ")
+    print(f"{len(names) - differ} of {len(names)} files identical")
+    return 1 if differ else 0
 
 
 def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[1] == "--against":
+        return compare(argv[0], argv[2])
     if len(argv) != 1:
-        print("usage: python3 tools/cli_digests.py OUTDIR", file=sys.stderr)
+        print("usage: python3 tools/cli_digests.py OUTDIR [--against OTHERDIR]", file=sys.stderr)
         return 1
     os.makedirs(argv[0], exist_ok=True)
     os.chdir(argv[0])
