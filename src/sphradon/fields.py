@@ -15,7 +15,9 @@ it answers every power 0..n at a whole array of radii with one call to the
 field's `analytic_ladder`, for both moment functions, or with odd=False
 for the mean Mf alone (no a01 is formed; even-mirror mode asks that way).
 The reconstructor, the residual checks and analytic `sample_moments` all
-ask the field through it.  The
+ask the field through it.  It checks each request once, vectorised, before
+any ladder runs, as `MomentGrid.laplacian_block` does: a finite centre, a
+1-D array of positive, finite radii and a non-negative integer power.  The
 reconstructor asks one block per slice column (x, y), on the sorted union
 of its points' radial nodes and radii t, and reads each point's nodes and
 its datum at t from it; the checks ask one block on a point's radial nodes
@@ -42,20 +44,25 @@ forms the Laplacians in Hermite form,
 
     Lap^i G / G = sum_j C(i, j) He_2j(dx/sx)/sx^2j He_2(i-j)(dy/sy)/sy^2(i-j),
 
-from one table of even-degree probabilists' Hermite rows; an isotropic G
-(sx == sy, so the bump) by one Laguerre recurrence in r^2 = dx^2 + dy^2,
+from the even-degree probabilists' Hermite rows of each axis, stepped by
+their own three-term recurrence in dx^2 (He_2j is a Laguerre polynomial
+in (dx/sx)^2, DLMF 18.7.19), and multiplies each power by f; an isotropic
+G (sx == sy, so the bump) by one Laguerre recurrence in r^2 = dx^2 + dy^2,
 
-    Lap^i G / G = (-2/s^2)^i i! L_i(r^2/(2 s^2)).
+    Lap^i G / G = (-2/s^2)^i i! L_i(r^2/(2 s^2)),
 
+which is linear, so seeded with f it yields f * Lap^i G / G itself.
 Power 0 of either is exactly 1.0 and is never formed: power 0 of the
 ladder is f itself.  The bump is itself a function of (r^2, z), so its
 pass forms dx, dy and r^2 once, for f and the Laguerre rows alike.
 
 Against 50-digit arithmetic at 200 points of [-2.5, 2.5]^2
 (tests/test_ladder.py) the error relative to max(|exact|, s^-2i) is at most
-3e-13 in either form at powers 4, 8 and 16 (Laguerre at s = 0.45: 5.1e-14,
-1.4e-13, 2.1e-13); the expanded monomial form (a sum of c dx^a dy^b)
-measured 2.9e-12, 3.3e-11 and 2.8e-8.
+2.3e-13 in either form at powers 2 to 16: Hermite for gauss's widths at
+powers 2, 4 and 8 3.7e-15, 1.5e-13 and 1.6e-13, and at s = 0.45 at powers
+4, 8 and 16 7.4e-14, 1.4e-13 and 2.2e-13; Laguerre at s = 0.45 5.1e-14,
+1.4e-13 and 2.1e-13.  The expanded monomial form (a sum of c dx^a dy^b)
+measured 2.9e-12, 3.3e-11 and 2.8e-8 at powers 4, 8 and 16.
 
 The rules fit the integrands' supports and are module constants.  gauss
 uses the 64 x 48 product rule (`_GAUSS_RULE`).  The bump declares the
@@ -64,8 +71,7 @@ plane meets in the band (zc - rz)/u < cos(theta) < (zc + rz)/u; since area
 is uniform in cos(theta), its rule is Gauss-Legendre on that band crossed
 with a phi ring (`_BAND_SIZES`, `quadrature.band_rule`), every node inside
 the support, and a sphere below the slab gets literal zeros.
-`_gaussian_field` picks each radius's rule from the declared z_support;
-`ScalarField3D._ladder_rule` is that function.
+`_ladder_rule` picks each radius's rule from the declared z_support.
 
 Each field also declares its parity in z, `z_parity` (`ScalarField3D`):
 `polynomial_field` derives it from its z-exponents (all even +1, all odd
@@ -90,7 +96,7 @@ reconstruction mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from inspect import signature
 from math import comb, inf, isfinite
@@ -137,11 +143,6 @@ class ScalarField3D:
         f(x, y, -z) == 0.0 - f(x, y, z) bit for bit, 0 (the default)
         neither.  A sphere pass on the plane then evaluates one hemisphere
         and folds its projections by the parity (`forward`).
-    _ladder_rule (private, set by a sphere-quadrature ladder's builder):
-        u -> the SphereRule that ladder projects on at radius u (power 0
-        equals `spherical_mean` under it bit for bit), or None where the
-        sphere misses the field's support and the column is literal zeros.
-        It is the very function the ladder calls; None for any other field.
 
     Callers read the data through `laplacian_block` only; one block on
     the radial nodes followed by t holds the datum at t in its last column.
@@ -152,7 +153,6 @@ class ScalarField3D:
     analytic_ladder: Callable | None = None
     z_support: tuple[float, float] = (-inf, inf)
     z_parity: int = 0
-    _ladder_rule: Callable | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         support = tuple(self.z_support) if isinstance(self.z_support, (tuple, list)) else ()
@@ -171,13 +171,15 @@ class ScalarField3D:
         even-mirror mode reads, and no a01 is formed.
 
         One `analytic_ladder` call answers every power and radius; a field
-        without a ladder carries no moment data and is refused.
+        without a ladder carries no moment data and is refused, and so is a
+        request `_checked_block_request` refuses.
         """
+        us, n = _checked_block_request(x, y, us, n)
         if self.analytic_ladder is None:
             raise ValueError(
                 f"phantom {self.descriptor!r} has no Laplacian capability (power {n} requested)"
             )
-        return self.analytic_ladder(x, y, np.asarray(us, dtype=float), n, odd)
+        return self.analytic_ladder(x, y, us, n, odd)
 
     def analytic_laplacians(self, x: float, y: float, u: float, i: int):
         """(Lap^i Mf, Lap^i a01) at center (x, y), radius u: one radius of
@@ -188,6 +190,24 @@ class ScalarField3D:
     def analytic_moments(self, x: float, y: float, u: float):
         """(Mf, a01) at center (x, y), radius u: power 0 of `analytic_laplacians`."""
         return self.analytic_laplacians(x, y, u, 0)
+
+
+def _checked_block_request(x: float, y: float, us, n) -> tuple[Array, int]:
+    """The radii of a `laplacian_block` request as a 1-D float array, and
+    its power as an int, after one vectorised check of the whole request:
+    the centre (x, y) finite, us 1-D with every radius positive and finite
+    (in `SphereCenter`'s words), and n a non-negative integer, not a bool."""
+    if isinstance(n, bool) or not (isinstance(n, Integral) and n >= 0):
+        raise ValueError(f"Laplacian power n must be a non-negative integer, got {n!r}")
+    if not (isfinite(x) and isfinite(y)):
+        raise ValueError(f"sphere centre must be finite, got (p, q) = ({x}, {y})")
+    us = np.asarray(us, dtype=float)
+    if us.ndim != 1:
+        raise ValueError(f"radii us must be a 1-D array, got shape {us.shape}")
+    bad = ~((us > 0.0) & (us < inf))
+    if bad.any():
+        raise ValueError(f"sphere radius must be positive and finite, got t={float(us[bad][0])}")
+    return us, int(n)
 
 
 def _check_params(phantom: str, positive: tuple = (), **params) -> None:
@@ -266,23 +286,28 @@ def rsqz3_field() -> ScalarField3D:
 # ----- Gaussian machinery shared by gauss and bump -----
 
 
-def _even_hermite_rows(xi: Array, s: float, n: int) -> Array:
-    """Rows He_2j(xi) / s^2j, j = 0..n, from He_{k+1} = xi He_k - k He_{k-1}.
+def _even_hermite_rows(d: Array, s: float, n: int) -> list:
+    """Rows R_j = He_2j(d/s) / s^2j, j = 0..n, by the recurrence in d^2.
 
-    Sphere-sized work arrays are reused: a fresh array of that size per
-    operation costs more than the arithmetic.
+    He_2j is a Laguerre polynomial in xi^2, He_2j(xi) = (-2)^j j! L_j^(-1/2)(xi^2/2)
+    (DLMF 18.7.19), so its three-term recurrence (DLMF 18.9.13) steps the
+    even rows alone: with q = d^2/s^4,
+
+        R_0 = 1,  R_1 = q - 1/s^2,
+        R_{j+1} = (q - (4j+1)/s^2) R_j - (2j(2j-1)/s^4) R_{j-1},
+
+    n array steps where the recurrence of He_k in xi takes 2n.  Row 0 is
+    the scalar 1.0, which R_2 takes as a scalar.
     """
-    rows = np.empty((n + 1,) + xi.shape)
-    rows[0] = 1.0
-    prev, cur, nxt = np.ones_like(xi), xi.copy(), np.empty_like(xi)
     s2 = s * s
-    for k in range(1, 2 * n):
-        np.multiply(xi, cur, out=nxt)
-        prev *= k
-        nxt -= prev
-        prev, cur, nxt = cur, nxt, prev
-        if k % 2:
-            np.divide(cur, s2 ** ((k + 1) // 2), out=rows[(k + 1) // 2])
+    s4 = s2 * s2
+    q = d * d / s4
+    rows = [1.0, q - 1.0 / s2][: n + 1]
+    for j in range(1, n):
+        nxt = q - (4 * j + 1) / s2
+        nxt *= rows[j]
+        nxt -= (2 * j * (2 * j - 1) / s4) * rows[j - 1]
+        rows.append(nxt)
     return rows
 
 
@@ -298,9 +323,9 @@ def _hermite_laplacians(dx: Array, dy: Array, sx: float, sy: float, n: int):
     hy[i] and hx[i] as they are, and power i costs i - 1 products.  Power
     0, exactly 1.0, is not formed.
     """
-    hx = _even_hermite_rows(dx / sx, sx, n)
-    hy = _even_hermite_rows(dy / sy, sy, n)
-    term = np.empty_like(hx[0])
+    hx = _even_hermite_rows(dx, sx, n)
+    hy = _even_hermite_rows(dy, sy, n)
+    term = np.empty_like(dx)
     for i in range(1, n + 1):
         acc = hy[i].copy()
         for j in range(1, i):
@@ -311,29 +336,42 @@ def _hermite_laplacians(dx: Array, dy: Array, sx: float, sy: float, n: int):
         yield acc
 
 
-def _laguerre_laplacians(r2: Array, s: float, n: int):
-    """Yield Lap^i G / G for i = 1..n, G = exp(-r2/(2 s^2)) isotropic.
+def _laguerre_laplacians(r2: Array, s: float, n: int, seed: Array):
+    """Yield seed * Lap^i G / G for i = 1..n, G = exp(-r2/(2 s^2)) isotropic.
 
     Lap^i G / G = R_i = (-2/s^2)^i i! L_i(r2/(2 s^2)), and the Laguerre
     recurrence (k+1) L_{k+1} = (2k+1-x) L_k - k L_{k-1} scales to
 
         R_{k+1} = (r2/s^4 - 2(2k+1)/s^2) R_k - (4 k^2/s^4) R_{k-1}.
 
-    Power 0, exactly 1.0, is not formed: it enters the recurrence as the
-    scalar 1.0, so R_1 takes no product with it.  Yielded rows are never
-    written again.
+    It is linear, so started from R_0 = seed it steps seed * R_k: seeded
+    with the field's node values, it yields the ladder's powers themselves,
+    with no product by the field.  Power 0, the seed, is not yielded.
+    Yielded rows are never written again.
     """
     s2 = s * s
     s4 = s2 * s2
     q = r2 / s4
-    prev, cur = None, 1.0
+    prev, cur = None, seed
     for k in range(n):
         nxt = q - 2 * (2 * k + 1) / s2
+        nxt *= cur
         if k:
-            nxt *= cur
             nxt -= (4 * k * k / s4) * prev
         prev, cur = cur, nxt
         yield nxt
+
+
+def _ladder_rule(sizes: tuple, z_support: tuple, u: float):
+    """The rule a smooth ladder projects on at radius u: the `sizes` product
+    rule if z_support is unbounded, else the `sizes` band rule in
+    cos(theta) that the sphere of radius u shares with the support, or None
+    where it misses the support and the column is literal zeros."""
+    if z_support == (-inf, inf):
+        return build_rule(*sizes)
+    lo, hi = z_support
+    a, b = max(-1.0, lo / u), min(1.0, hi / u)
+    return band_rule(a, b, *sizes) if a < b else None
 
 
 def _gaussian_field(
@@ -341,20 +379,19 @@ def _gaussian_field(
     z_support: tuple, z_parity: int = 0, radial: Callable | None = None,
 ) -> ScalarField3D:
     """A field that is G(x - x0, y - y0) times a factor free of (x, y) and
-    vanishes outside z_support, with its ladder on the `sizes` product rule
-    if z_support is unbounded, else on the `sizes` band rule in cos(theta)
-    that the sphere of radius u shares with it (None: the sphere misses
-    the support, and its column is literal zeros).
+    vanishes outside z_support, with its ladder on `_ladder_rule(sizes,
+    z_support, u)` at each radius u.
 
     The ladder evaluates the field once per radius on the rule's (theta
     ring, phi) grid, with z one value per ring, projects it as power 0, and
-    projects each higher power Lap^i G / G * f as soon as it is formed;
-    power 0 alone builds no Laplacian rows.  An isotropic G takes the
-    Laguerre form, any other the Hermite form.  `radial(r2, z)`, given
-    for an isotropic G only, is the field as a function of
-    r2 = (x - x0)^2 + (y - y0)^2 and z that `evaluate` is built on; the
-    ladder then forms dx, dy and r2 once per pass, for the field and the
-    Laguerre rows alike.
+    projects each higher power f * Lap^i G / G as soon as it is formed;
+    power 0 alone builds no Laplacian rows.  An anisotropic G takes the
+    Hermite form, each power one product of its row with f; an isotropic
+    G the Laguerre form, seeded with f so that its rows are the powers.
+    `radial(r2, z)`, given for an isotropic G only, is the field as a
+    function of r2 = (x - x0)^2 + (y - y0)^2 and z that `evaluate` is built
+    on; the ladder then forms dx, dy and r2 once per pass, for the field
+    and the Laguerre rows alike.
 
     The field declares z_support and z_parity.  Each pass evaluates the
     rings `forward._evaluated_rings` names: for a field of declared parity
@@ -363,37 +400,32 @@ def _gaussian_field(
     an even field's a01 rows are thus +0.0.  The node values are bit for
     bit those of a pass over every node.
     """
-    def field_and_laplacians(X, Y, Z, n):
-        """f on the nodes and the rows Lap^i G / G, i = 1..n, formed lazily."""
+    def powers(X, Y, Z, n):
+        """f on the nodes, then f * Lap^i G / G for i = 1..n, formed lazily."""
         if sx != sy:
-            return evaluate(X, Y, Z), _hermite_laplacians(X - x0, Y - y0, sx, sy, n)
-        dx, dy = X - x0, Y - y0
-        r2 = dx * dx + dy * dy
-        return (evaluate(X, Y, Z) if radial is None else radial(r2, Z)), _laguerre_laplacians(r2, sx, n)
-
-    lo, hi = z_support
-    full = build_rule(*sizes) if z_support == (-inf, inf) else None
-
-    def rule_at(u):
-        if full is not None:
-            return full
-        a, b = max(-1.0, lo / u), min(1.0, hi / u)
-        return band_rule(a, b, *sizes) if a < b else None
+            base = np.asarray(evaluate(X, Y, Z), dtype=float)
+            yield base
+            for lap in _hermite_laplacians(X - x0, Y - y0, sx, sy, n):
+                yield lap * base
+        else:
+            dx, dy = X - x0, Y - y0
+            r2 = dx * dx + dy * dy
+            base = np.asarray(evaluate(X, Y, Z) if radial is None else radial(r2, Z), dtype=float)
+            yield base
+            yield from _laguerre_laplacians(r2, sx, n, base)
 
     def ladder(x, y, us, n, odd):
         mf, a01 = np.zeros((n + 1, len(us))), np.zeros((n + 1, len(us)))
         for j, u in enumerate(us):
-            c = SphereCenter(x, y, float(u))  # refuses a bad radius before its rule is chosen
-            rule = rule_at(c.t)
+            c = SphereCenter(x, y, float(u))
+            rule = _ladder_rule(sizes, z_support, c.t)
             if rule is None:
                 continue
             rings = _evaluated_rings(f, rule)
             X, Y, Z = _sphere_points(c, rule, rings)
             X, Y = X.reshape(rings, -1), Y.reshape(rings, -1)
-            base, laps = field_and_laplacians(X, Y, Z[:, None], n)
-            base = np.asarray(base, dtype=float)
-            for i in range(n + 1):
-                vals = (next(laps) * base if i else base).reshape(-1)
+            for i, vals in zip(range(n + 1), powers(X, Y, Z[:, None], n)):
+                vals = vals.reshape(-1)
                 mf[i, j] = _project(vals, rule, 0, parity=f.z_parity)
                 if odd:
                     a01[i, j] = _project(vals, rule, 1, parity=f.z_parity)
@@ -402,7 +434,6 @@ def _gaussian_field(
     f = ScalarField3D(
         evaluate=evaluate, descriptor=descriptor, analytic_ladder=ladder, z_support=z_support, z_parity=z_parity
     )
-    object.__setattr__(f, "_ladder_rule", rule_at)  # frozen: set once, here
     return f
 
 

@@ -17,7 +17,8 @@ its real and imaginary parts equal `spherical_mean` and
 `first_cosine_coefficient / 3` bit for bit, since every coefficient is one
 `_project` over read-only factor rows stored on the rule itself, built on
 first use and freed with the rule: one Legendre row per (n, m) and one
-trig row per (m, kind), which every degree n shares.
+trig row per (m, kind), which every degree n shares.  The rule's own cos_t
+is the row of P_{1,0}, so a01 builds none.
 
 A sphere's nodes are its centre plus the offsets of its radius, which
 depend on the radius and the rule alone; `_sphere_offsets` alone forms
@@ -215,11 +216,15 @@ def _stored_row(rule: SphereRule, key: tuple, build) -> np.ndarray:
 def _factor_rows(rule: SphereRule, n: int, m: int, kind: str) -> tuple:
     """Read-only factors of a_{mn} (kind "a") or b_{mn} (kind "b") on the
     nodes of `rule`, stored on the rule: P_{n,m}(cos theta), then cos(m phi)
-    or sin(m phi) for m >= 1, shared by every n."""
+    or sin(m phi) for m >= 1, shared by every n.  P_{1,0}(cos theta) is the
+    rule's own cos_t."""
     if n == 0:
         return ()  # a_{00} has no factor
     k = rule.n_phi  # formed on the theta rings, then repeated along each
-    rows = (_stored_row(rule, ("P", n, m), lambda: np.repeat(assoc_legendre(n, m, rule.cos_t[::k]), k)),)
+    if (n, m) == (1, 0):
+        rows = (rule.cos_t,)
+    else:
+        rows = (_stored_row(rule, ("P", n, m), lambda: np.repeat(assoc_legendre(n, m, rule.cos_t[::k]), k)),)
     if m:
         trig = np.cos if kind == "a" else np.sin
         rows += (_stored_row(rule, (kind, m), lambda: trig(m * np.arctan2(rule.sin_p, rule.cos_p))),)

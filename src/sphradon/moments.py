@@ -32,7 +32,7 @@ from numbers import Integral
 import numpy as np
 
 from ._io import atomic_write, fmt, format_rows
-from .fields import ScalarField3D
+from .fields import ScalarField3D, _checked_block_request
 from .forward import _evaluated_rings, _node_values, _project, _sphere_offsets, _z_parity
 from .quadrature import SphereRule, build_rule
 
@@ -168,7 +168,9 @@ class MomentGrid:
         not bit-equal to it, asked beside the node) are swept once, and the
         columns are read back by index; the stencil is elementwise in the
         radius, so every column is the one a sweep of its own would give.
+        The request is checked as a phantom's is (`ScalarField3D.laplacian_block`).
         """
+        us, n = _checked_block_request(x, y, us, n)
         ip, iq = self._node_index(x, y, n)
         iu = self._radius_indices(us)
         asked = np.zeros(self.radial_nodes.size, dtype=bool)

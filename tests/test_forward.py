@@ -10,7 +10,7 @@ from math import factorial, pi
 import numpy as np
 import pytest
 
-from sphradon import checks, forward, moments, polynomials
+from sphradon import checks, fields, forward, moments, polynomials
 from sphradon.fields import (
     bump_field,
     const_field,
@@ -106,7 +106,7 @@ def test_smooth_callbacks_equal_sphere_operators(name):
     below = [SphereCenter(0.3, -0.4, t) for t in (0.01, 0.05, 0.0999)]
     for c in centres + below:
         mf, a01 = f.analytic_moments(c.p, c.q, c.t)
-        rule = f._ladder_rule(c.t)
+        rule = fields._ladder_rule(fields._GAUSS_RULE if name == "gauss" else fields._BAND_SIZES, f.z_support, c.t)
         assert (rule is None) == (name == "bump" and c in below), c
         if rule is None:
             assert (mf, a01) == (0.0, 0.0) and not np.signbit([mf, a01]).any(), c
@@ -269,7 +269,22 @@ def test_factor_rows_cached_read_only():
             with pytest.raises(ValueError):
                 row[0] = 0.0
         assert all(a is b for a, b in zip(rows, _factor_rows(rule, n, m, kind)))
-    assert np.array_equal(_factor_rows(rule, 1, 0, "a")[0], rule.cos_t)
+    assert _factor_rows(rule, 1, 0, "a")[0] is rule.cos_t
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [build_rule(), build_rule(64, 160), build_rule(256, 64), build_rule(7, 12), band_rule(0.1, 0.9, 96, 64),
+     band_rule(-0.3, 1.0, 12, 16)],
+    ids=["24x48", "64x160", "256x64", "7x12", "band-96x64", "band-12x16"],
+)
+def test_a01_factor_row_is_the_rules_cos_t(rule):
+    # P_{1,0}(cos theta) = cos theta: the rule's own read-only cos_t, bit
+    # for bit the Legendre row repeated along each ring that it replaces
+    row = _factor_rows(rule, 1, 0, "a")[0]
+    assert row is rule.cos_t and not row.flags.writeable
+    assert row.tobytes() == np.repeat(assoc_legendre(1, 0, rule.cos_t[:: rule.n_phi]), rule.n_phi).tobytes()
+    assert ("P", 1, 0) not in rule.rows
 
 
 def test_trig_rows_are_shared_by_every_degree():

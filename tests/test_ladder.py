@@ -68,12 +68,13 @@ def test_hermite_reference_is_the_laplacian_itself():
 
 @pytest.mark.parametrize(
     "sx, sy, power",
-    [(0.55, 0.65, 4), (0.45, 0.45, 8), (0.45, 0.45, 16)],
-    ids=["gauss-4", "bump-8", "bump-16"],
+    [(0.55, 0.65, 2), (0.55, 0.65, 4), (0.55, 0.65, 8), (0.45, 0.45, 8), (0.45, 0.45, 16)],
+    ids=["gauss-2", "gauss-4", "gauss-8", "bump-8", "bump-16"],
 )
 def test_hermite_ladder_against_mpmath(sx, sy, power):
     # error relative to max(|exact|, s^-2i): near the zeros of Lap^i G the
-    # value is a cancellation of terms of size s^-2i
+    # value is a cancellation of terms of size s^-2i; gauss at power 2 is
+    # what `verify` asks, at power 8 the CLI's table order
     rng = np.random.default_rng(20240 + power)
     dx, dy = rng.uniform(-2.5, 2.5, size=(2, 200))
     got = list(_hermite_laplacians(dx, dy, sx, sy, power))[power - 1]  # powers 1..n
@@ -86,19 +87,25 @@ def test_hermite_ladder_against_mpmath(sx, sy, power):
     assert worst <= 1e-12, worst
 
 
-@pytest.mark.parametrize("power", [4, 8, 16], ids=["bump-4", "bump-8", "bump-16"])
-def test_laguerre_ladder_against_mpmath(power):
+@pytest.mark.parametrize(
+    "power, seeded",
+    [(4, False), (8, False), (16, False), (4, True), (8, True), (16, True)],
+    ids=["bump-4", "bump-8", "bump-16", "bump-4-seeded", "bump-8-seeded", "bump-16-seeded"],
+)
+def test_laguerre_ladder_against_mpmath(power, seeded):
     # the isotropic form, against the same 50-digit Hermite sums with
-    # sx == sy; measured 5.1e-14, 1.4e-13 and 2.1e-13
+    # sx == sy; a seeded recurrence steps seed * Lap^i G / G, so its rows
+    # divided by a random positive seed are held to the same bound
     s = 0.45
     rng = np.random.default_rng(20240 + power)
     dx, dy = rng.uniform(-2.5, 2.5, size=(2, 200))
-    rows = list(_laguerre_laplacians(dx * dx + dy * dy, s, power))
-    assert len(rows) == power  # powers 1..n: power 0 is exactly 1.0 and not formed
+    seed = rng.uniform(0.01, 100.0, size=200) if seeded else np.ones(200)
+    rows = list(_laguerre_laplacians(dx * dx + dy * dy, s, power, seed))
+    assert len(rows) == power  # powers 1..n: power 0, the seed, is not yielded
     scale = s ** (-2 * power)
     with mpmath.workdps(50):
         worst = 0.0
-        for a, b, v in zip(dx, dy, rows[-1]):
+        for a, b, v in zip(dx, dy, rows[-1] / seed):
             exact = _lap_ratio_exact(float(a), float(b), s, s, power)
             worst = max(worst, float(abs(v - exact) / max(abs(exact), scale)))
     assert worst <= 1e-12, worst
@@ -199,36 +206,36 @@ def test_ladder_point_budget(monkeypatch):
 # ----- the smooth ladders against a plain pass over every node -----
 
 
-def _plain_even_hermite_rows(xi, s, n):
-    """He_2j(xi) / s^2j, j = 0..n, by the recurrence He_{k+1} = xi He_k - k He_{k-1}."""
-    rows = [np.ones_like(xi)]
-    prev, cur = np.ones_like(xi), xi
-    for k in range(1, 2 * n):
-        prev, cur = cur, xi * cur - k * prev
-        if k % 2:
-            rows.append(cur / (s * s) ** ((k + 1) // 2))
+def _plain_even_hermite_rows(d, s, n):
+    """He_2j(d/s) / s^2j, j = 0..n, by the even rows' recurrence in q = d^2/s^4."""
+    s2 = s * s
+    s4 = s2 * s2
+    q = d * d / s4
+    rows = [np.ones_like(d), q - 1.0 / s2]
+    for j in range(1, n):
+        rows.append((q - (4 * j + 1) / s2) * rows[j] - (2 * j * (2 * j - 1) / s4) * rows[j - 1])
     return rows
 
 
-def _plain_hermite_laplacians(dx, dy, sx, sy, n):
-    """Lap^i G / G, i = 0..n, with every product formed, row 0 and C(i, i) too."""
-    hx = _plain_even_hermite_rows(dx / sx, sx, n)
-    hy = _plain_even_hermite_rows(dy / sy, sy, n)
+def _plain_hermite_powers(dx, dy, sx, sy, n, base):
+    """base * Lap^i G / G, i = 0..n, with every product formed, row 0 and C(i, i) too."""
+    hx = _plain_even_hermite_rows(dx, sx, n)
+    hy = _plain_even_hermite_rows(dy, sy, n)
     out = []
     for i in range(n + 1):
         acc = hx[0] * hy[i]
         for j in range(1, i + 1):
             acc = acc + hx[j] * comb(i, j) * hy[i - j]
-        out.append(acc)
+        out.append(acc * base)
     return out
 
 
-def _plain_laguerre_laplacians(r2, s, n):
-    """Lap^i G / G, i = 0..n, by the Laguerre recurrence from R_0 = ones."""
+def _plain_laguerre_powers(r2, s, n, base):
+    """base * Lap^i G / G, i = 0..n, by the Laguerre recurrence from R_0 = base."""
     s2 = s * s
     s4 = s2 * s2
     q = r2 / s4
-    rows = [np.ones_like(r2)]
+    rows = [base]
     for k in range(n):
         nxt = (q - 2 * (2 * k + 1) / s2) * rows[-1]
         if k:
@@ -237,36 +244,35 @@ def _plain_laguerre_laplacians(r2, s, n):
     return rows
 
 
-def _plain_pass(f, laplacians, x, y, u, n):
-    """(Mf, a01) of powers 0..n at one radius: the field and every Laplacian
-    row on every node of the ladder's own rule, as flat arrays, each power
+def _plain_pass(f, rule_sizes, powers, x, y, u, n):
+    """(Mf, a01) of powers 0..n at one radius: the field and every power on
+    every node of the ladder's own rule, as flat arrays, each power
     projected with `_project`'s arithmetic: over all nodes, or for a field
     of declared z-parity over the hemisphere's prefix against the folded
     weights."""
-    rule = f._ladder_rule(u)
+    rule = fields._ladder_rule(rule_sizes, f.z_support, u)
     if rule is None:
         return np.zeros((2, n + 1))
     st = u * rule.sin_t
     X, Y, Z = x + st * rule.cos_p, y + st * rule.sin_p, 0.0 + u * rule.cos_t
     base = np.asarray(f.evaluate(X, Y, Z), dtype=float)
-    powers = [lap * base for lap in laplacians(X, Y, n)]
     w = rule.w_fold if f.z_parity else rule.w
-    powers, cos_t = [v[: w.size] for v in powers], rule.cos_t[: w.size]
+    vals, cos_t = [v[: w.size] for v in powers(X, Y, n, base)], rule.cos_t[: w.size]
     return np.array(
-        [[float(np.dot(v, w)) / (4.0 * np.pi) for v in powers],
-         [3 * float(np.dot(v * cos_t, w)) / (4.0 * np.pi) for v in powers]]
+        [[float(np.dot(v, w)) / (4.0 * np.pi) for v in vals],
+         [3 * float(np.dot(v * cos_t, w)) / (4.0 * np.pi) for v in vals]]
     )
 
 
-def _plain_bump_laplacians(X, Y, n):
+def _plain_bump_powers(X, Y, n, base):
     dx, dy = X - 0.0, Y - 0.0
-    return _plain_laguerre_laplacians(dx * dx + dy * dy, 0.45, n)
+    return _plain_laguerre_powers(dx * dx + dy * dy, 0.45, n, base)
 
 
-# the default phantoms' Laplacian rows, about their centres (0, 0)
-_PLAIN_LAPLACIANS = {
-    "gauss": lambda X, Y, n: _plain_hermite_laplacians(X - 0.0, Y - 0.0, 0.55, 0.65, n),
-    "bump": _plain_bump_laplacians,
+# the default phantoms' rule sizes and powers, about their centres (0, 0)
+_PLAIN_PASSES = {
+    "gauss": (fields._GAUSS_RULE, lambda X, Y, n, base: _plain_hermite_powers(X - 0.0, Y - 0.0, 0.55, 0.65, n, base)),
+    "bump": (fields._BAND_SIZES, _plain_bump_powers),
 }
 
 
@@ -282,7 +288,7 @@ def test_smooth_ladders_equal_a_plain_pass_over_every_node(name):
     us = np.array([0.05, 0.3, 0.9, 1.5, 2.9, 3.4]) if name == "bump" else np.array([0.1, 0.3, 0.9, 1.7, 2.5])
     for x, y in ((0.0, 0.0), (0.4, -0.3), (1.5, -1.5), (-0.7, 1.1)):
         got = np.array(f.laplacian_block(x, y, us, n))
-        want = np.array([_plain_pass(f, _PLAIN_LAPLACIANS[name], x, y, float(u), n) for u in us]).transpose(1, 2, 0)
+        want = np.array([_plain_pass(f, *_PLAIN_PASSES[name], x, y, float(u), n) for u in us]).transpose(1, 2, 0)
         assert got[0].tobytes() == want[0].tobytes(), (x, y)
         if name == "bump":
             assert got[1].tobytes() == want[1].tobytes(), (x, y)
@@ -290,16 +296,41 @@ def test_smooth_ladders_equal_a_plain_pass_over_every_node(name):
             assert np.all(got[1] == 0.0) and not np.any(np.signbit(got[1]))
 
 
-@pytest.mark.parametrize("name", ["gauss", "bump"])
+def _refusal_source(name):
+    """A catalog phantom by name, or for "grid" a 9 x 9 MomentGrid about
+    (0, 0) with the radii 0.1..1.0."""
+    if name != "grid":
+        return make_phantom(name)
+    shape = (9, 9, 10)
+    return MomentGrid((-0.4, -0.4), 0.1, 9, 9, np.linspace(0.1, 1.0, 10), np.ones(shape), np.ones(shape))
+
+
+@pytest.mark.parametrize("name", fields.PHANTOM_NAMES + ("grid",))
 def test_smooth_ladders_refuse_a_bad_radius(name):
-    # the sphere is checked before its rule is chosen: the bump's band of a
-    # negative, zero or infinite radius would be empty and read as zeros
-    f = make_phantom(name)
-    for t in (-1.0, 0.0, np.inf):
-        with pytest.raises(ValueError, match=f"sphere radius must be positive and finite, got t={t}"):
-            f.analytic_moments(0.0, 0.0, t)
-        with pytest.raises(ValueError, match=f"sphere radius must be positive and finite, got t={t}"):
-            f.laplacian_block(0.0, 0.0, [0.5, t], 4)
+    # every source checks a whole request once, before any ladder runs: a
+    # polynomial ladder would answer a negative, zero, NaN or infinite
+    # radius and the bump's band of one would be empty and read as zeros
+    src = _refusal_source(name)
+    radius = "sphere radius must be positive and finite, got t="
+    for t in (-0.5, 0.0, np.nan, np.inf):
+        if name != "grid":
+            with pytest.raises(ValueError, match=re.escape(f"{radius}{t}")):
+                src.analytic_moments(0.0, 0.0, t)
+        with pytest.raises(ValueError, match=re.escape(f"{radius}{t}")):
+            src.laplacian_block(0.0, 0.0, [0.5, t], 2)
+    for x, y in ((np.nan, 0.0), (0.0, np.inf)):
+        with pytest.raises(ValueError, match=re.escape(f"sphere centre must be finite, got (p, q) = ({x}, {y})")):
+            src.laplacian_block(x, y, [0.5], 2)
+    for n in (-1, 1.0, 2.5, True, np.float64(2.0), "2"):
+        with pytest.raises(ValueError, match=re.escape(f"Laplacian power n must be a non-negative integer, got {n!r}")):
+            src.laplacian_block(0.0, 0.0, [0.5], n)
+    for us in ([[0.5], [0.5]], 0.5, np.ones((1, 2))):
+        with pytest.raises(ValueError, match="radii us must be a 1-D array, got shape"):
+            src.laplacian_block(0.0, 0.0, us, 2)
+    # what is accepted: a numpy power, a list of radii, and no radius at all
+    for us in ([0.5, 0.5], []):
+        blocks = src.laplacian_block(0.0, 0.0, us, np.int64(2))
+        assert len(blocks) == 2 and all(b.shape == (3, len(us)) for b in blocks), name
 
 
 # ----- laplacian_block: column j is the block at radius us[j] alone -----

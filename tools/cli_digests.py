@@ -14,8 +14,9 @@ give byte-identical outputs exactly when two runs' printouts `diff`
 clean.  It exits 1 if any command exits non-zero.
 
 The list: `forward` by quadrature (rsqz3 21x21x40, bump 5x5x12) and with
-`--analytic` (gauss 9x9x20); `reconstruct` of an rsqz3 order-8 61x41 slice
-and a gauss order-4 21x15 slice (CSV and PGM), bump even-mirror order-8 y-
+`--analytic` (gauss 9x9x20); `reconstruct` of an rsqz3 order-8 61x41 slice,
+a gauss order-4 21x15 slice (CSV and PGM) and a gauss order-8 11x13 slice,
+which reads the Hermite rows to power 8, bump even-mirror order-8 y-
 and z-slices, grid slices at orders 2 and 4 from the quadrature rsqz3 CSV,
 a zsq even-mirror order-2 slice, whose library warning is in its stderr;
 and `verify --seed 5`.
@@ -56,6 +57,8 @@ COMMANDS = (
      "--zrange -2,2 --step 0.1 --min-abs-z 0.25 --out slice_rsqz3.csv --pgm slice_rsqz3.pgm"),
     ("slice_gauss", "reconstruct --phantom gauss --order 4 --slice y=0.1 --xrange -1,1 "
      "--zrange -0.7,0.7 --step 0.1 --min-abs-z 0.25 --out slice_gauss.csv --pgm slice_gauss.pgm"),
+    ("slice_gauss8", "reconstruct --phantom gauss --order 8 --slice y=0.1 --xrange -0.5,0.5 "
+     "--zrange -0.6,0.6 --step 0.1 --min-abs-z 0.25 --out slice_gauss8.csv"),
     ("slice_bump_y", "reconstruct --phantom bump --mode even-mirror --order 8 --slice y=0.1 "
      "--xrange -0.5,0.5 --zrange 1,2 --step 0.5 --out slice_bump_y.csv --pgm slice_bump_y.pgm"),
     ("slice_bump_z", "reconstruct --phantom bump --mode even-mirror --order 8 --slice z=1.5 "
