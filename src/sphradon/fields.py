@@ -29,18 +29,14 @@ field's ladder is one broadcast `eval_pqt` per (power, moment function).
 gauss and bump share a transverse Gaussian G, and the center-Laplacians hit
 only G, so Lap^i f = f * Lap^i G / G.  Their ladders evaluate f once per
 radius on the phantom's own rule, project it as power 0, and project each
-higher power as soon as it is formed.  The points are the rows of
-`forward._sphere_points`, from the package's one sphere-node builder, read
-on the rule's (theta ring, phi) grid with z one value per ring, so a factor
-of z alone (the bump's mollifier) is formed once per ring.  gauss declares
-itself even in z, so as in every on-plane pass (`forward`) it is
-evaluated, and its Laplacian rows formed, on one hemisphere of rings, and
-each power's projection is folded by that parity: its mean is the
-hemisphere's sum against the folded weights, and its first-cosine
-coefficient +0.0 with no arithmetic.  Every node keeps its value bit for
-bit, so the ladders equal a pass over every node, projected as
-`forward._project` projects it, bit for bit.  The anisotropic gauss
-forms the Laplacians in Hermite form,
+higher power as soon as it is formed.  The nodes are those
+`forward._sphere_offsets` gives every pass of the field, read on the
+rule's (theta ring, phi) grid with z one value per ring, so a factor of
+z alone (the bump's mollifier) is formed once per ring, and each power is
+projected by `forward._two_data`; Lap^i G / G is free of z, so every
+power keeps the field's declared parity, and the ladders fold as every
+on-plane pass does (`forward`).  The anisotropic gauss forms the
+Laplacians in Hermite form,
 
     Lap^i G / G = sum_j C(i, j) He_2j(dx/sx)/sx^2j He_2(i-j)(dy/sy)/sy^2(i-j),
 
@@ -106,7 +102,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import polynomials
-from .forward import SphereCenter, _evaluated_rings, _project, _sphere_points
+from .forward import _sphere_offsets, _two_data
 from .quadrature import band_rule, build_rule
 
 __all__ = [
@@ -393,12 +389,9 @@ def _gaussian_field(
     on; the ladder then forms dx, dy and r2 once per pass, for the field
     and the Laguerre rows alike.
 
-    The field declares z_support and z_parity.  Each pass evaluates the
-    rings `forward._evaluated_rings` names: for a field of declared parity
-    on a symmetric rule one hemisphere, whose every power (Lap^i G / G is
-    free of z, so it keeps the field's parity) `forward._project` folds;
-    an even field's a01 rows are thus +0.0.  The node values are bit for
-    bit those of a pass over every node.
+    The field declares z_support and z_parity; each pass evaluates the
+    nodes `forward._sphere_offsets` gives it, and `forward._two_data`
+    projects each power.
     """
     def powers(X, Y, Z, n):
         """f on the nodes, then f * Lap^i G / G for i = 1..n, formed lazily."""
@@ -415,21 +408,18 @@ def _gaussian_field(
             yield from _laguerre_laplacians(r2, sx, n, base)
 
     def ladder(x, y, us, n, odd):
-        mf, a01 = np.zeros((n + 1, len(us))), np.zeros((n + 1, len(us)))
-        for j, u in enumerate(us):
-            c = SphereCenter(x, y, float(u))
-            rule = _ladder_rule(sizes, z_support, c.t)
+        data = np.zeros((2 if odd else 1, n + 1, len(us)))
+        for j, u in enumerate(us.tolist()):
+            rule = _ladder_rule(sizes, z_support, u)
             if rule is None:
                 continue
-            rings = _evaluated_rings(f, rule)
-            X, Y, Z = _sphere_points(c, rule, rings)
-            X, Y = X.reshape(rings, -1), Y.reshape(rings, -1)
+            X, Y, Z = _sphere_offsets(u, rule, f)
+            X += x  # in place, as `forward._evaluate_on_sphere` moves a pass
+            Y += y
+            X, Y = X.reshape(Z.size, -1), Y.reshape(Z.size, -1)
             for i, vals in zip(range(n + 1), powers(X, Y, Z[:, None], n)):
-                vals = vals.reshape(-1)
-                mf[i, j] = _project(vals, rule, 0, parity=f.z_parity)
-                if odd:
-                    a01[i, j] = _project(vals, rule, 1, parity=f.z_parity)
-        return (mf, a01) if odd else (mf,)
+                data[:, i, j] = _two_data(vals.reshape(-1), rule, f, odd)
+        return tuple(data)
 
     f = ScalarField3D(
         evaluate=evaluate, descriptor=descriptor, analytic_ladder=ladder, z_support=z_support, z_parity=z_parity

@@ -20,13 +20,14 @@ first use and freed with the rule: one Legendre row per (n, m) and one
 trig row per (m, kind), which every degree n shares.  The rule's own cos_t
 is the row of P_{1,0}, so a01 builds none.
 
-A sphere's nodes are its centre plus the offsets of its radius, which
-depend on the radius and the rule alone; `_sphere_offsets` alone forms
-them, and `_sphere_points` moves them to a centre.  The generic passes
+A sphere's nodes are its centre plus the offsets of its radius;
+`_sphere_offsets` alone forms them, and decides from the field, the rule
+and the height which of them a pass evaluates.  The generic passes
 (these operators, the checks' stencil, quadrature sampling) give
-`evaluate` flat arrays of the nodes they evaluate, and the smooth ladders
-of `fields` read the same rows by (theta ring, phi), so every pass forms
-each coordinate bit for bit alike.  Sampling builds the
+`evaluate` flat arrays of those nodes, and the smooth ladders of `fields`
+read the same rows by (theta ring, phi), so every pass forms each
+coordinate bit for bit alike; every pass that forms the two data
+projects them by `_two_data`, one `_project` each.  Sampling builds the
 offsets once per grid and evaluates a centre's radii in blocks; one
 `np.vecdot` sums a block, one BLAS dot per row as `np.dot` sums one
 sphere, so the samples equal one sphere pass per radius bit for bit.
@@ -34,14 +35,12 @@ sphere, so the samples equal one sphere pass per radius bit for bit.
 The plane of centres is where every pass does half its work.  On a sphere
 centred on it, under a rule whose theta rings mirror about the equator
 (`SphereRule.symmetric`), node k of ring n_theta - 1 - j is node k of ring
-j with z negated, and P_{n,m}(cos theta) has parity (-1)^(n-m).  So a
-field that declares a `z_parity` s is evaluated on the rings up to the
-equator alone, the flat prefix `_sphere_offsets(..., rings)` forms
-(`_evaluated_rings` decides, and the operators, the checks' stencil,
-quadrature sampling and the gauss ladder all ask it), and `_project`
-folds the projection by parity: a coefficient with s * (-1)^(n-m) == -1
-is exactly +0.0, which the reflection z -> -z makes it, with no
-arithmetic, and any other is the hemisphere's sum against
+j with z negated, and P_{n,m}(cos theta) has parity (-1)^(n-m).  So
+`_sphere_offsets` gives a field that declares a `z_parity` s the rings up
+to the equator alone, a flat prefix of the rule's nodes, in every pass,
+and `_project` folds the projection by parity: a coefficient with
+s * (-1)^(n-m) == -1 is exactly +0.0, which the reflection z -> -z makes
+it, with no arithmetic, and any other is the hemisphere's sum against
 `SphereRule.w_fold`, its rings before the equator weighted twice (the
 factor 2 is exact) and an equator ring once.  An odd field's mean data
 and an even field's first-cosine data are thus +0.0 by construction, and
@@ -84,16 +83,19 @@ class SphereCenter:
             raise ValueError(f"sphere radius must be positive and finite, got t={self.t}")
 
 
-def _sphere_offsets(ts, rule: SphereRule, rings: int | None = None, z_shift: float = 0.0):
-    """(dX, dY, Z) of the rule's nodes on its first `rings` theta rings (all
-    by default) on spheres of radius ts about the origin, lifted by z_shift:
-    dX and dY of shape ts.shape + (rings * n_phi,) in the rule's flat ring
-    order, Z of shape ts.shape + (rings,), one value per ring (cos_t is
-    constant along a ring, so `np.repeat` along phi gives the flat Z bit
-    for bit).  A 1-D array of radii gives one row per radius."""
+def _sphere_offsets(ts, rule: SphereRule, f=None, z_shift: float = 0.0):
+    """(dX, dY, Z) of the nodes a pass of f on `rule` evaluates, on spheres
+    of radius ts about the origin, lifted by z_shift: the theta rings up to
+    the equator when f declares a z-parity, the sphere is on the plane and
+    the rule's rings mirror about the equator, so that every other node
+    mirrors one of them (`_project` folds them); else every ring.  dX and
+    dY have shape ts.shape + (nodes,) in the rule's flat ring order, Z
+    shape ts.shape + (rings,), one value per ring (cos_t is constant along
+    a ring, so `np.repeat` along phi gives the flat Z bit for bit).  A 1-D
+    array of radii gives one row per radius."""
     t = np.asarray(ts, dtype=float)[..., None]
     k = rule.n_phi
-    nodes = None if rings is None else rings * k
+    nodes = (rule.n_theta + 1) // 2 * k if _z_parity(f) and z_shift == 0.0 and rule.symmetric else None
     tst = t * rule.sin_t[:nodes]  # flat: a (rings, 1) by (n_phi,) broadcast is slower
     return tst * rule.cos_p[:nodes], tst * rule.sin_p[:nodes], z_shift + t * rule.cos_t[:nodes:k]
 
@@ -116,36 +118,19 @@ def _node_values(f, X, Y, Z) -> np.ndarray:
     return vals
 
 
-def _sphere_points(c: SphereCenter, rule: SphereRule, rings: int | None = None, z_shift: float = 0.0):
-    """(X, Y, Z) of the rule's nodes on the sphere c: `_sphere_offsets` of
-    its radius, in the same layout, moved to its centre."""
-    X, Y, Z = _sphere_offsets(c.t, rule, rings, z_shift)
-    X += c.p  # in place: the same sums as c.p + offsets, one array fewer live
-    Y += c.q
-    return X, Y, Z
-
-
 def _z_parity(f) -> int:
     """The z-parity f declares (`ScalarField3D.z_parity`); 0 for a plain
     function."""
     return getattr(f, "z_parity", 0)
 
 
-def _evaluated_rings(f, rule: SphereRule, z_shift: float = 0.0) -> int:
-    """How many theta rings, from the first, a pass of f on `rule` lifted by
-    z_shift evaluates: those up to the equator when f declares a z-parity,
-    the sphere is on the plane and the rule's rings mirror about the
-    equator, so that every other node mirrors one of them; else all."""
-    if _z_parity(f) and z_shift == 0.0 and rule.symmetric:
-        return (rule.n_theta + 1) // 2
-    return rule.n_theta
-
-
 def _evaluate_on_sphere(f, c: SphereCenter, rule: SphereRule, z_shift: float = 0.0):
     """f on the sphere c lifted by z_shift, as a flat, contiguous array of
-    the nodes on the rings `_evaluated_rings` names: every node, or one
-    hemisphere for `_project` to fold."""
-    X, Y, Z = _sphere_points(c, rule, _evaluated_rings(f, rule, z_shift), z_shift)
+    the nodes `_sphere_offsets` forms: every node, or one hemisphere for
+    `_project` to fold."""
+    X, Y, Z = _sphere_offsets(c.t, rule, f, z_shift)
+    X += c.p  # in place: the same sums as c.p + offsets, one array fewer live
+    Y += c.q
     return _node_values(f, X, Y, np.repeat(Z, rule.n_phi))
 
 
@@ -166,12 +151,20 @@ def first_cosine_coefficient(f, c: SphereCenter, rule: SphereRule | None = None)
     return _coefficient(f, c, rule, 1)
 
 
+def _two_data(vals, rule: SphereRule, f, odd: bool = True) -> tuple:
+    """(Mf, a01) of the values a pass of f evaluated on `rule`, or (Mf,)
+    alone when odd is False: each one `_project`, folded by f's z-parity;
+    floats for one sphere, arrays of R for an (R, nodes) block."""
+    parity = _z_parity(f)
+    mf = _project(vals, rule, 0, parity=parity)
+    return (mf, _project(vals, rule, 1, parity=parity)) if odd else (mf,)
+
+
 def _sphere_moments(f, c: SphereCenter, rule: SphereRule | None = None) -> tuple[float, float]:
     """(Mf, a01) from one sphere pass, bit for bit `spherical_mean` and
     `first_cosine_coefficient`, which evaluate f once each."""
     rule = rule or build_rule()
-    vals, parity = _evaluate_on_sphere(f, c, rule), _z_parity(f)
-    return _project(vals, rule, 0, parity=parity), _project(vals, rule, 1, parity=parity)
+    return _two_data(_evaluate_on_sphere(f, c, rule), rule, f)
 
 
 def two_data_transform(f, c: SphereCenter, rule: SphereRule | None = None) -> complex:
@@ -244,7 +237,7 @@ def _project(vals, rule: SphereRule, n: int, m: int = 0, kind: str = "a", parity
     row in another order than a contiguous one, so a Fortran-ordered block
     or a strided sphere gives the bits of its contiguous copy.
 
-    Values on the rings up to the equator alone (`_evaluated_rings`) are
+    Values on the rings up to the equator alone (`_sphere_offsets`) are
     folded by the field's z-parity: P_{n,m} has parity (-1)^(n-m) in
     cos(theta), so a coefficient of parity * (-1)^(n-m) == -1 is +0.0 with
     no arithmetic, and any other is the prefix of each factor row times

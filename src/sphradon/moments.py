@@ -6,12 +6,11 @@ discrete form of the inverse problem's data (`sample_moments` fills it from
 a phantom's ladder, or by quadrature, which needs only the field's
 `evaluate`: one pass per centre over blocks of its radii, on the sphere
 offsets of `forward._sphere_offsets` built once per grid, z repeated along
-each ring, and for a field with a declared z-parity on one hemisphere of
-rings, its projections folded by that parity, so that the moment it makes
-vanish is +0.0; a field without a ladder carries no moment data) and
-the reconstructor's grid source: it answers `laplacian_block` as a phantom
-does, and `radial_scheme` with the trapezoid ladder of its stored radii,
-for centres and radii on stored nodes only; it interpolates nothing.
+each ring, each block projected by `forward._two_data`; a field without a
+ladder carries no moment data) and the reconstructor's grid source: it
+answers `laplacian_block` as a phantom does, and `radial_scheme` with the
+trapezoid ladder of its stored radii, for centres and radii on stored
+nodes only; it interpolates nothing.
 
 Center-Laplacians are taken by iterating the 5-point stencil, which costs i
 cells of margin per application and is exact on fields quadratic in (p,q).
@@ -33,7 +32,7 @@ import numpy as np
 
 from ._io import atomic_write, fmt, format_rows
 from .fields import ScalarField3D, _checked_block_request
-from .forward import _evaluated_rings, _node_values, _project, _sphere_offsets, _z_parity
+from .forward import _node_values, _sphere_offsets, _two_data
 from .quadrature import SphereRule, build_rule
 
 __all__ = [
@@ -139,13 +138,15 @@ class MomentGrid:
 
     def _radius_indices(self, ts) -> Array:
         """Index of the stored node nearest each radius, the lower one on a
-        tie (as argmin over the ladder picks), each within 1e-9 relative."""
+        tie (as argmin over the ladder picks), each within 1e-9 relative; a
+        radius that is not finite is on no node (the tolerance is inf at
+        t = inf)."""
         nodes = self.radial_nodes
         ts = np.asarray(ts, dtype=float)
         hi = np.minimum(np.searchsorted(nodes, ts), nodes.size - 1)
         lo = np.maximum(hi - 1, 0)
         j = np.where(np.abs(nodes[lo] - ts) <= np.abs(nodes[hi] - ts), lo, hi)
-        off = np.abs(nodes[j] - ts) > 1e-9 * np.maximum(1.0, ts)
+        off = ~(np.isfinite(ts) & (np.abs(nodes[j] - ts) <= 1e-9 * np.maximum(1.0, ts)))
         if off.any():
             raise ValueError(f"radius {ts[off][0]} is not on the stored radial ladder")
         return j
@@ -197,28 +198,24 @@ def sample_moments(
     With analytic=True each centre is one power-0 `laplacian_block` column
     (a field without a ladder is refused).  Otherwise both moments come from
     quadrature under `rule` (default `build_rule()`), which needs only
-    `evaluate`: the node offsets of every radius are built once, on the
-    rings `forward._evaluated_rings` names, each centre is one `evaluate`
-    per block of at most _RADII_PER_PASS radii, which must return one value
-    per node, and each moment of a block is one `forward._project`, folded
-    by the field's z-parity on one hemisphere (the moment the parity makes
-    vanish is a block of +0.0), whose `np.vecdot` sums each radius's row
-    with the BLAS dot of a single sphere, so every sample is bit for bit
-    `forward._sphere_moments` at its sphere.  The lattice is checked before
-    any sample is taken.
+    `evaluate`: the node offsets a pass of the field evaluates are built
+    once for every radius, each centre is one `evaluate` per block of at
+    most _RADII_PER_PASS radii, which must return one value per node, and
+    both moments of a block are one `forward._two_data`, whose `np.vecdot`
+    sums each radius's row with the BLAS dot of a single sphere, so every
+    sample is bit for bit `forward._sphere_moments` at its sphere.  The
+    lattice is checked before any sample is taken.
     """
     nodes = _check_lattice(origin, h, n_p, n_q, radial_nodes)
     if not analytic:
         rule = rule or build_rule()
-        # every centre shares the node offsets of each radius, on the rings
-        # a pass evaluates; read-only, since each block of Z goes to
-        # `evaluate` as it is
-        dX, dY, Z = _sphere_offsets(nodes, rule, _evaluated_rings(field, rule))
+        # every centre shares the node offsets of each radius; read-only,
+        # since each block of Z goes to `evaluate` as it is
+        dX, dY, Z = _sphere_offsets(nodes, rule, field)
         Z = np.repeat(Z, rule.n_phi, axis=-1)
         for arr in (dX, dY, Z):
             arr.setflags(write=False)
         blocks = [slice(lo, lo + _RADII_PER_PASS) for lo in range(0, nodes.size, _RADII_PER_PASS)]
-        parity = _z_parity(field)
     mf = np.empty((n_p, n_q, nodes.size))
     a01 = np.empty_like(mf)
     for ip in range(n_p):
@@ -230,8 +227,7 @@ def sample_moments(
             else:
                 for block in blocks:
                     vals = _node_values(field, x + dX[block], y + dY[block], Z[block])
-                    mf[ip, iq, block] = _project(vals, rule, 0, parity=parity)
-                    a01[ip, iq, block] = _project(vals, rule, 1, parity=parity)
+                    mf[ip, iq, block], a01[ip, iq, block] = _two_data(vals, rule, field)
     return MomentGrid(tuple(origin), h, n_p, n_q, nodes, mf, a01)
 
 

@@ -22,7 +22,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-__all__ = ["SphereRule", "build_rule", "band_rule", "legendre_all", "assoc_legendre"]
+__all__ = ["SphereRule", "build_rule", "band_rule", "assoc_legendre"]
 
 Array = np.ndarray
 
@@ -139,20 +139,6 @@ def band_rule(lo: float, hi: float, n_theta: int, n_phi: int) -> SphereRule:
     return _product_rule(0.5 * (hi + lo) + half * x, half * wx, n_phi)
 
 
-def legendre_all(n: int, x: Array) -> Array:
-    """All Legendre values P_0(x)..P_n(x), shape (n+1,) + x.shape."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    x = np.asarray(x, dtype=float)
-    out = np.empty((n + 1,) + x.shape)
-    out[0] = 1.0
-    if n >= 1:
-        out[1] = x
-    for k in range(1, n):
-        out[k + 1] = ((2 * k + 1) * x * out[k] - k * out[k - 1]) / (k + 1)
-    return out
-
-
 def assoc_legendre(n: int, m: int, x: Array) -> Array:
     """P_{n,m}(x) in the positive convention (see module docstring).
 
@@ -160,12 +146,12 @@ def assoc_legendre(n: int, m: int, x: Array) -> Array:
         P_{m,m}   = (2m-1)!! (1-x^2)^{m/2}
         P_{m+1,m} = (2m+1) x P_{m,m}
         (n-m) P_{n,m} = (2n-1) x P_{n-1,m} - (n+m-1) P_{n-2,m}
+
+    which at m = 0 is Bonnet's recurrence for the Legendre polynomial P_n.
     """
     if m < 0 or n < m:
         raise ValueError("need 0 <= m <= n")
     x = np.asarray(x, dtype=float)
-    if m == 0:
-        return legendre_all(n, x)[n]
     s = np.sqrt(np.maximum(0.0, 1.0 - x * x))
     pmm = s**m * float(np.prod(np.arange(1, 2 * m, 2, dtype=float)))
     if n == m:

@@ -22,13 +22,13 @@ from sphradon.fields import (
     zsq_field,
 )
 from sphradon.moments import sample_moments
-from sphradon.quadrature import SphereRule, assoc_legendre, band_rule, build_rule, legendre_all
+from sphradon.quadrature import SphereRule, assoc_legendre, band_rule, build_rule
 from sphradon.forward import (
     SphereCenter,
     _evaluate_on_sphere,
-    _evaluated_rings,
     _factor_rows,
     _project,
+    _sphere_offsets,
     first_cosine_coefficient,
     harmonic_coefficient,
     off_plane_mean,
@@ -175,7 +175,7 @@ def _reference_projection(vals, rule, n, m, kind):
     """a_{mn} / b_{mn} with every factor rebuilt on the call: the
     per-call arithmetic the cached rows must reproduce bit for bit."""
     if m == 0:
-        pn = None if n == 0 else legendre_all(n, rule.cos_t)[n]
+        pn = None if n == 0 else assoc_legendre(n, 0, rule.cos_t)
         return (2 * n + 1) * float(np.dot(vals if pn is None else vals * pn, rule.w)) / (4.0 * pi)
     pnm = assoc_legendre(n, m, rule.cos_t)
     phi = np.arctan2(rule.sin_p, rule.cos_p)
@@ -548,15 +548,21 @@ def _assert_folded(got, f, full, rule, n, m=0, kind="a"):
     assert abs(got - want) <= _ULPS * _EPS * norm * float(np.sum(np.abs(terms * rule.w))), (n, m, kind, got, want)
 
 
+def _rings(f, rule, z_shift=0.0):
+    """How many theta rings a pass of f on `rule` lifted by z_shift
+    evaluates: Z holds one value per ring."""
+    return _sphere_offsets(1.0, rule, f, z_shift)[2].size
+
+
 def test_which_passes_evaluate_one_hemisphere():
     rsqz3, bump = make_phantom("rsqz3"), make_phantom("bump")
-    assert _evaluated_rings(rsqz3, build_rule(24, 48)) == 12
-    assert _evaluated_rings(rsqz3, build_rule(7, 12)) == 4  # the equator with the rings above it
-    assert _evaluated_rings(rsqz3, band_rule(-0.6, 0.6, 12, 16)) == 6
-    assert _evaluated_rings(rsqz3, band_rule(0.1, 0.9, 12, 16)) == 12
-    assert _evaluated_rings(rsqz3, build_rule(24, 48), z_shift=1e-3) == 24
-    assert _evaluated_rings(bump, build_rule(24, 48)) == 24
-    assert _evaluated_rings(lambda x, y, z: z, build_rule(24, 48)) == 24
+    assert _rings(rsqz3, build_rule(24, 48)) == 12
+    assert _rings(rsqz3, build_rule(7, 12)) == 4  # the equator with the rings above it
+    assert _rings(rsqz3, band_rule(-0.6, 0.6, 12, 16)) == 6
+    assert _rings(rsqz3, band_rule(0.1, 0.9, 12, 16)) == 12
+    assert _rings(rsqz3, build_rule(24, 48), z_shift=1e-3) == 24
+    assert _rings(bump, build_rule(24, 48)) == 24
+    assert _rings(lambda x, y, z: z, build_rule(24, 48)) == 24
 
 
 @pytest.mark.parametrize("rule", PARITY_RULES, ids=str)
@@ -698,8 +704,8 @@ def _count_nodes(monkeypatch, module):
     calls = []
     offsets = forward._sphere_offsets
 
-    def counted(ts, rule, rings=None, z_shift=0.0):
-        dX, dY, Z = offsets(ts, rule, rings, z_shift)
+    def counted(ts, rule, f=None, z_shift=0.0):
+        dX, dY, Z = offsets(ts, rule, f, z_shift)
         calls.append((np.size(ts), dX.size // np.size(ts)))
         return dX, dY, Z
 

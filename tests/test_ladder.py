@@ -183,17 +183,17 @@ def test_ladder_point_budget(monkeypatch):
     ring_values: list[int] = []
     sphere_offsets, mollifier = forward._sphere_offsets, fields._mollifier
 
-    def counted(ts, rule, rings=None, z_shift=0.0):
-        dX, dY, Z = sphere_offsets(ts, rule, rings, z_shift)
+    def counted(ts, rule, f=None, z_shift=0.0):
+        dX, dY, Z = sphere_offsets(ts, rule, f, z_shift)
         points[ts] = points.get(ts, 0) + dX.size
-        assert Z.shape == (rings,)
+        assert Z.shape == (dX.size // rule.n_phi,)
         return dX, dY, Z
 
     def counted_mollifier(s):
         ring_values.append(np.size(s))
         return mollifier(s)
 
-    monkeypatch.setattr(forward, "_sphere_offsets", counted)
+    monkeypatch.setattr(fields, "_sphere_offsets", counted)
     monkeypatch.setattr(fields, "_mollifier", counted_mollifier)
     us = np.array([0.05, 0.0999, 0.3, 1.5, 2.9, 3.5])
     for name, n, budget in (("gauss", 4, [1536] * 6), ("bump", 8, [0, 0, 6144, 6144, 6144, 6144])):
@@ -428,13 +428,13 @@ def test_an_even_mirror_request_forms_no_a01(monkeypatch):
     # its Mf rows are the two-data block's bit for bit
     f, calls = _counted("bump")
     orders = []
-    project = fields._project
+    project = forward._project
 
     def counted(vals, rule, n, *args, **kwargs):
         orders.append(n)
         return project(vals, rule, n, *args, **kwargs)
 
-    monkeypatch.setattr(fields, "_project", counted)
+    monkeypatch.setattr(forward, "_project", counted)
     req = ReconstructionRequest(points=((0.0, 0.2, 1.5),), order_n=8, mode="even_mirror", source=f)
     reconstruct_point(req, TABLE)
     ((x, y, us, n, odd),) = calls

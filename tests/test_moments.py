@@ -297,6 +297,16 @@ def test_laplacian_margin_and_argument_errors():
         _grid_block(grid, 1, (0, 2, [0]))
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, -0.5, 0.0])
+def test_radial_scheme_refuses_a_radius_on_no_stored_node(t):
+    # NaN and +inf are on no node: neither may return a prefix of the ladder
+    grid = _rsqz3_grid(n_p=9, n_q=9, n_u=10)
+    with pytest.raises(ValueError, match=re.escape(f"radius {t} is not on the stored radial ladder")):
+        grid.radial_scheme(0.4, 0.4, t)
+    us, ws = grid.radial_scheme(0.4, 0.4, 1.0)
+    assert us.tolist() == grid.radial_nodes[:4].tolist() and ws.size == 4
+
+
 # ----- CSV -----
 
 

@@ -9,7 +9,6 @@ from sphradon.quadrature import (
     assoc_legendre,
     band_rule,
     build_rule,
-    legendre_all,
 )
 
 
@@ -60,7 +59,7 @@ def test_gauss_legendre_is_one_shared_read_only_rule():
 
 def test_legendre_values():
     x = np.linspace(-1, 1, 7)
-    P = legendre_all(4, x)
+    P = [assoc_legendre(n, 0, x) for n in range(5)]
     assert P[0] == pytest.approx(np.ones_like(x))
     assert P[1] == pytest.approx(x)
     assert P[2] == pytest.approx(1.5 * x**2 - 0.5)

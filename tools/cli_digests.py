@@ -13,8 +13,9 @@ file in OUTDIR (so give it a fresh one), sorted by name, so two checkouts
 give byte-identical outputs exactly when two runs' printouts `diff`
 clean.  It exits 1 if any command exits non-zero.
 
-The list: `forward` by quadrature (rsqz3 21x21x40, bump 5x5x12) and with
-`--analytic` (gauss 9x9x20); `reconstruct` of an rsqz3 order-8 61x41 slice,
+The list: `forward` by quadrature (rsqz3 21x21x40, bump 5x5x12 and gauss
+9x9x20, one field of each z-parity: -1, 0 and +1) and with `--analytic`
+(gauss 9x9x20); `reconstruct` of an rsqz3 order-8 61x41 slice,
 a gauss order-4 21x15 slice (CSV and PGM) and a gauss order-8 11x13 slice,
 which reads the Hermite rows to power 8, bump even-mirror order-8 y-
 and z-slices, grid slices at orders 2 and 4 from the quadrature rsqz3 CSV,
@@ -51,6 +52,8 @@ COMMANDS = (
      "--umax 2 --nu 40 --out forward_rsqz3.csv"),
     ("forward_bump", "forward --phantom bump --origin -0.2,-0.2 --h 0.1 --np 5 --nq 5 "
      "--umax 2.4 --nu 12 --out forward_bump.csv"),
+    ("forward_gauss", "forward --phantom gauss --origin -0.4,-0.4 --h 0.1 --np 9 --nq 9 "
+     "--umax 1 --nu 20 --out forward_gauss.csv"),
     ("forward_gauss_analytic", "forward --phantom gauss --origin -0.4,-0.4 --h 0.1 --np 9 --nq 9 "
      "--umax 1 --nu 20 --analytic --out forward_gauss_analytic.csv"),
     ("slice_rsqz3", "reconstruct --phantom rsqz3 --order 8 --slice y=0.3 --xrange -3,3 "
