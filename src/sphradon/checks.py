@@ -44,7 +44,7 @@ import numpy as np
 from ._io import atomic_write, fmt
 from .coeffs import CoefficientTable, build_tables
 from .fields import ScalarField3D, make_phantom
-from .forward import SphereCenter, _evaluate_on_sphere, _project, _z_parity, harmonic_coefficient
+from .forward import SphereCenter, _evaluate_on_sphere, _project, harmonic_coefficient
 from .quadrature import SphereRule, _gauss_legendre_on, build_rule
 
 __all__ = [
@@ -66,7 +66,9 @@ IDENTITIES = ("rep_even", "rep_odd", "lemma1") + ODE_NAMES  # registry order
 # rule; ladders use their own); the smooth phantoms need denser rules.  The
 # bump's mollifier shell needs 256 nodes in cos(theta) on this full-sphere
 # side: with 128 its quadrature error alone took the worst rep_even residual
-# to 0.66 of the tolerance, with 256 it is 5e-4
+# to 0.66 of the tolerance, with 256 it is 5e-4.  A pass evaluates only the
+# rings inside the bump's support z > 0.1: at t = 1, 120 of the 256
+# (`forward._sphere_offsets`)
 CATALOG_RULES: tuple = (
     ("z", None),
     ("zsq", None),
@@ -204,9 +206,10 @@ class _Spheres:
     stencil around the sphere (p, q, t): centre (p + dp h, q + dq h, dz h),
     radius t + dt h, for unit shifts dp, dq, dt, dz.
 
-    Each sphere is evaluated once, and each coefficient of it projected
-    once, with `harmonic_coefficient`'s arithmetic, so it equals that call
-    bit for bit.
+    Each sphere is evaluated once, over the window of rings that
+    `forward._sphere_offsets` gives it, and stored with that window; each
+    coefficient of it is projected once, with `harmonic_coefficient`'s
+    arithmetic, so it equals that call bit for bit.
     """
 
     def __init__(self, f, p, q, t, rule, h):
@@ -228,8 +231,8 @@ class _Spheres:
             if key not in self._values:
                 p, q, t = (v + d * self.h if d else v for v, d in zip(self.point, key))
                 self._values[key] = _evaluate_on_sphere(self.f, SphereCenter(p, q, t), self.rule, dz * self.h)
-            parity = _z_parity(self.f)
-            self._coefficients[coefficient] = _project(self._values[key], self.rule, n, m, kind, parity)
+            vals, window = self._values[key]
+            self._coefficients[coefficient] = _project(vals, self.rule, n, m, kind, window)
         return self._coefficients[coefficient]
 
     def diff(self, g) -> float:

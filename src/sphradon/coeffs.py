@@ -19,10 +19,11 @@ closing entry, since the s and c entries that row would read lie outside the
 stored ranges and count as 0; `build_tables` states the recurrence and its
 seeds.
 
-Everything here is computed with `fractions.Fraction`: the recurrences contain
-near-cancelling combinations such as (2N-1)/((4N-6)(top-m)) - 1/(2N-3) whose
-floating-point drift would poison the high-order filters, and exactness makes
-the tables bitwise reproducible.
+Everything here is exact rational arithmetic, kept as `fractions.Fraction`
+(the tables are built in integers and converted once): the recurrences
+contain near-cancelling combinations such as (2N-1)/((4N-6)(top-m)) -
+1/(2N-3) whose floating-point drift would poison the high-order filters, and
+exactness makes the tables bitwise reproducible.
 
 A transcription note: the published statement of the odd family's mixed
 term carries what looks like an unusual sign pattern across its three
@@ -42,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import isfinite
+from math import gcd, isfinite, lcm
 from numbers import Integral
 from types import MappingProxyType
 from typing import Mapping
@@ -149,47 +150,64 @@ def build_tables(order_n: int) -> CoefficientTable:
     s at even N).  Entries outside the stored ranges read as exactly 0.  c(N)
     goes to c_even or c_odd by the parity of N, s(N) likewise, at k = N//2.
     All arithmetic is exact; the recurrence is total over the stated ranges
-    (no divisor can vanish there).
+    (no divisor can vanish there).  Each row of degree N is formed in
+    integers, as numerators over one common denominator (the lcm of its
+    inputs' denominators and of 1..top-1, so that every division by d is
+    exact), reduced once by their gcd, and made `Fraction`s only at the end.
     """
     if not (isinstance(order_n, Integral) and order_n >= 0):
         raise ValueError(f"order_n must be an integer >= 0, got {order_n!r}")
-    c: dict[Key, Fraction] = {}  # c_m(N, 2i) at (N, i, m)
-    s: dict[Key, Fraction] = {}  # s_m(N, 2(i-1)) at (N, i, m)
+    # each row of degree N is (den, {(i, m): num}), every entry num / den
+    c: dict[int, tuple[int, dict]] = {}  # c_m(N, 2i) at (i, m) of row N
+    s: dict[int, tuple[int, dict]] = {}  # s_m(N, 2(i-1)) at (i, m) of row N
+    empty = (1, {})
     for N in range(1, 2 * order_n + 2):
-        odd = N % 2
+        odd, g = N % 2, 2 * N - 3
+        lam = lcm(3, *range(1, N))  # every d = top - m < N, and the seeds' 3
         if N >= 2:
-            seed = Fr(2 * N - 1, 3 if odd else 1)
+            # c' = c_m(N-2, 2i) = A / L and s_m(N-1, 2i) = B / L: over
+            # den = 4 g lam L, lead + mixed has numerator term, c'/(2N-3) 4 lam A
+            (dp, prev), (ds, sv) = c.get(N - 2, empty), s[N - 1]
+            L, row = lcm(dp, ds), {}
+            den = 4 * g * lam * L
+            seed = (2 * N - 1) * den // (3 if odd else 1)
             for i in range(N // 2 + 1):
                 top = N // 2 + i
-                acc = Fr(0)
+                acc = 0
                 for m in range(1, top):
-                    prev = c.get((N - 2, i, m), 0)
-                    term = (
-                        Fr(2 * N - 1, (4 * N - 6) * (top - m)) * prev
-                        + Fr(1, 4 * (top - m)) * s.get((N - 1, i, m), 0)
-                    )
-                    c[(N, i, m)] = (2 * N + 1) * (Fr(1, 2 * N - 3) * prev - term)
+                    A, B = prev.get((i, m), 0) * (L // dp), sv.get((i, m), 0) * (L // ds)
+                    term = (2 * (2 * N - 1) * A + g * B) * (lam // (top - m))
+                    row[(i, m)] = (2 * N + 1) * (4 * lam * A - term)
                     acc += term
-                c[(N, i, top)] = (2 * N + 1) * (acc - (seed if i == 0 else 0))
-        pref = Fr(2 * N + 1, N * (N + 1))
-        carry = Fr((N - 1) * (N - 2), 2 * N - 3)
-        seed = Fr(4 * N - 2, 1 if odd else 3)
+                row[(i, top)] = (2 * N + 1) * (acc - (seed if i == 0 else 0))
+            c[N] = _reduced(den, row)
+        # s' = s_m(N-2, 2(i-1)) = A / L and c_m(N-1, 2(i-1)) = B / L: over
+        # 2 g lam L, term has numerator term, carry s' 2 (N-1)(N-2) lam A;
+        # pref puts N (N+1) into den
+        (dp, prev), (dc, cv) = s.get(N - 2, empty), c.get(N - 1, empty)
+        L, row = lcm(dp, dc), {}
+        den = N * (N + 1) * 2 * g * lam * L
+        seed = (4 * N - 2) * 2 * g * lam * L // (1 if odd else 3)
         for i in range(1, (N + 1) // 2 + 1):
             top = (N - 1) // 2 + i
-            acc = Fr(0)
+            acc = 0
             for m in range(1, top):
-                prev = s.get((N - 2, i, m), 0)
-                term = (
-                    Fr(1, top - m) * c.get((N - 1, i - 1, m), 0)
-                    - Fr((N - 1) * (N - 2) * (2 * N - 1), 2 * (2 * N - 3) * (top - m)) * prev
-                )
-                s[(N, i, m)] = pref * (carry * prev + term)
+                A, B = prev.get((i, m), 0) * (L // dp), cv.get((i - 1, m), 0) * (L // dc)
+                term = (2 * g * B - (N - 1) * (N - 2) * (2 * N - 1) * A) * (lam // (top - m))
+                row[(i, m)] = (2 * N + 1) * (2 * (N - 1) * (N - 2) * lam * A + term)
                 acc += term
-            s[(N, i, top)] = pref * ((seed if i == 1 else 0) - acc)
+            row[(i, top)] = (2 * N + 1) * ((seed if i == 1 else 0) - acc)
+        s[N] = _reduced(den, row)
 
-    def family(table: dict[Key, Fraction], parity: int) -> Table:
+    def family(rows: dict[int, tuple[int, dict]], parity: int) -> Table:
         return MappingProxyType(
-            {(N // 2, i, m): v for (N, i, m), v in table.items() if N % 2 == parity and v}
+            {
+                (N // 2, i, m): Fraction(v, den)
+                for N, (den, row) in rows.items()
+                if N % 2 == parity
+                for (i, m), v in row.items()
+                if v
+            }
         )
 
     return CoefficientTable(
@@ -199,6 +217,13 @@ def build_tables(order_n: int) -> CoefficientTable:
         s_even=family(s, 0),
         s_odd=family(s, 1),
     )
+
+
+def _reduced(den: int, row: dict) -> tuple[int, dict]:
+    """A row of numerators over den, divided by their common gcd, with a
+    positive denominator."""
+    g = gcd(den, *row.values()) * (1 if den > 0 else -1)
+    return den // g, {key: v // g for key, v in row.items()}
 
 
 def polynomial_set(table: CoefficientTable, n: int) -> PolynomialSet:

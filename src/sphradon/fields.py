@@ -132,9 +132,11 @@ class ScalarField3D:
         the two-dimensional center-Laplacians of the moment functions, at
         radius us[j]; (Mf,) alone when odd is False, with no a01 formed.
         Column j depends on us[j] alone.
-    z_support: (lo, hi), the open interval in z outside which f vanishes,
-        (-inf, inf) by default; lo == hi declares f == 0.  Even-mirror mode
-        doubles the mean data of a field with lo >= 0 (`reconstruct`).
+    z_support: (lo, hi), the open interval in z outside which f is
+        exactly 0.0, (-inf, inf) by default; lo == hi declares f == 0.  A
+        sphere pass evaluates only the theta rings inside it (`forward`),
+        and even-mirror mode doubles the mean data of a field with lo >= 0
+        (`reconstruct`).
     z_parity: +1 declares f(x, y, -z) == f(x, y, z) bit for bit, -1
         f(x, y, -z) == 0.0 - f(x, y, z) bit for bit, 0 (the default)
         neither.  A sphere pass on the plane then evaluates one hemisphere
@@ -413,12 +415,12 @@ def _gaussian_field(
             rule = _ladder_rule(sizes, z_support, u)
             if rule is None:
                 continue
-            X, Y, Z = _sphere_offsets(u, rule, f)
+            X, Y, Z, window = _sphere_offsets(u, rule, f)
             X += x  # in place, as `forward._evaluate_on_sphere` moves a pass
             Y += y
-            X, Y = X.reshape(Z.size, -1), Y.reshape(Z.size, -1)
+            X, Y = X.reshape(Z.size, rule.n_phi), Y.reshape(Z.size, rule.n_phi)
             for i, vals in zip(range(n + 1), powers(X, Y, Z[:, None], n)):
-                data[:, i, j] = _two_data(vals.reshape(-1), rule, f, odd)
+                data[:, i, j] = _two_data(vals.reshape(-1), rule, window, odd)
         return tuple(data)
 
     f = ScalarField3D(

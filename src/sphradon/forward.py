@@ -21,16 +21,18 @@ trig row per (m, kind), which every degree n shares.  The rule's own cos_t
 is the row of P_{1,0}, so a01 builds none.
 
 A sphere's nodes are its centre plus the offsets of its radius;
-`_sphere_offsets` alone forms them, and decides from the field, the rule
-and the height which of them a pass evaluates.  The generic passes
-(these operators, the checks' stencil, quadrature sampling) give
-`evaluate` flat arrays of those nodes, and the smooth ladders of `fields`
-read the same rows by (theta ring, phi), so every pass forms each
-coordinate bit for bit alike; every pass that forms the two data
-projects them by `_two_data`, one `_project` each.  Sampling builds the
-offsets once per grid and evaluates a centre's radii in blocks; one
-`np.vecdot` sums a block, one BLAS dot per row as `np.dot` sums one
-sphere, so the samples equal one sphere pass per radius bit for bit.
+`_sphere_offsets` alone forms them, and decides from the field, the rule,
+the radius and the height which of them a pass evaluates: a window of
+theta rings (`_Window`), which every pass evaluates and `_project` sums
+alone.  The generic passes (these operators, the checks' stencil,
+quadrature sampling) give `evaluate` flat arrays of those nodes, and the
+smooth ladders of `fields` read the same rows by (theta ring, phi), so
+every pass forms each coordinate bit for bit alike; every pass that forms
+the two data projects them by `_two_data`, one `_project` each.  Sampling
+builds the offsets once per grid and evaluates a centre's radii in blocks
+of one window each; one `np.vecdot` sums a block, one BLAS dot per row as
+`np.dot` sums one sphere, so the samples equal one sphere pass per radius
+bit for bit.
 
 The plane of centres is where every pass does half its work.  On a sphere
 centred on it, under a rule whose theta rings mirror about the equator
@@ -46,7 +48,20 @@ factor 2 is exact) and an equator ring once.  An odd field's mean data
 and an even field's first-cosine data are thus +0.0 by construction, and
 the surviving sums differ from a sum over every node at rounding level.
 Off-plane spheres, rules whose rings do not mirror and fields of parity 0
-evaluate and sum every node.
+evaluate and sum every ring.
+
+A field that declares a bounded `z_support` (lo, hi) is exactly 0.0 at
+every node outside it, so a pass skips the rings that lie outside: the
+window runs from the first to the last ring whose height z_shift +
+t cos(theta) lies strictly inside (lo, hi), within the hemisphere when the
+fold applies.  In any ring order that is a contiguous superset of the
+nonzero rings, and on the rules of this package, whose rings ascend in
+cos(theta), exactly those rings.  The sum over the window holds every
+nonzero term of the sum over the whole sphere, added in another order, so
+the two differ at rounding level; a sphere that misses the support has an
+empty window, no `evaluate` call, and +0.0 for every coefficient.  An
+unbounded support costs one tuple comparison, and a band rule that lies
+inside the support (the bump's ladder) keeps every ring.
 """
 
 from __future__ import annotations
@@ -54,6 +69,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial, inf, isfinite, pi
 from numbers import Integral
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,6 +83,9 @@ __all__ = [
     "harmonic_coefficient",
     "off_plane_mean",
 ]
+
+_UNBOUNDED = (-inf, inf)  # the z_support of a field that declares none
+
 
 @dataclass(frozen=True)
 class SphereCenter:
@@ -83,27 +102,51 @@ class SphereCenter:
             raise ValueError(f"sphere radius must be positive and finite, got t={self.t}")
 
 
-def _sphere_offsets(ts, rule: SphereRule, f=None, z_shift: float = 0.0):
-    """(dX, dY, Z) of the nodes a pass of f on `rule` evaluates, on spheres
-    of radius ts about the origin, lifted by z_shift: the theta rings up to
-    the equator when f declares a z-parity, the sphere is on the plane and
-    the rule's rings mirror about the equator, so that every other node
-    mirrors one of them (`_project` folds them); else every ring.  dX and
-    dY have shape ts.shape + (nodes,) in the rule's flat ring order, Z
-    shape ts.shape + (rings,), one value per ring (cos_t is constant along
-    a ring, so `np.repeat` along phi gives the flat Z bit for bit).  A 1-D
-    array of radii gives one row per radius."""
-    t = np.asarray(ts, dtype=float)[..., None]
+class _Window(NamedTuple):
+    """The theta rings [lo, hi) of a rule that a sphere pass evaluates, and
+    the z-parity that folds their projections: +1 or -1 for the rings up to
+    the equator of an on-plane sphere, 0 where each node stands for itself
+    (`_sphere_offsets`)."""
+
+    lo: int
+    hi: int
+    parity: int = 0
+
+
+def _sphere_offsets(t: float, rule: SphereRule, f=None, z_shift: float = 0.0):
+    """(dX, dY, Z, window): the nodes a pass of f on `rule` evaluates, on
+    the sphere of radius t about the origin lifted by z_shift, and their
+    `_Window`.  The rings are those up to the equator when f declares a
+    z-parity, the sphere is on the plane and the rule's rings mirror about
+    the equator, so that every other node mirrors one of them (`_project`
+    folds them), else every ring; of these, the first to the last whose
+    height z_shift + t cos(theta) lies strictly inside f's declared
+    z_support, none if no ring does.  dX and dY are flat in the rule's ring
+    order, Z holds one value per ring (cos_t is constant along a ring, so
+    `np.repeat` along phi gives the flat Z bit for bit)."""
     k = rule.n_phi
-    nodes = (rule.n_theta + 1) // 2 * k if _z_parity(f) and z_shift == 0.0 and rule.symmetric else None
-    tst = t * rule.sin_t[:nodes]  # flat: a (rings, 1) by (n_phi,) broadcast is slower
-    return tst * rule.cos_p[:nodes], tst * rule.sin_p[:nodes], z_shift + t * rule.cos_t[:nodes:k]
+    parity = getattr(f, "z_parity", 0)
+    parity = parity if parity and z_shift == 0.0 and rule.symmetric else 0  # `symmetric` last: costly on a fresh rule
+    lo, hi = 0, (rule.n_theta + 1) // 2 if parity else rule.n_theta
+    Z = z_shift + t * rule.cos_t[: hi * k : k]
+    support = getattr(f, "z_support", _UNBOUNDED)
+    if support != _UNBOUNDED:
+        # a contiguous superset of the nonzero rings in any ring order, since
+        # a field is exactly 0.0 outside its declared support
+        inside = np.flatnonzero((support[0] < Z) & (Z < support[1]))
+        lo, hi = (int(inside[0]), int(inside[-1]) + 1) if inside.size else (0, 0)
+        Z = Z[lo:hi]
+    nodes = slice(lo * k, hi * k)
+    tst = t * rule.sin_t[nodes]  # flat: a (rings, 1) by (n_phi,) broadcast is slower
+    return tst * rule.cos_p[nodes], tst * rule.sin_p[nodes], Z, _Window(lo, hi, parity)
 
 
 def _node_values(f, X, Y, Z) -> np.ndarray:
     """f on the nodes (X, Y, Z) as floats, by `f.evaluate` for a field and
     by f itself for a plain function; refused by name unless it returns one
-    value per node."""
+    value per node.  An empty window has no node, and f is not called."""
+    if not Z.size:
+        return np.zeros(Z.shape)
     vals = np.asarray((f.evaluate if hasattr(f, "evaluate") else f)(X, Y, Z), dtype=float)
     if vals.shape != Z.shape:
         name = (
@@ -118,27 +161,22 @@ def _node_values(f, X, Y, Z) -> np.ndarray:
     return vals
 
 
-def _z_parity(f) -> int:
-    """The z-parity f declares (`ScalarField3D.z_parity`); 0 for a plain
-    function."""
-    return getattr(f, "z_parity", 0)
-
-
 def _evaluate_on_sphere(f, c: SphereCenter, rule: SphereRule, z_shift: float = 0.0):
-    """f on the sphere c lifted by z_shift, as a flat, contiguous array of
-    the nodes `_sphere_offsets` forms: every node, or one hemisphere for
-    `_project` to fold."""
-    X, Y, Z = _sphere_offsets(c.t, rule, f, z_shift)
+    """(values, window): f on the sphere c lifted by z_shift, as a flat,
+    contiguous array of the nodes `_sphere_offsets` forms, and the
+    `_Window` that `_project` sums them by."""
+    X, Y, Z, window = _sphere_offsets(c.t, rule, f, z_shift)
     X += c.p  # in place: the same sums as c.p + offsets, one array fewer live
     Y += c.q
-    return _node_values(f, X, Y, np.repeat(Z, rule.n_phi))
+    return _node_values(f, X, Y, np.repeat(Z, rule.n_phi)), window
 
 
 def _coefficient(f, c: SphereCenter, rule, n: int, m: int = 0, kind: str = "a", z_shift: float = 0.0):
     """One coefficient of f on the sphere c lifted by z_shift: one pass,
-    one `_project` folded by f's z-parity; the default rule for None."""
+    one `_project` over its window; the default rule for None."""
     rule = rule or build_rule()
-    return _project(_evaluate_on_sphere(f, c, rule, z_shift), rule, n, m, kind, _z_parity(f))
+    vals, window = _evaluate_on_sphere(f, c, rule, z_shift)
+    return _project(vals, rule, n, m, kind, window)
 
 
 def spherical_mean(f, c: SphereCenter, rule: SphereRule | None = None) -> float:
@@ -151,20 +189,20 @@ def first_cosine_coefficient(f, c: SphereCenter, rule: SphereRule | None = None)
     return _coefficient(f, c, rule, 1)
 
 
-def _two_data(vals, rule: SphereRule, f, odd: bool = True) -> tuple:
-    """(Mf, a01) of the values a pass of f evaluated on `rule`, or (Mf,)
-    alone when odd is False: each one `_project`, folded by f's z-parity;
-    floats for one sphere, arrays of R for an (R, nodes) block."""
-    parity = _z_parity(f)
-    mf = _project(vals, rule, 0, parity=parity)
-    return (mf, _project(vals, rule, 1, parity=parity)) if odd else (mf,)
+def _two_data(vals, rule: SphereRule, window: _Window, odd: bool = True) -> tuple:
+    """(Mf, a01) of the values a pass evaluated on `rule` over `window`, or
+    (Mf,) alone when odd is False: each one `_project`; floats for one
+    sphere, arrays of R for an (R, nodes) block."""
+    mf = _project(vals, rule, 0, window=window)
+    return (mf, _project(vals, rule, 1, window=window)) if odd else (mf,)
 
 
 def _sphere_moments(f, c: SphereCenter, rule: SphereRule | None = None) -> tuple[float, float]:
     """(Mf, a01) from one sphere pass, bit for bit `spherical_mean` and
     `first_cosine_coefficient`, which evaluate f once each."""
     rule = rule or build_rule()
-    return _two_data(_evaluate_on_sphere(f, c, rule), rule, f)
+    vals, window = _evaluate_on_sphere(f, c, rule)
+    return _two_data(vals, rule, window)
 
 
 def two_data_transform(f, c: SphereCenter, rule: SphereRule | None = None) -> complex:
@@ -184,7 +222,7 @@ def harmonic_coefficient(
 ) -> float:
     """General projection a_{mn} (kind "a") or b_{mn} (kind "b")."""
     for name, v in (("n", n), ("m", m)):
-        if not isinstance(v, Integral):
+        if isinstance(v, bool) or not isinstance(v, Integral):
             raise ValueError(f"{name} must be an integer, got {v!r}")
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -224,10 +262,11 @@ def _factor_rows(rule: SphereRule, n: int, m: int, kind: str) -> tuple:
     return rows
 
 
-def _project(vals, rule: SphereRule, n: int, m: int = 0, kind: str = "a", parity: int = 0):
+def _project(vals, rule: SphereRule, n: int, m: int = 0, kind: str = "a", window: _Window | None = None):
     """a_{mn} (kind "a") or b_{mn} (kind "b") of sphere values evaluated on
-    `rule`, for arguments `harmonic_coefficient` accepts: the package's one
-    projection, so operators that project the same values agree bit for bit.
+    `rule` over `window` (every ring for None), for arguments
+    `harmonic_coefficient` accepts: the package's one projection, so
+    operators that project the same values agree bit for bit.
 
     A float for one sphere's values; for an (R, nodes) block, the R
     coefficients as an array.  One `np.vecdot` sums either: its loop calls
@@ -237,23 +276,25 @@ def _project(vals, rule: SphereRule, n: int, m: int = 0, kind: str = "a", parity
     row in another order than a contiguous one, so a Fortran-ordered block
     or a strided sphere gives the bits of its contiguous copy.
 
-    Values on the rings up to the equator alone (`_sphere_offsets`) are
-    folded by the field's z-parity: P_{n,m} has parity (-1)^(n-m) in
-    cos(theta), so a coefficient of parity * (-1)^(n-m) == -1 is +0.0 with
-    no arithmetic, and any other is the prefix of each factor row times
-    the values, summed against `SphereRule.w_fold`.  A hemisphere with
-    parity 0 is refused."""
+    The values and the window's slice of each factor row are summed
+    against the window's slice of `SphereRule.w`, or for a window folded
+    by a z-parity (`_sphere_offsets`) of `SphereRule.w_fold`: P_{n,m} has
+    parity (-1)^(n-m) in cos(theta), so a coefficient of parity *
+    (-1)^(n-m) == -1 is +0.0 with no arithmetic.  An empty window sums to
+    +0.0.  Values that do not fill the window are refused."""
     vals = np.ascontiguousarray(vals)
-    nodes, w = vals.shape[-1], rule.w
-    if nodes != w.size:
-        if not parity:
-            raise ValueError(f"{nodes} of the rule's {w.size} sphere nodes need the field's z-parity to fold")
-        if parity != (-1) ** (n - m):
-            return 0.0 if vals.ndim == 1 else np.zeros(vals.shape[:-1])
-        w = rule.w_fold
+    lo, hi, parity = window or (0, rule.n_theta, 0)
+    a, b = lo * rule.n_phi, hi * rule.n_phi  # the window's flat nodes
+    if vals.shape[-1] != b - a:
+        raise ValueError(
+            f"{vals.shape[-1]} values for the {b - a} sphere nodes of rings "
+            f"[{lo}, {hi}): project a pass's values over the window it evaluated"
+        )
+    if parity and parity != (-1) ** (n - m):
+        return 0.0 if vals.ndim == 1 else np.zeros(vals.shape[:-1])
     for row in _factor_rows(rule, n, m, kind):
-        vals = vals * row[:nodes]
-    s = np.vecdot(vals, w)
+        vals = vals * row[a:b]
+    s = np.vecdot(vals, (rule.w_fold if parity else rule.w)[a:b])
     if vals.ndim == 1:
         s = float(s)
     if m == 0:

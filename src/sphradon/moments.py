@@ -6,11 +6,12 @@ discrete form of the inverse problem's data (`sample_moments` fills it from
 a phantom's ladder, or by quadrature, which needs only the field's
 `evaluate`: one pass per centre over blocks of its radii, on the sphere
 offsets of `forward._sphere_offsets` built once per grid, z repeated along
-each ring, each block projected by `forward._two_data`; a field without a
-ladder carries no moment data) and the reconstructor's grid source: it
-answers `laplacian_block` as a phantom does, and `radial_scheme` with the
-trapezoid ladder of its stored radii, for centres and radii on stored
-nodes only; it interpolates nothing.
+each ring, each block, of radii that share one window of rings, projected
+by `forward._two_data`; a field without a ladder carries no moment data)
+and the reconstructor's grid source: it answers `laplacian_block` as a
+phantom does, and `radial_scheme` with the trapezoid ladder of its stored
+radii, for centres and radii on stored nodes only; it interpolates
+nothing.
 
 Center-Laplacians are taken by iterating the 5-point stencil, which costs i
 cells of margin per application and is exact on fields quadratic in (p,q).
@@ -26,6 +27,8 @@ parses the body in one `np.loadtxt` call.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from math import isfinite
 from numbers import Integral
 
 import numpy as np
@@ -153,7 +156,11 @@ class MomentGrid:
 
     def radial_scheme(self, x: float, y: float, t: float):
         """The stored radii up to t and their trapezoid weights, with a
-        virtual node at u = 0 where every integrand of the series vanishes."""
+        virtual node at u = 0 where every integrand of the series vanishes,
+        for a finite centre (x, y) on a stored lattice node."""
+        if not (isfinite(x) and isfinite(y)):
+            raise ValueError(f"sphere centre must be finite, got (p, q) = ({x}, {y})")
+        self._node_index(x, y, 0)
         j = self._radius_indices([t])[0]
         us = self.radial_nodes[: j + 1]
         prev = np.concatenate(([0.0], us[:-1]))
@@ -202,20 +209,16 @@ def sample_moments(
     once for every radius, each centre is one `evaluate` per block of at
     most _RADII_PER_PASS radii, which must return one value per node, and
     both moments of a block are one `forward._two_data`, whose `np.vecdot`
-    sums each radius's row with the BLAS dot of a single sphere, so every
-    sample is bit for bit `forward._sphere_moments` at its sphere.  The
-    lattice is checked before any sample is taken.
+    sums each radius's row with the BLAS dot of a single sphere.  A block
+    never spans two windows of rings (`forward._sphere_offsets`), so every
+    sample is bit for bit `forward._sphere_moments` at its sphere; a
+    block whose window is empty is +0.0 with no `evaluate`.  The lattice
+    is checked before any sample is taken.
     """
     nodes = _check_lattice(origin, h, n_p, n_q, radial_nodes)
     if not analytic:
         rule = rule or build_rule()
-        # every centre shares the node offsets of each radius; read-only,
-        # since each block of Z goes to `evaluate` as it is
-        dX, dY, Z = _sphere_offsets(nodes, rule, field)
-        Z = np.repeat(Z, rule.n_phi, axis=-1)
-        for arr in (dX, dY, Z):
-            arr.setflags(write=False)
-        blocks = [slice(lo, lo + _RADII_PER_PASS) for lo in range(0, nodes.size, _RADII_PER_PASS)]
+        blocks = _sampling_blocks(field, rule, nodes)
     mf = np.empty((n_p, n_q, nodes.size))
     a01 = np.empty_like(mf)
     for ip in range(n_p):
@@ -225,10 +228,32 @@ def sample_moments(
                 m, a = field.laplacian_block(x, y, nodes, 0)
                 mf[ip, iq], a01[ip, iq] = m[0], a[0]
             else:
-                for block in blocks:
-                    vals = _node_values(field, x + dX[block], y + dY[block], Z[block])
-                    mf[ip, iq, block], a01[ip, iq, block] = _two_data(vals, rule, field)
+                for block, dX, dY, Z, window in blocks:
+                    vals = _node_values(field, x + dX, y + dY, Z)
+                    mf[ip, iq, block], a01[ip, iq, block] = _two_data(vals, rule, window)
     return MomentGrid(tuple(origin), h, n_p, n_q, nodes, mf, a01)
+
+
+def _sampling_blocks(field, rule: SphereRule, nodes: Array) -> list:
+    """(radii, dX, dY, Z, window) for each block of quadrature sampling:
+    at most _RADII_PER_PASS consecutive radii that share the window of
+    `forward._sphere_offsets`, with the offsets of their nodes stacked one
+    row per radius and z repeated along each ring.  Every centre shares
+    them, read-only, since each goes to `evaluate` as it is.  Ascending
+    radii meet a support in runs of equal windows, and a block never spans
+    two, so each row is summed as its own sphere is."""
+    blocks, lo = [], 0
+    passes = (_sphere_offsets(u, rule, field) for u in nodes.tolist())
+    for window, run in groupby(passes, key=lambda offsets: offsets[3]):
+        run = list(run)
+        for part in (run[i : i + _RADII_PER_PASS] for i in range(0, len(run), _RADII_PER_PASS)):
+            dX, dY, Z = (np.stack(arrays) for arrays in zip(*(offsets[:3] for offsets in part)))
+            Z = np.repeat(Z, rule.n_phi, axis=-1)
+            for arr in (dX, dY, Z):
+                arr.setflags(write=False)
+            blocks.append((slice(lo, lo + len(part)), dX, dY, Z, window))
+            lo += len(part)
+    return blocks
 
 
 def _center_laplacians(block: Array, n: int, h: float) -> Array:

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+from math import factorial, pi
 
 import numpy as np
 import pytest
 
-from sphradon import checks
+from sphradon import checks, forward
 from sphradon.checks import (
     CATALOG_RULES,
     ODE_NAMES,
@@ -306,3 +307,53 @@ def test_stencil_coefficient_equals_harmonic_coefficient():
         assert s(n, m, kind, **shift) == first
         c = SphereCenter(0.3 + shift.get("dp", 0) * h, -0.2 + shift.get("dq", 0) * h, 0.8 + shift.get("dt", 0) * h)
         assert first == harmonic_coefficient(f, c, n, m, kind, rule)
+
+
+# ----- the stencil of a field with a declared z-support -----
+
+_BUMP_RULE = dict(CATALOG_RULES)["bump"]
+# every sphere of the lemma and ODE stencils, two of them off the plane
+_STENCIL = [(0, 0, 0, 0)] + [tuple(e if i == axis else 0 for i in range(4)) for axis in range(4) for e in (-1, 1)]
+
+
+def test_bump_stencil_node_budget(monkeypatch):
+    # at (1, -1, 1) on the bump's 256 x 64 rule, 136 of the 256 rings lie
+    # below its support z > 0.1: every stencil sphere evaluates its window
+    # of 120 rings, at most 128 x 64 nodes, with each sphere's values
+    # stored beside their window
+    shapes = []
+    node_values = forward._node_values
+
+    def counted(f, X, Y, Z):
+        shapes.append(Z.shape)
+        return node_values(f, X, Y, Z)
+
+    monkeypatch.setattr(forward, "_node_values", counted)
+    s = checks._Spheres(make_phantom("bump"), 1.0, -1.0, 1.0, build_rule(*_BUMP_RULE), 1e-3)
+    for key in _STENCIL:
+        s(0, 0, "a", *key)
+        s(2, 1, "b", *key)
+    assert len(shapes) == len(_STENCIL) and all(shape[0] <= 128 * 64 for shape in shapes)
+    assert shapes[0] == (120 * 64,)
+    for key in _STENCIL:
+        vals, window = s._values[key]
+        assert vals.size == (window.hi - window.lo) * 64 and window.hi == 256
+
+
+def test_windowed_stencil_agrees_with_every_node():
+    # each stencil coefficient sums the same nonzero terms as the stencil of
+    # the bump declared unbounded, in another order: within 8 eps of
+    # norm * sum |terms|
+    f, rule, h = make_phantom("bump"), build_rule(*_BUMP_RULE), 1e-3
+    g = dataclasses.replace(f, z_support=(-np.inf, np.inf))
+    eps = np.finfo(float).eps
+    for point in ((1.0, -1.0, 1.0), (0.0, 0.0, 0.5), (-1.0, 1.0, 2.0)):
+        s, plain = checks._Spheres(f, *point, rule, h), checks._Spheres(g, *point, rule, h)
+        for key in _STENCIL:
+            for n, m, kind in ((0, 0, "a"), (1, 0, "a"), (2, 0, "a"), (1, 1, "a"), (2, 1, "b")):
+                got, want = s(n, m, kind, *key), plain(n, m, kind, *key)
+                terms = plain._values[key][0] * rule.w
+                for row in forward._factor_rows(rule, n, m, kind):
+                    terms = terms * row
+                norm = (2 * n + 1) / (4 * pi) * (1 if m == 0 else 2 * factorial(n - m) / factorial(n + m))
+                assert abs(got - want) <= 8 * eps * norm * float(np.abs(terms).sum()), (point, key, n, m, kind)

@@ -104,6 +104,58 @@ def test_range_closure(order):
             assert 1 <= i <= k + 1 and 1 <= m <= k + i
 
 
+def _fraction_recurrence(order_n):
+    """The four families by the recurrence of `build_tables`' docstring,
+    every entry one `Fraction` expression: the integer build's oracle."""
+    c, s = {}, {}
+    for N in range(1, 2 * order_n + 2):
+        odd = N % 2
+        if N >= 2:
+            seed = Fr(2 * N - 1, 3 if odd else 1)
+            for i in range(N // 2 + 1):
+                top = N // 2 + i
+                acc = Fr(0)
+                for m in range(1, top):
+                    prev = c.get((N - 2, i, m), 0)
+                    term = (
+                        Fr(2 * N - 1, (4 * N - 6) * (top - m)) * prev
+                        + Fr(1, 4 * (top - m)) * s.get((N - 1, i, m), 0)
+                    )
+                    c[(N, i, m)] = (2 * N + 1) * (Fr(1, 2 * N - 3) * prev - term)
+                    acc += term
+                c[(N, i, top)] = (2 * N + 1) * (acc - (seed if i == 0 else 0))
+        pref = Fr(2 * N + 1, N * (N + 1))
+        carry = Fr((N - 1) * (N - 2), 2 * N - 3)
+        seed = Fr(4 * N - 2, 1 if odd else 3)
+        for i in range(1, (N + 1) // 2 + 1):
+            top = (N - 1) // 2 + i
+            acc = Fr(0)
+            for m in range(1, top):
+                prev = s.get((N - 2, i, m), 0)
+                term = (
+                    Fr(1, top - m) * c.get((N - 1, i - 1, m), 0)
+                    - Fr((N - 1) * (N - 2) * (2 * N - 1), 2 * (2 * N - 3) * (top - m)) * prev
+                )
+                s[(N, i, m)] = pref * (carry * prev + term)
+                acc += term
+            s[(N, i, top)] = pref * ((seed if i == 1 else 0) - acc)
+
+    def family(table, parity):
+        return [((N // 2, i, m), v) for (N, i, m), v in table.items() if N % 2 == parity and v]
+
+    return {"c_even": family(c, 0), "c_odd": family(c, 1), "s_even": family(s, 0), "s_odd": family(s, 1)}
+
+
+@pytest.mark.parametrize("order", range(13))
+def test_integer_build_equals_the_fraction_recurrence(order):
+    # the same entries as Fractions in lowest terms, in the same key order
+    table = build_tables(order)
+    for family, want in _fraction_recurrence(order).items():
+        got = list(getattr(table, family).items())
+        assert got == want, (order, family)
+        assert all(type(v) is Fr for _, v in got)
+
+
 def test_smaller_table_is_a_prefix_of_a_larger_one():
     # the CLI builds its table only up to the requested order
     big = build_tables(12)

@@ -5,7 +5,7 @@ import gc
 import random
 import weakref
 from fractions import Fraction as Fr
-from math import factorial, pi
+from math import factorial, inf, pi
 
 import numpy as np
 import pytest
@@ -171,6 +171,14 @@ def test_harmonic_validation():
     assert got == harmonic_coefficient(f, c, 2, 0)
 
 
+@pytest.mark.parametrize("n, m", [(True, 0), (1, False), (False, False), (2, True)])
+def test_harmonic_coefficient_refuses_a_bool_degree_or_order(n, m):
+    # True is an Integral, and would project a_{01} as if asked for n = 1
+    name, value = ("n", n) if isinstance(n, bool) else ("m", m)
+    with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+        harmonic_coefficient(rsqz3_field(), SphereCenter(0.3, 0.2, 0.7), n, m)
+
+
 def _reference_projection(vals, rule, n, m, kind):
     """a_{mn} / b_{mn} with every factor rebuilt on the call: the
     per-call arithmetic the cached rows must reproduce bit for bit."""
@@ -191,11 +199,13 @@ def _orders(max_n):
 @pytest.mark.parametrize("rule", [None, build_rule(16, 32)], ids=["default", "16x32"])
 @pytest.mark.parametrize("name", ["rsqz3", "gauss", "bump"])
 def test_project_matches_per_call_reference(name, rule):
-    # on every node: a declared parity would evaluate one hemisphere and fold
+    # on every node: a declared parity would evaluate one hemisphere and
+    # fold, a declared support a window of rings
     rule = rule or build_rule()
     f = _undeclared(make_phantom(name))
     for c in (SphereCenter(0.3, -0.2, 0.8), SphereCenter(-1.0, 0.5, 1.7)):
-        vals = _evaluate_on_sphere(f, c, rule)
+        vals, window = _evaluate_on_sphere(f, c, rule)
+        assert window == (0, rule.n_theta, 0)
         for n, m, kind in _orders(6):
             want = _reference_projection(vals, rule, n, m, kind)
             assert _project(vals, rule, n, m, kind) == want, (c, n, m, kind)
@@ -253,9 +263,10 @@ def test_project_of_one_sphere_is_a_python_float():
     # gauss is even in z: one hemisphere, folded, so a vanishing
     # coefficient's +0.0 is a float too
     rule = build_rule()
-    vals = _evaluate_on_sphere(make_phantom("gauss"), SphereCenter(0.2, 0.1, 0.9), rule)
+    vals, window = _evaluate_on_sphere(make_phantom("gauss"), SphereCenter(0.2, 0.1, 0.9), rule)
+    assert window.parity == 1
     for n, m, kind in _orders(2):
-        assert type(_project(vals, rule, n, m, kind, 1)) is float
+        assert type(_project(vals, rule, n, m, kind, window)) is float
 
 
 def test_factor_rows_cached_read_only():
@@ -301,9 +312,9 @@ def test_transient_rule_is_freed_with_its_rows():
     # a band rule as the bump ladder builds one per radius: once projected
     # through, nothing but the caller may keep it alive
     rule = band_rule(0.1, 0.9, 12, 16)
-    vals = _evaluate_on_sphere(make_phantom("bump"), SphereCenter(0.2, 0.1, 1.5), rule)
+    vals, window = _evaluate_on_sphere(make_phantom("bump"), SphereCenter(0.2, 0.1, 1.5), rule)
     for n, m, kind in _orders(3):
-        _project(vals, rule, n, m, kind)
+        _project(vals, rule, n, m, kind, window)
     assert rule.rows
     ref = weakref.ref(rule)
     del rule
@@ -323,7 +334,7 @@ def test_factor_rows_follow_rule_identity():
         if m:
             assert not np.array_equal(mine[1], theirs[1])
     gauss = _undeclared(make_phantom("gauss"))  # every node
-    vals = _evaluate_on_sphere(gauss, SphereCenter(0.2, 0.1, 0.9), turned)
+    vals, _ = _evaluate_on_sphere(gauss, SphereCenter(0.2, 0.1, 0.9), turned)
     for n, m, kind in _orders(3):
         assert _project(vals, turned, n, m, kind) == _reference_projection(vals, turned, n, m, kind)
 
@@ -521,7 +532,13 @@ def _bits(v) -> bytes:
 
 
 def _undeclared(f):
-    return dataclasses.replace(f, z_parity=0)
+    """f with neither trait declared, so that every pass evaluates every node."""
+    return dataclasses.replace(f, z_parity=0, z_support=(-inf, inf))
+
+
+def _nodes(window, rule):
+    """The slice of the rule's flat nodes that a pass's window evaluates."""
+    return slice(window.lo * rule.n_phi, window.hi * rule.n_phi)
 
 
 def _seeded_centres(count=3, seed=26):
@@ -561,7 +578,10 @@ def test_which_passes_evaluate_one_hemisphere():
     assert _rings(rsqz3, band_rule(-0.6, 0.6, 12, 16)) == 6
     assert _rings(rsqz3, band_rule(0.1, 0.9, 12, 16)) == 12
     assert _rings(rsqz3, build_rule(24, 48), z_shift=1e-3) == 24
-    assert _rings(bump, build_rule(24, 48)) == 24
+    # the bump declares no parity, and its window is the 11 rings whose
+    # height cos(theta) lies in its support (0.1, 2.9)
+    assert _rings(bump, build_rule(24, 48)) == 11
+    assert _rings(_undeclared(bump), build_rule(24, 48)) == 24
     assert _rings(lambda x, y, z: z, build_rule(24, 48)) == 24
 
 
@@ -579,14 +599,15 @@ def test_w_fold_doubles_the_rings_before_the_equator(rule):
 
 
 def test_project_refuses_a_hemisphere_without_a_parity():
+    # projected as every ring, which is what no window means
     rule = build_rule(24, 48)
-    half = _evaluate_on_sphere(make_phantom("zsq"), SphereCenter(0.1, 0.2, 0.7), rule)
-    assert half.size == rule.w_fold.size
+    half, window = _evaluate_on_sphere(make_phantom("zsq"), SphereCenter(0.1, 0.2, 0.7), rule)
+    assert half.size == rule.w_fold.size and window == (0, 12, 1)
     for n, m, kind in _orders(2):
-        with pytest.raises(ValueError, match="z-parity"):
+        with pytest.raises(ValueError, match=r"576 values for the 1152 sphere nodes of rings \[0, 24\)"):
             _project(half, rule, n, m, kind)
-        with pytest.raises(ValueError, match="z-parity"):
-            _project(np.stack([half, half]), rule, n, m, kind, 0)
+        with pytest.raises(ValueError, match="over the window it evaluated"):
+            _project(np.stack([half, half]), rule, n, m, kind, None)
 
 
 @pytest.mark.parametrize("rule", PARITY_RULES, ids=str)
@@ -600,14 +621,16 @@ def test_a_declared_parity_keeps_every_sphere_operator_bit_for_bit(name, rule):
     # field's all-node sum is the per-call reference's
     f, rule = make_phantom(name), _rule(PARITY_RULES[rule])
     g = _undeclared(f)
+    # zero declares the empty support (0, 0): its window has no ring
+    rings = 0 if name == "zero" else (rule.n_theta + 1) // 2 if rule.symmetric else rule.n_theta
     for c in _seeded_centres():
-        full, half = _evaluate_on_sphere(g, c, rule), _evaluate_on_sphere(f, c, rule)
-        assert (half.size < full.size) == rule.symmetric
-        assert _bits(half) == _bits(full[: half.size])
+        (full, _), (half, window) = _evaluate_on_sphere(g, c, rule), _evaluate_on_sphere(f, c, rule)
+        assert window == (0, rings, f.z_parity if rule.symmetric else 0)
+        assert _bits(half) == _bits(full[_nodes(window, rule)])
         for n, m, kind in _orders(5):
             got = harmonic_coefficient(f, c, n, m, kind, rule)
             assert type(got) is float
-            assert _bits(got) == _bits(_project(full[: half.size], rule, n, m, kind, f.z_parity))
+            assert _bits(got) == _bits(_project(full[_nodes(window, rule)], rule, n, m, kind, window))
             plain = harmonic_coefficient(g, c, n, m, kind, rule)
             assert _bits(plain) == _bits(_reference_projection(full, rule, n, m, kind))
             if rule.symmetric:
@@ -641,7 +664,7 @@ def test_a_declared_parity_keeps_quadrature_sampling_bit_for_bit(name, rule):
         assert _bits([mf, a01]) == _bits(forward._sphere_moments(f, c, rule))
         assert _bits([plain.mf_values[ip, iq, iu], plain.a01_values[ip, iq, iu]]) == _bits(forward._sphere_moments(g, c, rule))
         if rule.symmetric:
-            full = _evaluate_on_sphere(g, c, rule)
+            full, _ = _evaluate_on_sphere(g, c, rule)
             _assert_folded(mf, f, full, rule, 0)
             _assert_folded(a01, f, full, rule, 1)
     if not rule.symmetric:
@@ -672,7 +695,7 @@ def test_a_declared_parity_keeps_the_checks_stencil_bit_for_bit(name, rule):
                 assert _bits(got) == _bits(plain(n, m, kind, *key))
             else:
                 assert _bits(got) == _bits(harmonic_coefficient(f, c, n, m, kind, rule))
-                _assert_folded(got, f, _evaluate_on_sphere(_undeclared(f), c, rule), rule, n, m, kind)
+                _assert_folded(got, f, _evaluate_on_sphere(_undeclared(f), c, rule)[0], rule, n, m, kind)
 
 
 @pytest.mark.parametrize("rule", ["24x48", "7x12", "band-symmetric"])
@@ -686,16 +709,16 @@ def test_an_odd_field_zero_at_a_node_folds_to_plus_zero(rule):
     t, node = 0.9, rule.n_phi + 1
     p = -float(t * rule.sin_t[node] * rule.cos_p[node])
     c = SphereCenter(p, 0.2, t)
-    vals = _evaluate_on_sphere(f, c, rule)
-    assert vals.size == rule.w_fold.size and _bits(vals[node]) == _bits(0.0)
-    full = _evaluate_on_sphere(_undeclared(f), c, rule)
+    vals, window = _evaluate_on_sphere(f, c, rule)
+    assert vals.size == rule.w_fold.size and window.parity == -1 and _bits(vals[node]) == _bits(0.0)
+    full, _ = _evaluate_on_sphere(_undeclared(f), c, rule)
     for n in range(6):
         _assert_folded(harmonic_coefficient(f, c, n, rule=rule), f, full, rule, n)
     for negative in (np.full(vals.size, -0.0), -np.abs(vals)):
         for n in (0, 2, 4):
-            got = _project(negative, rule, n, parity=-1)
+            got = _project(negative, rule, n, window=window)
             assert type(got) is float and _bits(got) == _bits(0.0)
-            block = _project(np.stack([negative, negative]), rule, n, parity=-1)
+            block = _project(np.stack([negative, negative]), rule, n, window=window)
             assert _bits(block) == _bits([0.0, 0.0])
 
 
@@ -704,18 +727,26 @@ def _count_nodes(monkeypatch, module):
     calls = []
     offsets = forward._sphere_offsets
 
-    def counted(ts, rule, f=None, z_shift=0.0):
-        dX, dY, Z = offsets(ts, rule, f, z_shift)
-        calls.append((np.size(ts), dX.size // np.size(ts)))
-        return dX, dY, Z
+    def counted(t, rule, f=None, z_shift=0.0):
+        dX, dY, Z, window = offsets(t, rule, f, z_shift)
+        calls.append((np.size(t), dX.size))
+        return dX, dY, Z, window
 
     monkeypatch.setattr(module, "_sphere_offsets", counted)
     return calls
 
 
+# the bump's windows on 24 x 48 at radii 0.1, ..., 1.1: its support
+# (0.1, 2.9) holds no ring at 0.1, then the top 8, 9, 10, 10 and 11 rings
+_BUMP_WINDOWS = [0, 8, 9, 10, 10] + [11] * 6
+
+
 @pytest.mark.parametrize("name, per_radius", [("rsqz3", 576), ("zsq", 576), ("bump", 1152)])
 def test_quadrature_sampling_node_budget(monkeypatch, name, per_radius):
-    # 24 x 48: one hemisphere of 12 rings for a declared parity, all 24 otherwise
+    # 24 x 48: one hemisphere of 12 rings for a declared parity, all 24
+    # otherwise, of which the bump's support keeps a window of rings; a
+    # block for each run of radii that share one, and no `evaluate` for the
+    # empty window
     calls = _count_nodes(monkeypatch, moments)
     f = make_phantom(name)
     points = []
@@ -725,8 +756,10 @@ def test_quadrature_sampling_node_budget(monkeypatch, name, per_radius):
         return f.evaluate(x, y, z)
 
     sample_moments(dataclasses.replace(f, evaluate=counted), (0.0, 0.0), 0.1, 2, 2, 0.1 * np.arange(1, 12), analytic=False)
-    assert calls == [(11, per_radius)]
-    assert points == [(8, per_radius), (3, per_radius)] * 4
+    rings = _BUMP_WINDOWS if name == "bump" else [per_radius // 48] * 11
+    assert calls == [(1, 48 * r) for r in rings] and max(rings) * 48 <= per_radius
+    blocks = [(1, 384), (1, 432), (2, 480), (6, 528)] if name == "bump" else [(8, 576), (3, 576)]
+    assert points == blocks * 4
 
 
 def test_checks_stencil_node_budget(monkeypatch):
@@ -737,5 +770,104 @@ def test_checks_stencil_node_budget(monkeypatch):
         s(0, dz=dz)
     assert calls == [(1, 576), (1, 1152), (1, 1152)]
     calls.clear()
+    # the bump's window: the 11 rings of its support (0.1, 2.9) at t = 0.8
     checks._Spheres(make_phantom("bump"), 0.3, -0.2, 0.8, build_rule(24, 48), 1e-3)(0)
-    assert calls == [(1, 1152)]
+    assert calls == [(1, 528)]
+
+
+# ----- a declared z-support: each pass evaluates its window of rings -----
+
+
+def _windows(f, rule, ts, z_shift=0.0):
+    return [_sphere_offsets(float(t), rule, f, z_shift)[3] for t in ts]
+
+
+def test_a_sphere_that_misses_the_support_is_plus_zero_without_evaluate():
+    # t = 0.05 on the plane stays below the bump's support (0.1, 2.9)
+    bump = make_phantom("bump")
+    calls = []
+
+    def evaluate(x, y, z):
+        calls.append(np.shape(z))
+        return bump.evaluate(x, y, z)
+
+    f = dataclasses.replace(bump, evaluate=evaluate)
+    c = SphereCenter(0.3, -0.4, 0.05)
+    for rule in (build_rule(), build_rule(7, 12), build_rule(256, 64)):
+        assert _windows(f, rule, [c.t])[0][:2] == (0, 0)
+        got = [spherical_mean(f, c, rule), first_cosine_coefficient(f, c, rule), *forward._sphere_moments(f, c, rule)]
+        got += [harmonic_coefficient(f, c, 3, 2, "b", rule), off_plane_mean(f, c.p, c.q, -1e-3, c.t, rule)]
+        assert all(type(v) is float for v in got) and _bits(got) == _bits([0.0] * 6)
+    assert calls == []
+
+
+def test_a_window_is_the_first_to_the_last_ring_inside_the_support():
+    # rings in any order: the window spans the rings inside (0.1, 2.9), and
+    # the ring outside it between them is evaluated, as a superset must be
+    base = build_rule(7, 12)
+    order = np.array([6, 0, 4, 1, 5, 2, 3])  # ring heights out of order
+    rows = [np.repeat(getattr(base, a)[:: base.n_phi][order], base.n_phi) for a in ("cos_t", "sin_t", "w")]
+    shuffled = SphereRule(7, 12, rows[0], rows[1], base.cos_p, base.sin_p, rows[2])
+    bump, t = make_phantom("bump"), 1.0
+    z = t * shuffled.cos_t[:: shuffled.n_phi]
+    inside = np.flatnonzero((0.1 < z) & (z < 2.9))
+    (window,) = _windows(bump, shuffled, [t])
+    assert window == (inside[0], inside[-1] + 1, 0) and window.hi - window.lo > inside.size
+    plain = _undeclared(bump)
+    for c in _seeded_centres():
+        for n, m, kind in _orders(3):
+            _assert_folded(harmonic_coefficient(bump, c, n, m, kind, shuffled), bump,
+                           _evaluate_on_sphere(plain, c, shuffled)[0], shuffled, n, m, kind)
+
+
+# the bump on the rules of the package, and an equator-ring rule
+_WINDOW_RULES = {"24x48": (24, 48), "7x12": (7, 12), "64x160": (64, 160), "256x64": (256, 64)}
+
+
+@pytest.mark.parametrize("rule", _WINDOW_RULES)
+def test_windowed_operators_agree_with_every_node(rule):
+    # a windowed pass sums the same nonzero terms as a pass over every node,
+    # in another order: within _ULPS eps of norm * sum |terms|; on and off
+    # the plane, and for spheres the support cuts below, above and not at all
+    f, rule = make_phantom("bump"), _rule(_WINDOW_RULES[rule])
+    g = _undeclared(f)
+    centres = _seeded_centres(4) + [SphereCenter(1.0, -1.0, 1.0), SphereCenter(0.2, 0.1, 3.2)]
+    for c in centres:
+        full, _ = _evaluate_on_sphere(g, c, rule)
+        for n, m, kind in _orders(4):
+            _assert_folded(harmonic_coefficient(f, c, n, m, kind, rule), f, full, rule, n, m, kind)
+        mf, a01 = forward._sphere_moments(f, c, rule)
+        assert _bits([mf, a01]) == _bits([spherical_mean(f, c, rule), first_cosine_coefficient(f, c, rule)])
+        for z0 in (1e-3, -1e-3):
+            lifted, _ = _evaluate_on_sphere(g, c, rule, z0)
+            _assert_folded(off_plane_mean(f, c.p, c.q, z0, c.t, rule), f, lifted, rule, 0)
+
+
+@pytest.mark.parametrize("rule", ["24x48", "7x12"])
+def test_windowed_sampling_equals_one_sphere_pass_per_radius(rule):
+    # radii from below the support up: the windows change inside the first
+    # block of 8, so blocks split there, and every sample is still
+    # `_sphere_moments` at its sphere bit for bit
+    f, rule = make_phantom("bump"), _rule(_WINDOW_RULES[rule])
+    radii = 0.05 + 0.1 * np.arange(12)
+    windows = _windows(f, rule, radii)
+    assert windows[0][:2] == (0, 0) and len(set(windows[:8])) > 2
+    grid = sample_moments(f, (-0.3, 0.2), 0.2, 2, 3, radii, analytic=False, rule=rule)
+    for ip, iq, iu in np.ndindex(grid.mf_values.shape):
+        c = SphereCenter(grid.p_node(ip), grid.q_node(iq), float(radii[iu]))
+        got = [grid.mf_values[ip, iq, iu], grid.a01_values[ip, iq, iu]]
+        assert _bits(got) == _bits(forward._sphere_moments(f, c, rule)), (ip, iq, iu)
+
+
+def test_the_bump_ladder_band_is_its_own_window():
+    # each band rule lies inside the support, so its window is every ring,
+    # and power 0 of the ladder is the sphere operators under it bit for bit
+    f = make_phantom("bump")
+    radii = np.concatenate([[0.1000001, 0.15], np.linspace(0.3, 3.1, 15), [2.9, 4.2]])
+    mf, a01 = f.laplacian_block(0.3, -0.2, radii, 0)
+    for j, t in enumerate(radii.tolist()):
+        rule = fields._ladder_rule(fields._BAND_SIZES, f.z_support, t)
+        assert _windows(f, rule, [t])[0] == (0, rule.n_theta, 0), t
+        c = SphereCenter(0.3, -0.2, t)
+        want = [spherical_mean(f, c, rule), first_cosine_coefficient(f, c, rule)]
+        assert _bits([mf[0, j], a01[0, j]]) == _bits(want), t

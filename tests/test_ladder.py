@@ -183,11 +183,11 @@ def test_ladder_point_budget(monkeypatch):
     ring_values: list[int] = []
     sphere_offsets, mollifier = forward._sphere_offsets, fields._mollifier
 
-    def counted(ts, rule, f=None, z_shift=0.0):
-        dX, dY, Z = sphere_offsets(ts, rule, f, z_shift)
-        points[ts] = points.get(ts, 0) + dX.size
+    def counted(t, rule, f=None, z_shift=0.0):
+        dX, dY, Z, window = sphere_offsets(t, rule, f, z_shift)
+        points[t] = points.get(t, 0) + dX.size
         assert Z.shape == (dX.size // rule.n_phi,)
-        return dX, dY, Z
+        return dX, dY, Z, window
 
     def counted_mollifier(s):
         ring_values.append(np.size(s))

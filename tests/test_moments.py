@@ -307,6 +307,27 @@ def test_radial_scheme_refuses_a_radius_on_no_stored_node(t):
     assert us.tolist() == grid.radial_nodes[:4].tolist() and ws.size == 4
 
 
+@pytest.mark.parametrize(
+    "x, y, message",
+    [
+        (np.nan, 0.0, "sphere centre must be finite, got (p, q) = (nan, 0.0)"),
+        (0.0, -np.inf, "sphere centre must be finite, got (p, q) = (0.0, -inf)"),
+        (0.05, 0.0, "point (0.05, 0.0) is not on the stored (p, q) lattice"),
+        (0.3, 0.1, "insufficient margin: order 0 at node (3, 1) of a 3x3 grid"),
+    ],
+    ids=["nan", "inf", "between-nodes", "past-the-grid"],
+)
+def test_radial_scheme_refuses_a_centre_off_the_stored_lattice(x, y, message):
+    # the weights are those of the stored ladder, which holds data at the
+    # lattice nodes only; a NaN is named before any rounding
+    grid = _rsqz3_grid(origin=(0.0, 0.0), n_p=3, n_q=3, du=0.1, n_u=3)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        grid.radial_scheme(x, y, 0.2)
+    for x, y in ((0.0, 0.0), (0.1, 0.2), (0.2, 0.1)):
+        us, ws = grid.radial_scheme(x, y, 0.2)
+        assert us.tolist() == grid.radial_nodes[:2].tolist() and ws.tolist() == [0.1, 0.05]
+
+
 # ----- CSV -----
 
 

@@ -13,9 +13,12 @@ file in OUTDIR (so give it a fresh one), sorted by name, so two checkouts
 give byte-identical outputs exactly when two runs' printouts `diff`
 clean.  It exits 1 if any command exits non-zero.
 
-The list: `forward` by quadrature (rsqz3 21x21x40, bump 5x5x12 and gauss
-9x9x20, one field of each z-parity: -1, 0 and +1) and with `--analytic`
-(gauss 9x9x20); `reconstruct` of an rsqz3 order-8 61x41 slice,
+The list: `coeffs` to order 12, both of its exact-rational CSVs;
+`forward` by quadrature (rsqz3 21x21x40, bump 5x5x12 and gauss 9x9x20,
+one field of each z-parity: -1, 0 and +1; and bump 3x3x12 at radii from
+0.05, whose spheres miss its support and then meet it in windows of rings
+that change with the radius) and with `--analytic` (gauss 9x9x20);
+`reconstruct` of an rsqz3 order-8 61x41 slice,
 a gauss order-4 21x15 slice (CSV and PGM) and a gauss order-8 11x13 slice,
 which reads the Hermite rows to power 8, bump even-mirror order-8 y-
 and z-slices, grid slices at orders 2 and 4 from the quadrature rsqz3 CSV,
@@ -48,10 +51,13 @@ from sphradon import cli  # noqa: E402
 
 # name, argv; every path is relative to OUTDIR
 COMMANDS = (
+    ("coeffs", "coeffs --max-n 12 --out coeffs.csv"),
     ("forward_rsqz3", "forward --phantom rsqz3 --origin -1,-1 --h 0.1 --np 21 --nq 21 "
      "--umax 2 --nu 40 --out forward_rsqz3.csv"),
     ("forward_bump", "forward --phantom bump --origin -0.2,-0.2 --h 0.1 --np 5 --nq 5 "
      "--umax 2.4 --nu 12 --out forward_bump.csv"),
+    ("forward_bump_near", "forward --phantom bump --origin -0.1,-0.1 --h 0.1 --np 3 --nq 3 "
+     "--umax 0.6 --nu 12 --out forward_bump_near.csv"),
     ("forward_gauss", "forward --phantom gauss --origin -0.4,-0.4 --h 0.1 --np 9 --nq 9 "
      "--umax 1 --nu 20 --out forward_gauss.csv"),
     ("forward_gauss_analytic", "forward --phantom gauss --origin -0.4,-0.4 --h 0.1 --np 9 --nq 9 "
