@@ -155,7 +155,7 @@ def build_tables(order_n: int) -> CoefficientTable:
     inputs' denominators and of 1..top-1, so that every division by d is
     exact), reduced once by their gcd, and made `Fraction`s only at the end.
     """
-    if not (isinstance(order_n, Integral) and order_n >= 0):
+    if isinstance(order_n, bool) or not (isinstance(order_n, Integral) and order_n >= 0):
         raise ValueError(f"order_n must be an integer >= 0, got {order_n!r}")
     # each row of degree N is (den, {(i, m): num}), every entry num / den
     c: dict[int, tuple[int, dict]] = {}  # c_m(N, 2i) at (i, m) of row N
@@ -228,7 +228,7 @@ def _reduced(den: int, row: dict) -> tuple[int, dict]:
 
 def polynomial_set(table: CoefficientTable, n: int) -> PolynomialSet:
     """Assemble the order-n filter polynomials from a coefficient table."""
-    if not (isinstance(n, Integral) and n >= 0):
+    if isinstance(n, bool) or not (isinstance(n, Integral) and n >= 0):
         raise ValueError(f"n must be an integer >= 0, got {n!r}")
     if n > table.order_n:
         raise ValueError(f"n={n} exceeds table order {table.order_n}")

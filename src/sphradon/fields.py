@@ -29,11 +29,12 @@ field's ladder is one broadcast `eval_pqt` per (power, moment function).
 gauss and bump share a transverse Gaussian G, and the center-Laplacians hit
 only G, so Lap^i f = f * Lap^i G / G.  Their ladders evaluate f once per
 radius on the phantom's own rule, project it as power 0, and project each
-higher power as soon as it is formed.  The nodes are those
-`forward._sphere_offsets` gives every pass of the field, read on the
-rule's (theta ring, phi) grid with z one value per ring, so a factor of
-z alone (the bump's mollifier) is formed once per ring, and each power is
-projected by `forward._two_data`; Lap^i G / G is free of z, so every
+higher power as soon as it is formed.  Each pass is one item of
+`forward._ladder_passes`, formed from the rule's rings alone, with the
+nodes, window and fold of every pass of the field on that rule, read on
+the (theta ring, phi) grid with z one value per ring, so a factor of z
+alone (the bump's mollifier) is formed once per ring; each power is one
+`forward._ring_project` per datum.  Lap^i G / G is free of z, so every
 power keeps the field's declared parity, and the ladders fold as every
 on-plane pass does (`forward`).  The anisotropic gauss forms the
 Laplacians in Hermite form,
@@ -49,8 +50,8 @@ G (sx == sy, so the bump) by one Laguerre recurrence in r^2 = dx^2 + dy^2,
 
 which is linear, so seeded with f it yields f * Lap^i G / G itself.
 Power 0 of either is exactly 1.0 and is never formed: power 0 of the
-ladder is f itself.  The bump is itself a function of (r^2, z), so its
-pass forms dx, dy and r^2 once, for f and the Laguerre rows alike.
+ladder is f itself.  gauss is evaluated as a function of (dx, dy, z) and
+the bump of (r^2, z), so neither forms an offset twice.
 
 Against 50-digit arithmetic at 200 points of [-2.5, 2.5]^2
 (tests/test_ladder.py) the error relative to max(|exact|, s^-2i) is at most
@@ -65,9 +66,9 @@ uses the 64 x 48 product rule (`_GAUSS_RULE`).  The bump declares the
 z_support zc - rz < z < zc + rz, which a sphere of radius u centred on the
 plane meets in the band (zc - rz)/u < cos(theta) < (zc + rz)/u; since area
 is uniform in cos(theta), its rule is Gauss-Legendre on that band crossed
-with a phi ring (`_BAND_SIZES`, `quadrature.band_rule`), every node inside
-the support, and a sphere below the slab gets literal zeros.
-`_ladder_rule` picks each radius's rule from the declared z_support.
+with a phi ring (`_BAND_SIZES`, `quadrature.band_rule`), read per radius
+as its rings alone and never built, and a sphere below the slab gets
+literal zeros.
 
 Each field also declares its parity in z, `z_parity` (`ScalarField3D`):
 `polynomial_field` derives it from its z-exponents (all even +1, all odd
@@ -102,8 +103,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import polynomials
-from .forward import _sphere_offsets, _two_data
-from .quadrature import band_rule, build_rule
+from .forward import _ladder_passes, _ring_project
 
 __all__ = [
     "ScalarField3D",
@@ -360,67 +360,52 @@ def _laguerre_laplacians(r2: Array, s: float, n: int, seed: Array):
         yield nxt
 
 
-def _ladder_rule(sizes: tuple, z_support: tuple, u: float):
-    """The rule a smooth ladder projects on at radius u: the `sizes` product
-    rule if z_support is unbounded, else the `sizes` band rule in
-    cos(theta) that the sphere of radius u shares with the support, or None
-    where it misses the support and the column is literal zeros."""
-    if z_support == (-inf, inf):
-        return build_rule(*sizes)
-    lo, hi = z_support
-    a, b = max(-1.0, lo / u), min(1.0, hi / u)
-    return band_rule(a, b, *sizes) if a < b else None
-
-
 def _gaussian_field(
     evaluate, descriptor: str, x0: float, y0: float, sx: float, sy: float, sizes: tuple,
-    z_support: tuple, z_parity: int = 0, radial: Callable | None = None,
+    z_support: tuple, z_parity: int = 0, planar: Callable | None = None, radial: Callable | None = None,
 ) -> ScalarField3D:
     """A field that is G(x - x0, y - y0) times a factor free of (x, y) and
-    vanishes outside z_support, with its ladder on `_ladder_rule(sizes,
-    z_support, u)` at each radius u.
+    vanishes outside z_support, with its ladder on the `sizes` rule of
+    `forward._ladder_passes` at each radius.
 
-    The ladder evaluates the field once per radius on the rule's (theta
+    The ladder evaluates the field once per radius on the pass's (theta
     ring, phi) grid, with z one value per ring, projects it as power 0, and
     projects each higher power f * Lap^i G / G as soon as it is formed;
-    power 0 alone builds no Laplacian rows.  An anisotropic G takes the
-    Hermite form, each power one product of its row with f; an isotropic
-    G the Laguerre form, seeded with f so that its rows are the powers.
-    `radial(r2, z)`, given for an isotropic G only, is the field as a
-    function of r2 = (x - x0)^2 + (y - y0)^2 and z that `evaluate` is built
-    on; the ladder then forms dx, dy and r2 once per pass, for the field
-    and the Laguerre rows alike.
-
-    The field declares z_support and z_parity; each pass evaluates the
-    nodes `forward._sphere_offsets` gives it, and `forward._two_data`
-    projects each power.
+    power 0 alone builds no Laplacian rows.  Each pass forms the offsets
+    dx = x - x0, dy = y - y0 once, for the field and its Laplacian rows.
+    An anisotropic G takes the Hermite form, each power one product of its
+    row with f = planar(dx, dy, z); an isotropic G the Laguerre form in
+    r2 = dx^2 + dy^2, seeded with f so that its rows are the powers, and f
+    is radial(r2, z) where given (the bump), else planar(dx, dy, z).  Both
+    are the field that `evaluate` is built on.
     """
-    def powers(X, Y, Z, n):
+    def powers(dx, dy, Z, n):
         """f on the nodes, then f * Lap^i G / G for i = 1..n, formed lazily."""
         if sx != sy:
-            base = np.asarray(evaluate(X, Y, Z), dtype=float)
+            base = np.asarray(planar(dx, dy, Z), dtype=float)
             yield base
-            for lap in _hermite_laplacians(X - x0, Y - y0, sx, sy, n):
+            for lap in _hermite_laplacians(dx, dy, sx, sy, n):
                 yield lap * base
         else:
-            dx, dy = X - x0, Y - y0
             r2 = dx * dx + dy * dy
-            base = np.asarray(evaluate(X, Y, Z) if radial is None else radial(r2, Z), dtype=float)
+            base = np.asarray(planar(dx, dy, Z) if radial is None else radial(r2, Z), dtype=float)
             yield base
             yield from _laguerre_laplacians(r2, sx, n, base)
 
     def ladder(x, y, us, n, odd):
         data = np.zeros((2 if odd else 1, n + 1, len(us)))
-        for j, u in enumerate(us.tolist()):
-            rule = _ladder_rule(sizes, z_support, u)
-            if rule is None:
-                continue
-            X, Y, Z, window = _sphere_offsets(u, rule, f)
-            X += x  # in place, as `forward._evaluate_on_sphere` moves a pass
-            Y += y
-            X, Y = X.reshape(Z.size, rule.n_phi), Y.reshape(Z.size, rule.n_phi)
-            for i, vals in zip(range(n + 1), powers(X, Y, Z[:, None], n)):
-                data[:, i, j] = _two_data(vals.reshape(-1), rule, window, odd)
+        for j, dX, dY, Z, w, factors in _ladder_passes(f, us.tolist(), sizes, odd):
+            # moved to the centre in place, as `forward._evaluate_on_sphere`
+            # moves a pass, then offset from G's centre: (x + dX) - x0
+            dX += x
+            dY += y
+            dX -= x0
+            dY -= y0
+            shape = (Z.size, sizes[1])
+            for i, vals in zip(range(n + 1), powers(dX.reshape(shape), dY.reshape(shape), Z[:, None], n)):
+                vals = vals.reshape(-1)
+                for k, cos_t in factors:
+                    data[k, i, j] = _ring_project(vals, w, k, cos_t)
         return tuple(data)
 
     f = ScalarField3D(
@@ -456,26 +441,29 @@ def gauss_field(
     _check_params("gauss", ("sx", "sy", "sz"), amp=amp, cx=cx, cy=cy, sx=sx, sy=sy, sz=sz)
     sx2, sy2, sz2 = sx * sx, sy * sy, sz * sz
 
+    def planar(dx, dy, z):
+        # f at dx = x - cx, dy = y - cy: the ladder forms dx, dy once for f
+        # and its Laplacian rows
+        return amp * np.exp(-dx * dx / (2 * sx2) - dy * dy / (2 * sy2) - z * z / (2 * sz2))
+
     def evaluate(x, y, z):
-        x = np.asarray(x, dtype=float)
-        dx, dy = x - cx, np.asarray(y, dtype=float) - cy
-        z = np.asarray(z, dtype=float)
-        out = amp * np.exp(-dx * dx / (2 * sx2) - dy * dy / (2 * sy2) - z * z / (2 * sz2))
+        dx, dy = np.asarray(x, dtype=float) - cx, np.asarray(y, dtype=float) - cy
+        out = planar(dx, dy, np.asarray(z, dtype=float))
         return out if out.shape else float(out)
 
     return _gaussian_field(
         evaluate,
         f"gauss(amp={amp:g},cx={cx:g},cy={cy:g},sx={sx:g},sy={sy:g},sz={sz:g})",
-        cx, cy, sx, sy, _GAUSS_RULE, (-inf, inf), z_parity=1,
+        cx, cy, sx, sy, _GAUSS_RULE, (-inf, inf), z_parity=1, planar=planar,
     )
 
 
 def _mollifier(s: Array) -> Array:
     """exp(1 - 1/(1 - s^2)) on |s| < 1, zero outside; C-infinity, peak 1 at 0."""
     s = np.asarray(s, dtype=float)
-    # one elementwise pass over every node (the bump's band rule puts them
-    # all inside); a node outside may divide by zero, overflow or be NaN,
-    # and reads 0 after the pass
+    # one elementwise pass over every node (the bump's ladder evaluates its
+    # window of band rings, all inside); a node outside may divide by zero,
+    # overflow or be NaN, and reads 0 after the pass
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         out = np.exp(1.0 - 1.0 / (1.0 - s * s))
     if s.ndim == 0:

@@ -21,14 +21,15 @@ trig row per (m, kind), which every degree n shares.  The rule's own cos_t
 is the row of P_{1,0}, so a01 builds none.
 
 A sphere's nodes are its centre plus the offsets of its radius;
-`_sphere_offsets` alone forms them, and decides from the field, the rule,
-the radius and the height which of them a pass evaluates: a window of
-theta rings (`_Window`), which every pass evaluates and `_project` sums
-alone.  The generic passes (these operators, the checks' stencil,
-quadrature sampling) give `evaluate` flat arrays of those nodes, and the
-smooth ladders of `fields` read the same rows by (theta ring, phi), so
-every pass forms each coordinate bit for bit alike; every pass that forms
-the two data projects them by `_two_data`, one `_project` each.  Sampling
+`_sphere_offsets` forms them, and decides from the field, the rule, the
+radius and the height which of them a pass evaluates: a window of theta
+rings (`_Window`), which every pass evaluates and `_project` sums alone.
+The generic passes (these operators, the checks' stencil, quadrature
+sampling) give `evaluate` flat arrays of those nodes; the smooth ladders
+of `fields` take the same nodes from `_ladder_passes` (below) and read
+them by (theta ring, phi), so every pass forms each coordinate bit for
+bit alike.  Every generic pass that forms the two data projects them by
+`_two_data`, one `_project` each.  Sampling
 builds the offsets once per grid and evaluates a centre's radii in blocks
 of one window each; one `np.vecdot` sums a block, one BLAS dot per row as
 `np.dot` sums one sphere, so the samples equal one sphere pass per radius
@@ -60,8 +61,16 @@ cos(theta), exactly those rings.  The sum over the window holds every
 nonzero term of the sum over the whole sphere, added in another order, so
 the two differ at rounding level; a sphere that misses the support has an
 empty window, no `evaluate` call, and +0.0 for every coefficient.  An
-unbounded support costs one tuple comparison, and a band rule that lies
-inside the support (the bump's ladder) keeps every ring.
+unbounded support costs one tuple comparison, and the window is every
+ring when the first and last rings lie inside, which two comparisons
+decide; else a scan finds it (`_ring_window`).
+
+The smooth ladders of `fields` take their passes from `_ladder_passes`,
+formed from a rule's rings (a band's per radius, with no `SphereRule`
+built) with the nodes, fold and window above, bit for bit: a band lies
+inside the support, and is scanned only where rounding puts its first or
+last ring on a bound.  `_ring_project` projects each power with
+`_project`'s sum and scaling, without its per-call dispatch.
 """
 
 from __future__ import annotations
@@ -73,7 +82,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .quadrature import SphereRule, assoc_legendre, build_rule
+from .quadrature import SphereRule, _band_rings, _phi_ring, assoc_legendre, build_rule
 
 __all__ = [
     "SphereCenter",
@@ -131,14 +140,24 @@ def _sphere_offsets(t: float, rule: SphereRule, f=None, z_shift: float = 0.0):
     Z = z_shift + t * rule.cos_t[: hi * k : k]
     support = getattr(f, "z_support", _UNBOUNDED)
     if support != _UNBOUNDED:
-        # a contiguous superset of the nonzero rings in any ring order, since
-        # a field is exactly 0.0 outside its declared support
-        inside = np.flatnonzero((support[0] < Z) & (Z < support[1]))
-        lo, hi = (int(inside[0]), int(inside[-1]) + 1) if inside.size else (0, 0)
+        lo, hi = _ring_window(Z, support)
         Z = Z[lo:hi]
     nodes = slice(lo * k, hi * k)
     tst = t * rule.sin_t[nodes]  # flat: a (rings, 1) by (n_phi,) broadcast is slower
     return tst * rule.cos_p[nodes], tst * rule.sin_p[nodes], Z, _Window(lo, hi, parity)
+
+
+def _ring_window(Z, support: tuple) -> tuple[int, int]:
+    """[lo, hi): the first to the last ring whose height Z lies strictly
+    inside the support, (0, 0) if none.  In any ring order that is a
+    contiguous superset of the nonzero rings, since a field is exactly 0.0
+    outside its declared support; it is every ring when the first and last
+    rings lie inside, which two comparisons decide, else a scan finds it."""
+    lo, hi = support
+    if lo < Z[0] < hi and lo < Z[-1] < hi:
+        return 0, Z.size
+    inside = np.flatnonzero((lo < Z) & (Z < hi))
+    return (int(inside[0]), int(inside[-1]) + 1) if inside.size else (0, 0)
 
 
 def _node_values(f, X, Y, Z) -> np.ndarray:
@@ -171,6 +190,61 @@ def _evaluate_on_sphere(f, c: SphereCenter, rule: SphereRule, z_shift: float = 0
     return _node_values(f, X, Y, np.repeat(Z, rule.n_phi)), window
 
 
+def _ladder_passes(f, ts, sizes: tuple, odd: bool = True):
+    """Yield (j, dX, dY, Z, w, factors) for each radius ts[j] whose sphere,
+    centred on the plane, meets f's z_support: the smooth ladders' passes
+    (`fields`), formed from the rings' data alone.
+
+    The rule is the cached `sizes` product rule for an unbounded support,
+    else the `sizes` band rule of the band the sphere shares with the
+    support, read as its rings (`quadrature._band_rings`) and never built.
+    Nodes, fold and window are `_sphere_offsets`'s on that rule, bit for
+    bit, for the smooth phantoms (a band is never folded: the bump, the
+    one bounded field with a ladder, declares parity 0): dX, dY flat, ring
+    by ring, Z one height per ring.  w is the flat weight row (folded where
+    the parity folds); `factors` holds (n, row)
+    for each datum `_ring_project` forms: (0, None) for Mf, (1, flat
+    cos(theta)) for a01 when odd, and none that the parity makes +0.0.
+    """
+    n_theta, k = sizes
+    cos_p, sin_p = _phi_ring(n_theta, k)
+
+    def factors(parity, cos_t):
+        # the data the parity leaves, a01 only when odd; cos_t() forms its row
+        return tuple((n, cos_t() if n else None) for n in range(2 if odd else 1) if parity in (0, (-1) ** n))
+
+    if f.z_support == _UNBOUNDED:
+        rule = build_rule(n_theta, k)
+        parity = f.z_parity if f.z_parity and rule.symmetric else 0
+        nodes = slice(0, ((n_theta + 1) // 2 if parity else n_theta) * k)
+        ct, st, w = rule.cos_t[nodes], rule.sin_t[nodes], rule.w_fold if parity else rule.w
+        rings, kept = ct[::k], factors(parity, lambda: ct)
+        for j, t in enumerate(ts):
+            tst = t * st
+            yield j, tst * cos_p[nodes], tst * sin_p[nodes], t * rings, w, kept
+        return
+    for j, t in enumerate(ts):
+        a, b = max(-1.0, f.z_support[0] / t), min(1.0, f.z_support[1] / t)  # the band a < cos(theta) < b
+        if not a < b:
+            continue
+        ct, st, w = _band_rings(a, b, n_theta, k)
+        Z = t * ct
+        lo, hi = _ring_window(Z, f.z_support)
+        if lo == hi:
+            continue
+        ct, st, w, Z = ct[lo:hi], st[lo:hi], w[lo:hi], Z[lo:hi]
+        tst = np.repeat(t * st, k)
+        nodes = slice(0, tst.size)
+        yield j, tst * cos_p[nodes], tst * sin_p[nodes], Z, np.repeat(w, k), factors(0, lambda: np.repeat(ct, k))
+
+
+def _ring_project(vals, w, n: int, cos_t=None) -> float:
+    """a_{0n}, n = 0 or 1, of one `_ladder_passes` pass's flat values: the
+    values, times the flat cos(theta) row for n = 1, summed against w by
+    `_project`'s `np.vecdot` and scaled by `_project`'s formula."""
+    return _scaled(float(np.vecdot(vals if cos_t is None else vals * cos_t, w)), n, 0)
+
+
 def _coefficient(f, c: SphereCenter, rule, n: int, m: int = 0, kind: str = "a", z_shift: float = 0.0):
     """One coefficient of f on the sphere c lifted by z_shift: one pass,
     one `_project` over its window; the default rule for None."""
@@ -189,12 +263,11 @@ def first_cosine_coefficient(f, c: SphereCenter, rule: SphereRule | None = None)
     return _coefficient(f, c, rule, 1)
 
 
-def _two_data(vals, rule: SphereRule, window: _Window, odd: bool = True) -> tuple:
-    """(Mf, a01) of the values a pass evaluated on `rule` over `window`, or
-    (Mf,) alone when odd is False: each one `_project`; floats for one
-    sphere, arrays of R for an (R, nodes) block."""
-    mf = _project(vals, rule, 0, window=window)
-    return (mf, _project(vals, rule, 1, window=window)) if odd else (mf,)
+def _two_data(vals, rule: SphereRule, window: _Window) -> tuple:
+    """(Mf, a01) of the values a pass evaluated on `rule` over `window`,
+    each one `_project`; floats for one sphere, arrays of R for an
+    (R, nodes) block."""
+    return _project(vals, rule, 0, window=window), _project(vals, rule, 1, window=window)
 
 
 def _sphere_moments(f, c: SphereCenter, rule: SphereRule | None = None) -> tuple[float, float]:
@@ -295,8 +368,11 @@ def _project(vals, rule: SphereRule, n: int, m: int = 0, kind: str = "a", window
     for row in _factor_rows(rule, n, m, kind):
         vals = vals * row[a:b]
     s = np.vecdot(vals, (rule.w_fold if parity else rule.w)[a:b])
-    if vals.ndim == 1:
-        s = float(s)
+    return _scaled(float(s) if vals.ndim == 1 else s, n, m)
+
+
+def _scaled(s, n: int, m: int):
+    """The coefficient a_{mn} or b_{mn} of its weighted sum s."""
     if m == 0:
         return (2 * n + 1) * s / (4.0 * pi)  # 4.0 * pi is exact: one rounding after (2n+1)
     return (2 * n + 1) * factorial(n - m) / factorial(n + m) / (2.0 * pi) * s

@@ -126,9 +126,14 @@ class MomentGrid:
     # the grid as a reconstruction source
 
     def _node_index(self, x: float, y: float, n: int):
-        """Lattice indices of node (x, y), checked for n rings of margin."""
+        """Lattice indices of node (x, y), checked for n rings of margin; a
+        point past the grid's nodes is off the stored lattice."""
         fp = (x - self.origin[0]) / self.h
         fq = (y - self.origin[1]) / self.h
+        if not (-0.5 < fp < self.n_p - 0.5 and -0.5 < fq < self.n_q - 0.5):
+            raise ValueError(
+                f"point ({x}, {y}) is not on the stored (p, q) lattice: past the {self.n_p}x{self.n_q} grid"
+            )
         ip, iq = round(fp), round(fq)
         if abs(fp - ip) > 1e-9 or abs(fq - iq) > 1e-9:
             raise ValueError(f"point ({x}, {y}) is not on the stored (p, q) lattice")

@@ -6,6 +6,10 @@ periodic grid in phi.  It integrates every spherical polynomial of degree
 phantoms used in the tests; weights sum to the sphere area 4*pi.  Its
 Gauss-Legendre factor, cached per size, also gives every radial rule on [0, t]
 and every band rule (`band_rule`), which maps it onto a band of cos(theta).
+Both kinds of product rule are their theta rings' cos(theta), sin(theta)
+and weight (`_rings`) repeated along the phi ring; a band's rings
+(`_band_rings`) are also read without a rule, by the smooth ladders
+(`forward._ladder_passes`).
 
 Legendre conventions: P_n is the standard Legendre polynomial; the associated
 functions used in the harmonic projections follow the positive convention
@@ -101,15 +105,20 @@ def _phi_ring(n_theta: int, n_phi: int) -> tuple[Array, Array]:
     return ring
 
 
-def _product_rule(x: Array, wx: Array, n_phi: int) -> SphereRule:
-    """Nodes x in cos(theta) with weights wx crossed with the phi ring:
-    sin(theta) and the weights are formed once per theta node, then
-    repeated along the ring."""
-    st = np.sqrt(np.maximum(0.0, 1.0 - x * x))
-    ct, st, w = (np.repeat(a, n_phi) for a in (x, st, wx * (2.0 * np.pi / n_phi)))
+def _rings(x: Array, wx: Array, n_phi: int) -> tuple[Array, Array, Array]:
+    """cos(theta), sin(theta) and weight of each theta ring: nodes x in
+    cos(theta) with weights wx, crossed with the n_phi-node phi ring."""
+    return x, np.sqrt(np.maximum(0.0, 1.0 - x * x)), wx * (2.0 * np.pi / n_phi)
+
+
+def _product_rule(rings: tuple, n_phi: int) -> SphereRule:
+    """The rule of `rings` (`_rings`): each ring's cos(theta), sin(theta)
+    and weight repeated along the phi ring."""
+    n_theta = rings[0].size
+    ct, st, w = (np.repeat(a, n_phi) for a in rings)
     for a in (ct, st, w):
         a.setflags(write=False)
-    return SphereRule(x.size, n_phi, ct, st, *_phi_ring(x.size, n_phi), w)
+    return SphereRule(n_theta, n_phi, ct, st, *_phi_ring(n_theta, n_phi), w)
 
 
 @cache
@@ -121,11 +130,21 @@ def build_rule(n_theta: int = 24, n_phi: int = 48) -> SphereRule:
     """
     if n_theta < 1 or n_phi < 1:
         raise ValueError("rule sizes must be positive")
-    return _product_rule(*_gauss_legendre(n_theta), n_phi)
+    return _product_rule(_rings(*_gauss_legendre(n_theta), n_phi), n_phi)
+
+
+def _band_rings(lo: float, hi: float, n_theta: int, n_phi: int) -> tuple[Array, Array, Array]:
+    """cos(theta), sin(theta) and weight of each theta ring of the n_theta x
+    n_phi product rule over the band lo <= cos(theta) <= hi (`band_rule`),
+    for -1 <= lo < hi <= 1: `_gauss_legendre(n_theta)` mapped onto [lo, hi]."""
+    x, wx = _gauss_legendre(n_theta)
+    half = 0.5 * (hi - lo)
+    return _rings(0.5 * (hi + lo) + half * x, half * wx, n_phi)
 
 
 def band_rule(lo: float, hi: float, n_theta: int, n_phi: int) -> SphereRule:
-    """The n_theta x n_phi product rule over the band lo <= cos(theta) <= hi.
+    """The n_theta x n_phi product rule over the band lo <= cos(theta) <= hi,
+    its rings `_band_rings` repeated along the phi ring.
 
     Area on the sphere is uniform in cos(theta) (Archimedes), so
     Gauss-Legendre mapped onto [lo, hi] integrates a g that vanishes off the
@@ -134,9 +153,7 @@ def band_rule(lo: float, hi: float, n_theta: int, n_phi: int) -> SphereRule:
     """
     if not -1.0 <= lo < hi <= 1.0:
         raise ValueError(f"need -1 <= lo < hi <= 1, got [{lo}, {hi}]")
-    x, wx = _gauss_legendre(n_theta)
-    half = 0.5 * (hi - lo)
-    return _product_rule(0.5 * (hi + lo) + half * x, half * wx, n_phi)
+    return _product_rule(_band_rings(lo, hi, n_theta, n_phi), n_phi)
 
 
 def assoc_legendre(n: int, m: int, x: Array) -> Array:

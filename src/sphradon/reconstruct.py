@@ -105,7 +105,7 @@ class ReconstructionRequest:
                 raise ValueError(f"points must have three coordinates (x, y, z), got {point}")
             if not all(map(math.isfinite, point)):
                 raise ValueError(f"points must have finite coordinates, got {point}")
-        if not (isinstance(self.order_n, Integral) and self.order_n >= 0):
+        if isinstance(self.order_n, bool) or not (isinstance(self.order_n, Integral) and self.order_n >= 0):
             raise ValueError(f"order_n must be an integer >= 0, got {self.order_n!r}")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")

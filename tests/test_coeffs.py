@@ -5,8 +5,10 @@ of the implementation) and cross-checked by exact symbolic closure of the
 representation identities; they are frozen here as plain rationals.
 """
 
+import re
 from fractions import Fraction as Fr
 
+import numpy as np
 import pytest
 
 from sphradon.coeffs import (
@@ -239,6 +241,17 @@ def test_build_rejects_negative_order():
     for order in (2.0, "3"):
         with pytest.raises(ValueError, match="order_n must be an integer"):
             build_tables(order)
+
+
+@pytest.mark.parametrize("order", [True, False])
+def test_a_bool_order_is_refused(order):
+    # True and False are Integral, but an order of True read as 1 names
+    # the table's order_n True
+    with pytest.raises(ValueError, match=re.escape(f"order_n must be an integer >= 0, got {order!r}")):
+        build_tables(order)
+    with pytest.raises(ValueError, match=re.escape(f"n must be an integer >= 0, got {order!r}")):
+        polynomial_set(TAB, order)
+    assert polynomial_set(TAB, np.int64(1)).n == 1
 
 
 def test_perturb_entry():

@@ -36,7 +36,7 @@ from sphradon.forward import (
     two_data_transform,
 )
 
-from poly_helpers import random_polynomial
+from poly_helpers import ladder_rule, random_polynomial
 
 
 def test_mean_of_constant():
@@ -106,7 +106,7 @@ def test_smooth_callbacks_equal_sphere_operators(name):
     below = [SphereCenter(0.3, -0.4, t) for t in (0.01, 0.05, 0.0999)]
     for c in centres + below:
         mf, a01 = f.analytic_moments(c.p, c.q, c.t)
-        rule = fields._ladder_rule(fields._GAUSS_RULE if name == "gauss" else fields._BAND_SIZES, f.z_support, c.t)
+        rule = ladder_rule(fields._GAUSS_RULE if name == "gauss" else fields._BAND_SIZES, f.z_support, c.t)
         assert (rule is None) == (name == "bump" and c in below), c
         if rule is None:
             assert (mf, a01) == (0.0, 0.0) and not np.signbit([mf, a01]).any(), c
@@ -866,7 +866,7 @@ def test_the_bump_ladder_band_is_its_own_window():
     radii = np.concatenate([[0.1000001, 0.15], np.linspace(0.3, 3.1, 15), [2.9, 4.2]])
     mf, a01 = f.laplacian_block(0.3, -0.2, radii, 0)
     for j, t in enumerate(radii.tolist()):
-        rule = fields._ladder_rule(fields._BAND_SIZES, f.z_support, t)
+        rule = ladder_rule(fields._BAND_SIZES, f.z_support, t)
         assert _windows(f, rule, [t])[0] == (0, rule.n_theta, 0), t
         c = SphereCenter(0.3, -0.2, t)
         want = [spherical_mean(f, c, rule), first_cosine_coefficient(f, c, rule)]

@@ -19,7 +19,7 @@ from sphradon.fields import _hermite_laplacians, _laguerre_laplacians, make_phan
 from sphradon.moments import MomentGrid, sample_moments
 from sphradon.reconstruct import ReconstructionRequest, SliceSpec, reconstruct_point, reconstruct_slice
 
-from poly_helpers import random_polynomial
+from poly_helpers import ladder_rule, random_polynomial
 
 TABLE = build_tables(8)
 
@@ -181,19 +181,20 @@ def test_ladder_point_budget(monkeypatch):
     # ring, and none below; a dense rule or a full-sphere gauss fails here
     points: dict[float, int] = {}
     ring_values: list[int] = []
-    sphere_offsets, mollifier = forward._sphere_offsets, fields._mollifier
+    ladder_passes, mollifier = forward._ladder_passes, fields._mollifier
 
-    def counted(t, rule, f=None, z_shift=0.0):
-        dX, dY, Z, window = sphere_offsets(t, rule, f, z_shift)
-        points[t] = points.get(t, 0) + dX.size
-        assert Z.shape == (dX.size // rule.n_phi,)
-        return dX, dY, Z, window
+    def counted(f, ts, sizes, odd=True):
+        for one in ladder_passes(f, ts, sizes, odd):
+            j, dX, dY, Z, w, _ = one
+            points[ts[j]] = points.get(ts[j], 0) + dX.size
+            assert dY.size == w.size == dX.size and Z.shape == (dX.size // sizes[1],)
+            yield one
 
     def counted_mollifier(s):
         ring_values.append(np.size(s))
         return mollifier(s)
 
-    monkeypatch.setattr(fields, "_sphere_offsets", counted)
+    monkeypatch.setattr(fields, "_ladder_passes", counted)
     monkeypatch.setattr(fields, "_mollifier", counted_mollifier)
     us = np.array([0.05, 0.0999, 0.3, 1.5, 2.9, 3.5])
     for name, n, budget in (("gauss", 4, [1536] * 6), ("bump", 8, [0, 0, 6144, 6144, 6144, 6144])):
@@ -247,20 +248,27 @@ def _plain_laguerre_powers(r2, s, n, base):
 def _plain_pass(f, rule_sizes, powers, x, y, u, n):
     """(Mf, a01) of powers 0..n at one radius: the field and every power on
     every node of the ladder's own rule, as flat arrays, each power
-    projected with `_project`'s arithmetic: over all nodes, or for a field
-    of declared z-parity over the hemisphere's prefix against the folded
-    weights."""
-    rule = fields._ladder_rule(rule_sizes, f.z_support, u)
+    projected with `_project`'s arithmetic over its window of rings: for a
+    field of declared z-parity the hemisphere's prefix against the folded
+    weights, and of these the first to the last ring whose height lies
+    strictly inside the field's z_support."""
+    rule = ladder_rule(rule_sizes, f.z_support, u)
     if rule is None:
         return np.zeros((2, n + 1))
     st = u * rule.sin_t
     X, Y, Z = x + st * rule.cos_p, y + st * rule.sin_p, 0.0 + u * rule.cos_t
     base = np.asarray(f.evaluate(X, Y, Z), dtype=float)
     w = rule.w_fold if f.z_parity else rule.w
-    vals, cos_t = [v[: w.size] for v in powers(X, Y, n, base)], rule.cos_t[: w.size]
+    lo, hi = f.z_support
+    inside = np.flatnonzero((lo < Z[: w.size]) & (Z[: w.size] < hi))
+    if not inside.size:
+        return np.zeros((2, n + 1))
+    k = rule.n_phi
+    nodes = slice(inside[0] // k * k, (inside[-1] // k + 1) * k)
+    vals, cos_t = [v[nodes] for v in powers(X, Y, n, base)], rule.cos_t[nodes]
     return np.array(
-        [[float(np.dot(v, w)) / (4.0 * np.pi) for v in vals],
-         [3 * float(np.dot(v * cos_t, w)) / (4.0 * np.pi) for v in vals]]
+        [[float(np.dot(v, w[nodes])) / (4.0 * np.pi) for v in vals],
+         [3 * float(np.dot(v * cos_t, w[nodes])) / (4.0 * np.pi) for v in vals]]
     )
 
 
@@ -276,24 +284,76 @@ _PLAIN_PASSES = {
 }
 
 
+def _assert_plain(f, plain, x, y, us, n, odd):
+    """The ladder's block at (x, y) equals `_plain_pass` on `plain`, a
+    (rule sizes, powers) pair, bit for bit: both moment functions of a
+    field of parity 0, the mean of an even one (its a01 rows are +0.0 by
+    its parity), and the mean alone when odd is False."""
+    got = np.array(f.laplacian_block(x, y, us, n, odd))
+    want = np.array([_plain_pass(f, *plain, x, y, float(u), n) for u in us]).transpose(1, 2, 0)
+    assert got.shape == (2 if odd else 1, n + 1, us.size)
+    assert got[0].tobytes() == want[0].tobytes(), (x, y)
+    if odd and f.z_parity:
+        assert np.all(got[1] == 0.0) and not np.any(np.signbit(got[1]))
+    elif odd:
+        assert got[1].tobytes() == want[1].tobytes(), (x, y)
+
+
 @pytest.mark.parametrize("name", ["gauss", "bump"])
 def test_smooth_ladders_equal_a_plain_pass_over_every_node(name):
-    # powers 0..8 bit for bit, for both moment functions of the bump and
-    # the mean of gauss (its a01 rows are +0.0 by its parity): gauss on one
-    # hemisphere of rings, folded, and the bump with its z factor per
-    # ring, against a pass that forms every node and product; the bump's
-    # radii give a sphere below its support, bands cut below and above,
-    # and one ending at the pole
+    # powers 0..8 bit for bit: gauss on one hemisphere of rings, folded,
+    # and the bump with its z factor per ring, against a pass that forms
+    # every node and product; the bump's radii give a sphere below its
+    # support, bands cut below and above, and one ending at the pole
     f, n = make_phantom(name), 8
     us = np.array([0.05, 0.3, 0.9, 1.5, 2.9, 3.4]) if name == "bump" else np.array([0.1, 0.3, 0.9, 1.7, 2.5])
     for x, y in ((0.0, 0.0), (0.4, -0.3), (1.5, -1.5), (-0.7, 1.1)):
-        got = np.array(f.laplacian_block(x, y, us, n))
-        want = np.array([_plain_pass(f, *_PLAIN_PASSES[name], x, y, float(u), n) for u in us]).transpose(1, 2, 0)
-        assert got[0].tobytes() == want[0].tobytes(), (x, y)
-        if name == "bump":
-            assert got[1].tobytes() == want[1].tobytes(), (x, y)
-        else:
-            assert np.all(got[1] == 0.0) and not np.any(np.signbit(got[1]))
+        _assert_plain(f, _PLAIN_PASSES[name], x, y, us, n, True)
+
+
+# radii within ulps of the bump's support bounds 0.1 and 2.9, where band
+# rings round onto a bound: at 0.1 + 2e-16 14 of the 96 rings and at
+# 0.1 + 1e-15 5 lie outside, at the next two floats above 0.1 all of them
+_EDGE_RADII = [
+    0.1 + 2e-16, 0.1 + 5e-16, 0.1 + 1e-15, float(np.nextafter(0.1, 1.0)), 0.1 * (1 + 2**-52), 0.1,
+    2.9 - 1e-15, float(np.nextafter(2.9, 0.0)), 2.9, float(np.nextafter(2.9, 4.0)), 2.9 + 1e-15, 1.3,
+]
+
+
+@pytest.mark.parametrize("odd", [True, False])
+@pytest.mark.parametrize("name", ["gauss", "bump"])
+def test_smooth_ladders_equal_a_plain_pass_at_the_support_bounds(name, odd):
+    # the same, at radii within ulps of the bump's support bounds, where a
+    # band's first or last ring may round onto a bound and the pass scans
+    # its window, with signed-zero centres and either request
+    f, n = make_phantom(name), 4
+    us = np.array(_EDGE_RADII)
+    for x, y in ((0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (0.4, -0.3), (-1.2, 0.9)):
+        _assert_plain(f, _PLAIN_PASSES[name], x, y, us, n, odd)
+
+
+def test_an_isotropic_gauss_takes_the_laguerre_path():
+    # gauss with sx == sy forms its powers by the Laguerre recurrence in
+    # r2, from its own planar form of the field (not the bump's radial one)
+    f, n = make_phantom("gauss", cx=0.2, cy=-0.1, sx=0.5, sy=0.5), 6
+
+    def powers(X, Y, n, base):
+        dx, dy = X - 0.2, Y - -0.1
+        return _plain_laguerre_powers(dx * dx + dy * dy, 0.5, n, base)
+
+    for x, y in ((0.0, -0.0), (0.4, -0.3), (-1.2, 0.9)):
+        _assert_plain(f, (fields._GAUSS_RULE, powers), x, y, np.array([0.2, 0.9, 1.7]), n, True)
+
+
+def test_the_bump_band_windows_at_its_support_bounds():
+    # the radii above scan their windows: rings round onto the bounds, and
+    # at the next floats above 0.1 every ring does, so the sphere is zeros
+    f = make_phantom("bump")
+    rings = [
+        [Z.size for _, _, _, Z, _, _ in forward._ladder_passes(f, [u], fields._BAND_SIZES)] for u in _EDGE_RADII
+    ]
+    assert rings[:6] == [[82], [96], [91], [], [], []]
+    assert all(r == [96] for r in rings[6:]), rings
 
 
 def _refusal_source(name):
@@ -424,21 +484,21 @@ def test_points_one_ulp_apart_in_abs_z_are_not_merged():
 
 def test_an_even_mirror_request_forms_no_a01(monkeypatch):
     # even-mirror mode reads the mean data alone: its block asks odd=False,
-    # and the bump's ladder projects no a01 (no P_1 row on any band rule);
+    # and the bump's ladder projects no a01 (no cos(theta) row on any band);
     # its Mf rows are the two-data block's bit for bit
     f, calls = _counted("bump")
     orders = []
-    project = forward._project
+    project = forward._ring_project
 
-    def counted(vals, rule, n, *args, **kwargs):
-        orders.append(n)
-        return project(vals, rule, n, *args, **kwargs)
+    def counted(vals, w, n, cos_t=None):
+        orders.append((n, cos_t is None))
+        return project(vals, w, n, cos_t)
 
-    monkeypatch.setattr(forward, "_project", counted)
+    monkeypatch.setattr(fields, "_ring_project", counted)
     req = ReconstructionRequest(points=((0.0, 0.2, 1.5),), order_n=8, mode="even_mirror", source=f)
     reconstruct_point(req, TABLE)
     ((x, y, us, n, odd),) = calls
-    assert odd is False and orders and set(orders) == {0}
+    assert odd is False and orders and set(orders) == {(0, True)}
     (mf,) = f.laplacian_block(x, y, us, n, odd=False)
     assert mf.tobytes() == f.laplacian_block(x, y, us, n)[0].tobytes()
 

@@ -297,6 +297,19 @@ def test_laplacian_margin_and_argument_errors():
         _grid_block(grid, 1, (0, 2, [0]))
 
 
+def test_a_block_past_the_grid_is_off_the_lattice():
+    # a node in the grid keeps its margin message at every power; one past
+    # it, at any power, is off the stored lattice
+    grid = _rsqz3_grid(n_p=5, n_q=5)
+    with pytest.raises(ValueError, match=re.escape("insufficient margin: order 1 at node (4, 2) of a 5x5 grid")):
+        _grid_block(grid, 1, (4, 2, [0]))
+    for n in (0, 2):
+        with pytest.raises(ValueError, match=re.escape("lattice: past the 5x5 grid")):
+            _grid_block(grid, n, (5, 2, [0]))
+        with pytest.raises(ValueError, match=re.escape("lattice: past the 5x5 grid")):
+            grid.laplacian_block(1e300, grid.q_node(2), grid.radial_nodes[:1], n)
+
+
 @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, -0.5, 0.0])
 def test_radial_scheme_refuses_a_radius_on_no_stored_node(t):
     # NaN and +inf are on no node: neither may return a prefix of the ladder
@@ -313,16 +326,22 @@ def test_radial_scheme_refuses_a_radius_on_no_stored_node(t):
         (np.nan, 0.0, "sphere centre must be finite, got (p, q) = (nan, 0.0)"),
         (0.0, -np.inf, "sphere centre must be finite, got (p, q) = (0.0, -inf)"),
         (0.05, 0.0, "point (0.05, 0.0) is not on the stored (p, q) lattice"),
-        (0.3, 0.1, "insufficient margin: order 0 at node (3, 1) of a 3x3 grid"),
+        (0.3, 0.1, "point (0.3, 0.1) is not on the stored (p, q) lattice: past the 3x3 grid"),
+        (1e300, 0.0, "point (1e+300, 0.0) is not on the stored (p, q) lattice: past the 3x3 grid"),
+        (0.0, -1.7e308, "point (0.0, -1.7e+308) is not on the stored (p, q) lattice: past the 3x3 grid"),
+        (-0.1, 0.2, "point (-0.1, 0.2) is not on the stored (p, q) lattice: past the 3x3 grid"),
     ],
-    ids=["nan", "inf", "between-nodes", "past-the-grid"],
+    ids=["nan", "inf", "between-nodes", "past-the-grid", "far-past-the-grid", "overflowing-index", "below-the-grid"],
 )
 def test_radial_scheme_refuses_a_centre_off_the_stored_lattice(x, y, message):
     # the weights are those of the stored ladder, which holds data at the
-    # lattice nodes only; a NaN is named before any rounding
+    # lattice nodes only; a NaN is named before any rounding, and a centre
+    # past the grid is off the lattice, not short of margin, whatever its
+    # node index would be (1.7e308 / 0.1 overflows to inf)
     grid = _rsqz3_grid(origin=(0.0, 0.0), n_p=3, n_q=3, du=0.1, n_u=3)
-    with pytest.raises(ValueError, match=re.escape(message)):
+    with pytest.raises(ValueError, match=re.escape(message)) as err:
         grid.radial_scheme(x, y, 0.2)
+    assert str(err.value) == message
     for x, y in ((0.0, 0.0), (0.1, 0.2), (0.2, 0.1)):
         us, ws = grid.radial_scheme(x, y, 0.2)
         assert us.tolist() == grid.radial_nodes[:2].tolist() and ws.tolist() == [0.1, 0.05]

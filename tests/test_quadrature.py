@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from sphradon.quadrature import (
+    _band_rings,
     _gauss_legendre,
+    _phi_ring,
     _gauss_legendre_on,
     assoc_legendre,
     band_rule,
@@ -138,6 +140,23 @@ def test_band_rule_arrays_equal_the_flat_construction(lo, hi):
     want = (ct, np.sqrt(np.maximum(0.0, 1.0 - ct * ct)), np.repeat(half * wx, n_phi) * (2.0 * np.pi / n_phi))
     rule = band_rule(lo, hi, n_theta, n_phi)
     assert all(a.tobytes() == b.tobytes() for a, b in zip((rule.cos_t, rule.sin_t, rule.w), want))
+
+
+@pytest.mark.parametrize(
+    "lo, hi, n_theta, n_phi",
+    [(0.1 / 1.5, 1.0, 96, 64), (0.1 / 3.4, 2.9 / 3.4, 96, 64), (-1.0, 1.0, 96, 64), (-0.5, 0.25, 7, 12)],
+)
+def test_band_rule_is_its_rings_repeated(lo, hi, n_theta, n_phi):
+    # the smooth ladders read a band as its rings (`_band_rings`); the
+    # rule's flat arrays are those rings repeated along the phi ring, byte
+    # for byte, so a ladder pass and a pass on the rule share every node
+    rule = band_rule(lo, hi, n_theta, n_phi)
+    rings = _band_rings(lo, hi, n_theta, n_phi)
+    assert all(a.shape == (n_theta,) for a in rings)
+    for flat, ring in zip((rule.cos_t, rule.sin_t, rule.w), rings):
+        assert flat.tobytes() == np.repeat(ring, n_phi).tobytes()
+    cos_p, sin_p = _phi_ring(n_theta, n_phi)
+    assert rule.cos_p is cos_p and rule.sin_p is sin_p
 
 
 def test_band_rule_integrates_over_its_band():

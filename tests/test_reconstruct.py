@@ -414,6 +414,9 @@ def test_request_validation():
     with pytest.raises(ValueError):
         ReconstructionRequest(points=((0, 0, 1),), order_n=1, mode="two_data", source=f, radial_rule=0)
     base = dict(points=((0.0, 0.0, 1.0),), order_n=1, mode="two_data", source=f, radial_rule=9)
+    for order in (True, False):
+        with pytest.raises(ValueError, match=re.escape(f"order_n must be an integer >= 0, got {order!r}")):
+            ReconstructionRequest(**{**base, "order_n": order})
     for key in ("order_n", "radial_rule"):
         with pytest.raises(ValueError, match=re.escape(f"{key} must be a") + ".* integer.*2.5"):
             ReconstructionRequest(**{**base, key: 2.5})

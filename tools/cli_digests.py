@@ -17,7 +17,9 @@ The list: `coeffs` to order 12, both of its exact-rational CSVs;
 `forward` by quadrature (rsqz3 21x21x40, bump 5x5x12 and gauss 9x9x20,
 one field of each z-parity: -1, 0 and +1; and bump 3x3x12 at radii from
 0.05, whose spheres miss its support and then meet it in windows of rings
-that change with the radius) and with `--analytic` (gauss 9x9x20);
+that change with the radius) and with `--analytic` (gauss 9x9x20, and
+bump 3x3x60 at radii from 0.05: the ladder's a01 rows, spheres that miss
+the support and bands that end at its bounds);
 `reconstruct` of an rsqz3 order-8 61x41 slice,
 a gauss order-4 21x15 slice (CSV and PGM) and a gauss order-8 11x13 slice,
 which reads the Hermite rows to power 8, bump even-mirror order-8 y-
@@ -62,6 +64,8 @@ COMMANDS = (
      "--umax 1 --nu 20 --out forward_gauss.csv"),
     ("forward_gauss_analytic", "forward --phantom gauss --origin -0.4,-0.4 --h 0.1 --np 9 --nq 9 "
      "--umax 1 --nu 20 --analytic --out forward_gauss_analytic.csv"),
+    ("forward_bump_analytic", "forward --phantom bump --origin -0.1,-0.1 --h 0.1 --np 3 --nq 3 "
+     "--umax 3 --nu 60 --analytic --out forward_bump_analytic.csv"),
     ("slice_rsqz3", "reconstruct --phantom rsqz3 --order 8 --slice y=0.3 --xrange -3,3 "
      "--zrange -2,2 --step 0.1 --min-abs-z 0.25 --out slice_rsqz3.csv --pgm slice_rsqz3.pgm"),
     ("slice_gauss", "reconstruct --phantom gauss --order 4 --slice y=0.1 --xrange -1,1 "
