@@ -96,7 +96,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from inspect import signature
-from math import comb, inf, isfinite
+from math import comb, copysign, inf, isfinite
 from numbers import Integral, Real
 from typing import Callable, Mapping
 
@@ -392,6 +392,9 @@ def _gaussian_field(
             yield base
             yield from _laguerre_laplacians(r2, sx, n, base)
 
+    # a - +0.0 is a, bit for bit; a - -0.0 turns a -0.0 into +0.0
+    shift_x, shift_y = (c != 0.0 or copysign(1.0, c) < 0 for c in (x0, y0))
+
     def ladder(x, y, us, n, odd):
         data = np.zeros((2 if odd else 1, n + 1, len(us)))
         for j, dX, dY, Z, w, factors in _ladder_passes(f, us.tolist(), sizes, odd):
@@ -399,8 +402,10 @@ def _gaussian_field(
             # moves a pass, then offset from G's centre: (x + dX) - x0
             dX += x
             dY += y
-            dX -= x0
-            dY -= y0
+            if shift_x:
+                dX -= x0
+            if shift_y:
+                dY -= y0
             shape = (Z.size, sizes[1])
             for i, vals in zip(range(n + 1), powers(dX.reshape(shape), dY.reshape(shape), Z[:, None], n)):
                 vals = vals.reshape(-1)
@@ -507,7 +512,8 @@ def bump_field(
     def evaluate(x, y, z):
         dx = np.asarray(x, dtype=float) - x0
         dy = np.asarray(y, dtype=float) - y0
-        return radial(dx * dx + dy * dy, z)
+        out = radial(dx * dx + dy * dy, z)
+        return out if out.shape else float(out)
 
     return _gaussian_field(
         evaluate,

@@ -30,9 +30,13 @@ and weights on [0, t] are a grid's trapezoid ladder on its stored radii
 (target centre and radius must sit on stored nodes; it interpolates
 nothing) or a phantom's cached Gauss-Legendre rule (`_source`).  Each
 parity's block becomes one term table per point: row k holds order k's
-boundary term and the filtered radial integral of every Laplacian power i
-(`_point_terms`), and S_k is the exactly rounded sum of the first k + 1
-rows of both tables.
+boundary term and the filtered radial integral of every Laplacian power i.
+The column's points with the same number of radial nodes form their
+tables in one batch (`_term_tables`), with no BLAS call: one product of
+filter rows, Laplacian columns and weights, summed by np.add.reduce in an
+order that depends on that number alone, so each table is bit for bit the
+one its point gets on its own.  S_k is the exactly rounded sum of the
+structurally non-zero terms of the first k + 1 rows of both tables.
 
 Even-mirror mode, for every entry point, asks its blocks for the mean data
 alone (`laplacian_block(..., odd=False)`), forms the mean-data terms only
@@ -48,6 +52,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import cache
 from numbers import Integral
 
 import numpy as np
@@ -180,7 +185,7 @@ def _mirror_scale(source) -> float:
 def _filter_coefficients(table: CoefficientTable, order_n: int) -> Array:
     """The dense float filter coefficients C[parity, k, i, m], k <= order_n,
     even parity first: a read-only view of the table's `c_dense`.  Order 0
-    has no filter; `_point_terms` forms all others."""
+    has no filter; `_term_tables` forms all others."""
     return table.c_dense[:, : order_n + 1, : order_n + 1, : 2 * order_n + 1]
 
 
@@ -202,24 +207,50 @@ def _filter_rows(filters: Array, ratios: Array) -> Array:
     return filt
 
 
-def _point_terms(lap: Array, filt: Array, ws: Array, t: float, order_n: int) -> Array:
-    """Term tables at |z| = t, unsigned: shape (parities, n+1, n+2), one
-    table per parity of `lap`, the point's block (its radial nodes, then
-    t), and of `filt`, its filter rows at those nodes.
+@cache
+def _layout(order_n: int, parities: int) -> tuple:
+    """The fixed structure of `parities` term tables of order order_n, all
+    read-only: the boundary weights 4k + 1 and (4k + 3)/3, shape
+    (parities, n+1, 1); where an integral is structurally non-zero, i <= k
+    on the rows k > 0, shape (n+1, n+1); the flat C index of every
+    structurally non-zero term, row by row; and how many of them the rows
+    0..k hold, for each k."""
+    k = np.arange(order_n + 1)
+    weights = np.array([4 * k + 1, (4 * k + 3) / 3.0])[:parities, :, None]
+    filtered = (k[:, None] >= k) & (k[:, None] > 0)
+    shape = (parities, order_n + 1, order_n + 2)
+    by_row = np.broadcast_to(np.insert(filtered, 0, True, axis=1), shape).transpose(1, 0, 2)
+    index = np.arange(by_row.size).reshape(shape).transpose(1, 0, 2)[by_row]
+    for a in (weights, filtered, index):
+        a.flags.writeable = False
+    return weights, filtered, index, tuple(np.cumsum(by_row.sum(axis=(1, 2))).tolist())
 
-    Table [0] is from the mean data, [1] (two-data mode only) from the
+
+def _term_tables(lap: Array, filt: Array, ws: Array, ts: tuple, order_n: int) -> Array:
+    """Term tables of P points that share one radial-rule size J, unsigned:
+    shape (P, parities, n+1, n+2).
+
+    Point p brings lap[p], its block on its J radial nodes and then on
+    |z| = ts[p], shape (parities, n+1, J+1); filt[p], its filter rows at
+    those nodes, (parities, n+1, n+1, J); and ws[p], its J weights.  Table
+    [p, 0] is from the mean data, [p, 1] (two-data mode only) from the
     first-cosine data, which sgn(z) multiplies.  Row k holds order k's
     boundary term, then the filtered radial integral of each Laplacian
     power i = 0..n: +0.0 where i > k and on row 0, which has no filter.
+
+    The integrals are one C-ordered product, filter times Laplacian times
+    weight, summed along its last axis by np.add.reduce: pairwise, within
+    each row alone, in an order set by J.  So a point's table is bit for
+    bit the one it gets alone, whatever the batch and the operands' layout.
     """
-    k = np.arange(order_n + 1)
+    weights, filtered, _, _ = _layout(order_n, lap.shape[1])
     # libm pow per power: numpy's vectorised power may differ in the last bit
-    powers = np.array([t ** (2 * i - 1) for i in k.tolist()])
-    # `@` sums in another order for another memory layout: contract C-ordered
-    integrals = np.ascontiguousarray(filt * lap[:, None, :, :-1]) @ ws * powers
-    filtered = (k[:, None] >= k) & (k[:, None] > 0)
-    boundary = np.array([4 * k + 1, (4 * k + 3) / 3.0])[: len(lap)] * lap[:, 0, -1, None]
-    return np.concatenate((boundary[..., None], np.where(filtered, integrals, 0.0)), axis=-1)
+    powers = np.array([[t ** (2 * i - 1) for i in range(order_n + 1)] for t in ts])
+    product = np.multiply(filt, lap[:, :, None, :, :-1], order="C")
+    product *= ws[:, None, None, None, :]
+    integrals = np.add.reduce(product, axis=-1) * powers[:, None, None, :]
+    boundary = weights * lap[:, :, 0, -1, None, None]
+    return np.concatenate((boundary, np.where(filtered, integrals, 0.0)), axis=-1)
 
 
 def _distinct(values: Array) -> Array:
@@ -229,13 +260,16 @@ def _distinct(values: Array) -> Array:
 
 
 def _column_terms(src, scheme, x: float, y: float, ts: list, order_n: int, filters: Array) -> dict:
-    """`_point_terms` of every |z| = t in ts at centre (x, y), keyed by t.
+    """The term tables of every |z| = t in ts at centre (x, y), keyed by t.
 
     The column asks one block, on the sorted union of every point's radial
     nodes and every t; a source's column j depends on us[j] alone, so each
     point's columns are the block it would get on its own.  The filter
-    rows are formed once, on the column's sorted distinct ratios u/t, and
-    each point gathers its own columns and keeps its own contraction.
+    rows are formed once, on the column's sorted distinct ratios u/t.  The
+    points with the same number J of radial nodes gather their columns
+    into one batch for `_term_tables`: a phantom's column is one batch, a
+    grid's one point per prefix length.  No batch is padded, so every
+    table is the one its point gets on its own.
     """
     schemes = [scheme(x, y, t) for t in ts]
     nodes = _distinct(np.concatenate([us for us, _ in schemes] + [np.array(ts)]))
@@ -243,24 +277,31 @@ def _column_terms(src, scheme, x: float, y: float, ts: list, order_n: int, filte
     ratios = [us / t for (us, _), t in zip(schemes, ts)]
     grid = _distinct(np.concatenate(ratios))
     filt = _filter_rows(filters, grid)
-    out = {}
+    batches: dict[int, list] = {}
     for (us, ws), t, r in zip(schemes, ts, ratios):
-        lap = block[:, :, np.searchsorted(nodes, np.append(us, t))]
-        out[t] = _point_terms(lap, filt[..., np.searchsorted(grid, r)], ws, t, order_n)
+        batches.setdefault(us.size, []).append((t, np.append(us, t), r, ws))
+    out = {}
+    for batch in batches.values():
+        bts, at, r, ws = zip(*batch)
+        lap = block[:, :, np.searchsorted(nodes, at)].transpose(2, 0, 1, 3)
+        rows = filt[..., np.searchsorted(grid, r)].transpose(3, 0, 1, 2, 4)
+        out.update(zip(bts, _term_tables(lap, rows, np.array(ws), bts, order_n)))
     return out
 
 
 def _partial_sums(tables: Array, sg: float, scale: float):
     """scale * S_0..S_n with sgn(z) = sg applied to the odd table, if any:
-    S_k sums the first k + 1 rows of the tables side by side.
+    S_k sums the structurally non-zero terms of the first k + 1 rows.
 
-    Negation is exact, and fsum rounds the exact sum once, so both signs
-    of z get the partial sums a separate pass per point would give; scale
-    is 1.0 or 2.0, so it is exact too and equals scaling the data.
+    fsum rounds the exact sum once, whatever the order of its terms, and
+    returns +0.0 for a zero sum, so the +0.0 entries left out change no
+    sum.  Negation is exact, so both signs of z get the partial sums a
+    separate pass per point would give; scale is 1.0 or 2.0, so it is
+    exact too and equals scaling the data.
     """
-    signed = np.concatenate(tables * np.array([1.0, sg])[: len(tables), None, None], axis=1)
-    terms, width = signed.ravel().tolist(), signed.shape[1]
-    return tuple(scale * math.fsum(terms[: (k + 1) * width]) for k in range(len(signed)))
+    _, _, index, ends = _layout(tables.shape[1] - 1, len(tables))
+    terms = (tables * np.array([1.0, sg])[: len(tables), None, None]).ravel()[index].tolist()
+    return tuple(scale * math.fsum(terms[:end]) for end in ends)
 
 
 def reconstruct_point(req: ReconstructionRequest, table: CoefficientTable) -> ReconstructionResult:

@@ -71,3 +71,17 @@ def test_against_identical_directories_exits_zero(tmp_path, capsys):
 def test_a_bad_command_line_prints_the_usage(capsys):
     assert cli_digests.main(["a", "--versus", "b"]) == 1
     assert "usage: python3 tools/cli_digests.py OUTDIR [--against OTHERDIR]" in capsys.readouterr().err
+
+
+def test_accuracy_names_the_worst_finite_cell(tmp_path):
+    # zsq is z^2; the NaN cell (an on-plane point) is skipped
+    path = tmp_path / "s.csv"
+    path.write_text("# order=2 mode=two-data\nx,y,z,f_rec\n0,0,1,1.5\n0,0,0,nan\n0.5,0,2,4.25\n0,0,-1,1\n")
+    assert cli_digests.accuracy(str(path), "zsq") == "s.csv  max |f_rec - f| 0.5 at x,y,z=0,0,1"
+
+
+def test_every_reconstruct_output_is_checked_against_its_phantom():
+    # a grid slice is checked against the phantom its forward command sampled
+    outputs = dict(cli_digests._phantom_outputs())
+    assert outputs["grid_order2.csv"] == outputs["grid_order4.csv"] == "rsqz3"
+    assert outputs["slice_bump_y.csv"] == "bump" and len(outputs) == 8

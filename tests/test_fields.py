@@ -199,3 +199,11 @@ def test_the_parity_survives_a_replaced_evaluate(name):
     g = dataclasses.replace(f, evaluate=lambda x, y, z: f.evaluate(x, y, z))
     assert g.z_parity == f.z_parity
     assert dataclasses.replace(f, z_parity=0).z_parity == 0
+
+
+@pytest.mark.parametrize("name", PHANTOM_NAMES)
+def test_a_scalar_evaluate_is_a_python_float(name):
+    # inside the bump's support and outside it, and at the other phantoms' points
+    f = make_phantom(name)
+    for z in (1.5, 3.5, -0.5):
+        assert type(f.evaluate(0.1, -0.2, z)) is float, z

@@ -345,6 +345,28 @@ def test_an_isotropic_gauss_takes_the_laguerre_path():
         _assert_plain(f, (fields._GAUSS_RULE, powers), x, y, np.array([0.2, 0.9, 1.7]), n, True)
 
 
+@pytest.mark.parametrize("cx, cy", [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (0.3, -0.2)])
+@pytest.mark.parametrize("name", ["gauss", "bump"])
+def test_smooth_ladders_equal_a_plain_pass_about_any_centre(name, cx, cy):
+    # the field's own centre (cx, cy) is subtracted from every node of the
+    # plain pass, +0.0 and -0.0 too; the ladder's block keeps those bits
+    if name == "gauss":
+        f = make_phantom("gauss", cx=cx, cy=cy)
+
+        def powers(X, Y, n, base):
+            return _plain_hermite_powers(X - cx, Y - cy, 0.55, 0.65, n, base)
+    else:
+        f = make_phantom("bump", x0=cx, y0=cy)
+
+        def powers(X, Y, n, base):
+            dx, dy = X - cx, Y - cy
+            return _plain_laguerre_powers(dx * dx + dy * dy, 0.45, n, base)
+
+    rule = fields._GAUSS_RULE if name == "gauss" else fields._BAND_SIZES
+    for x, y in ((0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (0.4, -0.3), (-1.2, 0.9)):
+        _assert_plain(f, (rule, powers), x, y, np.array([0.3, 0.9, 1.7]), 4, True)
+
+
 def test_the_bump_band_windows_at_its_support_bounds():
     # the radii above scan their windows: rings round onto the bounds, and
     # at the next floats above 0.1 every ring does, so the sphere is zeros

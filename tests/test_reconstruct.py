@@ -22,7 +22,7 @@ from sphradon.reconstruct import (
     SliceSpec,
     _filter_coefficients,
     _filter_rows,
-    _point_terms,
+    _term_tables,
     mirror_even_reconstruct,
     reconstruct_point,
     reconstruct_slice,
@@ -158,6 +158,37 @@ def test_mirrored_points_equal_separate_requests(source, point):
     assert both.last_increment == up.last_increment + down.last_increment
 
 
+# ----- a column's points are batched per radial-rule size -----
+
+_RADII = 0.05 * np.arange(1, 21)
+_GRID16 = sample_moments(make_phantom("rsqz3"), (-1.7, -1.7), 0.1, 35, 35, _RADII)
+TABLE16 = build_tables(16)
+
+
+def _bytes(res, j=slice(None)) -> tuple:
+    return tuple(np.array(v[j], dtype=float).tobytes() for v in (res.values, res.partial_sums, res.last_increment))
+
+
+@pytest.mark.filterwarnings("ignore:phantom 'rsqz3' may be nonzero")
+@pytest.mark.parametrize("mode", ["two_data", "even_mirror"])
+@pytest.mark.parametrize("n", [0, 4, 8, 16])
+@pytest.mark.parametrize("source, rules", [("phantom", (8, 14, 20)), ("grid", (None,))])
+def test_a_point_is_the_same_alone_and_in_a_column_of_other_abs_z(source, rules, n, mode):
+    # 13 |z| on the grid's stored radii 0.4..1.0, signs alternating: a
+    # phantom's column is one batch of J = rule nodes, a grid's holds one
+    # point for each J = 8..20
+    field = _GRID16 if source == "grid" else make_phantom("rsqz3")
+    points = tuple((0.0, 0.1, (-1.0) ** j * t) for j, t in enumerate(_RADII[7:].tolist()))
+    for rule in rules:
+        def run(pts):
+            req = ReconstructionRequest(points=pts, order_n=n, mode=mode, source=field, radial_rule=rule)
+            return reconstruct_point(req, TABLE16)
+
+        column = run(points)
+        for j, point in enumerate(points):
+            assert _bytes(column, slice(j, j + 1)) == _bytes(run((point,))), (rule, point)
+
+
 # ----- the term table against one dot product per (order, power) -----
 
 
@@ -235,14 +266,17 @@ def test_filter_array_is_converted_once_per_table(n):
 # ----- filter rows: once per column, on its distinct ratios -----
 
 
-def _point_operands(n=8, x=0.3, y=-0.2, t=0.9):
-    """`_point_terms`' operands at one rsqz3 point: its block, its filter
-    rows (by Horner's rule in (u/t)^2), its weights, t and the order."""
-    us, ws = _gauss_legendre_on(t, max(8, n + 4))
-    lap = np.array(make_phantom("rsqz3").laplacian_block(x, y, np.append(us, t), n))
-    filt = np.polynomial.polynomial.polyval((us / t) ** 2, np.moveaxis(_filter_coefficients(TABLE, n), -1, 0))
-    filt[1:] *= us / t
-    return lap, filt, ws, t, n
+def _batch_operands(n=8, x=0.3, y=-0.2, ts=(0.9, 0.4, 1.3)):
+    """`_term_tables`' operands for rsqz3 points at (x, y, t), t in ts:
+    their blocks, their filter rows (by Horner's rule in (u/t)^2), their
+    weights, ts and the order."""
+    rules = [_gauss_legendre_on(t, max(8, n + 4)) for t in ts]
+    field = make_phantom("rsqz3")
+    lap = np.array([field.laplacian_block(x, y, np.append(us, t), n) for (us, _), t in zip(rules, ts)])
+    coef = np.moveaxis(_filter_coefficients(TABLE, n), -1, 0)
+    filt = np.array([np.polynomial.polynomial.polyval((us / t) ** 2, coef) for (us, _), t in zip(rules, ts)])
+    filt[:, 1:] *= np.array([us / t for (us, _), t in zip(rules, ts)])[:, None, None, None, :]
+    return lap, filt, np.array([ws for _, ws in rules]), ts, n
 
 
 def _layouts(a):
@@ -260,12 +294,12 @@ def _layouts(a):
     }
 
 
-def test_point_terms_do_not_depend_on_the_operands_memory_layout():
-    lap, filt, ws, t, n = _point_operands()
-    want = _point_terms(lap, filt, ws, t, n).tobytes()
+def test_term_tables_do_not_depend_on_the_operands_memory_layout():
+    lap, filt, ws, ts, n = _batch_operands()
+    want = _term_tables(lap, filt, ws, ts, n).tobytes()
     for (fname, f), (lname, lp) in itertools.product(_layouts(filt).items(), _layouts(lap).items()):
         assert f.tobytes(order="C") == filt.tobytes() and lp.tobytes(order="C") == lap.tobytes()
-        assert _point_terms(lp, f, ws, t, n).tobytes() == want, (fname, lname)
+        assert _term_tables(lp, f, ws, ts, n).tobytes() == want, (fname, lname)
 
 
 def _counted_filter_rows(monkeypatch):

@@ -11,7 +11,12 @@ same for every OUTDIR; its stdout and stderr are kept there too, as
 NAME.out and NAME.err.  The script prints one `sha256  file` line per
 file in OUTDIR (so give it a fresh one), sorted by name, so two checkouts
 give byte-identical outputs exactly when two runs' printouts `diff`
-clean.  It exits 1 if any command exits non-zero.
+clean.  Below those, after an `accuracy` line, it prints for each
+`reconstruct` output of a phantom (named by `--phantom`, or by the
+`forward` command that wrote its `--grid`) the largest |f_rec - f| over
+its cells, f the phantom's closed form, and the cell where it occurs;
+nothing is written to OUTDIR for it, so every file keeps its bytes.  It
+exits 1 if any command exits non-zero.
 
 The list: `coeffs` to order 12, both of its exact-rational CSVs;
 `forward` by quadrature (rsqz3 21x21x40, bump 5x5x12 and gauss 9x9x20,
@@ -46,6 +51,8 @@ import hashlib
 import math
 import os
 import sys
+
+import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
@@ -158,6 +165,34 @@ def compare(outdir: str, otherdir: str) -> int:
     return 1 if differ else 0
 
 
+def _option(args: list[str], flag: str) -> str | None:
+    return args[args.index(flag) + 1] if flag in args else None
+
+
+def _phantom_outputs() -> list[tuple[str, str]]:
+    """(CSV, phantom spec) of every `reconstruct` command, its phantom
+    given by `--phantom` or by the command whose `--out` is its `--grid`."""
+    runs = [command.split() for _, command in COMMANDS]
+    wrote = {_option(args, "--out"): _option(args, "--phantom") for args in runs}
+    return [
+        (_option(args, "--out"), _option(args, "--phantom") or wrote[_option(args, "--grid")])
+        for args in runs
+        if args[0] == "reconstruct"
+    ]
+
+
+def accuracy(path: str, spec: str) -> str:
+    """The largest |f_rec - f| over the finite cells of the x,y,z,f_rec
+    CSV at `path`, f the closed form of phantom `spec`, and its cell."""
+    with open(path) as fh:
+        rows = [line.split(",") for line in fh.read().splitlines() if not line.startswith(("#", "x,"))]
+    x, y, z, f_rec = np.array(rows, dtype=float).T
+    finite = np.isfinite(f_rec)
+    err = np.where(finite, np.abs(f_rec - cli._parse_phantom(spec).evaluate(x, y, z)), -np.inf)
+    worst = int(np.argmax(err))
+    return f"{os.path.basename(path)}  max |f_rec - f| {err[worst]:.3g} at x,y,z={','.join(rows[worst][:3])}"
+
+
 def main(argv: list[str]) -> int:
     if len(argv) == 3 and argv[1] == "--against":
         return compare(argv[0], argv[2])
@@ -175,6 +210,9 @@ def main(argv: list[str]) -> int:
             failed.append(f"{name} exited {rc}")
     for name in sorted(os.listdir(".")):
         print(f"{_sha256(name)}  {name}")
+    print("accuracy")
+    for path, spec in _phantom_outputs():
+        print(accuracy(path, spec) if os.path.isfile(path) else f"{path}  not written")
     for line in failed:
         print(f"cli_digests: {line}", file=sys.stderr)
     return 1 if failed else 0
