@@ -68,7 +68,7 @@ IDENTITIES = ("rep_even", "rep_odd", "lemma1") + ODE_NAMES  # registry order
 # side: with 128 its quadrature error alone took the worst rep_even residual
 # to 0.66 of the tolerance, with 256 it is 5e-4.  A pass evaluates only the
 # rings inside the bump's support z > 0.1: at t = 1, 120 of the 256
-# (`forward._sphere_offsets`)
+# (`forward._passes`)
 CATALOG_RULES: tuple = (
     ("z", None),
     ("zsq", None),
@@ -207,7 +207,7 @@ class _Spheres:
     radius t + dt h, for unit shifts dp, dq, dt, dz.
 
     Each sphere is evaluated once, over the window of rings that
-    `forward._sphere_offsets` gives it, and stored with that window; each
+    `forward._passes` gives it, and stored with that window; each
     coefficient of it is projected once, with `harmonic_coefficient`'s
     arithmetic, so it equals that call bit for bit.
     """

@@ -30,13 +30,13 @@ gauss and bump share a transverse Gaussian G, and the center-Laplacians hit
 only G, so Lap^i f = f * Lap^i G / G.  Their ladders evaluate f once per
 radius on the phantom's own rule, project it as power 0, and project each
 higher power as soon as it is formed.  Each pass is one item of
-`forward._ladder_passes`, formed from the rule's rings alone, with the
-nodes, window and fold of every pass of the field on that rule, read on
-the (theta ring, phi) grid with z one value per ring, so a factor of z
-alone (the bump's mollifier) is formed once per ring; each power is one
-`forward._ring_project` per datum.  Lap^i G / G is free of z, so every
-power keeps the field's declared parity, and the ladders fold as every
-on-plane pass does (`forward`).  The anisotropic gauss forms the
+`forward._passes` on the ladder's sizes, with the nodes, window and fold
+of every pass of the field on that rule, read on the (theta ring, phi)
+grid with z one value per ring, so a factor of z alone (the bump's
+mollifier) is formed once per ring; each power is one `forward._weighted`
+per datum.  Lap^i G / G is free of z, so every power keeps the field's
+declared parity, and the ladders fold as every on-plane pass does
+(`forward`).  The anisotropic gauss forms the
 Laplacians in Hermite form,
 
     Lap^i G / G = sum_j C(i, j) He_2j(dx/sx)/sx^2j He_2(i-j)(dy/sy)/sy^2(i-j),
@@ -103,7 +103,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import polynomials
-from .forward import _ladder_passes, _ring_project
+from .forward import _passes, _weighted
 
 __all__ = [
     "ScalarField3D",
@@ -366,7 +366,7 @@ def _gaussian_field(
 ) -> ScalarField3D:
     """A field that is G(x - x0, y - y0) times a factor free of (x, y) and
     vanishes outside z_support, with its ladder on the `sizes` rule of
-    `forward._ladder_passes` at each radius.
+    `forward._passes` at each radius.
 
     The ladder evaluates the field once per radius on the pass's (theta
     ring, phi) grid, with z one value per ring, projects it as power 0, and
@@ -397,7 +397,13 @@ def _gaussian_field(
 
     def ladder(x, y, us, n, odd):
         data = np.zeros((2 if odd else 1, n + 1, len(us)))
-        for j, dX, dY, Z, w, factors in _ladder_passes(f, us.tolist(), sizes, odd):
+        for j, (dX, dY, Z, w, cos_t, window) in enumerate(_passes(f, us.tolist(), sizes)):
+            if not Z.size:
+                continue  # the sphere misses the support: its data stay +0.0
+            # the data the fold leaves, a01 only when odd and with its flat cos(theta) row
+            kept = [
+                (k, (np.repeat(cos_t, sizes[1]),) if k else ()) for k in range(len(data)) if window.parity in (0, (-1) ** k)
+            ]
             # moved to the centre in place, as `forward._evaluate_on_sphere`
             # moves a pass, then offset from G's centre: (x + dX) - x0
             dX += x
@@ -409,8 +415,8 @@ def _gaussian_field(
             shape = (Z.size, sizes[1])
             for i, vals in zip(range(n + 1), powers(dX.reshape(shape), dY.reshape(shape), Z[:, None], n)):
                 vals = vals.reshape(-1)
-                for k, cos_t in factors:
-                    data[k, i, j] = _ring_project(vals, w, k, cos_t)
+                for k, rows in kept:
+                    data[k, i, j] = _weighted(vals, w, k, 0, rows)
         return tuple(data)
 
     f = ScalarField3D(

@@ -5,9 +5,9 @@ uniform (p,q) lattice times a strictly increasing set of radii.  It is the
 discrete form of the inverse problem's data (`sample_moments` fills it from
 a phantom's ladder, or by quadrature, which needs only the field's
 `evaluate`: one pass per centre over blocks of its radii, on the sphere
-offsets of `forward._sphere_offsets` built once per grid, z repeated along
-each ring, each block, of radii that share one window of rings, projected
-by `forward._two_data`; a field without a ladder carries no moment data)
+offsets of `forward._passes` built once per grid, z repeated along each
+ring, each block, of radii that share one window of rings, projected by
+`forward._two_data`; a field without a ladder carries no moment data)
 and the reconstructor's grid source: it answers `laplacian_block` as a
 phantom does, and `radial_scheme` with the trapezoid ladder of its stored
 radii, for centres and radii on stored nodes only; it interpolates
@@ -35,7 +35,7 @@ import numpy as np
 
 from ._io import atomic_write, fmt, format_rows
 from .fields import ScalarField3D, _checked_block_request
-from .forward import _node_values, _sphere_offsets, _two_data
+from .forward import _node_values, _passes, _two_data
 from .quadrature import SphereRule, build_rule
 
 __all__ = [
@@ -213,12 +213,12 @@ def sample_moments(
     `evaluate`: the node offsets a pass of the field evaluates are built
     once for every radius, each centre is one `evaluate` per block of at
     most _RADII_PER_PASS radii, which must return one value per node, and
-    both moments of a block are one `forward._two_data`, whose `np.vecdot`
-    sums each radius's row with the BLAS dot of a single sphere.  A block
-    never spans two windows of rings (`forward._sphere_offsets`), so every
-    sample is bit for bit `forward._sphere_moments` at its sphere; a
-    block whose window is empty is +0.0 with no `evaluate`.  The lattice
-    is checked before any sample is taken.
+    both moments of a block are one `forward._two_data`, which sums each
+    radius's row as a single sphere (`forward._weighted`).  A block never
+    spans two windows of rings (`forward._passes`), so every sample is bit
+    for bit `forward._sphere_moments` at its sphere; a block whose window
+    is empty is +0.0 with no `evaluate`.  The lattice is checked before
+    any sample is taken.
     """
     nodes = _check_lattice(origin, h, n_p, n_q, radial_nodes)
     if not analytic:
@@ -242,17 +242,16 @@ def sample_moments(
 def _sampling_blocks(field, rule: SphereRule, nodes: Array) -> list:
     """(radii, dX, dY, Z, window) for each block of quadrature sampling:
     at most _RADII_PER_PASS consecutive radii that share the window of
-    `forward._sphere_offsets`, with the offsets of their nodes stacked one
-    row per radius and z repeated along each ring.  Every centre shares
-    them, read-only, since each goes to `evaluate` as it is.  Ascending
+    `forward._passes`, with the offsets of their nodes stacked one row per
+    radius and z repeated along each ring.  Every centre shares them,
+    read-only, since each goes to `evaluate` as it is.  Ascending
     radii meet a support in runs of equal windows, and a block never spans
     two, so each row is summed as its own sphere is."""
     blocks, lo = [], 0
-    passes = (_sphere_offsets(u, rule, field) for u in nodes.tolist())
-    for window, run in groupby(passes, key=lambda offsets: offsets[3]):
+    for window, run in groupby(_passes(field, nodes.tolist(), rule), key=lambda one: one[5]):
         run = list(run)
         for part in (run[i : i + _RADII_PER_PASS] for i in range(0, len(run), _RADII_PER_PASS)):
-            dX, dY, Z = (np.stack(arrays) for arrays in zip(*(offsets[:3] for offsets in part)))
+            dX, dY, Z = (np.stack(arrays) for arrays in zip(*(one[:3] for one in part)))
             Z = np.repeat(Z, rule.n_phi, axis=-1)
             for arr in (dX, dY, Z):
                 arr.setflags(write=False)

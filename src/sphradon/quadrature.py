@@ -8,8 +8,8 @@ Gauss-Legendre factor, cached per size, also gives every radial rule on [0, t]
 and every band rule (`band_rule`), which maps it onto a band of cos(theta).
 Both kinds of product rule are their theta rings' cos(theta), sin(theta)
 and weight (`_rings`) repeated along the phi ring; a band's rings
-(`_band_rings`) are also read without a rule, by the smooth ladders
-(`forward._ladder_passes`).
+(`_band_rings`) are also read without a rule, by the smooth ladders'
+passes (`forward._passes`).
 
 Legendre conventions: P_n is the standard Legendre polynomial; the associated
 functions used in the harmonic projections follow the positive convention

@@ -211,19 +211,18 @@ def _filter_rows(filters: Array, ratios: Array) -> Array:
 def _layout(order_n: int, parities: int) -> tuple:
     """The fixed structure of `parities` term tables of order order_n, all
     read-only: the boundary weights 4k + 1 and (4k + 3)/3, shape
-    (parities, n+1, 1); where an integral is structurally non-zero, i <= k
-    on the rows k > 0, shape (n+1, n+1); the flat C index of every
-    structurally non-zero term, row by row; and how many of them the rows
-    0..k hold, for each k."""
+    (parities, n+1, 1); the flat C index of every structurally non-zero
+    term, row by row: the boundary, and the integrals with i <= k on the
+    rows k > 0; and how many of them the rows 0..k hold, for each k."""
     k = np.arange(order_n + 1)
     weights = np.array([4 * k + 1, (4 * k + 3) / 3.0])[:parities, :, None]
     filtered = (k[:, None] >= k) & (k[:, None] > 0)
     shape = (parities, order_n + 1, order_n + 2)
     by_row = np.broadcast_to(np.insert(filtered, 0, True, axis=1), shape).transpose(1, 0, 2)
     index = np.arange(by_row.size).reshape(shape).transpose(1, 0, 2)[by_row]
-    for a in (weights, filtered, index):
+    for a in (weights, index):
         a.flags.writeable = False
-    return weights, filtered, index, tuple(np.cumsum(by_row.sum(axis=(1, 2))).tolist())
+    return weights, index, tuple(np.cumsum(by_row.sum(axis=(1, 2))).tolist())
 
 
 def _term_tables(lap: Array, filt: Array, ws: Array, ts: tuple, order_n: int) -> Array:
@@ -236,21 +235,22 @@ def _term_tables(lap: Array, filt: Array, ws: Array, ts: tuple, order_n: int) ->
     [p, 0] is from the mean data, [p, 1] (two-data mode only) from the
     first-cosine data, which sgn(z) multiplies.  Row k holds order k's
     boundary term, then the filtered radial integral of each Laplacian
-    power i = 0..n: +0.0 where i > k and on row 0, which has no filter.
+    power i = 0..n.  Only i <= k on the rows k > 0 are terms; row 0 has
+    no filter, and `_partial_sums` reads the terms alone (`_layout`).
 
     The integrals are one C-ordered product, filter times Laplacian times
     weight, summed along its last axis by np.add.reduce: pairwise, within
     each row alone, in an order set by J.  So a point's table is bit for
     bit the one it gets alone, whatever the batch and the operands' layout.
     """
-    weights, filtered, _, _ = _layout(order_n, lap.shape[1])
+    weights, _, _ = _layout(order_n, lap.shape[1])
     # libm pow per power: numpy's vectorised power may differ in the last bit
     powers = np.array([[t ** (2 * i - 1) for i in range(order_n + 1)] for t in ts])
     product = np.multiply(filt, lap[:, :, None, :, :-1], order="C")
     product *= ws[:, None, None, None, :]
     integrals = np.add.reduce(product, axis=-1) * powers[:, None, None, :]
     boundary = weights * lap[:, :, 0, -1, None, None]
-    return np.concatenate((boundary, np.where(filtered, integrals, 0.0)), axis=-1)
+    return np.concatenate((boundary, integrals), axis=-1)
 
 
 def _distinct(values: Array) -> Array:
@@ -293,13 +293,12 @@ def _partial_sums(tables: Array, sg: float, scale: float):
     """scale * S_0..S_n with sgn(z) = sg applied to the odd table, if any:
     S_k sums the structurally non-zero terms of the first k + 1 rows.
 
-    fsum rounds the exact sum once, whatever the order of its terms, and
-    returns +0.0 for a zero sum, so the +0.0 entries left out change no
-    sum.  Negation is exact, so both signs of z get the partial sums a
+    fsum rounds the exact sum of the terms once, whatever their order; the
+    tables' other entries are not terms and are never read.  Negation is exact, so both signs of z get the partial sums a
     separate pass per point would give; scale is 1.0 or 2.0, so it is
     exact too and equals scaling the data.
     """
-    _, _, index, ends = _layout(tables.shape[1] - 1, len(tables))
+    _, index, ends = _layout(tables.shape[1] - 1, len(tables))
     terms = (tables * np.array([1.0, sg])[: len(tables), None, None]).ravel()[index].tolist()
     return tuple(scale * math.fsum(terms[:end]) for end in ends)
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import pathlib
 import random
 import weakref
 from fractions import Fraction as Fr
@@ -28,12 +29,11 @@ from sphradon.forward import (
     _evaluate_on_sphere,
     _factor_rows,
     _project,
-    _sphere_offsets,
+    _sphere_moments,
     first_cosine_coefficient,
     harmonic_coefficient,
     off_plane_mean,
     spherical_mean,
-    two_data_transform,
 )
 
 from poly_helpers import ladder_rule, random_polynomial
@@ -71,26 +71,27 @@ def test_first_cosine_of_z():
 def test_two_data_split():
     f = rsqz3_field()
     c = SphereCenter(1.0, 3.0, 1.0)
-    got = two_data_transform(f, c)
-    assert got.real == pytest.approx(0.0, abs=1e-13)
-    assert got.imag == pytest.approx((0.6 * 10 + 6 / 35) / 3.0, rel=1e-13)
-    # the split is definitional: both parts equal their standalone operators
-    assert got.real == spherical_mean(f, c)
-    assert got.imag == first_cosine_coefficient(f, c) / 3.0
+    mf, a01 = _sphere_moments(f, c)
+    assert mf == pytest.approx(0.0, abs=1e-13)
+    assert a01 == pytest.approx(0.6 * 10 + 6 / 35, rel=1e-13)
+    # the split is definitional: both data of one pass equal their standalone operators
+    assert mf == spherical_mean(f, c)
+    assert a01 == first_cosine_coefficient(f, c)
 
 
 @pytest.mark.parametrize("rule", [None, build_rule(32, 64)], ids=["default", "32x64"])
 def test_two_data_split_sweep(rule):
-    # whether two scalings agree depends on the rounding of each sum, so one
-    # centre proves little; sweep many centres on every catalog phantom
+    # whether two routes to a datum agree depends on the rounding of each
+    # sum, so one centre proves little; sweep many centres on every catalog
+    # phantom
     rng = random.Random(2404)
     for name in ("z", "zsq", "rsqz3", "const", "gauss", "bump"):
         f = make_phantom(name)
         for _ in range(40):
             c = SphereCenter(rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(0.1, 2.5))
-            got = two_data_transform(f, c, rule)
-            assert got.real == spherical_mean(f, c, rule), (name, c)
-            assert got.imag == first_cosine_coefficient(f, c, rule) / 3.0, (name, c)
+            mf, a01 = _sphere_moments(f, c, rule)
+            assert mf == spherical_mean(f, c, rule), (name, c)
+            assert a01 == first_cosine_coefficient(f, c, rule), (name, c)
 
 
 @pytest.mark.parametrize("name", ["gauss", "bump"])
@@ -378,7 +379,7 @@ def three(x, y, z):
         first_cosine_coefficient,
         lambda f, c, rule: harmonic_coefficient(f, c, 2, 1, rule=rule),
         lambda f, c, rule: off_plane_mean(f, c.p, c.q, 0.3, c.t, rule),
-        two_data_transform,
+        _sphere_moments,
     ],
     ids=["mean", "a01", "harmonic", "off-plane", "two-data"],
 )
@@ -568,7 +569,7 @@ def _assert_folded(got, f, full, rule, n, m=0, kind="a"):
 def _rings(f, rule, z_shift=0.0):
     """How many theta rings a pass of f on `rule` lifted by z_shift
     evaluates: Z holds one value per ring."""
-    return _sphere_offsets(1.0, rule, f, z_shift)[2].size
+    return next(forward._passes(f, [1.0], rule, z_shift))[2].size
 
 
 def test_which_passes_evaluate_one_hemisphere():
@@ -640,7 +641,7 @@ def test_a_declared_parity_keeps_every_sphere_operator_bit_for_bit(name, rule):
         mf, a01 = spherical_mean(f, c, rule), first_cosine_coefficient(f, c, rule)
         assert _bits(mf) == _bits(harmonic_coefficient(f, c, 0, rule=rule))
         assert _bits(a01) == _bits(harmonic_coefficient(f, c, 1, rule=rule))
-        assert _bits(two_data_transform(f, c, rule)) == _bits(complex(mf, a01 / 3.0))
+        assert _bits(_sphere_moments(f, c, rule)) == _bits([mf, a01])
         assert _bits(off_plane_mean(f, c.p, c.q, 0.0, c.t, rule)) == _bits(mf)
         assert _bits(off_plane_mean(f, c.p, c.q, 0.25, c.t, rule)) == _bits(off_plane_mean(g, c.p, c.q, 0.25, c.t, rule))
 
@@ -723,16 +724,17 @@ def test_an_odd_field_zero_at_a_node_folds_to_plus_zero(rule):
 
 
 def _count_nodes(monkeypatch, module):
-    """(radii, nodes) of every `_sphere_offsets` call made through `module`."""
+    """The nodes of every pass that `_passes` forms through `module`, one
+    entry per radius."""
     calls = []
-    offsets = forward._sphere_offsets
+    passes = forward._passes
 
-    def counted(t, rule, f=None, z_shift=0.0):
-        dX, dY, Z, window = offsets(t, rule, f, z_shift)
-        calls.append((np.size(t), dX.size))
-        return dX, dY, Z, window
+    def counted(f, ts, rule, z_shift=0.0):
+        for one in passes(f, ts, rule, z_shift):
+            calls.append(one[0].size)
+            yield one
 
-    monkeypatch.setattr(module, "_sphere_offsets", counted)
+    monkeypatch.setattr(module, "_passes", counted)
     return calls
 
 
@@ -757,7 +759,7 @@ def test_quadrature_sampling_node_budget(monkeypatch, name, per_radius):
 
     sample_moments(dataclasses.replace(f, evaluate=counted), (0.0, 0.0), 0.1, 2, 2, 0.1 * np.arange(1, 12), analytic=False)
     rings = _BUMP_WINDOWS if name == "bump" else [per_radius // 48] * 11
-    assert calls == [(1, 48 * r) for r in rings] and max(rings) * 48 <= per_radius
+    assert calls == [48 * r for r in rings] and max(rings) * 48 <= per_radius
     blocks = [(1, 384), (1, 432), (2, 480), (6, 528)] if name == "bump" else [(8, 576), (3, 576)]
     assert points == blocks * 4
 
@@ -768,18 +770,66 @@ def test_checks_stencil_node_budget(monkeypatch):
     s = checks._Spheres(make_phantom("rsqz3"), 0.3, -0.2, 0.8, build_rule(24, 48), 1e-3)
     for dz in (0, 1, -1):
         s(0, dz=dz)
-    assert calls == [(1, 576), (1, 1152), (1, 1152)]
+    assert calls == [576, 1152, 1152]
     calls.clear()
     # the bump's window: the 11 rings of its support (0.1, 2.9) at t = 0.8
     checks._Spheres(make_phantom("bump"), 0.3, -0.2, 0.8, build_rule(24, 48), 1e-3)(0)
-    assert calls == [(1, 528)]
+    assert calls == [528]
+
+
+def test_every_pass_is_formed_by_one_former_and_summed_by_one_sum(monkeypatch):
+    # `_passes` forms the nodes of every sphere pass and `_weighted` sums
+    # every coefficient that the fold does not make +0.0: an operator, a
+    # sampling block, a checks stencil sphere, a gauss ladder radius and a
+    # bump band radius each go through both; nothing else in src calls
+    # `np.vecdot`
+    formed, summed = [], []
+    passes, weighted = forward._passes, forward._weighted
+
+    def counted_passes(f, ts, rule, z_shift=0.0):
+        for one in passes(f, ts, rule, z_shift):
+            formed.append(one[0].size)
+            yield one
+
+    def counted_weighted(vals, w, n, m=0, rows=()):
+        summed.append(np.shape(vals))
+        return weighted(vals, w, n, m, rows)
+
+    for module in (forward, fields, moments):
+        monkeypatch.setattr(module, "_passes", counted_passes)
+    for module in (forward, fields):
+        monkeypatch.setattr(module, "_weighted", counted_weighted)
+    cases = {
+        # rsqz3 is odd in z: one hemisphere of 24 x 48, and a01 alone survives
+        "operator": (lambda: first_cosine_coefficient(rsqz3_field(), SphereCenter(0.1, 0.2, 0.7)), [576], [(576,)]),
+        "sampling block": (
+            lambda: sample_moments(rsqz3_field(), (0.0, 0.0), 0.1, 1, 1, [0.3, 0.4], analytic=False),
+            [576, 576],
+            [(2, 576)],
+        ),
+        # lifted off the plane: every node, and b_{21} of them
+        "stencil sphere": (
+            lambda: checks._Spheres(zsq_field(), 0.3, -0.2, 0.8, None, 1e-3)(2, 1, "b", dz=1), [1152], [(1152,)]
+        ),
+        # the 32 rings of one 64 x 48 hemisphere; powers 0..2 of Mf alone
+        "gauss ladder radius": (lambda: gauss_field().laplacian_block(0.1, 0.2, [0.6], 2), [1536], [(1536,)] * 3),
+        # the 96 x 64 band; powers 0..2 of Mf and a01
+        "bump band radius": (lambda: bump_field().laplacian_block(0.1, 0.2, [1.2], 2), [6144], [(6144,)] * 6),
+    }
+    for case, (run, nodes, sums) in cases.items():
+        formed.clear()
+        summed.clear()
+        run()
+        assert (formed, summed) == (nodes, sums), case
+    src = pathlib.Path(forward.__file__).parent
+    assert sum(path.read_text().count("np.vecdot(") for path in src.glob("*.py")) == 1
 
 
 # ----- a declared z-support: each pass evaluates its window of rings -----
 
 
 def _windows(f, rule, ts, z_shift=0.0):
-    return [_sphere_offsets(float(t), rule, f, z_shift)[3] for t in ts]
+    return [one[5] for one in forward._passes(f, [float(t) for t in ts], rule, z_shift)]
 
 
 def test_a_sphere_that_misses_the_support_is_plus_zero_without_evaluate():
@@ -861,10 +911,12 @@ def test_windowed_sampling_equals_one_sphere_pass_per_radius(rule):
 
 def test_the_bump_ladder_band_is_its_own_window():
     # each band rule lies inside the support, so its window is every ring,
-    # and power 0 of the ladder is the sphere operators under it bit for bit
+    # both as the ladder reads it (its sizes) and as a built rule, and power
+    # 0 of the ladder is the sphere operators under it bit for bit
     f = make_phantom("bump")
     radii = np.concatenate([[0.1000001, 0.15], np.linspace(0.3, 3.1, 15), [2.9, 4.2]])
     mf, a01 = f.laplacian_block(0.3, -0.2, radii, 0)
+    assert _windows(f, fields._BAND_SIZES, radii) == [(0, fields._BAND_SIZES[0], 0)] * radii.size
     for j, t in enumerate(radii.tolist()):
         rule = ladder_rule(fields._BAND_SIZES, f.z_support, t)
         assert _windows(f, rule, [t])[0] == (0, rule.n_theta, 0), t

@@ -181,20 +181,20 @@ def test_ladder_point_budget(monkeypatch):
     # ring, and none below; a dense rule or a full-sphere gauss fails here
     points: dict[float, int] = {}
     ring_values: list[int] = []
-    ladder_passes, mollifier = forward._ladder_passes, fields._mollifier
+    passes, mollifier = forward._passes, fields._mollifier
 
-    def counted(f, ts, sizes, odd=True):
-        for one in ladder_passes(f, ts, sizes, odd):
-            j, dX, dY, Z, w, _ = one
-            points[ts[j]] = points.get(ts[j], 0) + dX.size
-            assert dY.size == w.size == dX.size and Z.shape == (dX.size // sizes[1],)
+    def counted(f, ts, sizes, z_shift=0.0):
+        for t, one in zip(ts, passes(f, ts, sizes, z_shift)):
+            dX, dY, Z, w, cos_t, _ = one
+            points[t] = points.get(t, 0) + dX.size
+            assert dY.size == w.size == dX.size and Z.shape == cos_t.shape == (dX.size // sizes[1],)
             yield one
 
     def counted_mollifier(s):
         ring_values.append(np.size(s))
         return mollifier(s)
 
-    monkeypatch.setattr(fields, "_ladder_passes", counted)
+    monkeypatch.setattr(fields, "_passes", counted)
     monkeypatch.setattr(fields, "_mollifier", counted_mollifier)
     us = np.array([0.05, 0.0999, 0.3, 1.5, 2.9, 3.5])
     for name, n, budget in (("gauss", 4, [1536] * 6), ("bump", 8, [0, 0, 6144, 6144, 6144, 6144])):
@@ -371,11 +371,9 @@ def test_the_bump_band_windows_at_its_support_bounds():
     # the radii above scan their windows: rings round onto the bounds, and
     # at the next floats above 0.1 every ring does, so the sphere is zeros
     f = make_phantom("bump")
-    rings = [
-        [Z.size for _, _, _, Z, _, _ in forward._ladder_passes(f, [u], fields._BAND_SIZES)] for u in _EDGE_RADII
-    ]
-    assert rings[:6] == [[82], [96], [91], [], [], []]
-    assert all(r == [96] for r in rings[6:]), rings
+    rings = [Z.size for _, _, Z, _, _, _ in forward._passes(f, _EDGE_RADII, fields._BAND_SIZES)]
+    assert rings[:6] == [82, 96, 91, 0, 0, 0]
+    assert all(r == 96 for r in rings[6:]), rings
 
 
 def _refusal_source(name):
@@ -510,13 +508,13 @@ def test_an_even_mirror_request_forms_no_a01(monkeypatch):
     # its Mf rows are the two-data block's bit for bit
     f, calls = _counted("bump")
     orders = []
-    project = forward._ring_project
+    weighted = forward._weighted
 
-    def counted(vals, w, n, cos_t=None):
-        orders.append((n, cos_t is None))
-        return project(vals, w, n, cos_t)
+    def counted(vals, w, n, m=0, rows=()):
+        orders.append((n, not rows))
+        return weighted(vals, w, n, m, rows)
 
-    monkeypatch.setattr(fields, "_ring_project", counted)
+    monkeypatch.setattr(fields, "_weighted", counted)
     req = ReconstructionRequest(points=((0.0, 0.2, 1.5),), order_n=8, mode="even_mirror", source=f)
     reconstruct_point(req, TABLE)
     ((x, y, us, n, odd),) = calls
